@@ -31,7 +31,7 @@ import numpy as np
 from .kernels import OffspringSchedule, ScaleSpec, kernel_branching, kernel_distance, kernel_power, kernel_scale
 from .moments import MomentTable, count_moment_curve, geo_limit_moments
 from .multisum import WeightSequence, phi_curve, predict, psi_curve, u_sum_curve
-from .simulate import sim_bpve, sim_gw, sim_levelwalk
+from .simulate import resolve_threads, sim_bpve, sim_gw, sim_levelwalk
 from .special import zeta_tail
 from .stats import LimitLaw, tv_distance_integer
 
@@ -513,8 +513,17 @@ def parse_config(text: str) -> ExperimentConfig:
     seed = _int("seed", d.seed)
     env_seed = os.environ.get("LIMITLAB_SEED", "").strip()
     if env_seed:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError as e:
+            raise ConfigError(f"LIMITLAB_SEED must be an integer, got {env_seed!r}") from e
+    try:
+        resolve_threads()
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     replicates = _int("replicates", d.replicates)
+    if replicates is not None and replicates < 1:
+        raise ConfigError(f"replicates must be >= 1, got {replicates}")
     out_dir = data.pop("out", None)
     raw_h = data.pop("horizons", None)
     if raw_h is None:
@@ -545,7 +554,11 @@ def load_config(path) -> ExperimentConfig:
 def run(config: ExperimentConfig) -> dict:
     d = _REGISTRY[config.experiment]
     t0 = time.perf_counter()
-    rows, checks = d.runner(config)
+    try:
+        rows, checks = d.runner(config)
+    except ValueError as e:
+        # parameters outside a model's domain, e.g. alpha <= 0 or a horizon past a kernel's range
+        raise ConfigError(f"{config.experiment}: {e}") from e
     wall = time.perf_counter() - t0
     return {
         "experiment": config.experiment,

@@ -2,25 +2,45 @@
 
 A kernel assigns to each index pair j > i >= 0 a value rho(i, j) >= 1 whose
 reciprocal is the probability of a success at j given the most recent
-success at i (i = 0 encodes the unconditional marginal).  Four concrete
-families are provided:
+success at i (i = 0 encodes the unconditional marginal).
 
-- distance kernels        rho(i, j) = D(j - i)
-- power kernels           rho(0, i) = beta*i,  rho(i, j) = beta*j^(1-alpha)*(j^alpha - i^alpha)
-- branching kernels       rho(i, j) = 1 + sum_{t=i+1}^{j} m_t ... m_j,  m_t = (1-p_t)/p_t
-- scale-function kernels  hitting-probability ratios of a transient level
-  walk with w(x) = x^(-gamma)
+The power, branching and scale-function families share one data form, the
+Cauchy form
+
+    rho(i, j) = a_j * (x_j - y_i),    0 <= i < j,    y_0 = 0,
+
+held as three arrays built once per horizon:
+
+- power      rho(i, j) = beta j^(1-alpha) (j^alpha - i^alpha):
+             a_j = beta j^(1-alpha),  x_j = j^alpha,  y_i = i^alpha.
+- branching  rho(i, j) = 1 + sum_{t=i+1}^{j} m_t m_{t+1} ... m_j,
+             m_t = (1-p_t)/p_t.  With L_t = sum_{u<=t} log m_u and
+             H_t = sum_{u=0}^{t} exp(-L_u) (H_{-1} = 0):
+             a_j = exp(L_j),  x_j = H_j,  y_i = H_{i-1}.
+- scale      hitting-probability ratios of a transient level walk with
+             w(x) = x^(-gamma) and offset ratio c = a/b:
+             a_j = 1 / ((j+c)^gamma g_j),  x_j = (j+c)^gamma,  y_i = i^gamma,
+             where g_j = (w(j) - w(j+c)) / w(j) is formed via expm1/log1p.
+
+Every query (``rho``, ``success_prob``, ``marginal_probs``, ``cond_column``)
+reads these arrays, and ``multisum.psi_curve`` pushes whole tables through
+the matrix 1/(x_j - y_i).  The arrays must be finite, with a > 0, y strictly
+increasing and x_j > y_{j-1}; where a family's data break down (a branching
+schedule with constant p != 1/2 overflows exp(L) or exp(-L) within a few
+thousand generations, and its H stops growing in floating point well before
+that), a query reaching that generation raises ValueError naming it.
+
+Distance kernels rho(i, j) = D(j - i) are not of this form: they keep their
+own queries and their Psi tables come from the convolution engine.
 
 Kernels are total over j > i >= 0: queries never range-check the resulting
 probability, because the moment algebra is well defined for any positive
 weights and some acceptance sweeps deliberately use boundary families
-(e.g. D(n) = n, whose unit-gap value is exactly 1).  ``probability_range``
-reports the observed range so tests can verify properness where it holds.
+(e.g. D(n) = n, whose unit-gap value is exactly 1).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,17 +60,53 @@ __all__ = [
     "kernel_distance",
     "kernel_power",
     "kernel_scale",
-    "probability_range",
 ]
 
 
 class RhoKernel:
-    """Base class; subclasses implement ``rho`` and the vectorized columns."""
+    """A kernel in Cauchy form; subclasses supply ``_cauchy_arrays``."""
 
     description = "generic"
+    # largest index the family is defined at (table-backed schedules)
+    limit: int | None = None
+    _data: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    _first_bad: int | None = None
 
-    def rho(self, i: int, j: int) -> float:
+    def _cauchy_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, x, y) at indices 1..n."""
         raise NotImplementedError
+
+    def cauchy(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (a, x, y) of length n + 1 with rho(i, j) = a[j] (x[j] - y[i]), 0 <= i < j <= n.
+
+        Index 0 holds y_0 = 0; a[0] and x[0] are NaN, since no pair ends at 0.
+        """
+        if self._data is None or self._data[0].size <= n:
+            # grow geometrically: a caller walking j upward rebuilds O(log n) times
+            size = n if self._data is None else max(n, 2 * (self._data[0].size - 1))
+            if self.limit is not None and n <= self.limit:
+                size = min(size, self.limit)
+            with np.errstate(over="ignore", invalid="ignore"):
+                a, x, y = self._cauchy_arrays(size)
+                y_prev = np.concatenate([[0.0], y[:-1]])
+                ok = (np.isfinite(a) & np.isfinite(x) & np.isfinite(y) & (a > 0)
+                      & (y > y_prev) & (x > y_prev))
+            bad = np.flatnonzero(~ok)
+            self._first_bad = int(bad[0]) + 1 if bad.size else None
+            self._data = (np.concatenate([[np.nan], a]), np.concatenate([[np.nan], x]),
+                          np.concatenate([[0.0], y]))
+        if self._first_bad is not None and n >= self._first_bad:
+            raise ValueError(
+                f"{self.description}: Cauchy data not finite or not increasing at generation "
+                f"{self._first_bad}; horizons must stay below it"
+            )
+        a, x, y = self._data
+        return a[: n + 1], x[: n + 1], y[: n + 1]
+
+    def rho(self, i, j):
+        """a_j (x_j - y_i); i and j may be integer arrays, broadcast together."""
+        a, x, y = self.cauchy(int(np.max(j)))
+        return a[j] * (x[j] - y[i])
 
     def success_prob(self, i: int, j: int) -> float:
         """1 / rho(i, j) for j > i >= 0; equals 1 on the diagonal."""
@@ -58,36 +114,26 @@ class RhoKernel:
             return 1.0
         if j < i or i < 0:
             raise ValueError(f"success_prob needs j >= i >= 0, got ({i}, {j})")
-        return 1.0 / self.rho(i, j)
+        return float(1.0 / self.rho(i, j))
 
     def marginal_probs(self, n: int) -> np.ndarray:
         """Array p with p[j] = success_prob(0, j) for 1 <= j <= n (p[0] = 0)."""
+        a, x, y = self.cauchy(n)
         p = np.zeros(n + 1)
-        for j in range(1, n + 1):
-            p[j] = 1.0 / self.rho(0, j)
+        p[1:] = 1.0 / (a[1:] * (x[1:] - y[0]))
         return p
 
     def cond_column(self, j: int) -> np.ndarray:
         """success_prob(i, j) for i = 1..j-1."""
-        return np.array([1.0 / self.rho(i, j) for i in range(1, j)])
+        a, x, y = self.cauchy(j)
+        return 1.0 / (a[j] * (x[j] - y[1:j]))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.description}>"
 
 
-def probability_range(kernel: RhoKernel, n: int) -> tuple[float, float]:
-    """(min, max) of success_prob over all pairs 0 <= i < j <= n."""
-    lo, hi = np.inf, -np.inf
-    marg = kernel.marginal_probs(n)[1:]
-    lo, hi = min(lo, marg.min()), max(hi, marg.max())
-    for j in range(2, n + 1):
-        col = kernel.cond_column(j)
-        lo, hi = min(lo, col.min()), max(hi, col.max())
-    return float(lo), float(hi)
-
-
 class DistanceKernel(RhoKernel):
-    """rho(i, j) = D(j - i) for all j > i >= 0."""
+    """rho(i, j) = D(j - i) for all j > i >= 0 (not in Cauchy form)."""
 
     def __init__(self, weight: Callable[[np.ndarray], np.ndarray], label: str = ""):
         self._weight = weight
@@ -96,7 +142,7 @@ class DistanceKernel(RhoKernel):
 
     @property
     def weights(self) -> WeightSequence:
-        """Unit-gap weight view, used by the fast convolution moment path."""
+        """Unit-gap weight view, which the convolution engine folds."""
         return WeightSequence(weight=self._weight, gap=1, label=self.description)
 
     def _reciprocals(self, n: int) -> np.ndarray:
@@ -121,11 +167,7 @@ class DistanceKernel(RhoKernel):
 
 
 class PowerKernel(RhoKernel):
-    """rho(0, i) = beta*i and rho(i, j) = beta * j^(1-alpha) * (j^alpha - i^alpha).
-
-    With j_0 = 0 the marginal is the same formula evaluated at i = 0,
-    since j^(1-alpha) * (j^alpha - 0) = j.
-    """
+    """rho(i, j) = beta * j^(1-alpha) * (j^alpha - i^alpha); rho(0, j) = beta*j."""
 
     def __init__(self, alpha: float, beta: float):
         if alpha <= 0 or beta <= 0:
@@ -134,17 +176,10 @@ class PowerKernel(RhoKernel):
         self.beta = beta
         self.description = f"power(alpha={alpha}, beta={beta})"
 
-    def rho(self, i: int, j: int) -> float:
-        return self.beta * j ** (1.0 - self.alpha) * (j**self.alpha - i**self.alpha)
-
-    def marginal_probs(self, n: int) -> np.ndarray:
-        p = np.zeros(n + 1)
-        p[1:] = 1.0 / (self.beta * np.arange(1, n + 1, dtype=float))
-        return p
-
-    def cond_column(self, j: int) -> np.ndarray:
-        i = np.arange(1, j, dtype=float)
-        return j ** (self.alpha - 1.0) / (self.beta * (float(j) ** self.alpha - i**self.alpha))
+    def _cauchy_arrays(self, n: int):
+        j = np.arange(1, n + 1, dtype=float)
+        x = j**self.alpha
+        return self.beta * j ** (1.0 - self.alpha), x, x
 
 
 @dataclass(frozen=True)
@@ -208,60 +243,21 @@ class OffspringSchedule:
 class BranchingKernel(RhoKernel):
     """rho(i, j) = 1 + sum_{t=i+1}^{j} m_t m_{t+1} ... m_j with m_t = (1-p_t)/p_t.
 
-    The partial products are formed in log space: with L_t = sum_{u<=t} log m_u
-    and H_x = sum_{t'=0}^{x} exp(-L_{t'}),
-
-        rho(i, j) = 1 + exp(L_j) * (H_{j-1} - H_{i-1}),    H_{-1} = 0,
-
-    which makes every query O(1) after an O(n) prefix pass.
+    Cauchy form from log-space prefixes: a_j = exp(L_j), x_j = H_j and
+    y_i = H_{i-1}, where L_t = sum_{u<=t} log m_u and H_t = sum_{u<=t} exp(-L_u).
     """
 
     def __init__(self, schedule: OffspringSchedule):
         self.schedule = schedule
         self.description = f"branching({schedule.label})"
-        self._L = np.zeros(1)
-        self._H = np.ones(1)
+        self.limit = schedule.limit
 
-    def _extend(self, n: int):
-        if self._L.size <= n:
-            size = max(2 * self._L.size, n + 1, 1024)
-            if self.schedule.limit is not None:
-                size = min(size, self.schedule.limit + 1)
-            if size <= n:
-                raise ValueError(
-                    f"{self.description} defined up to generation {self.schedule.limit}, need {n}"
-                )
-            p = self.schedule.values(size - 1)
-            logm = np.log1p(-p) - np.log(p)
-            L = np.zeros(size)
-            np.cumsum(logm, out=L[1:])
-            self._L = L
-            self._H = np.cumsum(np.exp(-L))
-
-    def rho(self, i: int, j: int) -> float:
-        self._extend(j)
-        below = self._H[i - 1] if i >= 1 else 0.0
-        return 1.0 + math.exp(self._L[j]) * (self._H[j - 1] - below)
-
-    def rho_grid(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """rho over the outer grid of index arrays (requires j > i pairwise use)."""
-        i = np.asarray(i)
-        j = np.asarray(j)
-        self._extend(int(j.max()))
-        below = np.where(i >= 1, self._H[np.maximum(i - 1, 0)], 0.0)
-        return 1.0 + np.exp(self._L[j]) * (self._H[j - 1] - below)
-
-    def marginal_probs(self, n: int) -> np.ndarray:
-        self._extend(n)
-        p = np.zeros(n + 1)
-        j = np.arange(1, n + 1)
-        p[1:] = 1.0 / (1.0 + np.exp(self._L[j]) * self._H[j - 1])
-        return p
-
-    def cond_column(self, j: int) -> np.ndarray:
-        self._extend(j)
-        i = np.arange(1, j)
-        return 1.0 / (1.0 + math.exp(self._L[j]) * (self._H[j - 1] - self._H[i - 1]))
+    def _cauchy_arrays(self, n: int):
+        p = self.schedule.values(n)
+        L = np.zeros(n + 1)
+        np.cumsum(np.log1p(-p) - np.log(p), out=L[1:])
+        H = np.cumsum(np.exp(-L))
+        return np.exp(L[1:]), H[1:], H[:-1]
 
 
 @dataclass(frozen=True)
@@ -313,62 +309,23 @@ class ScaleKernel(RhoKernel):
 
     With c = a/b and w(x) = x^(-gamma):
 
-        success_prob(0, i) = (w(i) - w(i+c)) / w(i)
-        success_prob(i, j) = [w(i) / (w(i) - w(j+c))] * [(w(j) - w(j+c)) / w(j)]
+        success_prob(0, j) = g_j = (w(j) - w(j+c)) / w(j)
+        success_prob(i, j) = [w(i) / (w(i) - w(j+c))] * g_j
+                           = g_j (j+c)^gamma / ((j+c)^gamma - i^gamma)
 
-    The same-point gap w(x) - w(x+c) is evaluated via expm1/log1p to avoid
-    cancellation at large x.
+    g_j = -expm1(-gamma log1p(c/j)) avoids cancellation at large j.
     """
 
     def __init__(self, spec: ScaleSpec):
         self.spec = spec
         self.description = f"scale(gamma={spec.gamma}, a={spec.a}, b={spec.b})"
 
-    def _w(self, x):
-        return np.power(x, -self.spec.gamma)
-
-    def _w_gap(self, x):
-        """w(x) - w(x + c), cancellation-free."""
+    def _cauchy_arrays(self, n: int):
         g, c = self.spec.gamma, self.spec.offset_ratio
-        return -np.power(x, -g) * np.expm1(-g * np.log1p(c / x))
-
-    def rho(self, i: int, j: int) -> float:
-        return 1.0 / self.success_prob(i, j)
-
-    def success_prob(self, i: int, j: int) -> float:
-        if j == i:
-            return 1.0
-        if j < i or i < 0:
-            raise ValueError(f"success_prob needs j >= i >= 0, got ({i}, {j})")
-        c = self.spec.offset_ratio
-        if i == 0:
-            return float(self._w_gap(j) / self._w(j))
-        wi = self._w(float(i))
-        return float(wi / (wi - self._w(j + c)) * self._w_gap(j) / self._w(j))
-
-    def joint_prob(self, indices: Sequence[int]) -> float:
-        """P(success at every index in the increasing tuple), product form."""
-        js = list(indices)
-        if any(b <= a for a, b in zip(js, js[1:])) or js[0] < 1:
-            raise ValueError("indices must be strictly increasing and >= 1")
-        c = self.spec.offset_ratio
-        out = 1.0
-        for a, b in zip(js, js[1:]):
-            out *= float(self._w_gap(a) / (self._w(float(a)) - self._w(b + c)))
-        last = js[-1]
-        return out * float(self._w_gap(last) / self._w(float(last)))
-
-    def marginal_probs(self, n: int) -> np.ndarray:
-        p = np.zeros(n + 1)
-        x = np.arange(1, n + 1, dtype=float)
-        p[1:] = self._w_gap(x) / self._w(x)
-        return p
-
-    def cond_column(self, j: int) -> np.ndarray:
-        c = self.spec.offset_ratio
-        i = np.arange(1, j, dtype=float)
-        wi = self._w(i)
-        return wi / (wi - self._w(j + c)) * float(self._w_gap(j) / self._w(float(j)))
+        j = np.arange(1, n + 1, dtype=float)
+        x = (j + c) ** g
+        gap = -np.expm1(-g * np.log1p(c / j))
+        return 1.0 / (x * gap), x, j**g
 
 
 def kernel_distance(weight, label: str = "") -> DistanceKernel:

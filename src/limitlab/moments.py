@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import DistanceKernel, RhoKernel
-from .multisum import phi_fold_curves, psi_curve
+from .kernels import RhoKernel
+from .multisum import psi_curve
 
 __all__ = [
     "MomentTable",
@@ -50,13 +50,6 @@ def composition_coefficient(k: int, m: int) -> int:
     return m * (composition_coefficient(k - 1, m) + composition_coefficient(k - 1, m - 1))
 
 
-def _psi_matrix(kernel: RhoKernel, horizons, m_max: int) -> np.ndarray:
-    """Psi_h(q) for q = 1..m_max; distance kernels ride the convolution path."""
-    if isinstance(kernel, DistanceKernel):
-        return phi_fold_curves(kernel.weights, horizons, m_max)
-    return psi_curve(kernel, horizons, m_max)
-
-
 def count_moment(kernel: RhoKernel, n: int, k: int, allow_large_k: bool = False) -> float:
     """Exact k-th moment of the success count over indices 1..n."""
     return float(count_moment_curve(kernel, k, [n], allow_large_k)[0])
@@ -72,7 +65,7 @@ def count_moment_curve(kernel: RhoKernel, k: int, horizons,
             f"order k={k} exceeds the safe coefficient range (k <= {_SAFE_ORDER}); "
             "pass allow_large_k=True to accept reduced float accuracy"
         )
-    psi = _psi_matrix(kernel, horizons, k)
+    psi = psi_curve(kernel, horizons, k)
     out = np.zeros(psi.shape[1])
     for m in range(1, k + 1):
         out += float(composition_coefficient(k, m)) * psi[m - 1]
@@ -119,7 +112,7 @@ class MomentTable:
         hs = tuple(int(h) for h in horizons)
         if any(b <= a for a, b in zip(hs, hs[1:])):
             raise ValueError("horizons must be strictly increasing")
-        psi = _psi_matrix(kernel, hs, k_max)
+        psi = psi_curve(kernel, hs, k_max)
         rows = []
         for k in range(1, k_max + 1):
             row = np.zeros(len(hs))

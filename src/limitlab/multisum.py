@@ -10,10 +10,22 @@ evaluated exactly by the level-by-level convolution recursion
     Phi(n, k) = sum_{j = n0}^{n - (k-1) n0} (1/D(j)) * Phi(n - j, k - 1).
 
 A direct O(n^2)-per-fold convolution is the reference path; an FFT path
-(O(n log n) per fold) is used for large horizons.  ``psi_general`` computes
-the analogous sum for pairwise kernels r(i, j) that are not functions of
-the index difference.  ``predict`` returns the limiting scaling and
-coefficient for each supported regime.
+(O(n log n) per fold, at a 5-smooth transform length) is used for large
+horizons.
+
+``psi_curve`` computes the analogous sum Psi_n(m) for a pairwise kernel,
+from the tables T_1[j] = 1/rho(0, j) and
+
+    T_q[j] = sum_{i<j} T_{q-1}[i] / rho(i, j),    Psi_n(q) = sum_{j<=n} T_q[j].
+
+Distance kernels are difference kernels, so they take the convolution path.
+Every other kernel is in Cauchy form rho(i, j) = a_j (x_j - y_i) (see
+``kernels``), so each step is T_q = (T_{q-1} pushed through the strictly
+lower-triangular matrix 1/(x_j - y_i)) / a_j: one call of the hierarchical
+matvec ``cauchy.lower_matvec``, O(n log n) per fold.  Its far-field terms carry
+a relative error of at most 3.4e-15 each; all terms are positive, so every
+T_q[j] keeps that bound plus round-off.  ``predict`` returns the limiting
+scaling and coefficient for each supported regime.
 """
 
 from __future__ import annotations
@@ -23,8 +35,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import fftconvolve
 
+from .cauchy import LEAF, lower_matvec
 from .special import gamma_fn, lambda_sigma, lambda_weight_array, script_O, zeta_tail
 
 __all__ = [
@@ -94,6 +106,20 @@ class MultiSumResult:
     constrained: bool
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length the FFT handles at full speed."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            pow2 = 1 << (-(-n // odd) - 1).bit_length()  # smallest 2^a >= n / odd
+            best = min(best, odd * pow2)
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _fold_tables(weights: WeightSequence, n: int, m: int, method: str) -> list[np.ndarray]:
     """Tables T[q][x] = Phi(x, q) for 0 <= x <= n, 0 <= q <= m (T[0] == 1)."""
     if method not in ("auto", "direct", "fft"):
@@ -101,9 +127,12 @@ def _fold_tables(weights: WeightSequence, n: int, m: int, method: str) -> list[n
     use_fft = method == "fft" or (method == "auto" and n > _FFT_THRESHOLD)
     r = weights.reciprocals(n)
     tables = [np.ones(n + 1)]
+    if use_fft:
+        size = _smooth_length(2 * n + 1)  # no wrap-around into indices 0..n
+        r_hat = np.fft.rfft(r, size)
     for _ in range(m):
         if use_fft:
-            t = fftconvolve(r, tables[-1])[: n + 1]
+            t = np.fft.irfft(r_hat * np.fft.rfft(tables[-1], size), size)[: n + 1]
             np.maximum(t, 0.0, out=t)  # FFT round-off may graze below zero
         else:
             t = np.convolve(r, tables[-1])[: n + 1]
@@ -159,28 +188,37 @@ def _u_weights(m: int, n0: int, s: float) -> WeightSequence:
 def psi_general(kernel, n: int, m: int) -> float:
     """m-fold sum over increasing tuples of kernel success-probability products.
 
-    Uses the table T(j, 1) = r(0, j), T(j, q) = sum_{i<j} T(i, q-1) r(i, j)
-    and returns sum_j T(j, m); cost O(n^2 m) for a generic pairwise kernel.
+    The scalar Psi_n(m) of ``psi_curve``.
     """
     return float(psi_curve(kernel, [n], m)[m - 1, 0])
 
 
 def psi_curve(kernel, horizons, m: int) -> np.ndarray:
     """Matrix P[q-1, h] = Psi_h(q) for q = 1..m over the given horizons."""
+    from .kernels import DistanceKernel  # kernels imports this module
+
     hs = np.asarray(horizons, dtype=int)
-    n = int(hs.max())
     if m < 1:
         raise ValueError("fold count m must be >= 1")
-    tables = np.zeros((m + 1, n + 1))
-    tables[1] = kernel.marginal_probs(n)
-    for q in range(2, m + 1):
-        prev = tables[q - 1]
-        cur = tables[q]
-        for j in range(q, n + 1):
-            col = kernel.cond_column(j)
-            cur[j] = float(np.dot(prev[1:j], col))
-    prefix = np.cumsum(tables[1:], axis=1)
-    return prefix[:, hs]
+    if isinstance(kernel, DistanceKernel):
+        return phi_fold_curves(kernel.weights, hs, m)
+    return np.cumsum(_psi_tables(kernel, int(hs.max()), m), axis=1)[:, hs]
+
+
+def _psi_tables(kernel, n: int, m: int) -> np.ndarray:
+    """T[q-1, j] = T_q[j] for a Cauchy-form kernel, 0 <= j <= n."""
+    tables = np.zeros((m, n + 1))
+    tables[0] = kernel.marginal_probs(n)
+    if n <= LEAF:
+        # one leaf has no far field: the step is the dense triangle, column by column
+        for q in range(1, m):
+            for j in range(q + 1, n + 1):
+                tables[q, j] = tables[q - 1, 1:j] @ kernel.cond_column(j)
+        return tables
+    a, x, y = kernel.cauchy(n)
+    for q in range(1, m):
+        tables[q, 1:] = lower_matvec(tables[q - 1, 1:], x[1:], y[1:]) / a[1:]
+    return tables
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,13 @@ def resolve_threads(threads: int | None = None) -> int:
     """Explicit argument wins, then LIMITLAB_THREADS, then 1."""
     if threads is not None:
         return max(1, int(threads))
-    env = os.environ.get("LIMITLAB_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
+    env = os.environ.get("LIMITLAB_THREADS", "").strip()
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"LIMITLAB_THREADS must be an integer, got {env!r}") from None
 
 
 @dataclass

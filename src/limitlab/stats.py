@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .moments import geo_limit_moments
 from .special import gamma_moment
@@ -78,7 +77,7 @@ class LimitLaw:
         elif self.kind == "gamma":
             a = self.param
             xs = np.where(x > 0, x, 1.0)
-            out = np.where(x > 0, np.exp((a - 1.0) * np.log(xs) - xs - gammaln(a)), 0.0)
+            out = np.where(x > 0, np.exp((a - 1.0) * np.log(xs) - xs - math.lgamma(a)), 0.0)
         else:
             raise ValueError("geometric law has a pmf, not a pdf")
         return out if out.shape else float(out)
@@ -91,6 +90,8 @@ class LimitLaw:
         elif self.kind == "exponential":
             out = np.where(x > 0, -np.expm1(-self.param * np.where(x > 0, x, 0.0)), 0.0)
         else:
+            from scipy.special import gammainc  # here, so that importing limitlab loads no scipy
+
             out = np.where(x > 0, gammainc(self.param, np.where(x > 0, x, 0.0)), 0.0)
         return out if out.shape else float(out)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 
 def phi_bruteforce(weight_fn, n: int, m: int, gap: int = 1) -> float:
     """Enumerate all gap-feasible increasing m-tuples in [1, n]."""
@@ -68,6 +70,42 @@ def psi_bruteforce(kernel, n: int, m: int) -> float:
             prev = j
         terms.append(prod)
     return math.fsum(terms)
+
+
+def psi_loop(kernel, n: int, m: int) -> np.ndarray:
+    """Tables T[q-1, j] = T_q[j] (0 <= j <= n) by the O(n^2 m) column loop.
+
+    T_1[j] = success_prob(0, j) and T_q[j] = sum_{i<j} T_{q-1}[i] success_prob(i, j),
+    each column taken from ``cond_column``.
+    """
+    tables = np.zeros((m, n + 1))
+    tables[0] = kernel.marginal_probs(n)
+    for q in range(1, m):
+        for j in range(q + 1, n + 1):
+            tables[q, j] = float(np.dot(tables[q - 1, 1:j], kernel.cond_column(j)))
+    return tables
+
+
+def probability_range(kernel, n: int) -> tuple[float, float]:
+    """(min, max) of success_prob over all pairs 0 <= i < j <= n."""
+    values = [kernel.marginal_probs(n)[1:]] + [kernel.cond_column(j) for j in range(2, n + 1)]
+    flat = np.concatenate(values)
+    return float(flat.min()), float(flat.max())
+
+
+def scale_success_prob(spec, i: int, j: int) -> float:
+    """Level-walk success probability straight from the scale function w(x) = x^-gamma.
+
+    P(success at j | last success at i) = [w(i) / (w(i) - w(j+c))] (w(j) - w(j+c)) / w(j),
+    with the first factor 1 for i = 0 and c = a/b.  Plain differences, so keep j small.
+    """
+    g, c = spec.gamma, spec.a / spec.b
+
+    def w(x):
+        return float(x) ** -g
+
+    escape = 1.0 if i == 0 else w(i) / (w(i) - w(j + c))
+    return escape * (w(j) - w(j + c)) / w(j)
 
 
 def surjections_by_composition(k: int, m: int) -> int:

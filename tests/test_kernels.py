@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from limitlab.kernels import (
     kernel_distance,
     kernel_power,
     kernel_scale,
-    probability_range,
 )
+
+from oracles import probability_range, scale_success_prob
 
 
 class TestDistanceKernel:
@@ -37,6 +40,7 @@ class TestDistanceKernel:
         k = kernel_distance(lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
         col = k.cond_column(6)
         assert col == pytest.approx([k.success_prob(i, 6) for i in range(1, 6)])
+        assert col == pytest.approx([1.0 / (7.0 - i) ** 2 for i in range(1, 6)], rel=1e-14)
 
     def test_nonpositive_weight_rejected(self):
         k = kernel_distance(lambda i: np.asarray(i, dtype=float) - 3.0)
@@ -133,7 +137,7 @@ class TestBranchingKernel:
         k = kernel_branching(OffspringSchedule.harmonic_drift(0.3))
         i = np.array([5, 10])
         j = np.array([20, 40])
-        grid = k.rho_grid(i, j)
+        grid = k.rho(i, j)
         assert grid == pytest.approx([k.rho(5, 20), k.rho(10, 40)], rel=1e-13)
 
     def test_proper_range(self):
@@ -149,7 +153,7 @@ class TestBranchingKernel:
         gaps = np.arange(200, 2001, 200)
         ii, gg = np.meshgrid(i, gaps, indexing="ij")
         jj = ii + gg
-        r = k.rho_grid(ii.ravel(), jj.ravel())
+        r = k.rho(ii.ravel(), jj.ravel())
         if B > 0:
             target = jj.ravel() ** B * (jj.ravel() ** (1 - B) - ii.ravel() ** (1 - B)) / (1 - B)
         else:
@@ -162,7 +166,7 @@ class TestBranchingKernel:
         i = np.arange(200, 2001, 200)
         gaps = np.arange(200, 2001, 200)
         ii, gg = np.meshgrid(i, gaps, indexing="ij")
-        r = k.rho_grid(ii.ravel(), (ii + gg).ravel())
+        r = k.rho(ii.ravel(), (ii + gg).ravel())
         ratio = r / gg.ravel()
         assert np.all(np.abs(ratio - 1.0) <= 0.05)
 
@@ -195,12 +199,14 @@ class TestScaleKernel:
         assert k.success_prob(0, 1) == pytest.approx(0.5, rel=1e-6)
 
     def test_joint_equals_chained_conditionals(self):
-        k = kernel_scale(ScaleSpec.from_dimension(3, 1.0, 2.0))
-        pair = k.joint_prob([2, 5])
-        assert pair == pytest.approx(k.success_prob(0, 2) * k.success_prob(2, 5), rel=1e-12)
-        triple = k.joint_prob([2, 5, 11])
-        chained = k.success_prob(0, 2) * k.success_prob(2, 5) * k.success_prob(5, 11)
-        assert triple == pytest.approx(chained, rel=1e-12)
+        # the joint law of a success chain, straight from the scale function
+        spec = ScaleSpec.from_dimension(3, 1.0, 2.0)
+        k = kernel_scale(spec)
+        for chain in ([2, 5], [2, 5, 11]):
+            steps = list(zip([0] + chain, chain))
+            joint = math.prod(scale_success_prob(spec, i, j) for i, j in steps)
+            chained = math.prod(k.success_prob(i, j) for i, j in steps)
+            assert chained == pytest.approx(joint, rel=1e-12)
 
     def test_marginal_asymptote(self):
         # rho(0, j) * (a/b) * gamma / j tends to 1
@@ -215,6 +221,77 @@ class TestScaleKernel:
         assert 0.0 < lo and hi < 1.0
 
     def test_cond_column_matches_scalar(self):
-        k = kernel_scale(ScaleSpec.from_dimension(3, 1.0, 2.0))
+        spec = ScaleSpec.from_dimension(3, 1.0, 2.0)
+        k = kernel_scale(spec)
         col = k.cond_column(7)
         assert col == pytest.approx([k.success_prob(i, 7) for i in range(1, 7)], rel=1e-13)
+        assert col == pytest.approx([scale_success_prob(spec, i, 7) for i in range(1, 7)], rel=1e-13)
+
+
+def _branching_rho(p, i, j):
+    """1 + sum_{t=i+1}^{j} m_t ... m_j with m_t = (1-p_t)/p_t, summed directly."""
+    m = (1.0 - p) / p
+    return 1.0 + math.fsum(math.prod(m[t - 1 : j]) for t in range(i + 1, j + 1))
+
+
+class TestCauchyForm:
+    """rho(i, j) = a_j (x_j - y_i) against each family's defining formula, every i < j."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_power(self, alpha):
+        k = kernel_power(alpha, 1.3)
+        for j in (1, 2, 7, 50, 200):
+            i = np.arange(j)
+            want = 1.3 * j ** (1.0 - alpha) * (j**alpha - i.astype(float) ** alpha)
+            assert k.rho(i, j) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("schedule", [
+        OffspringSchedule.harmonic_drift(0.5),
+        OffspringSchedule.from_decay(lambda t: t ** (-2.0)),
+        OffspringSchedule.from_table([0.4, 0.55, 0.5, 0.45, 0.6, 0.3, 0.5]),
+    ])
+    def test_branching(self, schedule):
+        k = kernel_branching(schedule)
+        top = 7 if schedule.limit else 200
+        p = schedule.values(top)
+        for j in (1, 2, 7, 50, 200):
+            if j > top:
+                continue
+            want = [_branching_rho(p, i, j) for i in range(j)]
+            assert k.rho(np.arange(j), j) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_scale(self, gamma):
+        spec = ScaleSpec(gamma, 1.0, 2.0)
+        k = kernel_scale(spec)
+        for j in (1, 2, 7, 50, 200):
+            want = [1.0 / scale_success_prob(spec, i, j) for i in range(j)]
+            assert k.rho(np.arange(j), j) == pytest.approx(want, rel=1e-11)
+
+    def test_arrays_are_cut_to_the_horizon(self):
+        k = kernel_power(2.0, 1.0)
+        k.marginal_probs(100)
+        a, x, y = k.cauchy(10)
+        assert a.size == x.size == y.size == 11
+        assert y[0] == 0.0 and np.isnan(a[0]) and np.isnan(x[0])
+
+
+class TestBranchingBreakdown:
+    """Constant p != 1/2 overflows exp(L) or exp(-L) within a few thousand generations."""
+
+    def test_subcritical_marginals_raise(self):
+        k = kernel_branching(OffspringSchedule.constant(0.6))
+        with pytest.raises(ValueError, match=r"p=0\.6.*generation \d+"):
+            k.marginal_probs(3000)
+
+    def test_supercritical_column_raises(self):
+        k = kernel_branching(OffspringSchedule.constant(0.4))
+        with pytest.raises(ValueError, match=r"p=0\.4.*generation \d+"):
+            k.cond_column(3000)
+
+    def test_below_the_breakdown_still_answers(self):
+        k = kernel_branching(OffspringSchedule.constant(0.6))
+        assert np.all(np.isfinite(k.marginal_probs(1000)))
+        with pytest.raises(ValueError):
+            k.marginal_probs(3000)
+        assert np.all(np.isfinite(k.marginal_probs(500)))

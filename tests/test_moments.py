@@ -14,7 +14,12 @@ from limitlab.moments import (
 )
 from limitlab.special import zeta_tail
 
-from oracles import count_moment_bruteforce, geometric_moment_bruteforce, surjections_by_composition
+from oracles import (
+    count_moment_bruteforce,
+    geometric_moment_bruteforce,
+    psi_loop,
+    surjections_by_composition,
+)
 
 
 def gw_kernel():
@@ -120,15 +125,13 @@ class TestScaledCurveAndTable:
         assert t.values[1, 0] == pytest.approx(35 / 72, rel=1e-13)
 
     def test_fast_path_matches_generic(self):
-        # the distance kernel rides the convolution path inside the table
-        # builder; rebuilding the moments from the generic pairwise DP must agree
-        from limitlab.multisum import psi_curve
-
+        # the distance kernel rides the convolution path inside MomentTable.build;
+        # moments rebuilt from the pairwise column loop must agree
         k = gw_kernel()
-        generic = psi_curve(k, [40], 3)
+        generic = psi_loop(k, 40, 3).sum(axis=1)
         table = MomentTable.build(k, [40], 3)
         for kk in (1, 2, 3):
             want = sum(
-                composition_coefficient(kk, m) * generic[m - 1, 0] for m in range(1, kk + 1)
+                composition_coefficient(kk, m) * generic[m - 1] for m in range(1, kk + 1)
             )
             assert table.values[kk - 1, 0] == pytest.approx(want, rel=1e-12)

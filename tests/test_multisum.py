@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from limitlab.kernels import kernel_distance
+from limitlab.cauchy import LEAF, lower_matvec
+from limitlab.kernels import (
+    OffspringSchedule,
+    ScaleSpec,
+    kernel_branching,
+    kernel_distance,
+    kernel_power,
+    kernel_scale,
+)
 from limitlab.multisum import (
     MultiSumResult,
     WeightSequence,
@@ -16,8 +24,9 @@ from limitlab.multisum import (
     u_sum,
     u_sum_curve,
 )
+from limitlab.multisum import _psi_tables
 
-from oracles import phi_bruteforce, phi_recursion, psi_bruteforce
+from oracles import phi_bruteforce, phi_recursion, psi_bruteforce, psi_loop
 
 WEIGHT_FAMILIES = {
     "n": lambda i: np.asarray(i, dtype=float),
@@ -143,15 +152,86 @@ class TestPsiGeneral:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
 
     def test_distance_kernel_equals_phi(self):
-        # generic pairwise DP on a difference kernel == gap-1 convolution sum
+        # the pairwise column loop on a difference kernel == gap-1 convolution sum,
+        # which psi_general takes for distance kernels
         w = WeightSequence(weight=lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
         for n, m in [(10, 1), (10, 2), (25, 3)]:
-            assert psi_general(self.gw, n, m) == pytest.approx(phi(w, n, m).value, rel=1e-12)
+            loop = math.fsum(psi_loop(self.gw, n, m)[m - 1])
+            assert loop == pytest.approx(phi(w, n, m).value, rel=1e-12)
+            assert psi_general(self.gw, n, m) == pytest.approx(loop, rel=1e-12)
 
     def test_curve_shape(self):
         mat = psi_curve(self.gw, [2, 5, 9], 2)
         assert mat.shape == (2, 3)
         assert mat[0, 0] == pytest.approx(13 / 36, rel=1e-14)
+
+
+CAUCHY_KERNELS = {
+    "power-0.5": lambda: kernel_power(0.5, 1.0),
+    "power-1": lambda: kernel_power(1.0, 1.5),
+    "power-2": lambda: kernel_power(2.0, 1.0),
+    "scale-0.5": lambda: kernel_scale(ScaleSpec(0.5, 1.0, 2.0)),
+    "scale-1": lambda: kernel_scale(ScaleSpec(1.0, 1.0, 2.0)),
+    "scale-2": lambda: kernel_scale(ScaleSpec(2.0, 0.5, 2.0)),
+    "branching-drift0": lambda: kernel_branching(OffspringSchedule.harmonic_drift(0.0)),
+    "branching-drift0.5": lambda: kernel_branching(OffspringSchedule.harmonic_drift(0.5)),
+    "branching-t^-2": lambda: kernel_branching(OffspringSchedule.from_decay(lambda t: t ** (-2.0))),
+}
+# fixed before the fast path was written: relative, on every table entry
+FAST_RTOL = 1e-11
+
+
+def assert_tables_close(fast, exact):
+    assert fast.shape == exact.shape
+    assert np.all(np.abs(fast - exact) <= FAST_RTOL * np.abs(exact))
+
+
+class TestPsiFastVsExact:
+    """The hierarchical Cauchy step against the O(n^2 m) column loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, LEAF - 1, LEAF, LEAF + 1, 1000])
+    @pytest.mark.parametrize("name", list(CAUCHY_KERNELS))
+    def test_tables(self, name, n):
+        kernel = CAUCHY_KERNELS[name]()
+        for m in (1, 2, 3):
+            exact = psi_loop(kernel, n, m)
+            assert_tables_close(_psi_tables(kernel, n, m), exact)
+            hs = sorted({1, n // 2 + 1, n})
+            curve = psi_curve(kernel, hs, m)
+            want = np.cumsum(exact, axis=1)[:, hs]
+            assert np.all(np.abs(curve - want) <= FAST_RTOL * want)
+
+    @pytest.mark.parametrize("name", list(CAUCHY_KERNELS))
+    def test_tables_large(self, name):
+        kernel = CAUCHY_KERNELS[name]()
+        assert_tables_close(_psi_tables(kernel, 20_000, 2), psi_loop(kernel, 20_000, 2))
+
+    @pytest.mark.parametrize("name", list(CAUCHY_KERNELS))
+    def test_bruteforce(self, name):
+        kernel = CAUCHY_KERNELS[name]()
+        for n in (1, 5, 12):
+            for m in (1, 2, 3):
+                want = psi_bruteforce(kernel, n, m)
+                assert math.fsum(psi_loop(kernel, n, m)[m - 1]) == pytest.approx(want, rel=1e-12, abs=1e-300)
+                assert psi_curve(kernel, [n], m)[m - 1, 0] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 3.0])
+    def test_matvec_value_separation(self, gamma):
+        # y = i^gamma with small gamma packs the late blocks close in value to
+        # the early ones, so index-separated pairs must be split further
+        n = 3000
+        i = np.arange(1, n + 1, dtype=float)
+        x, y = (i + 0.25) ** gamma, i**gamma
+        v = np.random.default_rng(5).random(n)
+        exact = np.array([np.dot(v[:j], 1.0 / (x[j] - y[:j])) for j in range(n)])
+        fast = lower_matvec(v, x, y)
+        assert fast[0] == 0.0
+        assert np.all(np.abs(fast[1:] - exact[1:]) <= FAST_RTOL * exact[1:])
+
+    def test_breakdown_reaches_psi_curve(self):
+        kernel = kernel_branching(OffspringSchedule.constant(0.6))
+        with pytest.raises(ValueError, match="generation"):
+            psi_curve(kernel, [3000], 2)
 
 
 class TestPredict:
