@@ -17,28 +17,22 @@ from .kernels import (
 from .moments import (
     MomentTable,
     composition_coefficient,
-    count_moment,
     count_moment_curve,
     geo_limit_moments,
-    scaled_moment_curve,
 )
 from .multisum import (
     AsymptoticPrediction,
-    MultiSumResult,
     WeightSequence,
     phi,
     phi_curve,
     predict,
     psi_curve,
-    psi_general,
     u_sum,
     u_sum_curve,
 )
 from .simulate import ReplicateBatch, sim_bpve, sim_gw, sim_levelwalk
 from .special import (
-    IteratedLogSpec,
     TailSum,
-    gamma_fn,
     gamma_moment,
     iterated_log,
     lambda_sigma,
@@ -46,6 +40,6 @@ from .special import (
     script_O,
     zeta_tail,
 )
-from .stats import LimitLaw, ks_distance, moment_zscores, tv_distance_integer
+from .stats import LimitLaw, tv_distance_integer
 
 __version__ = "0.1.0"

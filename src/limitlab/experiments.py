@@ -125,7 +125,7 @@ def _run_prpd_summable(cfg: ExperimentConfig):
     m = int(cfg.params["m"])
     zeta = zeta_tail(0, 2.0, 2).value  # sum of (1+n)^-2 over n >= 1
     pred = predict("summable", m, zeta_value=zeta)
-    w = WeightSequence(weight=lambda i: (1.0 + i) ** 2, summable=True, label="(1+n)^2")
+    w = WeightSequence(weight=lambda i: (1.0 + i) ** 2, label="(1+n)^2")
     vals = phi_curve(w, cfg.horizons, m)
     rows = [_row(h, v, pred.coefficient) for h, v in zip(cfg.horizons, vals)]
     checks = _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.01)
@@ -136,11 +136,10 @@ def _run_prpd_summable(cfg: ExperimentConfig):
 
 def _run_prpd_rv(cfg: ExperimentConfig):
     m = int(cfg.params["m"])
-    w = WeightSequence(weight=lambda i: np.sqrt(i.astype(float)), rv_index=0.5, label="sqrt(n)")
-    pred = predict("regularly_varying", m, tau=0.5)
+    w = WeightSequence(weight=lambda i: np.sqrt(i.astype(float)), label="sqrt(n)")
+    pred = predict("regularly_varying", m, tau=0.5, weights=w)
     vals = phi_curve(w, cfg.horizons, m)
-    S = w.partial_sums(max(cfg.horizons))
-    obs = [v / S[h] ** m for h, v in zip(cfg.horizons, vals)]
+    obs = vals / pred.scale(cfg.horizons)
     rows = [_row(h, o, pred.coefficient) for h, o in zip(cfg.horizons, obs)]
     checks = _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.10)
     return rows, checks
@@ -153,14 +152,12 @@ def _run_rzr(case: str):
         n0 = int(cfg.params["n0"])
         k_show = int(cfg.params["k"])
         k_max = int(cfg.params.get("k_max", k_show))
-        pred = predict("rzr", k_show, m=m, sigma=sigma, n0=n0)
         tol = {"i": 0.01, "ii": 0.15, "iii": None, "iv": 0.05}[case]
         rows, checks = [], []
         for k in range(1, k_max + 1):
             vals = u_sum_curve(k, m, n0, sigma, cfg.horizons)
             pk = predict("rzr", k, m=m, sigma=sigma, n0=n0)
-            scale = _rzr_scale(case, m, sigma, k, np.asarray(cfg.horizons, dtype=float))
-            predicted = pk.coefficient * scale
+            predicted = pk.coefficient * pk.scale(cfg.horizons)
             ratios = vals / predicted
             if k == k_show:
                 rows = [_row(h, v, p) for h, v, p in zip(cfg.horizons, vals, predicted)]
@@ -178,26 +175,9 @@ def _run_rzr(case: str):
                                      "strictly decreasing", bool(np.all(np.diff(errs) < 0))))
             else:
                 checks.extend(_ratio_checks(cfg.horizons, ratios, tol, label=f"k={k} ratio"))
-        del pred
         return rows, checks
 
     return runner
-
-
-def _rzr_scale(case: str, m: int, sigma: float, k: int, n: np.ndarray) -> np.ndarray:
-    if case == "i":
-        return np.ones_like(n)
-    if case == "ii":
-        v = n.copy()
-        for _ in range(m + 1):
-            v = np.log(v)
-        return v**k
-    if case == "iii":
-        v = n.copy()
-        for _ in range(m):
-            v = np.log(v)
-        return v ** (k * (1.0 - sigma))
-    return n ** (k * (1.0 - sigma))
 
 
 def _run_thg(cfg: ExperimentConfig):
@@ -207,7 +187,7 @@ def _run_thg(cfg: ExperimentConfig):
     kern = kernel_power(alpha, beta)
     pred = predict("power", k, alpha=alpha, beta=beta)
     psis = psi_curve(kern, cfg.horizons, k)[k - 1]
-    predicted = pred.coefficient * np.log(np.asarray(cfg.horizons, dtype=float)) ** k
+    predicted = pred.coefficient * pred.scale(cfg.horizons)
     rows = [_row(h, v, p) for h, v, p in zip(cfg.horizons, psis, predicted)]
     checks = _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.20)
     return rows, checks
@@ -236,8 +216,7 @@ def _run_thbb_geo(cfg: ExperimentConfig):
 def _run_thbb_exp(cfg: ExperimentConfig):
     k_max = int(cfg.params["k_max"])
     kern = kernel_distance(lambda i: i + 1.0, "n+1")
-    w = WeightSequence(weight=lambda i: i + 1.0, label="n+1")
-    S = w.partial_sums(max(cfg.horizons))
+    S = kern.weights.partial_sums(max(cfg.horizons))
     law = LimitLaw.exponential(1.0)
     rows, checks = [], []
     for k in range(1, k_max + 1):
@@ -260,14 +239,14 @@ def _run_tha_gamma(cfg: ExperimentConfig):
     beta = float(cfg.params["beta"])
     k_max = int(cfg.params["k_max"])
     kern = kernel_power(alpha, beta)
-    logs = np.log(np.asarray(cfg.horizons, dtype=float))
     rows, checks = [], []
     for k in range(1, k_max + 1):
         vals = count_moment_curve(kern, k, cfg.horizons)
-        target = predict("power", k, alpha=alpha, beta=beta, moment=True).coefficient
-        ratios = vals / (target * logs**k)
+        pred = predict("power", k, alpha=alpha, beta=beta, moment=True)
+        scale = pred.scale(cfg.horizons)
+        ratios = vals / (pred.coefficient * scale)
         if k == k_max:
-            rows = [_row(h, v / lg**k, target) for h, v, lg in zip(cfg.horizons, vals, logs)]
+            rows = [_row(h, v, pred.coefficient) for h, v in zip(cfg.horizons, vals / scale)]
         checks.extend(_ratio_checks(cfg.horizons, ratios, 0.15, label=f"k={k} ratio"))
     return rows, checks
 
@@ -533,8 +512,8 @@ def parse_config(text: str) -> ExperimentConfig:
             horizons = tuple(int(tok) for tok in raw_h.replace(",", " ").split())
         except ValueError as e:
             raise ConfigError(f"horizons must be integers, got {raw_h!r}") from e
-    if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ConfigError("horizons must be strictly increasing")
+    if not horizons or horizons[0] < 1 or any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise ConfigError(f"horizons must be strictly increasing integers >= 1, got {list(horizons)}")
     params = dict(d.params)
     for key, val in data.items():
         if key not in params:

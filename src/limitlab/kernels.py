@@ -133,26 +133,19 @@ class RhoKernel:
 
 
 class DistanceKernel(RhoKernel):
-    """rho(i, j) = D(j - i) for all j > i >= 0 (not in Cauchy form)."""
+    """rho(i, j) = D(j - i) for all j > i >= 0 (not in Cauchy form).
 
-    def __init__(self, weight: Callable[[np.ndarray], np.ndarray], label: str = ""):
-        self._weight = weight
-        self.description = label or "distance"
+    ``weights`` holds D; the convolution engine folds it directly.
+    """
+
+    def __init__(self, weights: WeightSequence):
+        self.weights = weights
+        self.description = weights.label or "distance"
         self._recip = np.zeros(1)
-
-    @property
-    def weights(self) -> WeightSequence:
-        """Unit-gap weight view, which the convolution engine folds."""
-        return WeightSequence(weight=self._weight, gap=1, label=self.description)
 
     def _reciprocals(self, n: int) -> np.ndarray:
         if self._recip.size <= n:
-            d = np.asarray(self._weight(np.arange(1, n + 1)), dtype=float)
-            if np.any(d <= 0):
-                raise ValueError(f"distance weight must be positive ({self.description})")
-            r = np.zeros(n + 1)
-            r[1:] = 1.0 / d
-            self._recip = r
+            self._recip = self.weights.reciprocals(n)
         return self._recip
 
     def rho(self, i: int, j: int) -> float:
@@ -329,10 +322,8 @@ class ScaleKernel(RhoKernel):
 
 
 def kernel_distance(weight, label: str = "") -> DistanceKernel:
-    """Distance kernel from a weight callable or a WeightSequence."""
-    if isinstance(weight, WeightSequence):
-        return DistanceKernel(weight.weight, label or weight.label)
-    return DistanceKernel(weight, label)
+    """Distance kernel from a weight callable D (accepting integer arrays)."""
+    return DistanceKernel(WeightSequence(weight=weight, label=label))
 
 
 def kernel_power(alpha: float, beta: float) -> PowerKernel:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,13 +25,11 @@ from .multisum import psi_curve
 __all__ = [
     "MomentTable",
     "composition_coefficient",
-    "count_moment",
     "count_moment_curve",
     "geo_limit_moments",
-    "scaled_moment_curve",
 ]
 
-# beyond this order the coefficients exceed 2^53; opt in explicitly
+# beyond this order the coefficients exceed 2^53 and lose float accuracy
 _SAFE_ORDER = 20
 
 
@@ -50,26 +48,24 @@ def composition_coefficient(k: int, m: int) -> int:
     return m * (composition_coefficient(k - 1, m) + composition_coefficient(k - 1, m - 1))
 
 
-def count_moment(kernel: RhoKernel, n: int, k: int, allow_large_k: bool = False) -> float:
-    """Exact k-th moment of the success count over indices 1..n."""
-    return float(count_moment_curve(kernel, k, [n], allow_large_k)[0])
-
-
-def count_moment_curve(kernel: RhoKernel, k: int, horizons,
-                       allow_large_k: bool = False) -> np.ndarray:
-    """Exact k-th moments at several horizons, sharing one Psi table."""
-    if k < 1:
+def _moment_rows(kernel: RhoKernel, horizons, k_max: int) -> np.ndarray:
+    """Rows E(count_h)^k for k = 1..k_max over the horizons, from one Psi table."""
+    if k_max < 1:
         raise ValueError("moment order k must be >= 1")
-    if k > _SAFE_ORDER and not allow_large_k:
+    if k_max > _SAFE_ORDER:
         raise OverflowError(
-            f"order k={k} exceeds the safe coefficient range (k <= {_SAFE_ORDER}); "
-            "pass allow_large_k=True to accept reduced float accuracy"
-        )
-    psi = psi_curve(kernel, horizons, k)
-    out = np.zeros(psi.shape[1])
-    for m in range(1, k + 1):
-        out += float(composition_coefficient(k, m)) * psi[m - 1]
-    return out
+            f"order k={k_max} exceeds the safe coefficient range (k <= {_SAFE_ORDER})")
+    psi = psi_curve(kernel, horizons, k_max)
+    rows = np.zeros((k_max, psi.shape[1]))
+    for k in range(1, k_max + 1):
+        for m in range(1, k + 1):
+            rows[k - 1] += float(composition_coefficient(k, m)) * psi[m - 1]
+    return rows
+
+
+def count_moment_curve(kernel: RhoKernel, k: int, horizons) -> np.ndarray:
+    """Exact k-th moments at several horizons, sharing one Psi table."""
+    return _moment_rows(kernel, horizons, k)[-1]
 
 
 def geo_limit_moments(zeta: float, K: int) -> list[float]:
@@ -89,16 +85,6 @@ def geo_limit_moments(zeta: float, K: int) -> list[float]:
     return m[1:]
 
 
-def scaled_moment_curve(kernel: RhoKernel, k: int, horizons,
-                        scaler: Callable[[int], float]) -> list[tuple[int, float]]:
-    """(n, E(count_n)^k / scaler(n)^k) along increasing horizons."""
-    hs = list(horizons)
-    if any(b <= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("horizons must be strictly increasing")
-    vals = count_moment_curve(kernel, k, hs)
-    return [(n, float(v) / scaler(n) ** k) for n, v in zip(hs, vals)]
-
-
 @dataclass(frozen=True)
 class MomentTable:
     """Exact count moments on a (horizon, order) grid; values[i][j] = E(count_{n_j})^{k_i}."""
@@ -112,11 +98,5 @@ class MomentTable:
         hs = tuple(int(h) for h in horizons)
         if any(b <= a for a, b in zip(hs, hs[1:])):
             raise ValueError("horizons must be strictly increasing")
-        psi = psi_curve(kernel, hs, k_max)
-        rows = []
-        for k in range(1, k_max + 1):
-            row = np.zeros(len(hs))
-            for m in range(1, k + 1):
-                row += float(composition_coefficient(k, m)) * psi[m - 1]
-            rows.append(row)
-        return cls(horizons=hs, orders=tuple(range(1, k_max + 1)), values=np.array(rows))
+        return cls(horizons=hs, orders=tuple(range(1, k_max + 1)),
+                   values=_moment_rows(kernel, hs, k_max))

@@ -24,31 +24,29 @@ Every other kernel is in Cauchy form rho(i, j) = a_j (x_j - y_i) (see
 lower-triangular matrix 1/(x_j - y_i)) / a_j: one call of the hierarchical
 matvec ``cauchy.lower_matvec``, O(n log n) per fold.  Its far-field terms carry
 a relative error of at most 3.4e-15 each; all terms are positive, so every
-T_q[j] keeps that bound plus round-off.  ``predict`` returns the limiting
-scaling and coefficient for each supported regime.
+T_q[j] keeps that bound plus round-off.  ``predict`` returns, for each
+supported regime, the limiting coefficient and the scale it multiplies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .cauchy import LEAF, lower_matvec
-from .special import gamma_fn, lambda_sigma, lambda_weight_array, script_O, zeta_tail
+from .special import gamma_moment, lambda_sigma, lambda_weight, script_O, zeta_tail
 
 __all__ = [
     "AsymptoticPrediction",
-    "MultiSumResult",
     "WeightSequence",
     "phi",
     "phi_curve",
     "phi_fold_curves",
     "predict",
     "psi_curve",
-    "psi_general",
     "u_sum",
     "u_sum_curve",
 ]
@@ -62,15 +60,10 @@ class WeightSequence:
     """A positive distance weight D(n) with the metadata the predictors need.
 
     ``weight`` must accept numpy integer arrays (all the built-in families
-    do).  ``summable`` declares sum 1/D(n) < infinity; ``rv_index`` is the
-    user-declared regular-variation index of the partial sums S(n) (it is
-    modeling metadata, never inferred from finite data); ``gap`` is the
-    minimal allowed spacing n0 between consecutive indices.
+    do); ``gap`` is the minimal allowed spacing n0 between consecutive indices.
     """
 
     weight: Callable[[np.ndarray], np.ndarray]
-    summable: bool = False
-    rv_index: float | None = None
     gap: int = 1
     label: str = ""
 
@@ -96,14 +89,6 @@ class WeightSequence:
         s = np.zeros(n + 1)
         np.cumsum(1.0 / d, out=s[1:])
         return s
-
-
-@dataclass(frozen=True)
-class MultiSumResult:
-    n: int
-    m: int
-    value: float
-    constrained: bool
 
 
 def _smooth_length(n: int) -> int:
@@ -140,33 +125,37 @@ def _fold_tables(weights: WeightSequence, n: int, m: int, method: str) -> list[n
     return tables
 
 
-def phi(weights: WeightSequence, n: int, m: int, method: str = "auto") -> MultiSumResult:
+def _horizons(horizons) -> np.ndarray:
+    hs = np.asarray(horizons, dtype=int)
+    if hs.min() < 0:
+        raise ValueError(f"horizons must be nonnegative, got {hs.min()}")
+    return hs
+
+
+def phi(weights: WeightSequence, n: int, m: int, method: str = "auto") -> float:
     """Exact gap-constrained m-fold sum of products of reciprocal weights."""
     if n < 1 or m < 1:
         raise ValueError("phi requires n >= 1 and m >= 1")
-    tables = _fold_tables(weights, n, m, method)
-    return MultiSumResult(n=n, m=m, value=float(tables[m][n]), constrained=weights.gap > 1)
+    return float(_fold_tables(weights, n, m, method)[m][n])
 
 
 def phi_curve(weights: WeightSequence, horizons, m: int, method: str = "auto") -> np.ndarray:
     """Phi(h, m) for every horizon h, sharing one prefix table."""
-    hs = np.asarray(horizons, dtype=int)
+    hs = _horizons(horizons)
     tables = _fold_tables(weights, int(hs.max()), m, method)
     return tables[m][hs].astype(float)
 
 
 def phi_fold_curves(weights: WeightSequence, horizons, m: int, method: str = "auto") -> np.ndarray:
     """Matrix F[q-1, h] = Phi(h, q) for all fold counts q = 1..m at once."""
-    hs = np.asarray(horizons, dtype=int)
+    hs = _horizons(horizons)
     tables = _fold_tables(weights, int(hs.max()), m, method)
     return np.stack([tables[q][hs] for q in range(1, m + 1)])
 
 
-def u_sum(k: int, m: int, n0: int, s: float, n: int, method: str = "auto") -> MultiSumResult:
+def u_sum(k: int, m: int, n0: int, s: float, n: int, method: str = "auto") -> float:
     """k-fold gap-n0 sum with iterated-log weights of depth m and exponent s."""
-    w = _u_weights(m, n0, s)
-    res = phi(w, n, k, method)
-    return MultiSumResult(n=n, m=k, value=res.value, constrained=n0 > 1)
+    return phi(_u_weights(m, n0, s), n, k, method)
 
 
 def u_sum_curve(k: int, m: int, n0: int, s: float, horizons, method: str = "auto") -> np.ndarray:
@@ -177,27 +166,15 @@ def _u_weights(m: int, n0: int, s: float) -> WeightSequence:
     threshold = script_O(m)
     if n0 < threshold:
         raise ValueError(f"gap n0 must be >= script_O({m}) = {threshold}, got {n0}")
-    return WeightSequence(
-        weight=lambda i: lambda_weight_array(m, s, i),
-        summable=s > 1,
-        gap=n0,
-        label=f"lambda(m={m}, s={s})",
-    )
-
-
-def psi_general(kernel, n: int, m: int) -> float:
-    """m-fold sum over increasing tuples of kernel success-probability products.
-
-    The scalar Psi_n(m) of ``psi_curve``.
-    """
-    return float(psi_curve(kernel, [n], m)[m - 1, 0])
+    return WeightSequence(weight=lambda i: lambda_weight(m, s, i), gap=n0,
+                          label=f"lambda(m={m}, s={s})")
 
 
 def psi_curve(kernel, horizons, m: int) -> np.ndarray:
     """Matrix P[q-1, h] = Psi_h(q) for q = 1..m over the given horizons."""
     from .kernels import DistanceKernel  # kernels imports this module
 
-    hs = np.asarray(horizons, dtype=int)
+    hs = _horizons(horizons)
     if m < 1:
         raise ValueError("fold count m must be >= 1")
     if isinstance(kernel, DistanceKernel):
@@ -223,10 +200,27 @@ def _psi_tables(kernel, n: int, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    """Limiting scaling (symbolic descriptor) and coefficient for a regime."""
+    """The limit of a multiple sum or moment: it tends to ``coefficient * scale(n)``.
+
+    ``scaling`` names the scale; ``scale`` maps horizons n >= 1 to its values
+    (a float array).
+    """
 
     scaling: str
     coefficient: float
+    scale: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+
+
+def _log_power(depth: int, power: float) -> Callable[[np.ndarray], np.ndarray]:
+    """n -> (log applied ``depth`` times to n) ** power; power 0 gives the constant 1."""
+
+    def scale(horizons) -> np.ndarray:
+        n = np.asarray(horizons, dtype=float)
+        for _ in range(depth):
+            n = np.log(n)
+        return n**power
+
+    return scale
 
 
 def predict(regime: str, order: int, **params) -> AsymptoticPrediction:
@@ -236,8 +230,9 @@ def predict(regime: str, order: int, **params) -> AsymptoticPrediction:
 
     - ``summable``: needs ``zeta_value`` = sum of reciprocal weights over
       the gap tail; the sum converges to a constant, zeta_value**m.
-    - ``regularly_varying``: needs ``tau`` in [0, 1]; Phi(n, m) / S(n)^m
-      tends to lambda_sigma(tau)**-(m-1).
+    - ``regularly_varying``: needs ``tau`` in [0, 1] and the ``weights``
+      (a WeightSequence) whose partial sums S(n) form the scale;
+      Phi(n, m) / S(n)^m tends to lambda_sigma(tau)**-(m-1).
     - ``power``: needs ``alpha`` (> 0) and optional ``beta`` (default 1);
       the k-fold pairwise power sum over (log n)^k tends to
       prod_{j<k}(j+alpha) / (k! alpha^k beta^k).  With ``moment=True``
@@ -251,40 +246,46 @@ def predict(regime: str, order: int, **params) -> AsymptoticPrediction:
         raise ValueError("order must be >= 1")
     if regime == "summable":
         zeta_value = params["zeta_value"]
-        return AsymptoticPrediction("constant", float(zeta_value) ** order)
+        return AsymptoticPrediction("constant", float(zeta_value) ** order, _log_power(0, 0))
     if regime == "regularly_varying":
         tau = params["tau"]
-        return AsymptoticPrediction("S(n)^m", lambda_sigma(tau) ** (-(order - 1)))
+        partial_sums = params["weights"].partial_sums
+
+        def s_power(horizons) -> np.ndarray:
+            hs = np.asarray(horizons, dtype=int)
+            return partial_sums(int(hs.max()))[hs] ** order
+
+        return AsymptoticPrediction("S(n)^m", lambda_sigma(tau) ** (-(order - 1)), s_power)
     if regime == "power":
         alpha = params["alpha"]
         beta = params.get("beta", 1.0)
         if alpha <= 0 or beta <= 0:
             raise ValueError("power regime requires alpha > 0 and beta > 0")
-        num = math.prod(j + alpha for j in range(order))
+        num = gamma_moment(alpha, order)
         if params.get("moment", False):
-            return AsymptoticPrediction("(log n)^k", num / (alpha * beta) ** order)
-        return AsymptoticPrediction(
-            "(log n)^k", num / (math.factorial(order) * alpha**order * beta**order)
-        )
+            coefficient = num / (alpha * beta) ** order
+        else:
+            coefficient = num / (math.factorial(order) * alpha**order * beta**order)
+        return AsymptoticPrediction("(log n)^k", coefficient, _log_power(1, order))
     if regime == "rzr":
         m = params["m"]
         sigma = params["sigma"]
         if sigma > 1.0:
             n0 = params.get("n0") or script_O(m)
             z = zeta_tail(m, sigma, n0, tol=params.get("tol", 1e-10)).value
-            return AsymptoticPrediction("constant", z**order)
+            return AsymptoticPrediction("constant", z**order, _log_power(0, 0))
         if sigma == 1.0:
-            return AsymptoticPrediction("(log_{m+1} n)^k", 1.0)
+            return AsymptoticPrediction("(log_{m+1} n)^k", 1.0, _log_power(m + 1, order))
         if 0.0 <= sigma < 1.0 and m >= 1:
             # Partial sums grow like (log_m n)^(1-sigma)/(1-sigma), so the
             # correct scale carries the 1-sigma exponent (it reduces to
             # (log_m n)^k only at sigma = 0).
             scaling = "(log_m n)^k" if sigma == 0.0 else "(log_m n)^{k(1-sigma)}"
-            return AsymptoticPrediction(scaling, (1.0 - sigma) ** (-order))
+            return AsymptoticPrediction(scaling, (1.0 - sigma) ** (-order),
+                                        _log_power(m, order * (1.0 - sigma)))
         if 0.0 <= sigma < 1.0 and m == 0:
-            c = gamma_fn(2.0 - sigma) * gamma_fn(1.0 - sigma) / gamma_fn(3.0 - 2.0 * sigma)
-            return AsymptoticPrediction(
-                "n^{k(1-sigma)}", c ** (order - 1) / (1.0 - sigma)
-            )
+            c = math.gamma(2.0 - sigma) * math.gamma(1.0 - sigma) / math.gamma(3.0 - 2.0 * sigma)
+            return AsymptoticPrediction("n^{k(1-sigma)}", c ** (order - 1) / (1.0 - sigma),
+                                        _log_power(0, order * (1.0 - sigma)))
         raise ValueError(f"no supported limit for sigma={sigma}, m={m}")
     raise ValueError(f"unsupported regime {regime!r}")

@@ -21,14 +21,15 @@ Models:
   (a gambler's-ruin quantile in the scale function) plus the geometric
   number of failed escapes from the top; this reproduces the exact joint
   law of all level-visit events at O(n) cost per replicate.  The literal
-  step-by-step chain is available as ``method="steps"`` for validation.
+  step-by-step chain is kept in the test suite (``tests/oracles.py``) as
+  the independent check of this sampler.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +39,9 @@ from .kernels import OffspringSchedule, ScaleSpec
 __all__ = ["ReplicateBatch", "resolve_threads", "sim_bpve", "sim_gw", "sim_levelwalk"]
 
 _CHUNK = 8192
+# sim_gw stops evolving populations this large: they never return to a small
+# level within desk horizons
+_POPULATION_CAP = 10**9
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -64,17 +68,12 @@ class ReplicateBatch:
     checkpoints: tuple[int, ...]
     counts: np.ndarray  # shape (replicates, len(checkpoints)), int64
     cap_hits: int = 0
-    state_records: dict[int, np.ndarray] | None = None
-    paths: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.counts.shape != (self.replicates, len(self.checkpoints)):
             raise ValueError("counts shape does not match replicates x checkpoints")
         if np.any(np.diff(self.counts, axis=1) < 0):
             raise ValueError("counts must be nondecreasing along the horizon axis")
-
-    def column(self, checkpoint: int) -> np.ndarray:
-        return self.counts[:, self.checkpoints.index(checkpoint)]
 
 
 def _validate_checkpoints(checkpoints, n: int) -> tuple[int, ...]:
@@ -87,21 +86,23 @@ def _validate_checkpoints(checkpoints, n: int) -> tuple[int, ...]:
 
 
 def _run_chunked(worker, replicates: int, seed: int, ncols: int, threads: int | None):
-    """Run `worker(rng, rows)` over fixed chunks; deterministic row placement."""
+    """Run `worker(rng, rows) -> (block, cap_hits)` over fixed chunks; deterministic row placement.
+
+    Returns the counts and the cap hits summed over chunks.
+    """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     starts = list(range(0, replicates, _CHUNK))
     children = np.random.SeedSequence(int(seed)).spawn(len(starts))
     counts = np.zeros((replicates, ncols), dtype=np.int64)
-    extras: list[dict] = [{} for _ in starts]
+    cap_hits = [0] * len(starts)
 
     def job(ci: int):
         start = starts[ci]
         rows = min(_CHUNK, replicates - start)
         rng = np.random.Generator(np.random.Philox(children[ci]))
-        block, extra = worker(rng, rows)
+        block, cap_hits[ci] = worker(rng, rows)
         counts[start : start + rows] = block
-        extras[ci] = extra
 
     nthreads = resolve_threads(threads)
     if nthreads > 1 and len(starts) > 1:
@@ -110,20 +111,19 @@ def _run_chunked(worker, replicates: int, seed: int, ncols: int, threads: int | 
     else:
         for ci in range(len(starts)):
             job(ci)
-    return counts, extras
+    return counts, sum(cap_hits)
 
 
 def sim_gw(n: int, level: int = 1, replicates: int = 10_000, seed: int = 0,
-           checkpoints: Sequence[int] | None = None, population_cap: int = 10**9,
+           checkpoints: Sequence[int] | None = None,
            threads: int | None = None) -> ReplicateBatch:
     """Count generations t <= n with population exactly ``level``.
 
     Starts from a single ancestor; offspring are i.i.d. geometric(1/2) on
     {0, 1, ...} (P(k) = 2^-(k+1)), so a generation of size y produces
     NB(y, 1/2) children in one draw.  Extinct replicates are absorbed with
-    their counts frozen.  Populations reaching ``population_cap`` stop
-    evolving and are flagged (a population that large never returns to a
-    small level within desk horizons).
+    their counts frozen.  Populations reaching ``_POPULATION_CAP`` stop
+    evolving and are counted in ``cap_hits``.
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
@@ -140,7 +140,7 @@ def sim_gw(n: int, level: int = 1, replicates: int = 10_000, seed: int = 0,
             if idx.size:
                 pop = rng.negative_binomial(pop, 0.5)
                 visits[idx[pop == level]] += 1
-                capped = pop >= population_cap
+                capped = pop >= _POPULATION_CAP
                 caps += int(capped.sum())
                 keep = (pop > 0) & ~capped
                 idx = idx[keep]
@@ -148,60 +148,44 @@ def sim_gw(n: int, level: int = 1, replicates: int = 10_000, seed: int = 0,
             if ci < len(cps) and t == cps[ci]:
                 block[:, ci] = visits
                 ci += 1
-        return block, {"cap_hits": caps}
+        return block, caps
 
-    counts, extras = _run_chunked(worker, replicates, seed, len(cps), threads)
+    counts, cap_hits = _run_chunked(worker, replicates, seed, len(cps), threads)
     return ReplicateBatch(
-        model="gw", params={"n": n, "level": level, "population_cap": population_cap},
-        seed=seed, replicates=replicates, checkpoints=cps, counts=counts,
-        cap_hits=sum(e.get("cap_hits", 0) for e in extras),
+        model="gw", params={"n": n, "level": level},
+        seed=seed, replicates=replicates, checkpoints=cps, counts=counts, cap_hits=cap_hits,
     )
 
 
 def sim_bpve(schedule: OffspringSchedule, n: int, replicates: int = 10_000, seed: int = 0,
              checkpoints: Sequence[int] | None = None,
-             record_states: Sequence[int] = (), threads: int | None = None) -> ReplicateBatch:
+             threads: int | None = None) -> ReplicateBatch:
     """Count generations t <= n with zero population in the immigration model.
 
     Starts empty; generation t receives one immigrant, and every individual
     of generation t-1 plus the immigrant reproduces with geometric(p_t)
     offspring, so Z_t | Z_{t-1} is one NB(Z_{t-1} + 1, p_t) draw.
-    ``record_states`` asks for the zero-indicator of Z_t at the given
-    generations (used to check conditional success frequencies).
     """
     cps = _validate_checkpoints(checkpoints, n)
-    recs = tuple(sorted(set(int(t) for t in record_states)))
-    if recs and (recs[0] < 1 or recs[-1] > n):
-        raise ValueError(f"record_states must lie in [1, {n}]")
     p = schedule.values(n)
 
     def worker(rng: np.random.Generator, rows: int):
         z = np.zeros(rows, dtype=np.int64)
         zeros_seen = np.zeros(rows, dtype=np.int64)
         block = np.zeros((rows, len(cps)), dtype=np.int64)
-        recorded = {}
         ci = 0
         for t in range(1, n + 1):
             z = rng.negative_binomial(z + 1, p[t - 1])
-            at_zero = z == 0
-            zeros_seen += at_zero
-            if t in recs:
-                recorded[t] = at_zero.copy()
+            zeros_seen += z == 0
             if ci < len(cps) and t == cps[ci]:
                 block[:, ci] = zeros_seen
                 ci += 1
-        return block, {"records": recorded}
+        return block, 0
 
-    counts, extras = _run_chunked(worker, replicates, seed, len(cps), threads)
-    state_records = None
-    if recs:
-        state_records = {
-            t: np.concatenate([e["records"][t] for e in extras]) for t in recs
-        }
+    counts, _ = _run_chunked(worker, replicates, seed, len(cps), threads)
     return ReplicateBatch(
         model="bpve", params={"n": n, "schedule": schedule.label},
         seed=seed, replicates=replicates, checkpoints=cps, counts=counts,
-        state_records=state_records,
     )
 
 
@@ -217,8 +201,7 @@ def _level_grid(spec: ScaleSpec, n: int) -> np.ndarray:
 
 def sim_levelwalk(spec: ScaleSpec, n: int, replicates: int = 10_000, seed: int = 0,
                   checkpoints: Sequence[int] | None = None, x0: float | None = None,
-                  method: str = "excursion", max_steps: int = 10**9,
-                  record_paths: int = 0, threads: int | None = None) -> ReplicateBatch:
+                  threads: int | None = None) -> ReplicateBatch:
     """Count levels k <= checkpoint that are never re-entered after k*b + a.
 
     The walk starts at level b (the variant with a start x0 in (0, b)
@@ -231,20 +214,11 @@ def sim_levelwalk(spec: ScaleSpec, n: int, replicates: int = 10_000, seed: int =
     if x0 is not None and not 0.0 < x0 < spec.b:
         raise ValueError(f"start x0 must lie in (0, b), got {x0}")
     cps = _validate_checkpoints(checkpoints, n)
-    if method == "excursion":
-        worker = _excursion_worker(spec, n, cps)
-    elif method == "steps":
-        worker = _steps_worker(spec, n, cps, x0, max_steps, record_paths)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    counts, extras = _run_chunked(worker, replicates, seed, len(cps), threads)
-    paths = [p for e in extras for p in e.get("paths", [])]
+    counts, _ = _run_chunked(_excursion_worker(spec, n, cps), replicates, seed, len(cps), threads)
     return ReplicateBatch(
         model="levelwalk",
-        params={"n": n, "gamma": spec.gamma, "a": spec.a, "b": spec.b,
-                "x0": x0, "method": method},
-        seed=seed, replicates=replicates, checkpoints=cps, counts=counts, paths=paths,
+        params={"n": n, "gamma": spec.gamma, "a": spec.a, "b": spec.b, "x0": x0},
+        seed=seed, replicates=replicates, checkpoints=cps, counts=counts,
     )
 
 
@@ -282,76 +256,7 @@ def _excursion_worker(spec: ScaleSpec, n: int, cps: tuple[int, ...]):
                 k = (t + 1) // 2
                 success[:, k - 1] = cur_min > k
         block = np.cumsum(success, axis=1, dtype=np.int64)[:, cp_idx]
-        return block, {}
+        return block, 0
 
     return worker
 
-
-def _steps_worker(spec: ScaleSpec, n: int, cps: tuple[int, ...], x0: float | None,
-                  max_steps: int, record_paths: int):
-    grid = _level_grid(spec, n)
-    offset = 0
-    if x0 is not None:
-        grid = np.concatenate(([x0 / spec.b], grid))
-        offset = 1
-    wg = grid ** (-spec.gamma)
-    size = grid.size
-    up = np.ones(size)
-    up[1 : size - 1] = (wg[:-2] - wg[1:-1]) / (wg[:-2] - wg[2:])
-    escape = (wg[-2] - wg[-1]) / wg[-2]
-    # position -> ball level index k (odd grid slots) or sphere activation k
-    start_pos = offset  # level b
-    cp_idx = np.asarray(cps, dtype=int) - 1
-
-    def worker(rng: np.random.Generator, rows: int):
-        block = np.zeros((rows, len(cps)), dtype=np.int64)
-        paths: list[list[int]] = []
-        buf = rng.random(1 << 16)
-        buf_pos = 0
-
-        def draw():
-            nonlocal buf, buf_pos
-            if buf_pos == buf.size:
-                buf = rng.random(1 << 16)
-                buf_pos = 0
-            buf_pos += 1
-            return buf[buf_pos - 1]
-
-        for r in range(rows):
-            activated = np.zeros(n + 1, dtype=bool)
-            failed = np.zeros(n + 1, dtype=bool)
-            record = record_paths > len(paths)
-            path = [start_pos] if record else None
-            pos = start_pos
-            steps = 0
-            while True:
-                steps += 1
-                if steps > max_steps:
-                    raise RuntimeError(
-                        f"level walk exceeded {max_steps} steps in one replicate "
-                        f"(gamma={spec.gamma}, n={n}); budget too small for this horizon"
-                    )
-                if pos == size - 1:
-                    if draw() < escape:
-                        break
-                    pos -= 1
-                elif draw() < up[pos]:
-                    pos += 1
-                else:
-                    pos -= 1
-                if record:
-                    path.append(pos)
-                rel = pos - offset
-                if rel >= 0:
-                    k = rel // 2 + 1
-                    if rel % 2 == 1:
-                        activated[k] = True
-                    elif activated[k]:
-                        failed[k] = True
-            success = activated[1:] & ~failed[1:]
-            block[r] = np.cumsum(success)[cp_idx]
-            if record:
-                paths.append(path)
-        return block, {"paths": paths}
-
-    return worker

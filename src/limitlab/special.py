@@ -15,29 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "IteratedLogSpec",
     "TailSum",
-    "gamma_fn",
     "gamma_moment",
     "iterated_log",
-    "iterated_log_array",
     "lambda_sigma",
     "lambda_weight",
-    "lambda_weight_array",
     "script_O",
     "zeta_tail",
 ]
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive half line.
-
-    Backed by the C library implementation, which is accurate to double
-    precision (well beyond the 12 significant digits needed here).
-    """
-    if x <= 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def lambda_sigma(sigma: float) -> float:
@@ -50,7 +35,7 @@ def lambda_sigma(sigma: float) -> float:
         raise ValueError(f"lambda_sigma requires sigma in [0, 1], got {sigma}")
     if sigma == 0.0:
         return 1.0
-    return gamma_fn(1.0 + 2.0 * sigma) / (sigma * gamma_fn(sigma) * gamma_fn(1.0 + sigma))
+    return math.gamma(1.0 + 2.0 * sigma) / (sigma * math.gamma(sigma) * math.gamma(1.0 + sigma))
 
 
 def iterated_log(m: int, x: float) -> float:
@@ -69,14 +54,6 @@ def iterated_log(m: int, x: float) -> float:
     return v
 
 
-def iterated_log_array(m: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized ``iterated_log``; caller guarantees admissibility."""
-    v = np.asarray(x, dtype=float)
-    for _ in range(m):
-        v = np.log(v)
-    return v
-
-
 def script_O(m: int) -> int:
     """Smallest integer n with ``iterated_log(m, n) > 0``.
 
@@ -92,36 +69,15 @@ def script_O(m: int) -> int:
     return int(math.floor(t)) + 1
 
 
-@dataclass(frozen=True)
-class IteratedLogSpec:
-    """An iteration depth m together with its admissibility threshold."""
-
-    m: int
-    threshold: int
-
-    @classmethod
-    def for_depth(cls, m: int) -> "IteratedLogSpec":
-        return cls(m=m, threshold=script_O(m))
-
-
-def lambda_weight(m: int, s: float, i: int) -> float:
+def lambda_weight(m: int, s: float, i):
     """The weight ``(log_m i)^s * prod_{j=0}^{m-1} log_j i`` (empty product = 1).
 
-    Defined for i >= script_O(m) so that every factor is positive.
+    ``i`` is an integer or an integer array; every entry must be >= script_O(m)
+    so that every factor is positive.
     """
-    if i < script_O(m):
-        raise ValueError(f"lambda_weight needs i >= {script_O(m)} at depth m={m}, got i={i}")
-    prod = 1.0
-    v = float(i)
-    for _ in range(m):
-        prod *= v
-        v = math.log(v)
-    return v**s * prod
-
-
-def lambda_weight_array(m: int, s: float, i: np.ndarray) -> np.ndarray:
-    """Vectorized ``lambda_weight``; all entries must be >= script_O(m)."""
     v = np.asarray(i, dtype=float)
+    if np.any(v < script_O(m)):
+        raise ValueError(f"lambda_weight needs i >= {script_O(m)} at depth m={m}, got i={v.min():g}")
     prod = np.ones_like(v)
     for _ in range(m):
         prod = prod * v
@@ -170,7 +126,7 @@ def zeta_tail(m: int, s: float, n0: int | None = None, tol: float = 1e-10,
     cutoff = None
     while cutoff is None:
         idx = np.arange(lo, lo + block)
-        vals = 1.0 / lambda_weight_array(m, s, idx)
+        vals = 1.0 / lambda_weight(m, s, idx)
         hit = np.nonzero(vals <= 2.0 * tol)[0]
         if hit.size:
             cutoff = lo + int(hit[0])
@@ -184,7 +140,7 @@ def zeta_tail(m: int, s: float, n0: int | None = None, tol: float = 1e-10,
                     f"tolerance {tol} not reachable within {max_terms} terms (m={m}, s={s})"
                 )
     partial = math.fsum(float(v) for b in blocks for v in b)
-    f_cut = 1.0 / lambda_weight(m, s, cutoff)
+    f_cut = 1.0 / float(lambda_weight(m, s, cutoff))
     integral = iterated_log(m, cutoff) ** (1.0 - s) / (s - 1.0)
     return TailSum(value=partial + integral + 0.5 * f_cut, truncation_bound=0.5 * f_cut)
 

@@ -108,6 +108,55 @@ def scale_success_prob(spec, i: int, j: int) -> float:
     return escape * (w(j) - w(j + c)) / w(j)
 
 
+def levelwalk_steps(spec, n: int, replicates: int, seed: int, x0: float | None = None) -> np.ndarray:
+    """Level-walk success counts by the literal step-by-step chain; shape (replicates, n).
+
+    Row r, column k-1 counts the successes among levels 1..k.  The walk moves
+    between neighbouring points of the grid b, b + a, 2b, 2b + a, ..., nb + a
+    (with x0 below them when given), starting at b.  From an inner point v it
+    steps up with the gambler's-ruin probability (w(lo) - w(v)) / (w(lo) - w(hi))
+    of the scale function w(x) = x^-gamma, where lo and hi are its neighbours;
+    the bottom point steps up; the top point escapes for good with probability
+    (w(lo) - w(top)) / w(lo) and otherwise steps down.  Level k succeeds when,
+    after the first visit to kb + a, the walk never visits kb again.
+    """
+    points = [x for k in range(1, n + 1) for x in (k * spec.b, k * spec.b + spec.a)]
+    if x0 is not None:
+        points.insert(0, x0)
+    w = [x**-spec.gamma for x in points]
+    top = len(points) - 1
+    up = [1.0] + [(w[t - 1] - w[t]) / (w[t - 1] - w[t + 1]) for t in range(1, top)]
+    escape = (w[top - 1] - w[top]) / w[top - 1]
+    start = 0 if x0 is None else 1
+    rng = np.random.default_rng(seed)
+
+    def uniforms():
+        while True:
+            yield from rng.random(4096)
+
+    u = uniforms()
+    counts = np.zeros((replicates, n), dtype=np.int64)
+    for r in range(replicates):
+        activated = [False] * (n + 1)
+        failed = [False] * (n + 1)
+        pos = start
+        while True:
+            if pos == top:
+                if next(u) < escape:
+                    break
+                pos -= 1
+            else:
+                pos += 1 if next(u) < up[pos] else -1
+            if pos >= start:
+                k, is_offset = divmod(pos - start, 2)
+                if is_offset:
+                    activated[k + 1] = True
+                elif activated[k + 1]:
+                    failed[k + 1] = True
+        counts[r] = np.cumsum([activated[k] and not failed[k] for k in range(1, n + 1)])
+    return counts
+
+
 def surjections_by_composition(k: int, m: int) -> int:
     """Sum of multinomials k!/(l_1! ... l_m!) over compositions of k into
     m positive parts."""

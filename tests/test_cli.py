@@ -43,6 +43,7 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     ({}, "experiment = thg\nalpha = -1\n", "alpha"),
     ({}, "experiment = c3-cutsphere\nreplicates = 0\n", "replicates"),
     ({}, "experiment = no-such-experiment\n", "unknown experiment"),
+    ({}, "experiment = prpd-summable\nhorizons = -5, 100\n", "horizons"),
 ])
 def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     for key, value in env.items():

@@ -1,0 +1,26 @@
+"""Reports reload bit for bit from the files ``write_outputs`` and ``emit_plotdata`` write."""
+
+import csv
+import json
+import math
+
+from limitlab import experiments
+
+
+def bits(rows):
+    return [[repr(v) for v in row] for row in rows]
+
+
+def test_table_csv_reproduces_rows_bit_for_bit(tmp_path):
+    report = experiments.run(experiments.parse_config("experiment = prpd-rv\nhorizons = 10, 100, 1000\n"))
+    report["rows"].append([7, 1.0 / 3.0, -0.0, math.inf, 0.1 + 0.2])  # values short formats would lose
+    json_path, csv_path = experiments.write_outputs(report, tmp_path / "out")
+    with open(csv_path, newline="") as f:
+        header, *lines = list(csv.reader(f))
+    assert header == report["columns"]
+    reloaded = [[int(line[0])] + [float(v) if v else None for v in line[1:]] for line in lines]
+    assert bits(reloaded) == bits(report["rows"])
+    assert bits(json.loads(json_path.read_text())["rows"]) == bits(report["rows"])
+    plot = experiments.emit_plotdata(json_path)
+    assert plot == json_path.with_name("plotdata.csv")
+    assert plot.read_text() == csv_path.read_text()

@@ -7,10 +7,8 @@ from limitlab.kernels import OffspringSchedule, ScaleSpec, kernel_branching, ker
 from limitlab.moments import (
     MomentTable,
     composition_coefficient,
-    count_moment,
     count_moment_curve,
     geo_limit_moments,
-    scaled_moment_curve,
 )
 from limitlab.special import zeta_tail
 
@@ -20,6 +18,11 @@ from oracles import (
     psi_loop,
     surjections_by_composition,
 )
+
+
+def count_moment(kernel, n, k):
+    """E(count_n)^k read from ``count_moment_curve``."""
+    return float(count_moment_curve(kernel, k, [n])[0])
 
 
 def gw_kernel():
@@ -66,10 +69,13 @@ class TestCountMoment:
                     assert got == pytest.approx(want, rel=1e-12)
 
     def test_order_cap(self):
+        # both entry points refuse orders whose coefficients exceed 2^53
         with pytest.raises(OverflowError):
-            count_moment(gw_kernel(), 3, 21)
-        # opt-in path still computes
-        assert count_moment(gw_kernel(), 3, 21, allow_large_k=True) > 0
+            count_moment_curve(gw_kernel(), 21, [3])
+        with pytest.raises(OverflowError):
+            MomentTable.build(gw_kernel(), [3], 21)
+        assert count_moment_curve(gw_kernel(), 20, [3])[0] > 0
+        assert MomentTable.build(gw_kernel(), [3], 20).values.shape == (20, 1)
 
     def test_monotone_in_horizon(self):
         vals = count_moment_curve(gw_kernel(), 2, range(1, 200))
@@ -109,13 +115,13 @@ class TestGeoLimitMoments:
 
 class TestScaledCurveAndTable:
     def test_unit_scaler_partial_sums(self):
-        pts = scaled_moment_curve(gw_kernel(), 1, [1, 2], lambda n: 1.0)
-        assert pts[0][1] == pytest.approx(1 / 4, rel=1e-14)
-        assert pts[1][1] == pytest.approx(13 / 36, rel=1e-14)
+        vals = count_moment_curve(gw_kernel(), 1, [1, 2])
+        assert vals[0] == pytest.approx(1 / 4, rel=1e-14)
+        assert vals[1] == pytest.approx(13 / 36, rel=1e-14)
 
     def test_horizons_must_increase(self):
         with pytest.raises(ValueError):
-            scaled_moment_curve(gw_kernel(), 1, [5, 5], lambda n: 1.0)
+            MomentTable.build(gw_kernel(), [5, 5], 1)
 
     def test_moment_table(self):
         t = MomentTable.build(gw_kernel(), [2, 10, 50], 3)

@@ -12,15 +12,14 @@ from limitlab.kernels import (
     kernel_power,
     kernel_scale,
 )
+from limitlab.kernels import RhoKernel
 from limitlab.multisum import (
-    MultiSumResult,
     WeightSequence,
     phi,
     phi_curve,
     phi_fold_curves,
     predict,
     psi_curve,
-    psi_general,
     u_sum,
     u_sum_curve,
 )
@@ -40,27 +39,31 @@ def scalar(fn):
     return lambda j: float(fn(np.array([j]))[0])
 
 
+def psi_at(kernel, n, m):
+    """The scalar Psi_n(m) read from ``psi_curve``."""
+    return float(psi_curve(kernel, [n], m)[m - 1, 0])
+
+
 class TestPhiExamples:
     def test_pairs_identity_weight(self):
         w = WeightSequence(weight=WEIGHT_FAMILIES["n"])
         # tuples (1,2), (1,3), (2,3): 1*1 + 1*(1/2) + (1/2)*1
-        assert phi(w, 3, 2).value == pytest.approx(2.0, rel=1e-14)
+        assert phi(w, 3, 2) == pytest.approx(2.0, rel=1e-14)
 
     def test_single_fold_partial_sum(self):
         w = WeightSequence(weight=WEIGHT_FAMILIES["(1+n)^2"])
-        assert phi(w, 3, 1).value == pytest.approx(1 / 4 + 1 / 9 + 1 / 16, rel=1e-14)
+        assert phi(w, 3, 1) == pytest.approx(1 / 4 + 1 / 9 + 1 / 16, rel=1e-14)
 
     def test_infeasible_gap_is_zero(self):
         w = WeightSequence(weight=WEIGHT_FAMILIES["n"], gap=2)
-        res = phi(w, 3, 2)
-        assert res.value == 0.0
-        assert res.constrained
+        assert phi(w, 3, 2) == 0.0
 
     def test_result_metadata(self):
+        # phi returns a plain float: the value at horizon n of the m-fold table
         w = WeightSequence(weight=WEIGHT_FAMILIES["n"])
         res = phi(w, 5, 2)
-        assert isinstance(res, MultiSumResult)
-        assert (res.n, res.m, res.constrained) == (5, 2, False)
+        assert type(res) is float
+        assert res == float(phi_curve(w, [5], 2)[0])
 
 
 class TestPhiOracle:
@@ -71,14 +74,14 @@ class TestPhiOracle:
         w = WeightSequence(weight=fn, gap=gap)
         for n in (1, 4, 9, 12):
             for m in (1, 2, 4):
-                got = phi(w, n, m).value
+                got = phi(w, n, m)
                 want = phi_bruteforce(scalar(fn), n, m, gap)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_matches_independent_recursion(self):
         fn = WEIGHT_FAMILIES["2sqrt(n)"]
         w = WeightSequence(weight=fn, gap=2)
-        got = phi(w, 40, 3).value
+        got = phi(w, 40, 3)
         want = phi_recursion(scalar(fn), 40, 3, gap=2)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -89,15 +92,15 @@ class TestPhiOracle:
 
     def test_fft_matches_direct(self):
         w = WeightSequence(weight=WEIGHT_FAMILIES["(1+n)^2"])
-        a = phi(w, 3000, 3, method="direct").value
-        b = phi(w, 3000, 3, method="fft").value
+        a = phi(w, 3000, 3, method="direct")
+        b = phi(w, 3000, 3, method="fft")
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_fold_curves_consistent(self):
         w = WeightSequence(weight=WEIGHT_FAMILIES["n^2"])
         mat = phi_fold_curves(w, [5, 20], 3)
         for q in (1, 2, 3):
-            assert mat[q - 1, 1] == pytest.approx(phi(w, 20, q).value, rel=1e-13)
+            assert mat[q - 1, 1] == pytest.approx(phi(w, 20, q), rel=1e-13)
 
     def test_bad_args(self):
         w = WeightSequence(weight=WEIGHT_FAMILIES["n"])
@@ -110,6 +113,19 @@ class TestPhiOracle:
         with pytest.raises(ValueError):
             WeightSequence(weight=WEIGHT_FAMILIES["n"], gap=0)
 
+    def test_negative_horizon_rejected(self):
+        # a negative horizon would index the table from its far end
+        w = WeightSequence(weight=WEIGHT_FAMILIES["n"])
+        for curve in (phi_curve, phi_fold_curves):
+            with pytest.raises(ValueError, match="nonnegative"):
+                curve(w, [-5, 100], 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            u_sum_curve(2, 0, 1, 2.0, [-5, 100])
+        for kernel in (kernel_distance(WEIGHT_FAMILIES["n"]), kernel_power(2.0, 1.0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                psi_curve(kernel, [-5, 100], 2)
+        assert phi_curve(w, [0, 3], 2)[0] == 0.0
+
     def test_negative_weight_rejected(self):
         w = WeightSequence(weight=lambda i: np.asarray(i, dtype=float) - 2.5)
         with pytest.raises(ValueError):
@@ -118,9 +134,9 @@ class TestPhiOracle:
 
 class TestUSum:
     def test_examples(self):
-        assert u_sum(1, 0, 1, 2.0, 2).value == pytest.approx(1.25, rel=1e-14)
-        assert u_sum(2, 0, 1, 2.0, 3).value == pytest.approx(1.5, rel=1e-14)
-        assert u_sum(2, 0, 1, 2.0, 1).value == 0.0
+        assert u_sum(1, 0, 1, 2.0, 2) == pytest.approx(1.25, rel=1e-14)
+        assert u_sum(2, 0, 1, 2.0, 3) == pytest.approx(1.5, rel=1e-14)
+        assert u_sum(2, 0, 1, 2.0, 1) == 0.0
 
     def test_gap_below_threshold(self):
         with pytest.raises(ValueError):
@@ -128,7 +144,7 @@ class TestUSum:
 
     def test_curve_matches_point(self):
         vals = u_sum_curve(2, 0, 1, 2.0, [3, 10])
-        assert vals[0] == pytest.approx(u_sum(2, 0, 1, 2.0, 3).value, rel=1e-14)
+        assert vals[0] == pytest.approx(u_sum(2, 0, 1, 2.0, 3), rel=1e-14)
 
 
 class TestPsiGeneral:
@@ -136,29 +152,29 @@ class TestPsiGeneral:
         self.gw = kernel_distance(lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
 
     def test_single_fold(self):
-        assert psi_general(self.gw, 2, 1) == pytest.approx(13 / 36, rel=1e-14)
+        assert psi_at(self.gw, 2, 1) == pytest.approx(13 / 36, rel=1e-14)
 
     def test_pair(self):
-        assert psi_general(self.gw, 2, 2) == pytest.approx(1 / 16, rel=1e-14)
+        assert psi_at(self.gw, 2, 2) == pytest.approx(1 / 16, rel=1e-14)
 
     def test_more_folds_than_indices(self):
-        assert psi_general(self.gw, 2, 3) == 0.0
+        assert psi_at(self.gw, 2, 3) == 0.0
 
     def test_matches_enumeration(self):
         for n in (3, 6, 9):
             for m in (1, 2, 3):
-                got = psi_general(self.gw, n, m)
+                got = psi_at(self.gw, n, m)
                 want = psi_bruteforce(self.gw, n, m)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
 
     def test_distance_kernel_equals_phi(self):
         # the pairwise column loop on a difference kernel == gap-1 convolution sum,
-        # which psi_general takes for distance kernels
+        # which psi_curve takes for distance kernels
         w = WeightSequence(weight=lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
         for n, m in [(10, 1), (10, 2), (25, 3)]:
             loop = math.fsum(psi_loop(self.gw, n, m)[m - 1])
-            assert loop == pytest.approx(phi(w, n, m).value, rel=1e-12)
-            assert psi_general(self.gw, n, m) == pytest.approx(loop, rel=1e-12)
+            assert loop == pytest.approx(phi(w, n, m), rel=1e-12)
+            assert psi_at(self.gw, n, m) == pytest.approx(loop, rel=1e-12)
 
     def test_curve_shape(self):
         mat = psi_curve(self.gw, [2, 5, 9], 2)
@@ -177,6 +193,7 @@ CAUCHY_KERNELS = {
     "branching-drift0.5": lambda: kernel_branching(OffspringSchedule.harmonic_drift(0.5)),
     "branching-t^-2": lambda: kernel_branching(OffspringSchedule.from_decay(lambda t: t ** (-2.0))),
 }
+SQRT_WEIGHTS = WeightSequence(weight=lambda i: np.sqrt(np.asarray(i, dtype=float)))
 # fixed before the fast path was written: relative, on every table entry
 FAST_RTOL = 1e-11
 
@@ -234,6 +251,32 @@ class TestPsiFastVsExact:
             psi_curve(kernel, [3000], 2)
 
 
+class UnitShiftCauchy(RhoKernel):
+    """rho(i, j) = j + 1 - i, i.e. D(j - i) with D(n) = n + 1, in Cauchy form (1, j + 1, i)."""
+
+    description = "cauchy(n+1)"
+
+    def _cauchy_arrays(self, n):
+        j = np.arange(1, n + 1, dtype=float)
+        return np.ones(n), j + 1.0, j
+
+
+# fixed before the cross-check was written: relative, on every compared entry
+CROSS_RTOL = 1e-10
+
+
+class TestFoldVsCauchy:
+    """D(n) = n + 1 is both a distance weight and a Cauchy kernel, so the fold
+    engine and the hierarchical matvec check each other."""
+
+    @pytest.mark.parametrize("n, method", [(1000, "direct"), (20_000, "fft")])
+    def test_unit_shift(self, n, method):
+        hs = np.unique(np.geomspace(3, n, 25).astype(int))
+        fold = phi_fold_curves(WeightSequence(weight=lambda i: i + 1.0), hs, 3, method=method)
+        cauchy = psi_curve(UnitShiftCauchy(), hs, 3)
+        assert np.all(np.abs(cauchy - fold) <= CROSS_RTOL * fold)
+
+
 class TestPredict:
     def test_summable_constant(self):
         zeta = math.pi**2 / 6 - 1
@@ -242,7 +285,7 @@ class TestPredict:
         assert p.coefficient == pytest.approx(zeta**3, rel=1e-14)
 
     def test_regularly_varying(self):
-        p = predict("regularly_varying", 2, tau=0.5)
+        p = predict("regularly_varying", 2, tau=0.5, weights=SQRT_WEIGHTS)
         assert p.scaling == "S(n)^m"
         assert p.coefficient == pytest.approx(math.pi / 4, rel=1e-12)
 
@@ -258,7 +301,7 @@ class TestPredict:
     def test_pi_consistency_of_the_two_routes(self):
         # route 1: regularly varying with tau = 1/2 and S(n) ~ 2 sqrt(n),
         # so the coefficient of Phi(n,2)/n is lambda^{-1} * 4
-        via_rv = predict("regularly_varying", 2, tau=0.5).coefficient * 4.0
+        via_rv = predict("regularly_varying", 2, tau=0.5, weights=SQRT_WEIGHTS).coefficient * 4.0
         # route 2: depth-0 weights i^(1/2), scale n^{k(1-sigma)} = n
         via_rzr = predict("rzr", 2, m=0, sigma=0.5).coefficient
         assert via_rv == pytest.approx(math.pi, rel=1e-10)
@@ -277,6 +320,19 @@ class TestPredict:
         assert deep.coefficient == pytest.approx(4.0, rel=1e-14)
         zero = predict("rzr", 2, m=2, sigma=0.0)
         assert zero.scaling == "(log_m n)^k"
+
+    def test_scale(self):
+        hs = [10, 100, 1000]
+        n = np.asarray(hs, dtype=float)
+        assert np.array_equal(predict("summable", 2, zeta_value=0.5).scale(hs), np.ones(3))
+        assert np.array_equal(predict("power", 3, alpha=2.0).scale(hs), np.log(n) ** 3)
+        s = np.cumsum(1.0 / np.sqrt(np.arange(1, 1001)))
+        rv = predict("regularly_varying", 2, tau=0.5, weights=SQRT_WEIGHTS)
+        assert rv.scale(hs) == pytest.approx(s[n.astype(int) - 1] ** 2, rel=1e-13)
+        rzr = {(0, 2.0): np.ones(3), (0, 1.0): np.log(n) ** 2, (1, 1.0): np.log(np.log(n)) ** 2,
+               (1, 0.5): np.log(n), (0, 0.5): n}
+        for (m, sigma), want in rzr.items():
+            assert predict("rzr", 2, m=m, sigma=sigma).scale(hs) == pytest.approx(want, rel=1e-14)
 
     def test_unsupported(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,10 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from limitlab.special import (
-    IteratedLogSpec,
-    gamma_fn,
     gamma_moment,
     iterated_log,
     lambda_sigma,
@@ -17,21 +16,25 @@ from limitlab.special import (
 
 
 class TestGammaFn:
+    """``math.gamma``, which ``lambda_sigma`` and ``predict`` call for their Gamma ratios,
+    to the accuracy those constants need."""
+
     def test_integer_values(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, abs=1e-14)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
+        assert math.gamma(1.0) == pytest.approx(1.0, abs=1e-14)
+        assert math.gamma(5.0) == pytest.approx(24.0, rel=1e-13)
 
     def test_half(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+        assert math.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
     @pytest.mark.parametrize("x", [0.5 + i for i in range(21)])
     def test_recurrence(self, x):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-10)
+        assert math.gamma(x + 1.0) == pytest.approx(x * math.gamma(x), rel=1e-10)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
     def test_domain(self, x):
+        # a Gamma shape from outside enters through gamma_moment, which keeps x > 0
         with pytest.raises(ValueError):
-            gamma_fn(x)
+            gamma_moment(x, 1)
 
 
 class TestLambdaSigma:
@@ -67,10 +70,6 @@ class TestIteratedLog:
                 except ValueError:
                     pass
 
-    def test_spec_dataclass(self):
-        spec = IteratedLogSpec.for_depth(2)
-        assert (spec.m, spec.threshold) == (2, 3)
-
 
 class TestLambdaWeight:
     def test_depth_zero_is_power(self):
@@ -85,6 +84,15 @@ class TestLambdaWeight:
             lambda_weight(1, 1.0, 1)
         with pytest.raises(ValueError):
             lambda_weight(2, 2.0, 2)
+        with pytest.raises(ValueError):
+            lambda_weight(1, 1.0, np.array([3, 1, 4]))
+
+    def test_array_matches_scalar(self):
+        for m, s in [(0, 2.0), (1, 0.5), (2, 1.5)]:
+            idx = np.arange(16, 40)
+            arr = lambda_weight(m, s, idx)
+            assert arr.shape == idx.shape
+            assert list(arr) == pytest.approx([lambda_weight(m, s, int(i)) for i in idx], rel=1e-15)
 
 
 class TestZetaTail:
