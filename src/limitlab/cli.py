@@ -2,7 +2,8 @@
 
 Verbs: ``run <config>``, ``list-experiments``, ``describe <id>``,
 ``plotdata <report.json>``.  Environment: ``LIMITLAB_THREADS`` sets the
-simulation worker count, ``LIMITLAB_SEED`` overrides every config seed.
+simulation worker count (default: every usable CPU), ``LIMITLAB_SEED``
+overrides every config seed.
 Exit status of ``run`` is 0 exactly when all declared tolerances pass.
 """
 

@@ -255,16 +255,17 @@ def _run_levelwalk(gbm: bool):
     def runner(cfg: ExperimentConfig):
         a, b = float(cfg.params["a"]), float(cfg.params["b"])
         if gbm:
-            spec = ScaleSpec.from_gbm(float(cfg.params["mu"]), float(cfg.params["sigma"]), a, b)
             x0 = float(cfg.params["x0"])
+            if not 0.0 < x0 < b:
+                raise ValueError(f"start x0 must lie in (0, b), got {x0}")
+            spec = ScaleSpec.from_gbm(float(cfg.params["mu"]), float(cfg.params["sigma"]), a, b)
         else:
             spec = ScaleSpec.from_dimension(float(cfg.params["d"]), a, b)
-            x0 = None
         n = max(cfg.horizons)
         kern = kernel_scale(spec)
         table = MomentTable.build(kern, cfg.horizons, 2)
         batch = sim_levelwalk(spec, n, replicates=cfg.replicates, seed=cfg.seed,
-                              checkpoints=cfg.horizons, x0=x0)
+                              checkpoints=cfg.horizons)
         rows, checks = _mc_moment_checks(batch, table)
         scale_at = (a / b) * np.log(np.asarray(cfg.horizons, dtype=float))
         exact_ratio = table.values[0] / scale_at

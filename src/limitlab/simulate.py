@@ -5,13 +5,20 @@ into fixed-size chunks, each chunk draws from its own counter-based
 substream (Philox seeded through ``SeedSequence(seed).spawn``), and every
 chunk writes its rows to a fixed slice of the output.  Results are
 therefore a pure function of (seed, parameters) and independent of how
-many worker threads execute the chunks (``LIMITLAB_THREADS``).
+many worker threads execute the chunks (``LIMITLAB_THREADS``, by default
+every CPU the process may run on).
 
 Models:
 
 - ``sim_gw``: critical branching with geometric(1/2) offspring; counts
-  generations where the population equals a given level.  Total offspring
-  of a generation of size y is one negative-binomial draw NB(y, 1/2).
+  generations where the population equals a given level.  The chain starts
+  afresh at each visit, so the visits form a renewal process.  The
+  linear-fractional offspring law gives the visit probabilities in closed
+  form, power-series division turns them into the exact first-passage and
+  first-return laws, and the sampler draws whole return times from those
+  laws instead of stepping every generation.  The generation-by-generation
+  chain is kept in the test suite (``tests/oracles.py``) as the
+  independent check of this sampler.
 - ``sim_bpve``: branching with one immigrant per generation and
   generation-dependent geometric offspring; counts visits to zero.
 - ``sim_levelwalk``: transient level walk with scale weight
@@ -27,6 +34,7 @@ Models:
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,18 +47,21 @@ from .kernels import OffspringSchedule, ScaleSpec
 __all__ = ["ReplicateBatch", "resolve_threads", "sim_bpve", "sim_gw", "sim_levelwalk"]
 
 _CHUNK = 8192
-# sim_gw stops evolving populations this large: they never return to a small
-# level within desk horizons
-_POPULATION_CAP = 10**9
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Explicit argument wins, then LIMITLAB_THREADS, then 1."""
+    """Explicit argument wins, then LIMITLAB_THREADS, then every usable CPU.
+
+    Usable CPUs are those of the process's affinity mask where the platform
+    reports one, else ``os.cpu_count()``.
+    """
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("LIMITLAB_THREADS", "").strip()
     if not env:
-        return 1
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         return max(1, int(env))
     except ValueError:
@@ -67,7 +78,7 @@ class ReplicateBatch:
     replicates: int
     checkpoints: tuple[int, ...]
     counts: np.ndarray  # shape (replicates, len(checkpoints)), int64
-    cap_hits: int = 0
+    cap_hits: int = 0  # always 0: no simulator caps a population
 
     def __post_init__(self):
         if self.counts.shape != (self.replicates, len(self.checkpoints)):
@@ -86,23 +97,18 @@ def _validate_checkpoints(checkpoints, n: int) -> tuple[int, ...]:
 
 
 def _run_chunked(worker, replicates: int, seed: int, ncols: int, threads: int | None):
-    """Run `worker(rng, rows) -> (block, cap_hits)` over fixed chunks; deterministic row placement.
-
-    Returns the counts and the cap hits summed over chunks.
-    """
+    """Run `worker(rng, rows) -> block` over fixed chunks; deterministic row placement."""
     if replicates < 1:
         raise ValueError("need at least one replicate")
     starts = list(range(0, replicates, _CHUNK))
     children = np.random.SeedSequence(int(seed)).spawn(len(starts))
     counts = np.zeros((replicates, ncols), dtype=np.int64)
-    cap_hits = [0] * len(starts)
 
     def job(ci: int):
         start = starts[ci]
         rows = min(_CHUNK, replicates - start)
         rng = np.random.Generator(np.random.Philox(children[ci]))
-        block, cap_hits[ci] = worker(rng, rows)
-        counts[start : start + rows] = block
+        counts[start : start + rows] = worker(rng, rows)
 
     nthreads = resolve_threads(threads)
     if nthreads > 1 and len(starts) > 1:
@@ -111,7 +117,45 @@ def _run_chunked(worker, replicates: int, seed: int, ncols: int, threads: int | 
     else:
         for ci in range(len(starts)):
             job(ci)
-    return counts, sum(cap_hits)
+    return counts
+
+
+def _checkpoint_bins(cps: tuple[int, ...]) -> np.ndarray:
+    """bins[t] = index of the first checkpoint >= t, for t = 0..cps[-1]."""
+    return np.searchsorted(np.asarray(cps), np.arange(cps[-1] + 1))
+
+
+def _gw_return_laws(level: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Visit and return-time laws of critical geometric(1/2) branching, on times 0..n.
+
+    Returns (u, f, g):
+
+    - u(k) = P(Z_k = L | Z_0 = L).  From one ancestor Z_k is 0 with
+      probability 1 - pi and otherwise geometric on {1, 2, ...} with success
+      pi = 1/(k+1), so with b nonzero lines of descent out of L,
+      u(k) = sum_b C(L,b) C(L-1,b-1) pi^(2b) (1-pi)^(2(L-b));
+    - f, the first-return law to L, from F = 1 - 1/U;
+    - g, the first-passage law to L from Z_0 = 1 at times k >= 1, from
+      G = V/U with v(k) = P(Z_k = L | Z_0 = 1) = pi^2 (1-pi)^(L-1) for
+      k >= 1 and v(0) = 0; for L = 1, g equals f.
+
+    Both divisions solve a(k) = c(k) - sum_{0<j<k} a(j) u(k-j), O(n^2).
+    """
+    k = np.arange(1, n + 1, dtype=float)
+    log_pi, log_q = -np.log1p(k), np.log(k) - np.log1p(k)
+    u = np.zeros(n + 1)
+    u[0] = 1.0
+    for b in range(1, level + 1):
+        log_c = math.log(math.comb(level, b) * math.comb(level - 1, b - 1))
+        u[1:] += np.exp(log_c + 2 * b * log_pi + 2 * (level - b) * log_q)
+    rhs = np.zeros((2, n + 1))
+    rhs[0, 1:] = u[1:]
+    rhs[1, 1:] = np.exp(2 * log_pi + (level - 1) * log_q)
+    fg = np.zeros((2, n + 1))
+    u_rev = u[::-1].copy()  # u_rev[n - i] = u(i)
+    for j in range(1, n + 1):
+        fg[:, j] = rhs[:, j] - fg[:, 1:j] @ u_rev[n - j + 1 : n]
+    return u, fg[0], fg[1]
 
 
 def sim_gw(n: int, level: int = 1, replicates: int = 10_000, seed: int = 0,
@@ -120,40 +164,43 @@ def sim_gw(n: int, level: int = 1, replicates: int = 10_000, seed: int = 0,
     """Count generations t <= n with population exactly ``level``.
 
     Starts from a single ancestor; offspring are i.i.d. geometric(1/2) on
-    {0, 1, ...} (P(k) = 2^-(k+1)), so a generation of size y produces
-    NB(y, 1/2) children in one draw.  Extinct replicates are absorbed with
-    their counts frozen.  Populations reaching ``_POPULATION_CAP`` stop
-    evolving and are counted in ``cap_hits``.
+    {0, 1, ...} (P(k) = 2^-(k+1)).  By the Markov property the visits to
+    ``level`` form a renewal process: the first visit time has the
+    first-passage law g and the gaps between visits the first-return law f
+    (see ``_gw_return_laws``).  Each replicate draws its visit times by
+    inverse CDF on those laws, truncated at the last checkpoint; a draw past
+    the truncated mass means no further visit.  Each round of draws ends a
+    replicate with probability at least 1 - F(n) (about 0.61 at level 1),
+    so a chunk takes a few dozen vectorised rounds whatever n is.
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
     cps = _validate_checkpoints(checkpoints, n)
+    horizon = cps[-1]
+    _, f, g = _gw_return_laws(level, horizon)
+    cdf_f, cdf_g = np.cumsum(f[1:]), np.cumsum(g[1:])
+    bins = _checkpoint_bins(cps)
 
     def worker(rng: np.random.Generator, rows: int):
-        idx = np.arange(rows)
-        pop = np.ones(rows, dtype=np.int64)
-        visits = np.zeros(rows, dtype=np.int64)
-        block = np.zeros((rows, len(cps)), dtype=np.int64)
-        caps = 0
-        ci = 0
-        for t in range(1, n + 1):
-            if idx.size:
-                pop = rng.negative_binomial(pop, 0.5)
-                visits[idx[pop == level]] += 1
-                capped = pop >= _POPULATION_CAP
-                caps += int(capped.sum())
-                keep = (pop > 0) & ~capped
-                idx = idx[keep]
-                pop = pop[keep]
-            if ci < len(cps) and t == cps[ci]:
-                block[:, ci] = visits
-                ci += 1
-        return block, caps
+        # a time past the truncated law (searchsorted index = horizon) means no visit
+        def draw(cdf, size):
+            return np.searchsorted(cdf, rng.random(size), side="right") + 1
 
-    counts, cap_hits = _run_chunked(worker, replicates, seed, len(cps), threads)
+        visits = np.zeros((rows, len(cps)), dtype=np.int64)
+        idx = np.arange(rows)
+        t = draw(cdf_g, rows)
+        while True:
+            live = t <= horizon
+            idx, t = idx[live], t[live]
+            if not idx.size:
+                return np.cumsum(visits, axis=1)
+            visits[idx, bins[t]] += 1
+            t += draw(cdf_f, idx.size)
+
+    counts = _run_chunked(worker, replicates, seed, len(cps), threads)
     return ReplicateBatch(
         model="gw", params={"n": n, "level": level},
-        seed=seed, replicates=replicates, checkpoints=cps, counts=counts, cap_hits=cap_hits,
+        seed=seed, replicates=replicates, checkpoints=cps, counts=counts,
     )
 
 
@@ -180,9 +227,9 @@ def sim_bpve(schedule: OffspringSchedule, n: int, replicates: int = 10_000, seed
             if ci < len(cps) and t == cps[ci]:
                 block[:, ci] = zeros_seen
                 ci += 1
-        return block, 0
+        return block
 
-    counts, _ = _run_chunked(worker, replicates, seed, len(cps), threads)
+    counts = _run_chunked(worker, replicates, seed, len(cps), threads)
     return ReplicateBatch(
         model="bpve", params={"n": n, "schedule": schedule.label},
         seed=seed, replicates=replicates, checkpoints=cps, counts=counts,
@@ -200,24 +247,21 @@ def _level_grid(spec: ScaleSpec, n: int) -> np.ndarray:
 
 
 def sim_levelwalk(spec: ScaleSpec, n: int, replicates: int = 10_000, seed: int = 0,
-                  checkpoints: Sequence[int] | None = None, x0: float | None = None,
+                  checkpoints: Sequence[int] | None = None,
                   threads: int | None = None) -> ReplicateBatch:
     """Count levels k <= checkpoint that are never re-entered after k*b + a.
 
-    The walk starts at level b (the variant with a start x0 in (0, b)
-    inserts x0 as an extra bottom level; its only role is the almost-sure
-    upward passage, so it does not change any level-visit law).  Success
-    of level k means: after the first visit to k*b + a, the walk never
-    visits k*b again; escaping from the top resolves every pending level
-    as a success.
+    The walk starts at level b.  A start x0 in (0, b) below the first level
+    only forces the upward passage, so it changes no level-visit law and
+    the sampler has no use for it.  Success of level k means: after the
+    first visit to k*b + a, the walk never visits k*b again; escaping from
+    the top resolves every pending level as a success.
     """
-    if x0 is not None and not 0.0 < x0 < spec.b:
-        raise ValueError(f"start x0 must lie in (0, b), got {x0}")
     cps = _validate_checkpoints(checkpoints, n)
-    counts, _ = _run_chunked(_excursion_worker(spec, n, cps), replicates, seed, len(cps), threads)
+    counts = _run_chunked(_excursion_worker(spec, n, cps), replicates, seed, len(cps), threads)
     return ReplicateBatch(
         model="levelwalk",
-        params={"n": n, "gamma": spec.gamma, "a": spec.a, "b": spec.b, "x0": x0},
+        params={"n": n, "gamma": spec.gamma, "a": spec.a, "b": spec.b},
         seed=seed, replicates=replicates, checkpoints=cps, counts=counts,
     )
 
@@ -227,36 +271,35 @@ def _excursion_worker(spec: ScaleSpec, n: int, cps: tuple[int, ...]):
     wg = g ** (-spec.gamma)
     gaps = wg[:-1] - wg[1:]  # w(g_t) - w(g_{t+1}) > 0
     escape = gaps[-1] / wg[-2]  # never re-enter the top ball after its offset
-    inv_gamma = 1.0 / spec.gamma
-    cp_idx = np.asarray(cps, dtype=int) - 1
+    bins = _checkpoint_bins(cps)  # level k counts from checkpoint bins[k] on
 
     def worker(rng: np.random.Generator, rows: int):
+        # Thresholds stay in w-units: w is decreasing, so the lowest level
+        # reached is the largest threshold, and level k is never re-entered
+        # exactly when that maximum stays below w(k).
         # Failed escape attempts at the top are geometric; each one dips to
         # at least level n, with gambler's-ruin law for the deeper record.
         attempts = rng.geometric(escape, size=rows) - 1
-        cur_min = np.full(rows, np.inf)
+        wmax = np.zeros(rows)
         dipped = attempts > 0
         if np.any(dipped):
             u = rng.random(rows)[dipped]
             # quantile of the min of `attempts` i.i.d. dips: 1 - (1-u)^(1/T)
             u_eff = -np.expm1(np.log1p(-u) / attempts[dipped])
-            thr = wg[-1] + gaps[-1] / np.maximum(u_eff, 1e-300)
-            cur_min[dipped] = thr**-inv_gamma
-        success = np.zeros((rows, n), dtype=bool)
-        success[:, n - 1] = cur_min > n
+            wmax[dipped] = wg[-1] + gaps[-1] / np.maximum(u_eff, 1e-300)
+        hits = np.zeros((rows, len(cps)), dtype=np.int64)
+        if n <= cps[-1]:
+            hits[:, bins[n]] += wmax < wg[2 * n - 2]
         # Climb transitions t = 2n-2 .. 1 (from g[t] before first hitting
         # g[t+1]); the dip from the bottom (t = 0) cannot precede any
         # activation, so it is skipped.  Min level before the next maximum:
         # P(min <= v) = (w(g_t) - w(g_{t+1})) / (w(v) - w(g_{t+1})).
         for t in range(2 * n - 2, 0, -1):
             u = rng.random(rows)
-            thr = wg[t + 1] + gaps[t] / (1.0 - u)
-            np.minimum(cur_min, thr**-inv_gamma, out=cur_min)
-            if t % 2 == 1:  # t = 2k-1: level k+c was just first hit
-                k = (t + 1) // 2
-                success[:, k - 1] = cur_min > k
-        block = np.cumsum(success, axis=1, dtype=np.int64)[:, cp_idx]
-        return block, 0
+            np.maximum(wmax, wg[t + 1] + gaps[t] / (1.0 - u), out=wmax)
+            k = (t + 1) // 2
+            if t % 2 == 1 and k <= cps[-1]:  # t = 2k-1: level k+c was just first hit
+                hits[:, bins[k]] += wmax < wg[2 * k - 2]
+        return np.cumsum(hits, axis=1)
 
     return worker
-

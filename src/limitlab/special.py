@@ -9,6 +9,7 @@ omitted tail.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -139,7 +140,7 @@ def zeta_tail(m: int, s: float, n0: int | None = None, tol: float = 1e-10,
                 raise RuntimeError(
                     f"tolerance {tol} not reachable within {max_terms} terms (m={m}, s={s})"
                 )
-    partial = math.fsum(float(v) for b in blocks for v in b)
+    partial = math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks))
     f_cut = 1.0 / float(lambda_weight(m, s, cutoff))
     integral = iterated_log(m, cutoff) ** (1.0 - s) / (s - 1.0)
     return TailSum(value=partial + integral + 0.5 * f_cut, truncation_bound=0.5 * f_cut)

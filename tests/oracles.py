@@ -157,6 +157,36 @@ def levelwalk_steps(spec, n: int, replicates: int, seed: int, x0: float | None =
     return counts
 
 
+def gw_generations(n: int, levels, replicates: int, seed: int,
+                   checkpoints=None, cap: int = 10**9) -> np.ndarray:
+    """Critical geometric(1/2) branching counts by stepping every generation.
+
+    Starts from one ancestor; a generation of size y has NB(y, 1/2) children
+    (the sum of y geometric(1/2) offspring on {0, 1, ...}).  Entry [i, r, c]
+    counts the generations t <= checkpoints[c] of replicate r with
+    population exactly ``levels[i]``.  Extinct replicates keep their counts;
+    populations of at least ``cap`` stop evolving, since they do not come
+    back to a small level within any horizon a test uses.
+    """
+    cps = (n,) if checkpoints is None else tuple(checkpoints)
+    rng = np.random.default_rng(seed)
+    idx = np.arange(replicates)
+    pop = np.ones(replicates, dtype=np.int64)
+    visits = np.zeros((len(levels), replicates), dtype=np.int64)
+    counts = np.zeros((len(levels), replicates, len(cps)), dtype=np.int64)
+    for t in range(1, max(cps) + 1):
+        if idx.size:
+            pop = rng.negative_binomial(pop, 0.5)
+            for i, level in enumerate(levels):
+                visits[i, idx[pop == level]] += 1
+            keep = (pop > 0) & (pop < cap)
+            idx, pop = idx[keep], pop[keep]
+        for c, cp in enumerate(cps):
+            if cp == t:
+                counts[:, :, c] = visits
+    return counts
+
+
 def surjections_by_composition(k: int, m: int) -> int:
     """Sum of multinomials k!/(l_1! ... l_m!) over compositions of k into
     m positive parts."""

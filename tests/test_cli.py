@@ -44,6 +44,7 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     ({}, "experiment = c3-cutsphere\nreplicates = 0\n", "replicates"),
     ({}, "experiment = no-such-experiment\n", "unknown experiment"),
     ({}, "experiment = prpd-summable\nhorizons = -5, 100\n", "horizons"),
+    ({}, "experiment = c4-gbm\nx0 = 3.0\n", "x0"),
 ])
 def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     for key, value in env.items():

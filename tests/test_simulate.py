@@ -1,17 +1,24 @@
 """Seeded tests of the three simulators: counts that do not depend on the
 thread count, and moments within four standard errors of the exact kernel
-moments.  The step-by-step level-walk oracle is held to the same standard."""
+moments.  The step-by-step level-walk oracle is held to the same standard.
+The renewal sampler of ``sim_gw`` is checked twice over: its return-time
+laws against exact rational arithmetic on the offspring generating function,
+and its counts against the generation-by-generation chain."""
 
 import math
+import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from limitlab.experiments import ConfigError, parse_config, run
 from limitlab.kernels import OffspringSchedule, ScaleSpec, kernel_branching, kernel_distance, kernel_scale
 from limitlab.moments import MomentTable
-from limitlab.simulate import _CHUNK, sim_bpve, sim_gw, sim_levelwalk
+from limitlab.simulate import _CHUNK, _gw_return_laws, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
 
-from oracles import levelwalk_steps
+from oracles import gw_generations, levelwalk_steps
 
 SPEC = ScaleSpec.from_dimension(3.0, 1.0, 2.0)
 SCHEDULE = OffspringSchedule.harmonic_drift(0.5)
@@ -58,6 +65,104 @@ def test_steps_oracle_matches_the_exact_mean(x0):
 
 
 def test_levelwalk_start_must_lie_below_the_first_level():
-    for x0 in (0.0, SPEC.b, 3.0):
-        with pytest.raises(ValueError, match="x0"):
-            sim_levelwalk(SPEC, 10, replicates=10, x0=x0)
+    for x0 in (0.0, 2.0, 3.0):  # c4-gbm has b = 2
+        cfg = parse_config(f"experiment = c4-gbm\nreplicates = 10\nhorizons = 10\nx0 = {x0}\n")
+        with pytest.raises(ConfigError, match="x0"):
+            run(cfg)
+
+
+def test_threads_default_to_every_usable_cpu(monkeypatch):
+    monkeypatch.delenv("LIMITLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert resolve_threads() == 3
+    assert resolve_threads(1) == 1
+    monkeypatch.setenv("LIMITLAB_THREADS", "2")
+    assert resolve_threads() == 2
+    monkeypatch.delenv("LIMITLAB_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert resolve_threads() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_threads() == 1
+
+
+def _series_mul(a, b, deg):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(deg + 1)]
+
+
+def _series_inv(a, deg):
+    out = [1 / a[0]]
+    for k in range(1, deg + 1):
+        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0])
+    return out
+
+
+def exact_return_laws(level, n):
+    """(f, g) on 0..n in rationals, from the offspring generating function alone.
+
+    A_k(s) = E[s^Z_k | Z_0 = 1] satisfies A_k = 1/(2 - A_{k-1}) with A_0 = s;
+    coefficients up to s^level of that quotient need only those of A_{k-1}.
+    Then u(k) = [s^L] A_k^L, v(k) = [s^L] A_k (k >= 1), F = 1 - 1/U, G = V/U.
+    """
+    a = [Fraction(0), Fraction(1)] + [Fraction(0)] * (level - 1)
+    u, v = [Fraction(1)], [Fraction(0)]
+    for _ in range(n):
+        a = _series_inv([2 - a[0]] + [-c for c in a[1:]], level)
+        power = [Fraction(1)] + [Fraction(0)] * level
+        for _ in range(level):
+            power = _series_mul(power, a, level)
+        u.append(power[level])
+        v.append(a[level])
+    inv_u = _series_inv(u, n)
+    f = [Fraction(0)] + [-c for c in inv_u[1:]]
+    g = _series_mul(v, inv_u, n)
+    return f, g
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_return_laws_match_exact_rationals(level):
+    n = 60
+    _, f, g = _gw_return_laws(level, n)
+    ef, eg = exact_return_laws(level, n)
+    assert f[0] == g[0] == ef[0] == eg[0] == 0
+    for k in range(1, n + 1):
+        assert f[k] == pytest.approx(float(ef[k]), rel=1e-13, abs=0)
+        assert g[k] == pytest.approx(float(eg[k]), rel=1e-13, abs=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(1, 6), n=st.integers(1, 400))
+def test_first_return_law_is_a_defective_law_that_renews_u(level, n):
+    u, f, _ = _gw_return_laws(level, n)
+    assert np.all(f[1:] > 0)
+    assert f.sum() < 1.0
+    # renewal equation: u(k) = sum_{j=1..k} f(j) u(k-j) for k >= 1
+    renewed = np.convolve(f, u)[1 : n + 1]
+    assert renewed == pytest.approx(u[1:], rel=1e-12, abs=0)
+
+
+CHAIN_N, CHAIN_REPS, CHAIN_CPS = 200, 1_000_000, (50, 200)
+
+
+@pytest.fixture(scope="module")
+def chain_counts():
+    """Generation-chain counts at levels 1 and 2, from one run of the chain."""
+    return gw_generations(CHAIN_N, (1, 2), CHAIN_REPS, seed=22, checkpoints=CHAIN_CPS)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_renewal_sampler_matches_the_generation_chain(level, chain_counts):
+    # The mean count is sum_k v(k) whatever u is (G U = V), so only the pmf
+    # sees an error in the return law f.  With 1e6 replicates a side, 40
+    # same-law pairs gave TV distances of at most 0.0018 (mean 0.001); a 1%
+    # error in the exponent of u gives about 0.005.
+    reps, cps = CHAIN_REPS, CHAIN_CPS
+    fast = sim_gw(CHAIN_N, level=level, replicates=reps, seed=21, checkpoints=cps).counts
+    slow = chain_counts[level - 1]
+    for c in range(len(cps)):
+        x, y = fast[:, c], slow[:, c]
+        se = math.sqrt(x.var(ddof=1) / reps + y.var(ddof=1) / reps)
+        assert abs(x.mean() - y.mean()) / se <= 4.0
+        size = int(max(x.max(), y.max())) + 1
+        tv = 0.5 * np.abs(np.bincount(x, minlength=size) - np.bincount(y, minlength=size)).sum() / reps
+        assert tv <= 0.003

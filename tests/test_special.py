@@ -123,6 +123,20 @@ class TestZetaTail:
             term = 1.0 / lambda_weight(m, s, n0)
             assert whole.value == pytest.approx(rest.value + term, abs=1e-12)
 
+    # fsum rounds the exact sum of its terms correctly, so however the terms
+    # are gathered the values stay bit for bit; (1, 2, 2) at the default
+    # tolerance takes seconds, so it is pinned at 1e-6
+    @pytest.mark.parametrize("m, s, n0, tol, value", [
+        (0, 2.0, 2, 1e-10, "0x1.4a34cc4a60fa2p-1"),
+        (0, 2.0, 1, 1e-10, "0x1.a51a6625307d1p+0"),
+        (0, 2.0, None, 1e-10, "0x1.a51a6625307d1p+0"),
+        (1, 2.0, 2, 1e-6, "0x1.0e0c0d5713012p+1"),
+        (0, 1.5, 1, 1e-10, "0x1.4e6250bfbd89ep+1"),
+        (0, 3.0, 1, 1e-10, "0x1.33ba004f0059ep+0"),
+    ])
+    def test_pinned_values(self, m, s, n0, tol, value):
+        assert zeta_tail(m, s, n0, tol=tol).value == float.fromhex(value)
+
     def test_self_consistency_across_cutoffs(self):
         a = zeta_tail(1, 2.0, 2, tol=1e-4).value
         b = zeta_tail(1, 2.0, 2, tol=1e-6).value
