@@ -30,6 +30,13 @@ schedule with constant p != 1/2 overflows exp(L) or exp(-L) within a few
 thousand generations, and its H stops growing in floating point well before
 that), a query reaching that generation raises ValueError naming it.
 
+The branching and scale families also satisfy rho(j, j) = a_j (x_j - y_j) = 1
+(e^(L_j) (H_j - H_{j-1}) = 1, and (1 - (j/(j+c))^gamma) / g_j = 1), with x
+increasing.  Then 1/rho(i, j) = (x_j - y_j)/(x_j - y_i) telescopes into a
+product of per-generation factors, which is what lets
+``simulate._cauchy_chain_worker`` draw their chains exactly.  The power family
+has x = y, so a_j (x_j - y_j) = 0 and that sampler does not apply to it.
+
 Distance kernels rho(i, j) = D(j - i) are not of this form: they keep their
 own queries and their Psi tables come from the convolution engine.
 

@@ -19,17 +19,19 @@ Models:
   laws instead of stepping every generation.  The generation-by-generation
   chain is kept in the test suite (``tests/oracles.py``) as the
   independent check of this sampler.
-- ``sim_bpve``: branching with one immigrant per generation and
-  generation-dependent geometric offspring; counts visits to zero.
-- ``sim_levelwalk``: transient level walk with scale weight
-  w(x) = x^(-gamma); counts levels that are never re-entered after their
-  offset partner is first hit.  The default sampler draws, for each new
-  running maximum, the minimum level reached before the next maximum
-  (a gambler's-ruin quantile in the scale function) plus the geometric
-  number of failed escapes from the top; this reproduces the exact joint
-  law of all level-visit events at O(n) cost per replicate.  The literal
-  step-by-step chain is kept in the test suite (``tests/oracles.py``) as
-  the independent check of this sampler.
+- ``sim_bpve`` and ``sim_levelwalk``: branching with one immigrant per
+  generation and geometric offspring, counting generations with zero
+  population; and a transient level walk with scale weight w(x) = x^(-gamma),
+  counting levels never re-entered after their offset partner is first hit.
+  Both counts are Markovian Bernoulli chains whose kernel is in Cauchy form
+  with a_j (x_j - y_j) = 1 (``BranchingKernel``, ``ScaleKernel``), and both
+  simulators draw that chain by one scan, ``_cauchy_chain_worker``.  The two
+  models are one problem: by the Kesten-Kozlov-Spitzer correspondence, the
+  zeros of a geometric-offspring branching process with immigration are the
+  cut levels of a nearest-neighbour walk.  The generation chain of the
+  branching process (``bpve_generations``) and the literal step-by-step walk
+  (``levelwalk_steps``) are kept in the test suite (``tests/oracles.py``) as
+  the independent checks of this sampler.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import OffspringSchedule, ScaleSpec
+from .kernels import BranchingKernel, OffspringSchedule, RhoKernel, ScaleKernel, ScaleSpec
 
 __all__ = ["ReplicateBatch", "resolve_threads", "sim_bpve", "sim_gw", "sim_levelwalk"]
 
@@ -120,11 +122,6 @@ def _run_chunked(worker, replicates: int, seed: int, ncols: int, threads: int | 
     return counts
 
 
-def _checkpoint_bins(cps: tuple[int, ...]) -> np.ndarray:
-    """bins[t] = index of the first checkpoint >= t, for t = 0..cps[-1]."""
-    return np.searchsorted(np.asarray(cps), np.arange(cps[-1] + 1))
-
-
 def _gw_return_laws(level: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Visit and return-time laws of critical geometric(1/2) branching, on times 0..n.
 
@@ -179,7 +176,7 @@ def sim_gw(n: int, level: int = 1, replicates: int = 10_000, seed: int = 0,
     horizon = cps[-1]
     _, f, g = _gw_return_laws(level, horizon)
     cdf_f, cdf_g = np.cumsum(f[1:]), np.cumsum(g[1:])
-    bins = _checkpoint_bins(cps)
+    bins = np.searchsorted(np.asarray(cps), np.arange(horizon + 1))  # first checkpoint >= t
 
     def worker(rng: np.random.Generator, rows: int):
         # a time past the truncated law (searchsorted index = horizon) means no visit
@@ -204,6 +201,42 @@ def sim_gw(n: int, level: int = 1, replicates: int = 10_000, seed: int = 0,
     )
 
 
+def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
+    """Chunk worker drawing the success chain of a Cauchy kernel with a_j (x_j - y_j) = 1.
+
+    Scans generations t = 1..cps[-1] on every row at once: with U_t uniform
+    on (0, 1], theta_t = y_{t-1} + (y_t - y_{t-1}) / U_t, and t is a success
+    when max_{s<=t} theta_s < x_t.  For v >= y_s,
+    P(theta_s < v) = (v - y_s) / (v - y_{s-1}).  After a success at i the old
+    maximum lies below x_i <= x_j and never binds again, so the product
+    telescopes: P(success at j | success at i, any earlier history)
+    = (x_j - y_j) / (x_j - y_i) = 1 / rho(i, j).  The successes therefore
+    renew with exactly the kernel's law.
+    """
+    _, x, y = kernel.cauchy(cps[-1])
+    steps = np.diff(y)
+
+    def worker(rng: np.random.Generator, rows: int):
+        counts = np.zeros((rows, len(cps)), dtype=np.int64)
+        seen = np.zeros(rows, dtype=np.int64)
+        top = np.zeros(rows)  # max of theta so far; every theta_t >= y_t > 0
+        theta = np.empty(rows)
+        ci = 0
+        for t in range(1, cps[-1] + 1):
+            rng.random(out=theta)
+            np.subtract(1.0, theta, out=theta)  # U_t on (0, 1]
+            np.divide(steps[t - 1], theta, out=theta)
+            theta += y[t - 1]
+            np.maximum(top, theta, out=top)
+            seen += top < x[t]
+            if t == cps[ci]:
+                counts[:, ci] = seen
+                ci += 1
+        return counts
+
+    return worker
+
+
 def sim_bpve(schedule: OffspringSchedule, n: int, replicates: int = 10_000, seed: int = 0,
              checkpoints: Sequence[int] | None = None,
              threads: int | None = None) -> ReplicateBatch:
@@ -211,39 +244,18 @@ def sim_bpve(schedule: OffspringSchedule, n: int, replicates: int = 10_000, seed
 
     Starts empty; generation t receives one immigrant, and every individual
     of generation t-1 plus the immigrant reproduces with geometric(p_t)
-    offspring, so Z_t | Z_{t-1} is one NB(Z_{t-1} + 1, p_t) draw.
+    offspring.  The zero generations form the chain of
+    ``BranchingKernel(schedule)``, drawn by ``_cauchy_chain_worker``; a
+    schedule whose kernel breaks down before the last checkpoint raises
+    the kernel's ValueError.
     """
     cps = _validate_checkpoints(checkpoints, n)
-    p = schedule.values(n)
-
-    def worker(rng: np.random.Generator, rows: int):
-        z = np.zeros(rows, dtype=np.int64)
-        zeros_seen = np.zeros(rows, dtype=np.int64)
-        block = np.zeros((rows, len(cps)), dtype=np.int64)
-        ci = 0
-        for t in range(1, n + 1):
-            z = rng.negative_binomial(z + 1, p[t - 1])
-            zeros_seen += z == 0
-            if ci < len(cps) and t == cps[ci]:
-                block[:, ci] = zeros_seen
-                ci += 1
-        return block
-
+    worker = _cauchy_chain_worker(BranchingKernel(schedule), cps)
     counts = _run_chunked(worker, replicates, seed, len(cps), threads)
     return ReplicateBatch(
         model="bpve", params={"n": n, "schedule": schedule.label},
         seed=seed, replicates=replicates, checkpoints=cps, counts=counts,
     )
-
-
-def _level_grid(spec: ScaleSpec, n: int) -> np.ndarray:
-    """Interleaved levels k and k+c (units of the spacing b), k = 1..n."""
-    c = spec.offset_ratio
-    g = np.empty(2 * n)
-    ks = np.arange(1, n + 1, dtype=float)
-    g[0::2] = ks
-    g[1::2] = ks + c
-    return g
 
 
 def sim_levelwalk(spec: ScaleSpec, n: int, replicates: int = 10_000, seed: int = 0,
@@ -252,54 +264,16 @@ def sim_levelwalk(spec: ScaleSpec, n: int, replicates: int = 10_000, seed: int =
     """Count levels k <= checkpoint that are never re-entered after k*b + a.
 
     The walk starts at level b.  A start x0 in (0, b) below the first level
-    only forces the upward passage, so it changes no level-visit law and
-    the sampler has no use for it.  Success of level k means: after the
-    first visit to k*b + a, the walk never visits k*b again; escaping from
-    the top resolves every pending level as a success.
+    only forces the upward passage, so it changes no level-visit law.
+    Success of level k means: after the first visit to k*b + a, the walk
+    never visits k*b again.  The successes form the chain of
+    ``ScaleKernel(spec)``, drawn by ``_cauchy_chain_worker``.
     """
     cps = _validate_checkpoints(checkpoints, n)
-    counts = _run_chunked(_excursion_worker(spec, n, cps), replicates, seed, len(cps), threads)
+    worker = _cauchy_chain_worker(ScaleKernel(spec), cps)
+    counts = _run_chunked(worker, replicates, seed, len(cps), threads)
     return ReplicateBatch(
         model="levelwalk",
         params={"n": n, "gamma": spec.gamma, "a": spec.a, "b": spec.b},
         seed=seed, replicates=replicates, checkpoints=cps, counts=counts,
     )
-
-
-def _excursion_worker(spec: ScaleSpec, n: int, cps: tuple[int, ...]):
-    g = _level_grid(spec, n)
-    wg = g ** (-spec.gamma)
-    gaps = wg[:-1] - wg[1:]  # w(g_t) - w(g_{t+1}) > 0
-    escape = gaps[-1] / wg[-2]  # never re-enter the top ball after its offset
-    bins = _checkpoint_bins(cps)  # level k counts from checkpoint bins[k] on
-
-    def worker(rng: np.random.Generator, rows: int):
-        # Thresholds stay in w-units: w is decreasing, so the lowest level
-        # reached is the largest threshold, and level k is never re-entered
-        # exactly when that maximum stays below w(k).
-        # Failed escape attempts at the top are geometric; each one dips to
-        # at least level n, with gambler's-ruin law for the deeper record.
-        attempts = rng.geometric(escape, size=rows) - 1
-        wmax = np.zeros(rows)
-        dipped = attempts > 0
-        if np.any(dipped):
-            u = rng.random(rows)[dipped]
-            # quantile of the min of `attempts` i.i.d. dips: 1 - (1-u)^(1/T)
-            u_eff = -np.expm1(np.log1p(-u) / attempts[dipped])
-            wmax[dipped] = wg[-1] + gaps[-1] / np.maximum(u_eff, 1e-300)
-        hits = np.zeros((rows, len(cps)), dtype=np.int64)
-        if n <= cps[-1]:
-            hits[:, bins[n]] += wmax < wg[2 * n - 2]
-        # Climb transitions t = 2n-2 .. 1 (from g[t] before first hitting
-        # g[t+1]); the dip from the bottom (t = 0) cannot precede any
-        # activation, so it is skipped.  Min level before the next maximum:
-        # P(min <= v) = (w(g_t) - w(g_{t+1})) / (w(v) - w(g_{t+1})).
-        for t in range(2 * n - 2, 0, -1):
-            u = rng.random(rows)
-            np.maximum(wmax, wg[t + 1] + gaps[t] / (1.0 - u), out=wmax)
-            k = (t + 1) // 2
-            if t % 2 == 1 and k <= cps[-1]:  # t = 2k-1: level k+c was just first hit
-                hits[:, bins[k]] += wmax < wg[2 * k - 2]
-        return np.cumsum(hits, axis=1)
-
-    return worker

@@ -187,6 +187,65 @@ def gw_generations(n: int, levels, replicates: int, seed: int,
     return counts
 
 
+def bpve_generations(schedule, n: int, replicates: int, seed: int, checkpoints=None) -> np.ndarray:
+    """Zero-population counts of branching with immigration, by stepping every generation.
+
+    Starts empty; generation t receives one immigrant, and the Z_{t-1}
+    individuals plus the immigrant each have geometric(p_t) offspring on
+    {0, 1, ...}, so Z_t is one NB(Z_{t-1} + 1, p_t) draw.  Entry [r, c]
+    counts the generations t <= checkpoints[c] of replicate r with Z_t = 0.
+    """
+    cps = (n,) if checkpoints is None else tuple(checkpoints)
+    p = schedule.values(n)
+    rng = np.random.default_rng(seed)
+    pop = np.zeros(replicates, dtype=np.int64)
+    zeros = np.zeros(replicates, dtype=np.int64)
+    counts = np.zeros((replicates, len(cps)), dtype=np.int64)
+    for t in range(1, max(cps) + 1):
+        pop = rng.negative_binomial(pop + 1, p[t - 1])
+        zeros += pop == 0
+        for c, cp in enumerate(cps):
+            if cp == t:
+                counts[:, c] = zeros
+    return counts
+
+
+def count_pmf(kernel, n: int) -> np.ndarray:
+    """P(count = k), k = 0..n, for the successes in 1..n of a kernel's chain.
+
+    A success at i renews the chain, so u(i, j) = success_prob(i, j) fixes the
+    first-passage law by the renewal equation
+    f(i, j) = u(i, j) - sum_{i<k<j} f(i, k) u(k, j), and dynamic programming
+    over the last success gives the count: with q_k(j) = P(k-th success at j)
+    (q_0 = 1 at j = 0), P(count = k) = sum_j q_k(j) (1 - sum_{j<l<=n} f(j, l)).
+    O(n^3): meant for n <= 50.
+    """
+    u = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            u[i, j] = kernel.success_prob(i, j)
+    f = np.zeros_like(u)
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            f[i, j] = u[i, j] - f[i, i + 1 : j] @ u[i + 1 : j, j]
+    stay = 1.0 - f.sum(axis=1)
+    q = np.zeros(n + 1)
+    q[0] = 1.0
+    pmf = np.zeros(n + 1)
+    for k in range(n + 1):
+        pmf[k] = q @ stay
+        q = q @ f
+    return pmf
+
+
+def tv_to_pmf(counts: np.ndarray, pmf: np.ndarray) -> float:
+    """Total-variation distance between the empirical law of integer counts and pmf."""
+    freq = np.bincount(counts, minlength=pmf.size) / counts.size
+    pad = np.zeros(freq.size)
+    pad[: pmf.size] = pmf
+    return 0.5 * float(np.abs(freq - pad).sum())
+
+
 def surjections_by_composition(k: int, m: int) -> int:
     """Sum of multinomials k!/(l_1! ... l_m!) over compositions of k into
     m positive parts."""

@@ -1,8 +1,11 @@
-"""Reports reload bit for bit from the files ``write_outputs`` and ``emit_plotdata`` write."""
+"""Reports reload bit for bit from the files ``write_outputs`` and ``emit_plotdata`` write,
+and the Monte Carlo experiments pass every check end to end."""
 
 import csv
 import json
 import math
+
+import pytest
 
 from limitlab import experiments
 
@@ -24,3 +27,15 @@ def test_table_csv_reproduces_rows_bit_for_bit(tmp_path):
     plot = experiments.emit_plotdata(json_path)
     assert plot == json_path.with_name("plotdata.csv")
     assert plot.read_text() == csv_path.read_text()
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = thz-bpve-i\nreplicates = 4096\nhorizons = 100, 200\n",
+    "experiment = thz-bpve-ii\nreplicates = 4096\nhorizons = 100, 200\n",
+    "experiment = c3-cutsphere\n",
+    "experiment = c4-gbm\n",
+], ids=["thz-bpve-i", "thz-bpve-ii", "c3-cutsphere", "c4-gbm"])
+def test_monte_carlo_experiments_pass_every_check(text):
+    report = experiments.run(experiments.parse_config(text))
+    assert report["checks"]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == []

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitlab.kernels import (
     OffspringSchedule,
@@ -295,3 +296,52 @@ class TestBranchingBreakdown:
         with pytest.raises(ValueError):
             k.marginal_probs(3000)
         assert np.all(np.isfinite(k.marginal_probs(500)))
+
+
+class TestChainSamplerPrecondition:
+    """a_j (x_j - y_j) = 1: ``simulate._cauchy_chain_worker`` draws the kernel's chain only then.
+
+    The identity is exact for the branching and scale families.  In floats it
+    holds to 1e-12 relative plus the rounding of the difference x_j - y_j,
+    which cancels by the factor x_j / (x_j - y_j): at j = 1e4 that factor is
+    about 4e5 for gamma = 0.05, and the measured error 5.1e-11.
+    """
+
+    N = 10_000
+    KERNELS = {
+        "drift-0.5": lambda: kernel_branching(OffspringSchedule.harmonic_drift(0.5)),
+        "decay-t^-2": lambda: kernel_branching(OffspringSchedule.from_decay(lambda t: t ** (-2.0))),
+        "table": lambda: kernel_branching(0.5 + 0.1 * np.sin(np.arange(1, 10_001))),
+        **{f"scale-{g}": lambda g=g: kernel_scale(ScaleSpec(g, 1.0, 2.0)) for g in (0.05, 0.5, 1.0, 3.0)},
+    }
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_identity(self, name):
+        for n in (10, 1000, self.N):
+            a, x, y = (v[1:] for v in self.KERNELS[name]().cauchy(n))
+            assert np.all(np.diff(x) > 0)
+            err = np.abs(a * (x - y) - 1.0)
+            assert np.all(err <= 1e-12 + 2 * np.finfo(float).eps * x / (x - y))
+
+    def test_power_family_does_not_meet_it(self):
+        a, x, y = kernel_power(2.0, 1.3).cauchy(50)
+        assert np.all(a[1:] * (x[1:] - y[1:]) == 0.0)
+
+
+@st.composite
+def cauchy_kernels(draw):
+    """A power, branching-drift or scale kernel with random parameters."""
+    family = draw(st.sampled_from(["power", "branching", "scale"]))
+    if family == "power":  # rho(0, j) = beta j, so a probability needs beta >= 1
+        return kernel_power(draw(st.floats(0.05, 4.0)), draw(st.floats(1.0, 10.0)))
+    if family == "branching":
+        return kernel_branching(OffspringSchedule.harmonic_drift(draw(st.floats(0.0, 0.99))))
+    b = draw(st.floats(0.1, 10.0))
+    return kernel_scale(ScaleSpec(draw(st.floats(0.05, 5.0)), b * draw(st.floats(0.01, 0.99)), b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=cauchy_kernels(), n=st.integers(1, 3000))
+def test_marginal_probs_are_probabilities(kernel, n):
+    p = kernel.marginal_probs(n)[1:]
+    assert np.all((p > 0.0) & (p <= 1.0))

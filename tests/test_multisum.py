@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitlab.cauchy import LEAF, lower_matvec
 from limitlab.kernels import (
@@ -12,7 +13,7 @@ from limitlab.kernels import (
     kernel_power,
     kernel_scale,
 )
-from limitlab.kernels import RhoKernel
+from limitlab.kernels import DistanceKernel, RhoKernel
 from limitlab.multisum import (
     WeightSequence,
     phi,
@@ -23,9 +24,10 @@ from limitlab.multisum import (
     u_sum,
     u_sum_curve,
 )
-from limitlab.multisum import _psi_tables
+from limitlab.multisum import _fold_tables, _psi_tables
 
 from oracles import phi_bruteforce, phi_recursion, psi_bruteforce, psi_loop
+from test_kernels import cauchy_kernels
 
 WEIGHT_FAMILIES = {
     "n": lambda i: np.asarray(i, dtype=float),
@@ -341,3 +343,38 @@ class TestPredict:
             predict("mystery", 2)
         with pytest.raises(ValueError):
             predict("power", 0, alpha=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5000), m=st.integers(1, 3), gap=st.integers(1, 3),
+       s=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_fft_fold_equals_direct(n, m, gap, s, seed):
+    # D_j = U_j (1 + j)^s with U_j uniform on [1, 10].  FFT round-off is
+    # relative to a table's largest entry; for s >= 1 a table grows at most
+    # like a power of log n, so that bound is also relative entry by entry.
+    # A table with no feasible tuple (n < q gap) has no support to compare on.
+    u = np.random.default_rng(seed).uniform(1.0, 10.0, n + 1)
+    weights = WeightSequence(weight=lambda j: u[j] * (1.0 + j) ** s, gap=gap)
+    direct = _fold_tables(weights, n, m, "direct")
+    fft = _fold_tables(weights, n, m, "fft")
+    for d, f in zip(direct[1:], fft[1:]):
+        if d.max() == 0.0:
+            continue
+        assert np.abs(f - d).max() <= 1e-10 * d.max()
+        if s >= 1.0:
+            support = d > 0
+            assert np.all(np.abs(f - d)[support] <= 1e-10 * d[support])
+
+
+distance_kernels = st.builds(
+    lambda s: kernel_distance(lambda i: (1.0 + np.asarray(i, dtype=float)) ** s), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel=st.one_of(distance_kernels, cauchy_kernels()), n=st.integers(1, 3000), m=st.integers(1, 3))
+def test_psi_curve_is_nondecreasing_in_n(kernel, n, m):
+    curve = psi_curve(kernel, np.arange(n + 1), m)
+    # The fold's FFT path (n > 2048) rounds relative to a table's largest
+    # entry, so a distance kernel's curve may dip by that much where it is flat.
+    slack = 1e-13 * curve[:, -1:] if isinstance(kernel, DistanceKernel) else 0.0
+    assert np.all(np.diff(curve, axis=1) >= -slack)

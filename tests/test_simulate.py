@@ -1,9 +1,12 @@
 """Seeded tests of the three simulators: counts that do not depend on the
 thread count, and moments within four standard errors of the exact kernel
 moments.  The step-by-step level-walk oracle is held to the same standard.
-The renewal sampler of ``sim_gw`` is checked twice over: its return-time
-laws against exact rational arithmetic on the offspring generating function,
-and its counts against the generation-by-generation chain."""
+The Cauchy-chain sampler behind ``sim_bpve`` and ``sim_levelwalk`` is checked
+against the exact law of the count (``oracles.count_pmf``), and so are the
+two literal chains it replaces.  The renewal sampler of ``sim_gw`` is checked
+twice over: its return-time laws against exact rational arithmetic on the
+offspring generating function, and its counts against the
+generation-by-generation chain."""
 
 import math
 import os
@@ -18,7 +21,7 @@ from limitlab.kernels import OffspringSchedule, ScaleSpec, kernel_branching, ker
 from limitlab.moments import MomentTable
 from limitlab.simulate import _CHUNK, _gw_return_laws, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
 
-from oracles import gw_generations, levelwalk_steps
+from oracles import bpve_generations, count_pmf, gw_generations, levelwalk_steps, tv_to_pmf
 
 SPEC = ScaleSpec.from_dimension(3.0, 1.0, 2.0)
 SCHEDULE = OffspringSchedule.harmonic_drift(0.5)
@@ -62,6 +65,58 @@ def test_steps_oracle_matches_the_exact_mean(x0):
     exact = MomentTable.build(kernel_scale(SPEC), range(1, n + 1), 1).values[0]
     for k in range(n):
         assert abs(zscore(counts[:, k].astype(float), exact[k])) <= 4.0
+        # about 3x the expected TV distance of 2000 exact draws (at most 0.023 here)
+        assert tv_to_pmf(counts[:, k], count_pmf(kernel_scale(SPEC), k + 1)) <= 0.07
+
+
+DECAY = OffspringSchedule.from_decay(lambda t: t**-2.0)
+# Cauchy-chain simulator and the kernel whose chain it draws
+CHAIN_CASES = {
+    "bpve-drift": (lambda **kw: sim_bpve(SCHEDULE, **kw), lambda: kernel_branching(SCHEDULE)),
+    "bpve-decay": (lambda **kw: sim_bpve(DECAY, **kw), lambda: kernel_branching(DECAY)),
+    **{f"levelwalk-gamma{g}": (
+        lambda g=g, **kw: sim_levelwalk(ScaleSpec(g, 1.0, 2.0), **kw),
+        lambda g=g: kernel_scale(ScaleSpec(g, 1.0, 2.0)),
+    ) for g in (0.5, 1.0, 3.0)},
+}
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_count_pmf_has_the_exact_moments(case):
+    kernel = CHAIN_CASES[case][1]()
+    table = MomentTable.build(kernel, CHECKPOINTS, 2)
+    for ci, n in enumerate(CHECKPOINTS):
+        pmf, k = count_pmf(kernel, n), np.arange(n + 1)
+        assert pmf.sum() == pytest.approx(1.0, rel=1e-12)
+        assert pmf @ k == pytest.approx(table.values[0, ci], rel=1e-12)
+        assert pmf @ k**2 == pytest.approx(table.values[1, ci], rel=1e-12)
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_sampler_matches_the_exact_count_pmf(case):
+    # The whole law of the count, not two moments.  The bound is about 3x the
+    # expected TV distance of 2e5 exact draws (at most 0.0032 here).
+    sim, kernel = CHAIN_CASES[case]
+    batch = sim(n=50, replicates=200_000, seed=31, checkpoints=CHECKPOINTS)
+    for ci, n in enumerate(CHECKPOINTS):
+        assert tv_to_pmf(batch.counts[:, ci], count_pmf(kernel(), n)) <= 0.01
+
+
+@pytest.mark.parametrize("schedule", [SCHEDULE, DECAY], ids=["bpve-drift", "bpve-decay"])
+def test_generation_chain_matches_the_exact_count_pmf(schedule):
+    # about 3x the expected TV distance of 4e4 exact draws (at most 0.0063 here)
+    counts = bpve_generations(schedule, 50, 40_000, seed=32, checkpoints=CHECKPOINTS)
+    for ci, n in enumerate(CHECKPOINTS):
+        assert tv_to_pmf(counts[:, ci], count_pmf(kernel_branching(schedule), n)) <= 0.02
+
+
+def test_sim_bpve_refuses_a_schedule_past_its_breakdown():
+    schedule = OffspringSchedule.constant(0.4)
+    with pytest.raises(ValueError, match="generation 90") as kernel_error:
+        kernel_branching(schedule).cauchy(200)
+    with pytest.raises(ValueError) as sim_error:
+        sim_bpve(schedule, 200, replicates=10)
+    assert str(sim_error.value) == str(kernel_error.value)
 
 
 def test_levelwalk_start_must_lie_below_the_first_level():
