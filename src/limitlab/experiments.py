@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .kernels import OffspringSchedule, ScaleSpec, kernel_branching, kernel_distance, kernel_power, kernel_scale
-from .moments import MomentTable, count_moment_curve, geo_limit_moments
-from .multisum import WeightSequence, phi_curve, predict, psi_curve, u_sum_curve
+from .moments import MomentTable, geo_limit_moments
+from .multisum import WeightSequence, _u_weights, phi_curve, phi_fold_curves, predict, psi_curve
 from .simulate import resolve_threads, sim_bpve, sim_gw, sim_levelwalk
 from .special import zeta_tail
 from .stats import LimitLaw, tv_distance_integer
@@ -153,10 +153,11 @@ def _run_rzr(case: str):
         k_show = int(cfg.params["k"])
         k_max = int(cfg.params.get("k_max", k_show))
         tol = {"i": 0.01, "ii": 0.15, "iii": None, "iv": 0.05}[case]
+        curves = phi_fold_curves(_u_weights(m, n0, sigma), cfg.horizons, k_max)
+        zeta = zeta_tail(m, sigma, n0).value if sigma > 1.0 else None
         rows, checks = [], []
-        for k in range(1, k_max + 1):
-            vals = u_sum_curve(k, m, n0, sigma, cfg.horizons)
-            pk = predict("rzr", k, m=m, sigma=sigma, n0=n0)
+        for k, vals in enumerate(curves, 1):
+            pk = predict("rzr", k, m=m, sigma=sigma, zeta_value=zeta)
             predicted = pk.coefficient * pk.scale(cfg.horizons)
             ratios = vals / predicted
             if k == k_show:
@@ -218,9 +219,9 @@ def _run_thbb_exp(cfg: ExperimentConfig):
     kern = kernel_distance(lambda i: i + 1.0, "n+1")
     S = kern.weights.partial_sums(max(cfg.horizons))
     law = LimitLaw.exponential(1.0)
+    table = MomentTable.build(kern, cfg.horizons, k_max)
     rows, checks = [], []
-    for k in range(1, k_max + 1):
-        vals = count_moment_curve(kern, k, cfg.horizons)
+    for k, vals in zip(table.orders, table.values):
         target = law.moment(k)  # k! for Exp(1)
         obs = [v / S[h] ** k for h, v in zip(cfg.horizons, vals)]
         ratios = [o / target for o in obs]
@@ -239,9 +240,9 @@ def _run_tha_gamma(cfg: ExperimentConfig):
     beta = float(cfg.params["beta"])
     k_max = int(cfg.params["k_max"])
     kern = kernel_power(alpha, beta)
+    table = MomentTable.build(kern, cfg.horizons, k_max)
     rows, checks = [], []
-    for k in range(1, k_max + 1):
-        vals = count_moment_curve(kern, k, cfg.horizons)
+    for k, vals in zip(table.orders, table.values):
         pred = predict("power", k, alpha=alpha, beta=beta, moment=True)
         scale = pred.scale(cfg.horizons)
         ratios = vals / (pred.coefficient * scale)

@@ -5,13 +5,22 @@ The central object is the m-fold sum over increasing index tuples
     Phi(n, m) = sum_{1 <= j_1 < ... < j_m <= n, j_i - j_{i-1} >= n0}
                 prod_i 1 / D(j_i - j_{i-1}),          j_0 = 0,
 
-evaluated exactly by the level-by-level convolution recursion
+evaluated exactly through the density of the last index, r(j) = 1/D(j) for
+j >= n0 and 0 below the gap:
 
-    Phi(n, k) = sum_{j = n0}^{n - (k-1) n0} (1/D(j)) * Phi(n - j, k - 1).
+    d_1 = r,    d_q(x) = sum_{j = n0}^{x} r(j) d_{q-1}(x - j),
+    Phi(n, q) = sum_{x <= n} d_q(x)    (a running sum of the density).
 
-A direct O(n^2)-per-fold convolution is the reference path; an FFT path
-(O(n log n) per fold, at a 5-smooth transform length) is used for large
-horizons.
+A direct O(n^2)-per-fold convolution is the reference path.  The FFT path
+(O(n log n) per fold) convolves at a 5-smooth length >= 2n + 1: q = 1 needs no
+transform, d_2 = irfft(r_hat^2) needs one, and each later order an rfft and an
+irfft, so a table of order m costs 2m - 2 transforms.  Its round-off is
+relative to the largest entry of the density it produces, not to each entry;
+negative round-off is clamped to zero, so every table is nondecreasing in
+n, and the running sum adds the remaining absolute errors.  With method "auto",
+horizons <= ``_FFT_THRESHOLD`` are read from a direct table built at the
+largest of them, and only the larger horizons from the FFT table, so a small
+horizon never carries the error scale of a large one.
 
 ``psi_curve`` computes the analogous sum Psi_n(m) for a pairwise kernel,
 from the tables T_1[j] = 1/rho(0, j) and
@@ -105,24 +114,47 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _fold_tables(weights: WeightSequence, n: int, m: int, method: str) -> list[np.ndarray]:
-    """Tables T[q][x] = Phi(x, q) for 0 <= x <= n, 0 <= q <= m (T[0] == 1)."""
-    if method not in ("auto", "direct", "fft"):
-        raise ValueError(f"unknown method {method!r}")
-    use_fft = method == "fft" or (method == "auto" and n > _FFT_THRESHOLD)
+def _fold_tables(weights: WeightSequence, n: int, m: int, method: str) -> np.ndarray:
+    """Tables T[q-1, x] = Phi(x, q) for 0 <= x <= n, 1 <= q <= m; method "direct" or "fft".
+
+    Each row is the running sum of the density d_q = r * d_{q-1}, d_1 = r.
+    """
     r = weights.reciprocals(n)
-    tables = [np.ones(n + 1)]
-    if use_fft:
+    tables = np.empty((m, n + 1))
+    np.cumsum(r, out=tables[0])
+    if method == "fft" and m > 1:
         size = _smooth_length(2 * n + 1)  # no wrap-around into indices 0..n
         r_hat = np.fft.rfft(r, size)
-    for _ in range(m):
-        if use_fft:
-            t = np.fft.irfft(r_hat * np.fft.rfft(tables[-1], size), size)[: n + 1]
-            np.maximum(t, 0.0, out=t)  # FFT round-off may graze below zero
+    dens = r
+    for q in range(2, m + 1):
+        if method == "fft":
+            spec = r_hat.copy() if q == 2 else np.fft.rfft(dens, size)  # d_1 = r has spectrum r_hat
+            spec *= r_hat
+            dens = np.fft.irfft(spec, size)[: n + 1].copy()  # the copy frees the 2n-long buffer
+            np.maximum(dens, 0.0, out=dens)  # FFT round-off may graze below zero
         else:
-            t = np.convolve(r, tables[-1])[: n + 1]
-        tables.append(t)
+            dens = np.convolve(r, dens)[: n + 1]
+        np.cumsum(dens, out=tables[q - 1])
     return tables
+
+
+def _fold_curves(weights: WeightSequence, horizons, m: int, method: str) -> np.ndarray:
+    """F[q-1, i] = Phi(horizons[i], q) for q = 1..m, from one table per path.
+
+    With method "auto" the horizons <= ``_FFT_THRESHOLD`` take the direct path
+    and the others the FFT path; "direct" or "fft" forces one path for all.
+    """
+    if method not in ("auto", "direct", "fft"):
+        raise ValueError(f"unknown method {method!r}")
+    if m < 1:
+        raise ValueError("fold count m must be >= 1")
+    hs = _horizons(horizons)
+    direct = hs <= _FFT_THRESHOLD if method == "auto" else np.full(hs.shape, method == "direct")
+    curves = np.empty((m, hs.size))
+    for sel, path in ((direct, "direct"), (~direct, "fft")):
+        if sel.any():
+            curves[:, sel] = _fold_tables(weights, int(hs[sel].max()), m, path)[:, hs[sel]]
+    return curves
 
 
 def _horizons(horizons) -> np.ndarray:
@@ -136,21 +168,17 @@ def phi(weights: WeightSequence, n: int, m: int, method: str = "auto") -> float:
     """Exact gap-constrained m-fold sum of products of reciprocal weights."""
     if n < 1 or m < 1:
         raise ValueError("phi requires n >= 1 and m >= 1")
-    return float(_fold_tables(weights, n, m, method)[m][n])
+    return float(_fold_curves(weights, [n], m, method)[m - 1, 0])
 
 
 def phi_curve(weights: WeightSequence, horizons, m: int, method: str = "auto") -> np.ndarray:
-    """Phi(h, m) for every horizon h, sharing one prefix table."""
-    hs = _horizons(horizons)
-    tables = _fold_tables(weights, int(hs.max()), m, method)
-    return tables[m][hs].astype(float)
+    """Phi(h, m) for every horizon h; ``_fold_curves`` picks the path for each."""
+    return _fold_curves(weights, horizons, m, method)[m - 1]
 
 
 def phi_fold_curves(weights: WeightSequence, horizons, m: int, method: str = "auto") -> np.ndarray:
     """Matrix F[q-1, h] = Phi(h, q) for all fold counts q = 1..m at once."""
-    hs = _horizons(horizons)
-    tables = _fold_tables(weights, int(hs.max()), m, method)
-    return np.stack([tables[q][hs] for q in range(1, m + 1)])
+    return _fold_curves(weights, horizons, m, method)
 
 
 def u_sum(k: int, m: int, n0: int, s: float, n: int, method: str = "auto") -> float:
@@ -240,7 +268,10 @@ def predict(regime: str, order: int, **params) -> AsymptoticPrediction:
       prod_{j<k}(j+alpha) / (alpha beta)^k.
     - ``rzr``: needs ``m`` (log-iteration depth) and ``sigma``; dispatches
       on (sigma, m) to the four limit cases of the iterated-log sums
-      (constant / iterated-log power / power-of-n scalings).
+      (constant / iterated-log power / power-of-n scalings).  For sigma > 1
+      the constant is zeta_tail(m, sigma, n0)**k, with the optional gap ``n0``
+      (default script_O(m)); a caller that holds the tail passes it as
+      ``zeta_value`` instead.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -271,8 +302,8 @@ def predict(regime: str, order: int, **params) -> AsymptoticPrediction:
         m = params["m"]
         sigma = params["sigma"]
         if sigma > 1.0:
-            n0 = params.get("n0") or script_O(m)
-            z = zeta_tail(m, sigma, n0, tol=params.get("tol", 1e-10)).value
+            z = params.get("zeta_value")
+            z = zeta_tail(m, sigma, params.get("n0")).value if z is None else z
             return AsymptoticPrediction("constant", z**order, _log_power(0, 0))
         if sigma == 1.0:
             return AsymptoticPrediction("(log_{m+1} n)^k", 1.0, _log_power(m + 1, order))

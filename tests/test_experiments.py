@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from limitlab import experiments
+from limitlab import experiments, multisum
 
 
 def bits(rows):
@@ -39,3 +39,24 @@ def test_monte_carlo_experiments_pass_every_check(text):
     report = experiments.run(experiments.parse_config(text))
     assert report["checks"]
     assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+
+
+@pytest.mark.parametrize("experiment, builder, k_max", [
+    ("rzr-i", "_fold_tables", 3),
+    ("rzr-ii", "_fold_tables", 2),
+    ("thbb-exp", "_fold_tables", 2),
+    ("tha-gamma", "_psi_tables", 2),
+])
+def test_runner_builds_one_table_at_its_top_order(monkeypatch, experiment, builder, k_max):
+    orders = {}
+    for name in ("_fold_tables", "_psi_tables"):
+        real = getattr(multisum, name)
+        orders[name] = []
+        monkeypatch.setattr(multisum, name, lambda *a, _real=real, _seen=orders[name]: _seen.append(a[2]) or _real(*a))
+    zeta_calls = []
+    real_zeta = experiments.zeta_tail
+    for module in (experiments, multisum):
+        monkeypatch.setattr(module, "zeta_tail", lambda *a, **kw: zeta_calls.append(a) or real_zeta(*a, **kw))
+    experiments.run(experiments.parse_config(f"experiment = {experiment}\nhorizons = 100, 500, 1000\n"))
+    assert orders == {"_fold_tables": [], "_psi_tables": [], builder: [k_max]}
+    assert len(zeta_calls) == (1 if experiment == "rzr-i" else 0)

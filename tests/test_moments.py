@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from limitlab.kernels import OffspringSchedule, ScaleSpec, kernel_branching, kernel_distance, kernel_scale
+from limitlab.kernels import OffspringSchedule, ScaleSpec, kernel_branching, kernel_distance, kernel_power, kernel_scale
 from limitlab.moments import (
     MomentTable,
     composition_coefficient,
@@ -129,6 +129,13 @@ class TestScaledCurveAndTable:
         assert np.all(t.values >= 0)
         assert np.all(np.diff(t.values, axis=1) >= 0)
         assert t.values[1, 0] == pytest.approx(35 / 72, rel=1e-13)
+
+    @pytest.mark.parametrize("kernel", [gw_kernel(), kernel_power(2.0, 1.0)], ids=["distance", "power"])
+    def test_table_rows_are_bit_identical_to_single_orders(self, kernel):
+        hs = [10, 300, 3000]
+        table = MomentTable.build(kernel, hs, 3)
+        for k in (1, 2, 3):
+            assert np.array_equal(table.values[k - 1], count_moment_curve(kernel, k, hs))
 
     def test_fast_path_matches_generic(self):
         # the distance kernel rides the convolution path inside MomentTable.build;

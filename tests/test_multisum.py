@@ -24,6 +24,7 @@ from limitlab.multisum import (
     u_sum,
     u_sum_curve,
 )
+from limitlab import multisum
 from limitlab.multisum import _fold_tables, _psi_tables
 
 from oracles import phi_bruteforce, phi_recursion, psi_bruteforce, psi_loop
@@ -132,6 +133,54 @@ class TestPhiOracle:
         w = WeightSequence(weight=lambda i: np.asarray(i, dtype=float) - 2.5)
         with pytest.raises(ValueError):
             phi(w, 5, 1)
+
+
+SMALL_AND_LARGE = [5, 10, 100, 1000, 20_000]
+
+
+class TestFoldEngine:
+    @pytest.mark.parametrize("weight", [
+        lambda j: 2.0 + 0 * j,
+        lambda j: np.asarray(j, dtype=float) ** 0.2,
+        WEIGHT_FAMILIES["2sqrt(n)"],
+        WEIGHT_FAMILIES["(1+n)^2"],
+        WEIGHT_FAMILIES["n"],
+    ], ids=["2", "n^0.2", "2sqrt(n)", "(1+n)^2", "n"])
+    def test_small_horizons_are_exact_next_to_a_large_one(self, weight):
+        # the FFT table at the largest horizon rounds relative to its own largest
+        # density entry; horizons <= _FFT_THRESHOLD must not inherit that error scale
+        w = WeightSequence(weight=weight)
+        direct = phi_fold_curves(w, SMALL_AND_LARGE, 3, method="direct")
+        for m in (2, 3):
+            got = phi_curve(w, SMALL_AND_LARGE, m)
+            assert np.all(np.abs(got - direct[m - 1]) <= 1e-12 * direct[m - 1])
+
+    def test_constant_weight_counts_tuples(self):
+        # D = 2 with gap 1: Phi(n, m) = C(n, m) / 2^m, an exact oracle up to 1e5
+        hs = [5, 10, 100, 1000, 100_000]
+        for m in (2, 3):
+            got = phi_curve(WeightSequence(weight=lambda j: 2.0 + 0 * j), hs, m)
+            want = np.array([math.comb(h, m) / 2.0**m for h in hs])
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    def test_lower_orders_are_bit_identical_to_their_own_tables(self, method):
+        w = WeightSequence(weight=WEIGHT_FAMILIES["2sqrt(n)"], gap=2)
+        hs = [3, 50, 700, 3000]
+        top = phi_fold_curves(w, hs, 4, method=method)
+        for k in (1, 2, 3):
+            assert np.array_equal(top[k - 1], phi_curve(w, hs, k, method=method))
+        assert np.array_equal(_fold_tables(w, 3000, 4, method)[0], np.cumsum(w.reciprocals(3000)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_fft_table_of_order_m_makes_2m_minus_2_transforms(self, monkeypatch, m):
+        calls = []
+        for name in ("rfft", "irfft"):
+            real = getattr(multisum.np.fft, name)
+            monkeypatch.setattr(multisum.np.fft, name,
+                                lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw))
+        _fold_tables(WeightSequence(weight=WEIGHT_FAMILIES["n"]), 3000, m, "fft")
+        assert len(calls) == 2 * m - 2
 
 
 class TestUSum:
@@ -322,6 +371,8 @@ class TestPredict:
         assert deep.coefficient == pytest.approx(4.0, rel=1e-14)
         zero = predict("rzr", 2, m=2, sigma=0.0)
         assert zero.scaling == "(log_m n)^k"
+        given = predict("rzr", 2, m=0, sigma=2.0, zeta_value=math.pi**2 / 6)
+        assert given.coefficient == (math.pi**2 / 6) ** 2
 
     def test_scale(self):
         hs = [10, 100, 1000]
@@ -350,14 +401,15 @@ class TestPredict:
        s=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_fft_fold_equals_direct(n, m, gap, s, seed):
     # D_j = U_j (1 + j)^s with U_j uniform on [1, 10].  FFT round-off is
-    # relative to a table's largest entry; for s >= 1 a table grows at most
-    # like a power of log n, so that bound is also relative entry by entry.
+    # relative to the largest entry of each density, and the table is its
+    # running sum; for s >= 1 a table grows at most like a power of log n,
+    # so that bound is also relative entry by entry.
     # A table with no feasible tuple (n < q gap) has no support to compare on.
     u = np.random.default_rng(seed).uniform(1.0, 10.0, n + 1)
     weights = WeightSequence(weight=lambda j: u[j] * (1.0 + j) ** s, gap=gap)
     direct = _fold_tables(weights, n, m, "direct")
     fft = _fold_tables(weights, n, m, "fft")
-    for d, f in zip(direct[1:], fft[1:]):
+    for d, f in zip(direct, fft):
         if d.max() == 0.0:
             continue
         assert np.abs(f - d).max() <= 1e-10 * d.max()
@@ -374,7 +426,8 @@ distance_kernels = st.builds(
 @given(kernel=st.one_of(distance_kernels, cauchy_kernels()), n=st.integers(1, 3000), m=st.integers(1, 3))
 def test_psi_curve_is_nondecreasing_in_n(kernel, n, m):
     curve = psi_curve(kernel, np.arange(n + 1), m)
-    # The fold's FFT path (n > 2048) rounds relative to a table's largest
-    # entry, so a distance kernel's curve may dip by that much where it is flat.
+    # Each fold table is nondecreasing (negative FFT round-off is clamped), but
+    # a distance kernel's curve meets two tables at the direct/FFT seam
+    # (h = 2048 to 2049) and may dip there by their round-off.
     slack = 1e-13 * curve[:, -1:] if isinstance(kernel, DistanceKernel) else 0.0
     assert np.all(np.diff(curve, axis=1) >= -slack)
