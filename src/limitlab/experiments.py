@@ -7,6 +7,16 @@ asymptotic with rates as slow as iterated logarithms, so the checks are
 exact-moment comparisons, Monte Carlo z-scores and trend bands rather
 than tight limiting tolerances; every bound is declared in the registry.
 
+Runners come in two shapes.  Exact runners build multiple sums, Psi tables
+or count moments at every horizon and compare them with a prediction
+(``predict`` or a limit law's moments).  Monte Carlo runners go through
+``_monte_carlo``: the exact first two count moments of a kernel against a
+simulator's counts, as z-scores, plus each model's own checks.  Checks are
+written with four helpers: ``_within`` (an error at most a tolerance),
+``_band`` (a value inside an interval), ``_shrinking`` (an error strictly
+decreasing across horizons) and ``_nondecreasing`` (a curve that never
+falls).
+
 Config files are flat key = value text, one key per line, ``#`` comments.
 Reports are JSON (timestamps and wall clock live only here); tables are
 RFC-4180-style CSV with 17-significant-digit floats so a reload is
@@ -23,12 +33,13 @@ import os
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .kernels import OffspringSchedule, ScaleSpec, kernel_branching, kernel_distance, kernel_power, kernel_scale
+from .kernels import BranchingKernel, DistanceKernel, OffspringSchedule, PowerKernel, ScaleKernel, ScaleSpec
 from .moments import MomentTable, geo_limit_moments
 from .multisum import WeightSequence, _u_weights, phi_curve, phi_fold_curves, predict, psi_curve
 from .simulate import resolve_threads, sim_bpve, sim_gw, sim_levelwalk
@@ -86,137 +97,132 @@ def _check(name, value, requirement, passed):
             "passed": bool(passed)}
 
 
+def _within(name, err, tol):
+    """The error is at most tol."""
+    return _check(name, err, f"<= {tol:g}", err <= tol)
+
+
+def _band(name, value, lo, hi):
+    """The value lies strictly inside (lo, hi)."""
+    return _check(name, value, f"in ({lo:g}, {hi:g})", lo < value < hi)
+
+
+def _shrinking(name, errs):
+    """The error strictly decreases from each horizon to the next."""
+    return _check(name, errs[-1] - errs[0], "strictly decreasing", np.all(np.diff(errs) < 0))
+
+
+def _nondecreasing(name, vals):
+    """The curve never decreases; the value is its smallest step (0 for one point)."""
+    steps = np.diff(vals)
+    return _check(name, np.min(steps) if steps.size else 0.0, ">= 0", np.all(steps >= 0))
+
+
 def _ratio_checks(horizons, ratios, tol, label="ratio"):
     """Final ratio within tol of 1 plus strictly shrinking |1 - ratio|."""
     errs = np.abs(np.asarray(ratios) - 1.0)
-    out = [_check(f"{label} at n={horizons[-1]} within {tol:g} of 1", errs[-1],
-                  f"<= {tol:g}", errs[-1] <= tol)]
+    out = [_within(f"{label} at n={horizons[-1]} within {tol:g} of 1", errs[-1], tol)]
     if len(horizons) > 1:
-        out.append(_check(f"{label} error decreasing over {list(horizons)}",
-                          errs[-1] - errs[0], "strictly decreasing",
-                          bool(np.all(np.diff(errs) < 0))))
+        out.append(_shrinking(f"{label} error decreasing over {list(horizons)}", errs))
     return out
 
 
-def _mc_moment_checks(batch, table: MomentTable, zmax=4.0):
-    """Empirical mean and second moment vs exact values, per checkpoint."""
-    checks = []
-    rows = []
+def _monte_carlo(cfg: ExperimentConfig, kernel, simulate):
+    """Simulated counts against the kernel's exact order-2 moments at every horizon.
+
+    ``simulate(n, replicates=, seed=, checkpoints=)`` draws the counts.  Returns
+    (rows, checks, table, batch): one row per checkpoint (empirical mean with
+    its standard error, against the exact mean), then the z-scores of the
+    mean and the second moment, each required within 4.
+    """
+    table = MomentTable.build(kernel, cfg.horizons, 2)
+    batch = simulate(max(cfg.horizons), replicates=cfg.replicates, seed=cfg.seed,
+                     checkpoints=cfg.horizons)
+    rows, checks = [], []
     for ci, h in enumerate(batch.checkpoints):
         c = batch.counts[:, ci].astype(float)
-        se1 = c.std(ddof=1) / math.sqrt(c.size)
-        ex1 = table.values[0, ci]
-        rows.append(_row(h, c.mean(), ex1, se1))
-        z1 = (c.mean() - ex1) / se1
-        checks.append(_check(f"mean z-score at n={h}", z1, f"|z| <= {zmax:g}", abs(z1) <= zmax))
-        if len(table.orders) > 1:
-            c2 = c**2
-            se2 = c2.std(ddof=1) / math.sqrt(c2.size)
-            ex2 = table.values[1, ci]
-            z2 = (c2.mean() - ex2) / se2
-            checks.append(_check(f"second-moment z-score at n={h}", z2,
-                                 f"|z| <= {zmax:g}", abs(z2) <= zmax))
-    return rows, checks
+        rows.append(_row(h, c.mean(), table.values[0, ci], c.std(ddof=1) / math.sqrt(c.size)))
+        for name, sample, exact in (("mean", c, table.values[0, ci]),
+                                    ("second-moment", c**2, table.values[1, ci])):
+            z = (sample.mean() - exact) / (sample.std(ddof=1) / math.sqrt(sample.size))
+            checks.append(_check(f"{name} z-score at n={h}", z, "|z| <= 4", abs(z) <= 4.0))
+    return rows, checks, table, batch
 
 
 # ---------------------------------------------------------------- runners
 
+_SQUARES = WeightSequence(weight=lambda i: (1.0 + i) ** 2, label="(1+n)^2")
+
+
 def _run_prpd_summable(cfg: ExperimentConfig):
-    m = int(cfg.params["m"])
     zeta = zeta_tail(0, 2.0, 2).value  # sum of (1+n)^-2 over n >= 1
-    pred = predict("summable", m, zeta_value=zeta)
-    w = WeightSequence(weight=lambda i: (1.0 + i) ** 2, label="(1+n)^2")
-    vals = phi_curve(w, cfg.horizons, m)
+    pred = predict("summable", cfg.params["m"], zeta_value=zeta)
+    vals = phi_curve(_SQUARES, cfg.horizons, cfg.params["m"])
     rows = [_row(h, v, pred.coefficient) for h, v in zip(cfg.horizons, vals)]
     checks = _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.01)
-    checks.append(_check("observed nondecreasing in n", float(np.min(np.diff(vals))) if len(vals) > 1 else 0.0,
-                         ">= 0", bool(np.all(np.diff(vals) >= 0))))
+    checks.append(_nondecreasing("observed nondecreasing in n", vals))
     return rows, checks
 
 
 def _run_prpd_rv(cfg: ExperimentConfig):
-    m = int(cfg.params["m"])
     w = WeightSequence(weight=lambda i: np.sqrt(i.astype(float)), label="sqrt(n)")
-    pred = predict("regularly_varying", m, tau=0.5, weights=w)
-    vals = phi_curve(w, cfg.horizons, m)
+    pred = predict("regularly_varying", cfg.params["m"], tau=0.5, weights=w)
+    vals = phi_curve(w, cfg.horizons, cfg.params["m"])
     obs = vals / pred.scale(cfg.horizons)
     rows = [_row(h, o, pred.coefficient) for h, o in zip(cfg.horizons, obs)]
-    checks = _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.10)
+    return rows, _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.10)
+
+
+def _run_rzr(case: str, cfg: ExperimentConfig):
+    m, sigma, n0, k_show, k_max = (cfg.params[key] for key in ("m", "sigma", "n0", "k", "k_max"))
+    if not 1 <= k_show <= k_max:
+        raise ValueError(f"shown order k must lie in [1, k_max = {k_max}], got {k_show}")
+    curves = phi_fold_curves(_u_weights(m, n0, sigma), cfg.horizons, k_max)
+    zeta = zeta_tail(m, sigma, n0).value if sigma > 1.0 else None
+    n = cfg.horizons[-1]
+    rows, checks = [], []
+    for k, vals in enumerate(curves, 1):
+        pk = predict("rzr", k, m=m, sigma=sigma, zeta_value=zeta)
+        predicted = pk.coefficient * pk.scale(cfg.horizons)
+        ratios = vals / predicted
+        if k == k_show:
+            rows = [_row(h, v, p) for h, v, p in zip(cfg.horizons, vals, predicted)]
+        if case == "i":
+            checks += [_within(f"k={k}: ratio at n={n} within 1% of 1", abs(ratios[-1] - 1.0), 0.01),
+                       _nondecreasing(f"k={k}: observed nondecreasing in n", vals)]
+        elif case == "iii":
+            checks += [_band(f"k={k}: ratio at n={n} inside (0.4, 1.2)", ratios[-1], 0.4, 1.2),
+                       _shrinking(f"k={k}: ratio error decreasing", np.abs(ratios - 1.0))]
+        else:
+            tol = {"ii": 0.15, "iv": 0.05}[case]
+            checks += _ratio_checks(cfg.horizons, ratios, tol, label=f"k={k} ratio")
     return rows, checks
-
-
-def _run_rzr(case: str):
-    def runner(cfg: ExperimentConfig):
-        m = int(cfg.params["m"])
-        sigma = float(cfg.params["sigma"])
-        n0 = int(cfg.params["n0"])
-        k_show = int(cfg.params["k"])
-        k_max = int(cfg.params.get("k_max", k_show))
-        tol = {"i": 0.01, "ii": 0.15, "iii": None, "iv": 0.05}[case]
-        curves = phi_fold_curves(_u_weights(m, n0, sigma), cfg.horizons, k_max)
-        zeta = zeta_tail(m, sigma, n0).value if sigma > 1.0 else None
-        rows, checks = [], []
-        for k, vals in enumerate(curves, 1):
-            pk = predict("rzr", k, m=m, sigma=sigma, zeta_value=zeta)
-            predicted = pk.coefficient * pk.scale(cfg.horizons)
-            ratios = vals / predicted
-            if k == k_show:
-                rows = [_row(h, v, p) for h, v, p in zip(cfg.horizons, vals, predicted)]
-            if case == "i":
-                checks.append(_check(f"k={k}: ratio at n={cfg.horizons[-1]} within 1% of 1",
-                                     abs(ratios[-1] - 1.0), "<= 0.01", abs(ratios[-1] - 1.0) <= 0.01))
-                checks.append(_check(f"k={k}: observed nondecreasing in n",
-                                     float(np.min(np.diff(vals))) if len(vals) > 1 else 0.0,
-                                     ">= 0", bool(np.all(np.diff(vals) >= 0))))
-            elif case == "iii":
-                checks.append(_check(f"k={k}: ratio at n={cfg.horizons[-1]} inside (0.4, 1.2)",
-                                     ratios[-1], "in (0.4, 1.2)", 0.4 < ratios[-1] < 1.2))
-                errs = np.abs(ratios - 1.0)
-                checks.append(_check(f"k={k}: ratio error decreasing", errs[-1] - errs[0],
-                                     "strictly decreasing", bool(np.all(np.diff(errs) < 0))))
-            else:
-                checks.extend(_ratio_checks(cfg.horizons, ratios, tol, label=f"k={k} ratio"))
-        return rows, checks
-
-    return runner
 
 
 def _run_thg(cfg: ExperimentConfig):
-    alpha = float(cfg.params["alpha"])
-    beta = float(cfg.params["beta"])
-    k = int(cfg.params["k"])
-    kern = kernel_power(alpha, beta)
+    alpha, beta, k = cfg.params["alpha"], cfg.params["beta"], cfg.params["k"]
+    psis = psi_curve(PowerKernel(alpha, beta), cfg.horizons, k)[k - 1]
     pred = predict("power", k, alpha=alpha, beta=beta)
-    psis = psi_curve(kern, cfg.horizons, k)[k - 1]
     predicted = pred.coefficient * pred.scale(cfg.horizons)
     rows = [_row(h, v, p) for h, v, p in zip(cfg.horizons, psis, predicted)]
-    checks = _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.20)
-    return rows, checks
+    return rows, _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.20)
 
 
 def _run_thbb_geo(cfg: ExperimentConfig):
-    k_max = int(cfg.params["k_max"])
-    kern = kernel_distance(lambda i: (1.0 + i) ** 2, "(1+n)^2")
-    zeta = zeta_tail(0, 2.0, 2).value
-    targets = geo_limit_moments(zeta, k_max)
-    table = MomentTable.build(kern, cfg.horizons, k_max)
+    targets = geo_limit_moments(zeta_tail(0, 2.0, 2).value, cfg.params["k_max"])
+    table = MomentTable.build(DistanceKernel(_SQUARES), cfg.horizons, cfg.params["k_max"])
     rows = [_row(h, v, targets[0]) for h, v in zip(cfg.horizons, table.values[0])]
-    checks = [_check(f"k=1 ratio at n={cfg.horizons[-1]} within 1e-3 of 1",
-                     abs(rows[-1][3] - 1.0), "<= 0.001", abs(rows[-1][3] - 1.0) <= 1e-3)]
-    for ki, k in enumerate(table.orders):
-        vals = table.values[ki]
-        below = bool(np.all(vals <= targets[ki] + 1e-9))
+    checks = [_within(f"k=1 ratio at n={cfg.horizons[-1]} within 1e-3 of 1", abs(rows[-1][3] - 1.0), 1e-3)]
+    for k, vals, target in zip(table.orders, table.values, targets):
         checks.append(_check(f"k={k}: exact moments below the limit moment",
-                             float(np.max(vals - targets[ki])), "<= 1e-9", below))
-        checks.append(_check(f"k={k}: nondecreasing in n",
-                             float(np.min(np.diff(vals))) if len(vals) > 1 else 0.0,
-                             ">= 0", bool(np.all(np.diff(vals) >= 0))))
+                             np.max(vals - target), "<= 1e-9", np.all(vals <= target + 1e-9)))
+        checks.append(_nondecreasing(f"k={k}: nondecreasing in n", vals))
     return rows, checks
 
 
 def _run_thbb_exp(cfg: ExperimentConfig):
-    k_max = int(cfg.params["k_max"])
-    kern = kernel_distance(lambda i: i + 1.0, "n+1")
+    k_max = cfg.params["k_max"]
+    kern = DistanceKernel(WeightSequence(weight=lambda i: i + 1.0, label="n+1"))
     S = kern.weights.partial_sums(max(cfg.horizons))
     law = LimitLaw.exponential(1.0)
     table = MomentTable.build(kern, cfg.horizons, k_max)
@@ -228,93 +234,73 @@ def _run_thbb_exp(cfg: ExperimentConfig):
         if k == k_max:
             rows = [_row(h, o, target) for h, o in zip(cfg.horizons, obs)]
         if k == 1:
-            checks.append(_check("k=1: scaled mean equals 1 exactly",
-                                 abs(ratios[-1] - 1.0), "<= 1e-12", abs(ratios[-1] - 1.0) <= 1e-12))
+            checks.append(_within("k=1: scaled mean equals 1 exactly", abs(ratios[-1] - 1.0), 1e-12))
         else:
             checks.extend(_ratio_checks(cfg.horizons, ratios, 0.15, label=f"k={k} ratio"))
     return rows, checks
 
 
 def _run_tha_gamma(cfg: ExperimentConfig):
-    alpha = float(cfg.params["alpha"])
-    beta = float(cfg.params["beta"])
-    k_max = int(cfg.params["k_max"])
-    kern = kernel_power(alpha, beta)
-    table = MomentTable.build(kern, cfg.horizons, k_max)
+    alpha, beta, k_max = cfg.params["alpha"], cfg.params["beta"], cfg.params["k_max"]
+    table = MomentTable.build(PowerKernel(alpha, beta), cfg.horizons, k_max)
     rows, checks = [], []
     for k, vals in zip(table.orders, table.values):
         pred = predict("power", k, alpha=alpha, beta=beta, moment=True)
         scale = pred.scale(cfg.horizons)
-        ratios = vals / (pred.coefficient * scale)
         if k == k_max:
             rows = [_row(h, v, pred.coefficient) for h, v in zip(cfg.horizons, vals / scale)]
-        checks.extend(_ratio_checks(cfg.horizons, ratios, 0.15, label=f"k={k} ratio"))
+        checks.extend(_ratio_checks(cfg.horizons, vals / (pred.coefficient * scale), 0.15,
+                                    label=f"k={k} ratio"))
     return rows, checks
 
 
-def _run_levelwalk(gbm: bool):
-    def runner(cfg: ExperimentConfig):
-        a, b = float(cfg.params["a"]), float(cfg.params["b"])
-        if gbm:
-            x0 = float(cfg.params["x0"])
-            if not 0.0 < x0 < b:
-                raise ValueError(f"start x0 must lie in (0, b), got {x0}")
-            spec = ScaleSpec.from_gbm(float(cfg.params["mu"]), float(cfg.params["sigma"]), a, b)
-        else:
-            spec = ScaleSpec.from_dimension(float(cfg.params["d"]), a, b)
-        n = max(cfg.horizons)
-        kern = kernel_scale(spec)
-        table = MomentTable.build(kern, cfg.horizons, 2)
-        batch = sim_levelwalk(spec, n, replicates=cfg.replicates, seed=cfg.seed,
-                              checkpoints=cfg.horizons)
-        rows, checks = _mc_moment_checks(batch, table)
-        scale_at = (a / b) * np.log(np.asarray(cfg.horizons, dtype=float))
-        exact_ratio = table.values[0] / scale_at
-        checks.append(_check(f"mean/((a/b) log n) at n={n} inside (0.5, 1.5)",
-                             exact_ratio[-1], "in (0.5, 1.5)", 0.5 < exact_ratio[-1] < 1.5))
-        if len(cfg.horizons) > 1:
-            drift = abs(exact_ratio[-1] - 1.0) - abs(exact_ratio[0] - 1.0)
-            checks.append(_check("scaled mean moves toward 1 across horizons", drift,
-                                 "< 0", drift < 0))
-        return rows, checks
+def _dimension_spec(params) -> ScaleSpec:
+    return ScaleSpec.from_dimension(params["d"], params["a"], params["b"])
 
-    return runner
+
+def _gbm_spec(params) -> ScaleSpec:
+    if not 0.0 < params["x0"] < params["b"]:
+        raise ValueError(f"start x0 must lie in (0, b), got {params['x0']}")
+    return ScaleSpec.from_gbm(params["mu"], params["sigma"], params["a"], params["b"])
+
+
+def _run_levelwalk(scale_spec, cfg: ExperimentConfig):
+    spec = scale_spec(cfg.params)
+    rows, checks, table, _ = _monte_carlo(cfg, ScaleKernel(spec), partial(sim_levelwalk, spec))
+    exact_ratio = table.values[0] / (spec.offset_ratio * np.log(np.asarray(cfg.horizons, dtype=float)))
+    checks.append(_band(f"mean/((a/b) log n) at n={max(cfg.horizons)} inside (0.5, 1.5)",
+                        exact_ratio[-1], 0.5, 1.5))
+    if len(cfg.horizons) > 1:
+        drift = abs(exact_ratio[-1] - 1.0) - abs(exact_ratio[0] - 1.0)
+        checks.append(_check("scaled mean moves toward 1 across horizons", drift, "< 0", drift < 0))
+    return rows, checks
 
 
 def _run_thy_gw(cfg: ExperimentConfig):
-    level = int(cfg.params["level"])
     n = max(cfg.horizons)
-    kern = kernel_distance(lambda i: (1.0 + i) ** 2, "(1+n)^2")
-    table = MomentTable.build(kern, cfg.horizons, 2)
-    batch = sim_gw(n, level=level, replicates=cfg.replicates, seed=cfg.seed,
-                   checkpoints=cfg.horizons)
-    rows, checks = _mc_moment_checks(batch, table)
-    zeta = zeta_tail(0, 2.0, 2).value
-    law = LimitLaw.geometric_from_mean(zeta)
+    simulate = partial(sim_gw, level=cfg.params["level"])
+    rows, checks, _, batch = _monte_carlo(cfg, DistanceKernel(_SQUARES), simulate)
+    law = LimitLaw.geometric_from_mean(zeta_tail(0, 2.0, 2).value)
     tv = tv_distance_integer(batch.counts[:, -1], law)
-    checks.append(_check(f"TV distance to {law} at n={n}", tv, "<= 0.02", tv <= 0.02))
+    checks.append(_within(f"TV distance to {law} at n={n}", tv, 0.02))
     if len(cfg.horizons) > 1:
-        stab = float((batch.counts[:, -1] != batch.counts[:, 0]).mean())
-        checks.append(_check(f"fraction still changing between n={cfg.horizons[0]} and n={n}",
-                             stab, "<= 0.005", stab <= 0.005))
+        stab = (batch.counts[:, -1] != batch.counts[:, 0]).mean()
+        checks.append(_within(f"fraction still changing between n={cfg.horizons[0]} and n={n}", stab, 0.005))
     return rows, checks
 
 
-def _run_thz(family: str):
-    def runner(cfg: ExperimentConfig):
-        if family == "decay":
-            q = float(cfg.params["decay_power"])
-            sched = OffspringSchedule.from_decay(lambda t: t ** (-q), label=f"p=1/2-t^-{q}/4")
-        else:
-            sched = OffspringSchedule.harmonic_drift(float(cfg.params["B"]))
-        n = max(cfg.horizons)
-        kern = kernel_branching(sched)
-        table = MomentTable.build(kern, cfg.horizons, 2)
-        batch = sim_bpve(sched, n, replicates=cfg.replicates, seed=cfg.seed,
-                         checkpoints=cfg.horizons)
-        return _mc_moment_checks(batch, table)
+def _decay_schedule(params) -> OffspringSchedule:
+    q = params["decay_power"]
+    return OffspringSchedule.from_decay(lambda t: t ** (-q), label=f"p=1/2-t^-{q}/4")
 
-    return runner
+
+def _drift_schedule(params) -> OffspringSchedule:
+    return OffspringSchedule.harmonic_drift(params["B"])
+
+
+def _run_thz(schedule, cfg: ExperimentConfig):
+    sched = schedule(cfg.params)
+    return _monte_carlo(cfg, BranchingKernel(sched), partial(sim_bpve, sched))[:2]
 
 
 _REGISTRY: dict[str, ExperimentDef] = {}
@@ -344,14 +330,14 @@ _register(ExperimentDef(
     "Weights i^2 (depth 0): the k-fold sum tends to (pi^2/6)^k for k = 1..k_max. "
     "Checks 1% final ratios and monotone growth.",
     seed=0, replicates=None, horizons=(100, 1000, 10000),
-    params={"m": 0, "sigma": 2.0, "n0": 1, "k": 2, "k_max": 3}, runner=_run_rzr("i")))
+    params={"m": 0, "sigma": 2.0, "n0": 1, "k": 2, "k_max": 3}, runner=partial(_run_rzr, "i")))
 _register(ExperimentDef(
     "rzr-ii",
     "critical exponent: k-fold sums grow like (log n)^k",
     "Weights i (depth 0, exponent 1): the k-fold sum over (log n)^k tends to 1. "
     "Checks a 15% final band with shrinking error (log-rate limit).",
     seed=0, replicates=None, horizons=(1000, 10000, 100000),
-    params={"m": 0, "sigma": 1.0, "n0": 1, "k": 2, "k_max": 2}, runner=_run_rzr("ii")))
+    params={"m": 0, "sigma": 1.0, "n0": 1, "k": 2, "k_max": 2}, runner=partial(_run_rzr, "ii")))
 _register(ExperimentDef(
     "rzr-iii",
     "deep iterated-log weights: (1-sigma)^k U_n / (log_m n)^{k(1-sigma)} tends to 1",
@@ -360,14 +346,14 @@ _register(ExperimentDef(
     "Iterated-log rates are extremely slow at desk scale, so the check is a "
     "(0.4, 1.2) band plus a strictly shrinking error across decades.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000),
-    params={"m": 1, "sigma": 0.5, "n0": 2, "k": 2, "k_max": 2}, runner=_run_rzr("iii")))
+    params={"m": 1, "sigma": 0.5, "n0": 2, "k": 2, "k_max": 2}, runner=partial(_run_rzr, "iii")))
 _register(ExperimentDef(
     "rzr-iv",
     "sub-unit exponent, depth 0: sums grow like n^(k(1-sigma)) with Beta constant",
     "Weights i^0.5: the k-fold sum over n^(k/2) tends to pi for k = 2 "
     "(Gamma-product constant). Checks a 5% final band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000),
-    params={"m": 0, "sigma": 0.5, "n0": 1, "k": 2, "k_max": 2}, runner=_run_rzr("iv")))
+    params={"m": 0, "sigma": 0.5, "n0": 1, "k": 2, "k_max": 2}, runner=partial(_run_rzr, "iv")))
 _register(ExperimentDef(
     "thg",
     "pairwise power-kernel sums grow like (log n)^k with rising-factorial constant",
@@ -405,7 +391,7 @@ _register(ExperimentDef(
     "checkpoint within 4 standard errors of the exact kernel moments; the exact "
     "mean over (a/b) log n sits in (0.5, 1.5) and moves toward 1 (Gamma(1,1) mean).",
     seed=20240 , replicates=10000, horizons=(100, 250, 500),
-    params={"d": 3.0, "a": 1.0, "b": 2.0}, runner=_run_levelwalk(gbm=False)))
+    params={"d": 3.0, "a": 1.0, "b": 2.0}, runner=partial(_run_levelwalk, _dimension_spec)))
 _register(ExperimentDef(
     "c4-gbm",
     "level walk in scale units of exponential growth: same checks as c3-cutsphere",
@@ -414,7 +400,7 @@ _register(ExperimentDef(
     "matches the same scale kernel.",
     seed=20241, replicates=5000, horizons=(100, 250, 500),
     params={"mu": 1.0, "sigma": 1.0, "a": 1.0, "b": 2.0, "x0": 1.0},
-    runner=_run_levelwalk(gbm=True)))
+    runner=partial(_run_levelwalk, _gbm_spec)))
 _register(ExperimentDef(
     "thy-gw",
     "critical geometric branching: returns to level 1 are geometric-distributed",
@@ -430,7 +416,7 @@ _register(ExperimentDef(
     "checkpoint within 4 se of the exact branching-kernel moments (limit family "
     "Exp(1) on the log n scale).",
     seed=20243, replicates=50000, horizons=(1000, 5000), params={"decay_power": 2.0},
-    runner=_run_thz("decay")))
+    runner=partial(_run_thz, _decay_schedule)))
 _register(ExperimentDef(
     "thz-bpve-ii",
     "immigration branching, 1/t drift: zero counts match the kernel mean",
@@ -438,7 +424,7 @@ _register(ExperimentDef(
     "empirical counts within 4 se of exact kernel moments (limit family "
     "Gamma(1-B, 1) on the log n scale).",
     seed=20244, replicates=50000, horizons=(1000, 5000), params={"B": 0.5},
-    runner=_run_thz("drift")))
+    runner=partial(_run_thz, _drift_schedule)))
 
 
 def list_experiments() -> list[tuple[str, str]]:
@@ -503,8 +489,9 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as e:
         raise ConfigError(str(e)) from e
     replicates = _int("replicates", d.replicates)
-    if replicates is not None and replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
+    if replicates is not None and replicates < 2:
+        # a standard error needs two replicates
+        raise ConfigError(f"replicates must be >= 2, got {replicates}")
     out_dir = data.pop("out", None)
     raw_h = data.pop("horizons", None)
     if raw_h is None:
@@ -537,8 +524,9 @@ def run(config: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
     try:
         rows, checks = d.runner(config)
-    except ValueError as e:
-        # parameters outside a model's domain, e.g. alpha <= 0 or a horizon past a kernel's range
+    except (ValueError, OverflowError) as e:
+        # parameters outside a model's domain, e.g. alpha <= 0 or a horizon past a kernel's range,
+        # or sizes past a closed form's floating-point range
         raise ConfigError(f"{config.experiment}: {e}") from e
     wall = time.perf_counter() - t0
     return {

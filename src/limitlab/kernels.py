@@ -74,8 +74,6 @@ class RhoKernel:
     """A kernel in Cauchy form; subclasses supply ``_cauchy_arrays``."""
 
     description = "generic"
-    # largest index the family is defined at (table-backed schedules)
-    limit: int | None = None
     _data: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     _first_bad: int | None = None
 
@@ -87,14 +85,11 @@ class RhoKernel:
         """Arrays (a, x, y) of length n + 1 with rho(i, j) = a[j] (x[j] - y[i]), 0 <= i < j <= n.
 
         Index 0 holds y_0 = 0; a[0] and x[0] are NaN, since no pair ends at 0.
+        The arrays are cached, and a larger n rebuilds them at exactly n.
         """
         if self._data is None or self._data[0].size <= n:
-            # grow geometrically: a caller walking j upward rebuilds O(log n) times
-            size = n if self._data is None else max(n, 2 * (self._data[0].size - 1))
-            if self.limit is not None and n <= self.limit:
-                size = min(size, self.limit)
             with np.errstate(over="ignore", invalid="ignore"):
-                a, x, y = self._cauchy_arrays(size)
+                a, x, y = self._cauchy_arrays(n)
                 y_prev = np.concatenate([[0.0], y[:-1]])
                 ok = (np.isfinite(a) & np.isfinite(x) & np.isfinite(y) & (a > 0)
                       & (y > y_prev) & (x > y_prev))
@@ -250,7 +245,6 @@ class BranchingKernel(RhoKernel):
     def __init__(self, schedule: OffspringSchedule):
         self.schedule = schedule
         self.description = f"branching({schedule.label})"
-        self.limit = schedule.limit
 
     def _cauchy_arrays(self, n: int):
         p = self.schedule.values(n)

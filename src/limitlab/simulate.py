@@ -6,7 +6,9 @@ substream (Philox seeded through ``SeedSequence(seed).spawn``), and every
 chunk writes its rows to a fixed slice of the output.  Results are
 therefore a pure function of (seed, parameters) and independent of how
 many worker threads execute the chunks (``LIMITLAB_THREADS``, by default
-every CPU the process may run on).
+every CPU the process may run on).  Each simulator returns a
+``ReplicateBatch``, which holds only the counts at the checkpoints; the
+caller keeps the model, its parameters and the seed.
 
 Models:
 
@@ -25,10 +27,11 @@ Models:
   counting levels never re-entered after their offset partner is first hit.
   Both counts are Markovian Bernoulli chains whose kernel is in Cauchy form
   with a_j (x_j - y_j) = 1 (``BranchingKernel``, ``ScaleKernel``), and both
-  simulators draw that chain by one scan, ``_cauchy_chain_worker``.  The two
-  models are one problem: by the Kesten-Kozlov-Spitzer correspondence, the
-  zeros of a geometric-offspring branching process with immigration are the
-  cut levels of a nearest-neighbour walk.  The generation chain of the
+  simulators hand their kernel to ``_sim_chain``, which draws that chain by
+  one scan, ``_cauchy_chain_worker``.  The two models are one problem: by
+  the Kesten-Kozlov-Spitzer correspondence, the zeros of a
+  geometric-offspring branching process with immigration are the cut levels
+  of a nearest-neighbour walk.  The generation chain of the
   branching process (``bpve_generations``) and the literal step-by-step walk
   (``levelwalk_steps``) are kept in the test suite (``tests/oracles.py``) as
   the independent checks of this sampler.
@@ -72,11 +75,11 @@ def resolve_threads(threads: int | None = None) -> int:
 
 @dataclass
 class ReplicateBatch:
-    """Per-replicate counts at checkpoint horizons from one seeded run."""
+    """Per-replicate counts at checkpoint horizons from one seeded run.
 
-    model: str
-    params: dict
-    seed: int
+    ``counts[r, c]`` is the count of replicate r up to ``checkpoints[c]``.
+    """
+
     replicates: int
     checkpoints: tuple[int, ...]
     counts: np.ndarray  # shape (replicates, len(checkpoints)), int64
@@ -195,10 +198,7 @@ def sim_gw(n: int, level: int = 1, replicates: int = 10_000, seed: int = 0,
             t += draw(cdf_f, idx.size)
 
     counts = _run_chunked(worker, replicates, seed, len(cps), threads)
-    return ReplicateBatch(
-        model="gw", params={"n": n, "level": level},
-        seed=seed, replicates=replicates, checkpoints=cps, counts=counts,
-    )
+    return ReplicateBatch(replicates=replicates, checkpoints=cps, counts=counts)
 
 
 def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
@@ -237,6 +237,14 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
     return worker
 
 
+def _sim_chain(kernel: RhoKernel, n: int, replicates: int, seed: int,
+               checkpoints: Sequence[int] | None, threads: int | None) -> ReplicateBatch:
+    """Counts of the kernel's success chain, drawn by ``_cauchy_chain_worker``."""
+    cps = _validate_checkpoints(checkpoints, n)
+    counts = _run_chunked(_cauchy_chain_worker(kernel, cps), replicates, seed, len(cps), threads)
+    return ReplicateBatch(replicates=replicates, checkpoints=cps, counts=counts)
+
+
 def sim_bpve(schedule: OffspringSchedule, n: int, replicates: int = 10_000, seed: int = 0,
              checkpoints: Sequence[int] | None = None,
              threads: int | None = None) -> ReplicateBatch:
@@ -249,13 +257,7 @@ def sim_bpve(schedule: OffspringSchedule, n: int, replicates: int = 10_000, seed
     schedule whose kernel breaks down before the last checkpoint raises
     the kernel's ValueError.
     """
-    cps = _validate_checkpoints(checkpoints, n)
-    worker = _cauchy_chain_worker(BranchingKernel(schedule), cps)
-    counts = _run_chunked(worker, replicates, seed, len(cps), threads)
-    return ReplicateBatch(
-        model="bpve", params={"n": n, "schedule": schedule.label},
-        seed=seed, replicates=replicates, checkpoints=cps, counts=counts,
-    )
+    return _sim_chain(BranchingKernel(schedule), n, replicates, seed, checkpoints, threads)
 
 
 def sim_levelwalk(spec: ScaleSpec, n: int, replicates: int = 10_000, seed: int = 0,
@@ -269,11 +271,4 @@ def sim_levelwalk(spec: ScaleSpec, n: int, replicates: int = 10_000, seed: int =
     never visits k*b again.  The successes form the chain of
     ``ScaleKernel(spec)``, drawn by ``_cauchy_chain_worker``.
     """
-    cps = _validate_checkpoints(checkpoints, n)
-    worker = _cauchy_chain_worker(ScaleKernel(spec), cps)
-    counts = _run_chunked(worker, replicates, seed, len(cps), threads)
-    return ReplicateBatch(
-        model="levelwalk",
-        params={"n": n, "gamma": spec.gamma, "a": spec.a, "b": spec.b},
-        seed=seed, replicates=replicates, checkpoints=cps, counts=counts,
-    )
+    return _sim_chain(ScaleKernel(spec), n, replicates, seed, checkpoints, threads)

@@ -45,6 +45,10 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     ({}, "experiment = no-such-experiment\n", "unknown experiment"),
     ({}, "experiment = prpd-summable\nhorizons = -5, 100\n", "horizons"),
     ({}, "experiment = c4-gbm\nx0 = 3.0\n", "x0"),
+    ({}, "experiment = rzr-ii\nk = 3\n", "k_max"),
+    ({}, "experiment = thbb-geo\nk_max = 25\n", "k=25"),
+    ({}, "experiment = rzr-i\nm = 6\nn0 = 100\n", "range error"),
+    ({}, "experiment = c3-cutsphere\nreplicates = 1\n", "replicates"),
 ])
 def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     for key, value in env.items():

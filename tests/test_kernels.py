@@ -276,6 +276,12 @@ class TestCauchyForm:
         assert a.size == x.size == y.size == 11
         assert y[0] == 0.0 and np.isnan(a[0]) and np.isnan(x[0])
 
+    def test_cache_is_built_at_the_asked_horizon(self):
+        k = kernel_power(2.0, 1.0)
+        for n in (100, 50, 101):
+            k.cauchy(n)
+        assert k._data[0].size == 102
+
 
 class TestBranchingBreakdown:
     """Constant p != 1/2 overflows exp(L) or exp(-L) within a few thousand generations."""

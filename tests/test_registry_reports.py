@@ -1,0 +1,79 @@
+"""Every registry experiment reproduces its stored rows and checks.
+
+``data/registry_reports.json`` holds, for each config below, the rows and
+checks that ``experiments.run`` returned when the file was written.  Strings,
+integers and verdicts must match exactly and floats to 1e-12 relative, so a
+refactor of the runners cannot change a report unnoticed.  A change that
+alters rows or checks on purpose regenerates the file and says so:
+
+    PYTHONPATH=src python tests/test_registry_reports.py
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from limitlab import experiments
+
+DATA = Path(__file__).resolve().parent / "data" / "registry_reports.json"
+
+# every experiment at its defaults (the branching runs shortened), then
+# single-horizon runs, which reach the runners' one-checkpoint branches
+CONFIGS = {
+    **{exp: f"experiment = {exp}\n" for exp, _ in experiments.list_experiments()},
+    "thz-bpve-i": "experiment = thz-bpve-i\nreplicates = 4096\nhorizons = 100, 200\n",
+    "thz-bpve-ii": "experiment = thz-bpve-ii\nreplicates = 4096\nhorizons = 100, 200\n",
+    "rzr-iii@1000": "experiment = rzr-iii\nhorizons = 1000\n",
+    "thbb-geo@1000": "experiment = thbb-geo\nhorizons = 1000\n",
+    "c3-cutsphere@250": "experiment = c3-cutsphere\nhorizons = 250\n",
+    "thy-gw@1000": "experiment = thy-gw\nreplicates = 20000\nhorizons = 1000\n",
+}
+
+
+def report(text: str) -> dict:
+    out = experiments.run(experiments.parse_config(text))
+    return {"rows": out["rows"], "checks": out["checks"], "passed": out["passed"]}
+
+
+def same(got, want) -> bool:
+    if isinstance(want, float) and isinstance(got, float):
+        return got == want or math.isclose(got, want, rel_tol=1e-12) or (math.isnan(got) and math.isnan(want))
+    if isinstance(want, (list, tuple)):
+        return isinstance(got, (list, tuple)) and len(got) == len(want) and all(map(same, got, want))
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(same(got[k], want[k]) for k in want)
+    return type(got) is type(want) and got == want
+
+
+@pytest.fixture(scope="module")
+def stored():
+    return json.loads(DATA.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_matches_the_stored_one(name, stored, monkeypatch):
+    monkeypatch.delenv("LIMITLAB_SEED", raising=False)
+    want = stored[name]
+    got = json.loads(json.dumps(report(CONFIGS[name])))  # the form report.json stores
+    assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
+    for g, w in zip(got["checks"], want["checks"]):
+        assert same(g, w), (g, w)
+    assert len(got["rows"]) == len(want["rows"])
+    for g, w in zip(got["rows"], want["rows"]):
+        assert same(g, w), (g, w)
+    assert got["passed"] == want["passed"]
+
+
+def test_every_experiment_has_a_stored_report(stored):
+    assert set(stored) == set(CONFIGS)
+
+
+if __name__ == "__main__":
+    import os
+
+    os.environ.pop("LIMITLAB_SEED", None)
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps({name: report(text) for name, text in CONFIGS.items()}, indent=1) + "\n")
+    print(f"wrote {DATA}")
