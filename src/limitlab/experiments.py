@@ -12,10 +12,11 @@ or count moments at every horizon and compare them with a prediction
 (``predict`` or a limit law's moments).  Monte Carlo runners go through
 ``_monte_carlo``: the exact first two count moments of a kernel against a
 simulator's counts, as z-scores, plus each model's own checks.  Checks are
-written with four helpers: ``_within`` (an error at most a tolerance),
-``_band`` (a value inside an interval), ``_shrinking`` (an error strictly
+written with five helpers: ``_within`` (an error at most a tolerance),
+``_band`` (a value inside an interval), ``_zscore`` (a sample mean within 4
+standard errors of an exact value), ``_shrinking`` (an error strictly
 decreasing across horizons) and ``_nondecreasing`` (a curve that never
-falls).
+falls).  The last two compare horizons, so a run with one horizon omits them.
 
 Config files are flat key = value text, one key per line, ``#`` comments.
 Reports are JSON (timestamps and wall clock live only here); tables are
@@ -108,23 +109,39 @@ def _band(name, value, lo, hi):
 
 
 def _shrinking(name, errs):
-    """The error strictly decreases from each horizon to the next."""
-    return _check(name, errs[-1] - errs[0], "strictly decreasing", np.all(np.diff(errs) < 0))
+    """The error strictly decreases from each horizon to the next: [check], or [] for one horizon."""
+    if len(errs) < 2:
+        return []
+    return [_check(name, errs[-1] - errs[0], "strictly decreasing", np.all(np.diff(errs) < 0))]
 
 
 def _nondecreasing(name, vals):
-    """The curve never decreases; the value is its smallest step (0 for one point)."""
+    """The curve never decreases, valued by its smallest step: [check], or [] for one horizon."""
     steps = np.diff(vals)
-    return _check(name, np.min(steps) if steps.size else 0.0, ">= 0", np.all(steps >= 0))
+    if not steps.size:
+        return []
+    return [_check(name, np.min(steps), ">= 0", np.all(steps >= 0))]
+
+
+def _zscore(name, sample, exact):
+    """|z| <= 4 for the sample mean against the exact value.
+
+    A sample with variance 0 has no z-score: its check is valued by the
+    difference of the means and passes only if they are equal.
+    """
+    diff = sample.mean() - exact
+    se = sample.std(ddof=1) / math.sqrt(sample.size)
+    if se == 0:
+        return _check(name, diff, "sample variance is 0: mean must equal the exact value", diff == 0)
+    z = diff / se
+    return _check(name, z, "|z| <= 4", abs(z) <= 4.0)
 
 
 def _ratio_checks(horizons, ratios, tol, label="ratio"):
     """Final ratio within tol of 1 plus strictly shrinking |1 - ratio|."""
     errs = np.abs(np.asarray(ratios) - 1.0)
-    out = [_within(f"{label} at n={horizons[-1]} within {tol:g} of 1", errs[-1], tol)]
-    if len(horizons) > 1:
-        out.append(_shrinking(f"{label} error decreasing over {list(horizons)}", errs))
-    return out
+    return ([_within(f"{label} at n={horizons[-1]} within {tol:g} of 1", errs[-1], tol)]
+            + _shrinking(f"{label} error decreasing over {list(horizons)}", errs))
 
 
 def _monte_carlo(cfg: ExperimentConfig, kernel, simulate):
@@ -142,10 +159,8 @@ def _monte_carlo(cfg: ExperimentConfig, kernel, simulate):
     for ci, h in enumerate(batch.checkpoints):
         c = batch.counts[:, ci].astype(float)
         rows.append(_row(h, c.mean(), table.values[0, ci], c.std(ddof=1) / math.sqrt(c.size)))
-        for name, sample, exact in (("mean", c, table.values[0, ci]),
-                                    ("second-moment", c**2, table.values[1, ci])):
-            z = (sample.mean() - exact) / (sample.std(ddof=1) / math.sqrt(sample.size))
-            checks.append(_check(f"{name} z-score at n={h}", z, "|z| <= 4", abs(z) <= 4.0))
+        checks += [_zscore(f"mean z-score at n={h}", c, table.values[0, ci]),
+                   _zscore(f"second-moment z-score at n={h}", c**2, table.values[1, ci])]
     return rows, checks, table, batch
 
 
@@ -160,7 +175,7 @@ def _run_prpd_summable(cfg: ExperimentConfig):
     vals = phi_curve(_SQUARES, cfg.horizons, cfg.params["m"])
     rows = [_row(h, v, pred.coefficient) for h, v in zip(cfg.horizons, vals)]
     checks = _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.01)
-    checks.append(_nondecreasing("observed nondecreasing in n", vals))
+    checks += _nondecreasing("observed nondecreasing in n", vals)
     return rows, checks
 
 
@@ -189,10 +204,10 @@ def _run_rzr(case: str, cfg: ExperimentConfig):
             rows = [_row(h, v, p) for h, v, p in zip(cfg.horizons, vals, predicted)]
         if case == "i":
             checks += [_within(f"k={k}: ratio at n={n} within 1% of 1", abs(ratios[-1] - 1.0), 0.01),
-                       _nondecreasing(f"k={k}: observed nondecreasing in n", vals)]
+                       *_nondecreasing(f"k={k}: observed nondecreasing in n", vals)]
         elif case == "iii":
             checks += [_band(f"k={k}: ratio at n={n} inside (0.4, 1.2)", ratios[-1], 0.4, 1.2),
-                       _shrinking(f"k={k}: ratio error decreasing", np.abs(ratios - 1.0))]
+                       *_shrinking(f"k={k}: ratio error decreasing", np.abs(ratios - 1.0))]
         else:
             tol = {"ii": 0.15, "iv": 0.05}[case]
             checks += _ratio_checks(cfg.horizons, ratios, tol, label=f"k={k} ratio")
@@ -216,7 +231,7 @@ def _run_thbb_geo(cfg: ExperimentConfig):
     for k, vals, target in zip(table.orders, table.values, targets):
         checks.append(_check(f"k={k}: exact moments below the limit moment",
                              np.max(vals - target), "<= 1e-9", np.all(vals <= target + 1e-9)))
-        checks.append(_nondecreasing(f"k={k}: nondecreasing in n", vals))
+        checks += _nondecreasing(f"k={k}: nondecreasing in n", vals)
     return rows, checks
 
 
@@ -565,13 +580,18 @@ def _table_text(report: dict) -> str:
 
 
 def write_outputs(report: dict, out_dir) -> tuple[Path, Path]:
-    """Write report.json and table.csv atomically; returns their paths."""
+    """Write report.json and table.csv atomically; returns their paths.
+
+    A NaN or infinite value raises ValueError before anything is written:
+    JSON has no spelling for it.
+    """
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
     csv_path = out / "table.csv"
     tmp = json_path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    tmp.write_text(text)
     os.replace(tmp, json_path)
     tmp = csv_path.with_suffix(".csv.tmp")
     tmp.write_text(_table_text(report))

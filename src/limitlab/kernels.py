@@ -35,7 +35,7 @@ The branching and scale families also satisfy rho(j, j) = a_j (x_j - y_j) = 1
 increasing.  Then 1/rho(i, j) = (x_j - y_j)/(x_j - y_i) telescopes into a
 product of per-generation factors, which is what lets
 ``simulate._cauchy_chain_worker`` draw their chains exactly.  The power family
-has x = y, so a_j (x_j - y_j) = 0 and that sampler does not apply to it.
+has x = y, so a_j (x_j - y_j) = 0 and that sampler refuses it.
 
 Distance kernels rho(i, j) = D(j - i) are not of this form: they keep their
 own queries and their Psi tables come from the convolution engine.

@@ -1,14 +1,15 @@
 """Exact-law Monte Carlo for the three counting models.
 
 All simulators share the same reproducibility scheme: replicates are split
-into fixed-size chunks, each chunk draws from its own counter-based
-substream (Philox seeded through ``SeedSequence(seed).spawn``), and every
-chunk writes its rows to a fixed slice of the output.  Results are
-therefore a pure function of (seed, parameters) and independent of how
-many worker threads execute the chunks (``LIMITLAB_THREADS``, by default
-every CPU the process may run on).  Each simulator returns a
-``ReplicateBatch``, which holds only the counts at the checkpoints; the
-caller keeps the model, its parameters and the seed.
+into ceil(replicates / _CHUNK) chunks whose sizes differ by at most one,
+each chunk draws from its own independent stream (numpy's default PCG64,
+seeded through ``SeedSequence(seed).spawn``), and every chunk writes its
+rows to a fixed slice of the output.  Results are therefore a pure
+function of (seed, parameters) and independent of how many worker threads
+execute the chunks (``LIMITLAB_THREADS``, by default every CPU the process
+may run on).  Each simulator returns a ``ReplicateBatch``, which holds only
+the counts at the checkpoints; the caller keeps the model, its parameters
+and the seed.
 
 Models:
 
@@ -28,7 +29,10 @@ Models:
   Both counts are Markovian Bernoulli chains whose kernel is in Cauchy form
   with a_j (x_j - y_j) = 1 (``BranchingKernel``, ``ScaleKernel``), and both
   simulators hand their kernel to ``_sim_chain``, which draws that chain by
-  one scan, ``_cauchy_chain_worker``.  The two models are one problem: by
+  one scan, ``_cauchy_chain_worker``.  The scan retires a replicate once
+  its running maximum reaches x_n at the last checkpoint n: x increases
+  and the maximum never falls, so that replicate has no later success.
+  The two models are one problem: by
   the Kesten-Kozlov-Spitzer correspondence, the zeros of a
   geometric-offspring branching process with immigration are the cut levels
   of a nearest-neighbour walk.  The generation chain of the
@@ -51,7 +55,8 @@ from .kernels import BranchingKernel, OffspringSchedule, RhoKernel, ScaleKernel,
 
 __all__ = ["ReplicateBatch", "resolve_threads", "sim_bpve", "sim_gw", "sim_levelwalk"]
 
-_CHUNK = 8192
+_CHUNK = 8192  # most rows in one chunk
+_RETIRE_EVERY = 16  # steps between retirements in _cauchy_chain_worker
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -102,25 +107,29 @@ def _validate_checkpoints(checkpoints, n: int) -> tuple[int, ...]:
 
 
 def _run_chunked(worker, replicates: int, seed: int, ncols: int, threads: int | None):
-    """Run `worker(rng, rows) -> block` over fixed chunks; deterministic row placement."""
+    """Run `worker(rng, rows) -> block` over equal chunks; deterministic row placement.
+
+    The replicates split into ceil(replicates / _CHUNK) chunks whose sizes
+    differ by at most one, so the layout, and with it every count, depends
+    only on ``replicates`` and never on the thread count.
+    """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    starts = list(range(0, replicates, _CHUNK))
-    children = np.random.SeedSequence(int(seed)).spawn(len(starts))
+    nchunks = -(-replicates // _CHUNK)
+    bounds = [replicates * ci // nchunks for ci in range(nchunks + 1)]
+    children = np.random.SeedSequence(int(seed)).spawn(nchunks)
     counts = np.zeros((replicates, ncols), dtype=np.int64)
 
     def job(ci: int):
-        start = starts[ci]
-        rows = min(_CHUNK, replicates - start)
-        rng = np.random.Generator(np.random.Philox(children[ci]))
-        counts[start : start + rows] = worker(rng, rows)
+        start, stop = bounds[ci], bounds[ci + 1]
+        counts[start:stop] = worker(np.random.default_rng(children[ci]), stop - start)
 
     nthreads = resolve_threads(threads)
-    if nthreads > 1 and len(starts) > 1:
+    if nthreads > 1 and nchunks > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(job, range(len(starts))))
+            list(pool.map(job, range(nchunks)))
     else:
-        for ci in range(len(starts)):
+        for ci in range(nchunks):
             job(ci)
     return counts
 
@@ -204,25 +213,45 @@ def sim_gw(n: int, level: int = 1, replicates: int = 10_000, seed: int = 0,
 def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
     """Chunk worker drawing the success chain of a Cauchy kernel with a_j (x_j - y_j) = 1.
 
-    Scans generations t = 1..cps[-1] on every row at once: with U_t uniform
-    on (0, 1], theta_t = y_{t-1} + (y_t - y_{t-1}) / U_t, and t is a success
-    when max_{s<=t} theta_s < x_t.  For v >= y_s,
+    Scans generations t = 1..n (n = cps[-1]) on every live row at once: with
+    U_t uniform on (0, 1], theta_t = y_{t-1} + (y_t - y_{t-1}) / U_t, and t
+    is a success when max_{s<=t} theta_s < x_t.  For v >= y_s,
     P(theta_s < v) = (v - y_s) / (v - y_{s-1}).  After a success at i the old
     maximum lies below x_i <= x_j and never binds again, so the product
     telescopes: P(success at j | success at i, any earlier history)
     = (x_j - y_j) / (x_j - y_i) = 1 / rho(i, j).  The successes therefore
     renew with exactly the kernel's law.
+
+    A row whose running maximum has reached x_n is retired: x increases and
+    the maximum never falls, so it stays >= x_n >= x_t and the row has no
+    later success.  Every _RETIRE_EVERY steps such rows write their count
+    into the checkpoints still ahead and leave the scan; a row is live at t
+    with probability (x_n - y_t) / x_n.  Raises ValueError, naming the first
+    bad generation, when x is not strictly increasing or a_j (x_j - y_j)
+    misses 1 by more than 1e-8 relative: the scan would draw another law.
     """
-    _, x, y = kernel.cauchy(cps[-1])
+    n = cps[-1]
+    a, x, y = kernel.cauchy(n)
+    stalls = np.flatnonzero(np.diff(x[1:]) <= 0) + 2  # generations t with x_t <= x_{t-1}
+    if stalls.size:
+        raise ValueError(f"{kernel.description}: the chain sampler needs x strictly increasing, "
+                         f"but it is not at generation {stalls[0]}")
+    off = np.abs(a[1:] * (x[1:] - y[1:]) - 1.0)
+    misses = np.flatnonzero(off > 1e-8) + 1
+    if misses.size:
+        raise ValueError(f"{kernel.description}: the chain sampler needs a_j (x_j - y_j) = 1, "
+                         f"but it is off by {off[misses[0] - 1]:.3g} at generation {misses[0]}")
     steps = np.diff(y)
+    x_last = x[n]
 
     def worker(rng: np.random.Generator, rows: int):
         counts = np.zeros((rows, len(cps)), dtype=np.int64)
+        idx = np.arange(rows)  # the live rows
         seen = np.zeros(rows, dtype=np.int64)
         top = np.zeros(rows)  # max of theta so far; every theta_t >= y_t > 0
         theta = np.empty(rows)
         ci = 0
-        for t in range(1, cps[-1] + 1):
+        for t in range(1, n + 1):
             rng.random(out=theta)
             np.subtract(1.0, theta, out=theta)  # U_t on (0, 1]
             np.divide(steps[t - 1], theta, out=theta)
@@ -230,8 +259,17 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
             np.maximum(top, theta, out=top)
             seen += top < x[t]
             if t == cps[ci]:
-                counts[:, ci] = seen
+                counts[idx, ci] = seen
                 ci += 1
+            if t % _RETIRE_EVERY == 0 and t < n:
+                done = top >= x_last
+                if done.any():
+                    counts[idx[done], ci:] = seen[done, None]
+                    live = ~done
+                    idx, seen, top = idx[live], seen[live], top[live]
+                    if not idx.size:
+                        break
+                    theta = np.empty(idx.size)
         return counts
 
     return worker

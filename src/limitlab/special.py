@@ -66,7 +66,10 @@ def script_O(m: int) -> int:
         raise ValueError("iteration depth must be nonnegative")
     t = 0.0
     for _ in range(m):
-        t = math.exp(t)  # OverflowError for m >= 6; explicit and loud
+        try:
+            t = math.exp(t)
+        except OverflowError:  # m >= 5: e^^4 = 3.8e6 and exp of that overflows
+            raise OverflowError(f"script_O(m={m}) overflows the float range; depth m must be <= 4") from None
     return int(math.floor(t)) + 1
 
 

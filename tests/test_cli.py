@@ -47,7 +47,7 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     ({}, "experiment = c4-gbm\nx0 = 3.0\n", "x0"),
     ({}, "experiment = rzr-ii\nk = 3\n", "k_max"),
     ({}, "experiment = thbb-geo\nk_max = 25\n", "k=25"),
-    ({}, "experiment = rzr-i\nm = 6\nn0 = 100\n", "range error"),
+    ({}, "experiment = rzr-i\nm = 6\nn0 = 100\n", "script_O(m=6)"),
     ({}, "experiment = c3-cutsphere\nreplicates = 1\n", "replicates"),
 ])
 def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):

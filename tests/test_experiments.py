@@ -5,9 +5,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from limitlab import experiments, multisum
+from limitlab.simulate import ReplicateBatch
 
 
 def bits(rows):
@@ -16,7 +18,7 @@ def bits(rows):
 
 def test_table_csv_reproduces_rows_bit_for_bit(tmp_path):
     report = experiments.run(experiments.parse_config("experiment = prpd-rv\nhorizons = 10, 100, 1000\n"))
-    report["rows"].append([7, 1.0 / 3.0, -0.0, math.inf, 0.1 + 0.2])  # values short formats would lose
+    report["rows"].append([7, 1.0 / 3.0, -0.0, 5e-324, 0.1 + 0.2])  # values short formats would lose
     json_path, csv_path = experiments.write_outputs(report, tmp_path / "out")
     with open(csv_path, newline="") as f:
         header, *lines = list(csv.reader(f))
@@ -27,6 +29,44 @@ def test_table_csv_reproduces_rows_bit_for_bit(tmp_path):
     plot = experiments.emit_plotdata(json_path)
     assert plot == json_path.with_name("plotdata.csv")
     assert plot.read_text() == csv_path.read_text()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_write_outputs_refuses_non_finite_values(tmp_path, bad):
+    report = experiments.run(experiments.parse_config("experiment = prpd-rv\nhorizons = 10, 100\n"))
+    report["checks"][0]["value"] = bad
+    with pytest.raises(ValueError):
+        experiments.write_outputs(report, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sample_with_zero_variance_fails_with_finite_values(tmp_path, monkeypatch):
+    # every replicate of the stub counts 1 success, so no z-score exists
+    def constant(spec, n, replicates, seed, checkpoints):
+        return ReplicateBatch(replicates, tuple(checkpoints), np.ones((replicates, len(checkpoints)), dtype=np.int64))
+
+    monkeypatch.setattr(experiments, "sim_levelwalk", constant)
+    report = experiments.run(experiments.parse_config("experiment = c3-cutsphere\nreplicates = 2\nhorizons = 2, 3\n"))
+    zchecks = [c for c in report["checks"] if "z-score" in c["name"]]
+    assert len(zchecks) == 4
+    for check in zchecks:
+        assert math.isfinite(check["value"]) and check["value"] != 0
+        assert "variance is 0" in check["requirement"]
+        assert not check["passed"]
+    experiments.write_outputs(report, tmp_path / "out")  # finite, so JSON can hold it
+
+
+def test_a_zero_variance_sample_passes_only_at_the_exact_mean():
+    sample = np.full(5, 2.0)
+    assert experiments._zscore("z", sample, 2.0)["passed"]
+    assert not experiments._zscore("z", sample, 2.0 + 1e-12)["passed"]
+
+
+@pytest.mark.parametrize("experiment", ["prpd-summable", "rzr-i", "rzr-iii", "thbb-geo"])
+def test_one_horizon_omits_the_checks_that_compare_horizons(experiment):
+    report = experiments.run(experiments.parse_config(f"experiment = {experiment}\nhorizons = 1000\n"))
+    assert report["checks"]
+    assert not [c["name"] for c in report["checks"] if "decreasing" in c["name"]]
 
 
 @pytest.mark.parametrize("text", [

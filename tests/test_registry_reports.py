@@ -4,8 +4,10 @@
 checks that ``experiments.run`` returned when the file was written.  Strings,
 integers and verdicts must match exactly and floats to 1e-12 relative, so a
 refactor of the runners cannot change a report unnoticed.  A change that
-alters rows or checks on purpose regenerates the file and says so:
+alters rows or checks on purpose regenerates the entries it alters, by name,
+and says so; with no names the whole file is rewritten:
 
+    PYTHONPATH=src python tests/test_registry_reports.py c4-gbm thy-gw@1000
     PYTHONPATH=src python tests/test_registry_reports.py
 """
 
@@ -72,8 +74,15 @@ def test_every_experiment_has_a_stored_report(stored):
 
 if __name__ == "__main__":
     import os
+    import sys
 
+    names = sys.argv[1:] or list(CONFIGS)
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        sys.exit(f"unknown entries {unknown}; known: {sorted(CONFIGS)}")
     os.environ.pop("LIMITLAB_SEED", None)
+    reports = json.loads(DATA.read_text()) if sys.argv[1:] else {}
+    reports.update({name: report(CONFIGS[name]) for name in names})
     DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps({name: report(text) for name, text in CONFIGS.items()}, indent=1) + "\n")
-    print(f"wrote {DATA}")
+    DATA.write_text(json.dumps({name: reports[name] for name in CONFIGS}, indent=1) + "\n")
+    print(f"wrote {', '.join(names)} to {DATA}")

@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitlab.experiments import ConfigError, parse_config, run
-from limitlab.kernels import OffspringSchedule, ScaleSpec, kernel_branching, kernel_distance, kernel_scale
+from limitlab.kernels import (OffspringSchedule, PowerKernel, RhoKernel, ScaleSpec, kernel_branching,
+                              kernel_distance, kernel_scale)
 from limitlab.moments import MomentTable
-from limitlab.simulate import _CHUNK, _gw_return_laws, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
+from limitlab.simulate import (_CHUNK, _cauchy_chain_worker, _gw_return_laws, _run_chunked, _sim_chain,
+                               resolve_threads, sim_bpve, sim_gw, sim_levelwalk)
 
 from oracles import bpve_generations, count_pmf, gw_generations, levelwalk_steps, tv_to_pmf
 
@@ -108,6 +110,54 @@ def test_generation_chain_matches_the_exact_count_pmf(schedule):
     counts = bpve_generations(schedule, 50, 40_000, seed=32, checkpoints=CHECKPOINTS)
     for ci, n in enumerate(CHECKPOINTS):
         assert tv_to_pmf(counts[:, ci], count_pmf(kernel_branching(schedule), n)) <= 0.02
+
+
+@pytest.mark.parametrize("replicates", [1, _CHUNK, _CHUNK + 1, 10_000, 3 * _CHUNK - 1])
+def test_chunks_are_equal_to_within_one_row(replicates):
+    sizes = []
+    _run_chunked(lambda rng, rows: sizes.append(rows) or np.zeros((rows, 1)), replicates, 0, 1, threads=1)
+    assert len(sizes) == -(-replicates // _CHUNK)
+    assert sum(sizes) == replicates and max(sizes) - min(sizes) <= 1 and max(sizes) <= _CHUNK
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_chain_kernels_meet_the_sampler_preconditions(case):
+    _cauchy_chain_worker(CHAIN_CASES[case][1](), (5000,))  # raises when x stalls or a_j (x_j - y_j) misses 1
+
+
+def test_chain_sampler_refuses_the_power_kernel():
+    # x = y, so a_j (x_j - y_j) = 0: the scan would not draw this kernel's law
+    with pytest.raises(ValueError, match="off by 1 at generation 1"):
+        _sim_chain(PowerKernel(2.0, 1.0), 50, 10, 0, None, 1)
+
+
+class _FlatKernel(RhoKernel):
+    """a_j (x_j - y_j) = 1, but x_3 = x_2."""
+
+    description = "flat"
+
+    def _cauchy_arrays(self, n):
+        x, y = np.array([2.0, 3.0, 3.0, 5.0])[:n], np.array([1.0, 2.0, 2.5, 4.0])[:n]
+        return 1.0 / (x - y), x, y
+
+
+def test_chain_sampler_refuses_an_x_that_does_not_rise():
+    with pytest.raises(ValueError, match="generation 3"):
+        _sim_chain(_FlatKernel(), 4, 10, 0, None, 1)
+    assert _sim_chain(_FlatKernel(), 2, 10, 0, None, 1).counts.shape == (10, 1)
+
+
+@pytest.mark.parametrize("case", ["bpve-drift", "levelwalk-gamma1.0"])
+def test_moments_match_the_exact_table_where_most_rows_retire(case):
+    # By n = 2000 most rows have a running maximum past x_n and have left the scan.
+    sim, kernel = CHAIN_CASES[case]
+    cps = (500, 2000)
+    batch = sim(n=2000, replicates=20_000, seed=41, checkpoints=cps)
+    table = MomentTable.build(kernel(), cps, 2)
+    for ci in range(len(cps)):
+        c = batch.counts[:, ci].astype(float)
+        assert abs(zscore(c, table.values[0, ci])) <= 4.0
+        assert abs(zscore(c**2, table.values[1, ci])) <= 4.0
 
 
 def test_sim_bpve_refuses_a_schedule_past_its_breakdown():

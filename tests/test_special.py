@@ -56,7 +56,11 @@ class TestLambdaSigma:
 
 class TestIteratedLog:
     def test_thresholds(self):
-        assert [script_O(m) for m in range(4)] == [1, 2, 3, 16]
+        assert [script_O(m) for m in range(5)] == [1, 2, 3, 16, 3814280]
+
+    def test_threshold_overflow_names_the_depth(self):
+        with pytest.raises(OverflowError, match=r"script_O\(m=5\)"):
+            script_O(5)
 
     def test_threshold_is_minimal(self):
         # t-1 either yields a nonpositive iterated log or is outside the
