@@ -43,7 +43,7 @@ import numpy as np
 from .kernels import BranchingKernel, DistanceKernel, OffspringSchedule, PowerKernel, ScaleKernel, ScaleSpec
 from .moments import MomentTable, geo_limit_moments
 from .multisum import WeightSequence, _u_weights, phi_curve, phi_fold_curves, predict, psi_curve
-from .simulate import resolve_threads, sim_bpve, sim_gw, sim_levelwalk
+from .simulate import _SQUARES, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
 from .special import zeta_tail
 from .stats import LimitLaw, tv_distance_integer
 
@@ -165,8 +165,6 @@ def _monte_carlo(cfg: ExperimentConfig, kernel, simulate):
 
 
 # ---------------------------------------------------------------- runners
-
-_SQUARES = WeightSequence(weight=lambda i: (1.0 + i) ** 2, label="(1+n)^2")
 
 
 def _run_prpd_summable(cfg: ExperimentConfig):
@@ -293,8 +291,7 @@ def _run_levelwalk(scale_spec, cfg: ExperimentConfig):
 
 def _run_thy_gw(cfg: ExperimentConfig):
     n = max(cfg.horizons)
-    simulate = partial(sim_gw, level=cfg.params["level"])
-    rows, checks, _, batch = _monte_carlo(cfg, DistanceKernel(_SQUARES), simulate)
+    rows, checks, _, batch = _monte_carlo(cfg, DistanceKernel(_SQUARES), sim_gw)
     law = LimitLaw.geometric_from_mean(zeta_tail(0, 2.0, 2).value)
     tv = tv_distance_integer(batch.counts[:, -1], law)
     checks.append(_within(f"TV distance to {law} at n={n}", tv, 0.02))
@@ -422,7 +419,7 @@ _register(ExperimentDef(
     "Counts generations with population 1 up to n = 5000 over 1e5 replicates. "
     "Checks TV distance <= 0.02 to the geometric law with success 6/pi^2, a 4-se "
     "mean match to the exact kernel mean, and stabilization <= 0.005 after n = 1000.",
-    seed=20242, replicates=100000, horizons=(1000, 5000), params={"level": 1},
+    seed=20242, replicates=100000, horizons=(1000, 5000), params={},
     runner=_run_thy_gw))
 _register(ExperimentDef(
     "thz-bpve-i",

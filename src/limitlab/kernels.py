@@ -38,7 +38,8 @@ product of per-generation factors, which is what lets
 has x = y, so a_j (x_j - y_j) = 0 and that sampler refuses it.
 
 Distance kernels rho(i, j) = D(j - i) are not of this form: they keep their
-own queries and their Psi tables come from the convolution engine.
+own queries, their Psi tables come from the convolution engine, and
+``simulate._renewal_worker`` draws their chains from the first-return law.
 
 Kernels are total over j > i >= 0: queries never range-check the resulting
 probability, because the moment algebra is well defined for any positive
@@ -151,7 +152,9 @@ class DistanceKernel(RhoKernel):
         return self._recip
 
     def rho(self, i: int, j: int) -> float:
-        return 1.0 / self._reciprocals(j - i)[j - i]
+        """D(j - i); infinite below the weights' gap, where success_prob is 0."""
+        with np.errstate(divide="ignore"):
+            return 1.0 / self._reciprocals(j - i)[j - i]
 
     def marginal_probs(self, n: int) -> np.ndarray:
         return self._reciprocals(n)[: n + 1].copy()

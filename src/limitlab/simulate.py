@@ -14,14 +14,15 @@ and the seed.
 Models:
 
 - ``sim_gw``: critical branching with geometric(1/2) offspring; counts
-  generations where the population equals a given level.  The chain starts
-  afresh at each visit, so the visits form a renewal process.  The
-  linear-fractional offspring law gives the visit probabilities in closed
-  form, power-series division turns them into the exact first-passage and
-  first-return laws, and the sampler draws whole return times from those
-  laws instead of stepping every generation.  The generation-by-generation
-  chain is kept in the test suite (``tests/oracles.py``) as the
-  independent check of this sampler.
+  generations where the population is 1.  The chain starts afresh at each
+  visit, so the visits are the success chain of a distance kernel,
+  D(k) = (1+k)^2, the same kernel whose exact moments the ``thy-gw``
+  experiment checks.  ``_sim_chain`` hands a distance kernel to
+  ``_renewal_worker``, which turns it into its first-return law
+  (``_first_return_law``, power-series division of the marginals) and draws
+  whole gaps between visits from that law instead of stepping every
+  generation.  The generation-by-generation chain is kept in the test suite
+  (``tests/oracles.py``) as the independent check of this sampler.
 - ``sim_bpve`` and ``sim_levelwalk``: branching with one immigrant per
   generation and geometric offspring, counting generations with zero
   population; and a transient level walk with scale weight w(x) = x^(-gamma),
@@ -43,7 +44,6 @@ Models:
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,12 +51,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import BranchingKernel, OffspringSchedule, RhoKernel, ScaleKernel, ScaleSpec
+from .kernels import BranchingKernel, DistanceKernel, OffspringSchedule, RhoKernel, ScaleKernel, ScaleSpec
+from .multisum import WeightSequence
 
 __all__ = ["ReplicateBatch", "resolve_threads", "sim_bpve", "sim_gw", "sim_levelwalk"]
 
 _CHUNK = 8192  # most rows in one chunk
 _RETIRE_EVERY = 16  # steps between retirements in _cauchy_chain_worker
+# D(k) = (1+k)^2: the distance kernel of critical geometric branching's visits to 1 (see sim_gw)
+_SQUARES = WeightSequence(weight=lambda i: (1.0 + i) ** 2, label="(1+n)^2")
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -73,9 +76,12 @@ def resolve_threads(threads: int | None = None) -> int:
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
-        return max(1, int(env))
+        count = int(env)
     except ValueError:
-        raise ValueError(f"LIMITLAB_THREADS must be an integer, got {env!r}") from None
+        count = 0
+    if count < 1:
+        raise ValueError(f"LIMITLAB_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 @dataclass
@@ -134,80 +140,57 @@ def _run_chunked(worker, replicates: int, seed: int, ncols: int, threads: int | 
     return counts
 
 
-def _gw_return_laws(level: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Visit and return-time laws of critical geometric(1/2) branching, on times 0..n.
+def _first_return_law(kernel: DistanceKernel, n: int) -> np.ndarray:
+    """First-return law f on times 0..n of a distance kernel's success chain.
 
-    Returns (u, f, g):
-
-    - u(k) = P(Z_k = L | Z_0 = L).  From one ancestor Z_k is 0 with
-      probability 1 - pi and otherwise geometric on {1, 2, ...} with success
-      pi = 1/(k+1), so with b nonzero lines of descent out of L,
-      u(k) = sum_b C(L,b) C(L-1,b-1) pi^(2b) (1-pi)^(2(L-b));
-    - f, the first-return law to L, from F = 1 - 1/U;
-    - g, the first-passage law to L from Z_0 = 1 at times k >= 1, from
-      G = V/U with v(k) = P(Z_k = L | Z_0 = 1) = pi^2 (1-pi)^(L-1) for
-      k >= 1 and v(0) = 0; for L = 1, g equals f.
-
-    Both divisions solve a(k) = c(k) - sum_{0<j<k} a(j) u(k-j), O(n^2).
+    A success renews the chain, so with u(0) = 1 and
+    u(k) = ``kernel.marginal_probs(n)[k]`` the gaps between successes have
+    the law f(k) = u(k) - sum_{0<j<k} f(j) u(k-j), O(n^2).  By Kaluza's
+    theorem a log-convex u, such as (1+k)^(-s), gives a law; otherwise f may
+    go negative or sum past 1, and ValueError names the first such gap
+    (D(n) = n gives f(2) = -0.5).
     """
-    k = np.arange(1, n + 1, dtype=float)
-    log_pi, log_q = -np.log1p(k), np.log(k) - np.log1p(k)
-    u = np.zeros(n + 1)
-    u[0] = 1.0
-    for b in range(1, level + 1):
-        log_c = math.log(math.comb(level, b) * math.comb(level - 1, b - 1))
-        u[1:] += np.exp(log_c + 2 * b * log_pi + 2 * (level - b) * log_q)
-    rhs = np.zeros((2, n + 1))
-    rhs[0, 1:] = u[1:]
-    rhs[1, 1:] = np.exp(2 * log_pi + (level - 1) * log_q)
-    fg = np.zeros((2, n + 1))
+    u = kernel.marginal_probs(n)
     u_rev = u[::-1].copy()  # u_rev[n - i] = u(i)
-    for j in range(1, n + 1):
-        fg[:, j] = rhs[:, j] - fg[:, 1:j] @ u_rev[n - j + 1 : n]
-    return u, fg[0], fg[1]
+    f = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        f[k] = u[k] - f[1:k] @ u_rev[n - k + 1 : n]
+    bad = np.flatnonzero((f < 0) | (np.cumsum(f) > 1))
+    if bad.size:
+        raise ValueError(f"{kernel.description}: the first-return law goes negative or sums past 1 "
+                         f"at gap {bad[0]}, so no chain has this kernel")
+    return f
 
 
-def sim_gw(n: int, level: int = 1, replicates: int = 10_000, seed: int = 0,
-           checkpoints: Sequence[int] | None = None,
-           threads: int | None = None) -> ReplicateBatch:
-    """Count generations t <= n with population exactly ``level``.
+def _renewal_worker(kernel: DistanceKernel, cps: tuple[int, ...]):
+    """Chunk worker drawing the success chain of a distance kernel as a renewal process.
 
-    Starts from a single ancestor; offspring are i.i.d. geometric(1/2) on
-    {0, 1, ...} (P(k) = 2^-(k+1)).  By the Markov property the visits to
-    ``level`` form a renewal process: the first visit time has the
-    first-passage law g and the gaps between visits the first-return law f
-    (see ``_gw_return_laws``).  Each replicate draws its visit times by
-    inverse CDF on those laws, truncated at the last checkpoint; a draw past
-    the truncated mass means no further visit.  Each round of draws ends a
-    replicate with probability at least 1 - F(n) (about 0.61 at level 1),
-    so a chunk takes a few dozen vectorised rounds whatever n is.
+    Every gap between successes, the first one from time 0 included, has
+    the first-return law f of ``_first_return_law``.  Each replicate draws
+    its success times by inverse CDF on f, truncated at the last checkpoint
+    n; a draw past the truncated mass means no further success.  Each round
+    of draws ends a replicate with probability at least 1 - F(n), about 0.61
+    for D(k) = (1+k)^2, where a chunk takes a few dozen vectorised rounds
+    whatever n is.
     """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
-    cps = _validate_checkpoints(checkpoints, n)
-    horizon = cps[-1]
-    _, f, g = _gw_return_laws(level, horizon)
-    cdf_f, cdf_g = np.cumsum(f[1:]), np.cumsum(g[1:])
-    bins = np.searchsorted(np.asarray(cps), np.arange(horizon + 1))  # first checkpoint >= t
+    n = cps[-1]
+    cdf = np.cumsum(_first_return_law(kernel, n)[1:])
+    bins = np.searchsorted(np.asarray(cps), np.arange(n + 1))  # first checkpoint >= t
 
     def worker(rng: np.random.Generator, rows: int):
-        # a time past the truncated law (searchsorted index = horizon) means no visit
-        def draw(cdf, size):
-            return np.searchsorted(cdf, rng.random(size), side="right") + 1
-
         visits = np.zeros((rows, len(cps)), dtype=np.int64)
         idx = np.arange(rows)
-        t = draw(cdf_g, rows)
+        t = np.zeros(rows, dtype=np.int64)
         while True:
-            live = t <= horizon
+            # a gap past the truncated law (searchsorted index n) puts t past n: no success
+            t += np.searchsorted(cdf, rng.random(idx.size), side="right") + 1
+            live = t <= n
             idx, t = idx[live], t[live]
             if not idx.size:
                 return np.cumsum(visits, axis=1)
             visits[idx, bins[t]] += 1
-            t += draw(cdf_f, idx.size)
 
-    counts = _run_chunked(worker, replicates, seed, len(cps), threads)
-    return ReplicateBatch(replicates=replicates, checkpoints=cps, counts=counts)
+    return worker
 
 
 def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
@@ -277,10 +260,32 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
 
 def _sim_chain(kernel: RhoKernel, n: int, replicates: int, seed: int,
                checkpoints: Sequence[int] | None, threads: int | None) -> ReplicateBatch:
-    """Counts of the kernel's success chain, drawn by ``_cauchy_chain_worker``."""
+    """Counts of the kernel's success chain, with the worker chosen by the kernel's form.
+
+    A ``DistanceKernel`` renews at every success and goes to
+    ``_renewal_worker``; every other kernel goes to the running-max scan
+    ``_cauchy_chain_worker``, which refuses a kernel it cannot draw exactly.
+    """
     cps = _validate_checkpoints(checkpoints, n)
-    counts = _run_chunked(_cauchy_chain_worker(kernel, cps), replicates, seed, len(cps), threads)
+    make_worker = _renewal_worker if isinstance(kernel, DistanceKernel) else _cauchy_chain_worker
+    counts = _run_chunked(make_worker(kernel, cps), replicates, seed, len(cps), threads)
     return ReplicateBatch(replicates=replicates, checkpoints=cps, counts=counts)
+
+
+def sim_gw(n: int, replicates: int = 10_000, seed: int = 0,
+           checkpoints: Sequence[int] | None = None,
+           threads: int | None = None) -> ReplicateBatch:
+    """Count generations t <= n with population exactly 1.
+
+    Starts from a single ancestor; offspring are i.i.d. geometric(1/2) on
+    {0, 1, ...} (P(k) = 2^-(k+1)).  From one ancestor Z_k is 0 with
+    probability 1 - pi and otherwise geometric on {1, 2, ...} with success
+    pi = 1/(k+1), so P(Z_k = 1 | Z_0 = 1) = pi^2 = (1+k)^-2.  By the Markov
+    property every visit to 1 starts the chain afresh, so the visits form
+    the success chain of the distance kernel D(k) = (1+k)^2, drawn by
+    ``_renewal_worker``.
+    """
+    return _sim_chain(DistanceKernel(_SQUARES), n, replicates, seed, checkpoints, threads)
 
 
 def sim_bpve(schedule: OffspringSchedule, n: int, replicates: int = 10_000, seed: int = 0,

@@ -49,6 +49,9 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     ({}, "experiment = thbb-geo\nk_max = 25\n", "k=25"),
     ({}, "experiment = rzr-i\nm = 6\nn0 = 100\n", "script_O(m=6)"),
     ({}, "experiment = c3-cutsphere\nreplicates = 1\n", "replicates"),
+    ({"LIMITLAB_THREADS": "0"}, "experiment = c3-cutsphere\nreplicates = 100\nhorizons = 10, 20\n",
+     "LIMITLAB_THREADS"),
+    ({}, "experiment = thy-gw\nlevel = 2\n", "level"),
 ])
 def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     for key, value in env.items():

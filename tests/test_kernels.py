@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitlab.kernels import (
+    DistanceKernel,
     OffspringSchedule,
     ScaleSpec,
     kernel_branching,
@@ -12,6 +14,7 @@ from limitlab.kernels import (
     kernel_power,
     kernel_scale,
 )
+from limitlab.multisum import WeightSequence
 
 from oracles import probability_range, scale_success_prob
 
@@ -47,6 +50,14 @@ class TestDistanceKernel:
         k = kernel_distance(lambda i: np.asarray(i, dtype=float) - 3.0)
         with pytest.raises(ValueError):
             k.success_prob(0, 5)
+
+    def test_success_prob_is_zero_below_the_gap(self):
+        k = DistanceKernel(WeightSequence(weight=lambda i: (1.0 + i) ** 1.5, gap=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by zero on the way
+            assert k.success_prob(3, 4) == 0.0
+            assert k.rho(3, 4) == math.inf
+            assert k.success_prob(3, 5) == pytest.approx(3.0**-1.5, rel=1e-14)
 
 
 class TestPowerKernel:

@@ -1,12 +1,14 @@
 """Seeded tests of the three simulators: counts that do not depend on the
 thread count, and moments within four standard errors of the exact kernel
 moments.  The step-by-step level-walk oracle is held to the same standard.
-The Cauchy-chain sampler behind ``sim_bpve`` and ``sim_levelwalk`` is checked
-against the exact law of the count (``oracles.count_pmf``), and so are the
-two literal chains it replaces.  The renewal sampler of ``sim_gw`` is checked
-twice over: its return-time laws against exact rational arithmetic on the
-offspring generating function, and its counts against the
-generation-by-generation chain."""
+Both samplers behind ``_sim_chain`` are checked against the exact law of the
+count (``oracles.count_pmf``): the Cauchy-chain scan of ``sim_bpve`` and
+``sim_levelwalk`` on five kernels, and the renewal sampler of ``sim_gw`` on
+three distance kernels, (1+n)^2 among them; so are the two literal chains
+the scan replaces.  The renewal sampler is checked twice more for ``sim_gw``:
+its first-return law against exact rational arithmetic on the offspring
+generating function, and its counts against the generation-by-generation
+chain."""
 
 import math
 import os
@@ -17,11 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitlab.experiments import ConfigError, parse_config, run
-from limitlab.kernels import (OffspringSchedule, PowerKernel, RhoKernel, ScaleSpec, kernel_branching,
-                              kernel_distance, kernel_scale)
+from limitlab.kernels import (DistanceKernel, OffspringSchedule, PowerKernel, RhoKernel, ScaleSpec,
+                              kernel_branching, kernel_distance, kernel_scale)
 from limitlab.moments import MomentTable
-from limitlab.simulate import (_CHUNK, _cauchy_chain_worker, _gw_return_laws, _run_chunked, _sim_chain,
-                               resolve_threads, sim_bpve, sim_gw, sim_levelwalk)
+from limitlab.multisum import WeightSequence
+from limitlab.simulate import (_CHUNK, _SQUARES, _cauchy_chain_worker, _first_return_law, _run_chunked,
+                               _sim_chain, resolve_threads, sim_bpve, sim_gw, sim_levelwalk)
 
 from oracles import bpve_generations, count_pmf, gw_generations, levelwalk_steps, tv_to_pmf
 
@@ -29,7 +32,7 @@ SPEC = ScaleSpec.from_dimension(3.0, 1.0, 2.0)
 SCHEDULE = OffspringSchedule.harmonic_drift(0.5)
 # simulator and the kernel whose exact moments its counts follow
 MODELS = {
-    "gw": (lambda **kw: sim_gw(level=1, **kw), lambda: kernel_distance(lambda i: (1.0 + i) ** 2)),
+    "gw": (sim_gw, lambda: kernel_distance(lambda i: (1.0 + i) ** 2)),
     "bpve": (lambda **kw: sim_bpve(SCHEDULE, **kw), lambda: kernel_branching(SCHEDULE)),
     "levelwalk": (lambda **kw: sim_levelwalk(SPEC, **kw), lambda: kernel_scale(SPEC)),
 }
@@ -83,9 +86,28 @@ CHAIN_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def _renewal_case(weight, label, gap=1):
+    def kernel():
+        return DistanceKernel(WeightSequence(weight=weight, gap=gap, label=label))
+
+    def sim(n, replicates, seed, checkpoints):
+        return _sim_chain(kernel(), n, replicates, seed, checkpoints, None)
+
+    return sim, kernel
+
+
+# distance kernels, drawn by the renewal sampler; n+1 has a first-return law summing toward 1
+RENEWAL_CASES = {
+    "renewal-squares": (sim_gw, lambda: DistanceKernel(_SQUARES)),
+    "renewal-linear": _renewal_case(lambda i: i + 1.0, "n+1"),
+    "renewal-power1.5-gap2": _renewal_case(lambda i: (1.0 + i) ** 1.5, "(1+n)^1.5", gap=2),
+}
+LAW_CASES = {**CHAIN_CASES, **RENEWAL_CASES}
+
+
+@pytest.mark.parametrize("case", list(LAW_CASES))
 def test_count_pmf_has_the_exact_moments(case):
-    kernel = CHAIN_CASES[case][1]()
+    kernel = LAW_CASES[case][1]()
     table = MomentTable.build(kernel, CHECKPOINTS, 2)
     for ci, n in enumerate(CHECKPOINTS):
         pmf, k = count_pmf(kernel, n), np.arange(n + 1)
@@ -94,11 +116,11 @@ def test_count_pmf_has_the_exact_moments(case):
         assert pmf @ k**2 == pytest.approx(table.values[1, ci], rel=1e-12)
 
 
-@pytest.mark.parametrize("case", list(CHAIN_CASES))
+@pytest.mark.parametrize("case", list(LAW_CASES))
 def test_sampler_matches_the_exact_count_pmf(case):
     # The whole law of the count, not two moments.  The bound is about 3x the
     # expected TV distance of 2e5 exact draws (at most 0.0032 here).
-    sim, kernel = CHAIN_CASES[case]
+    sim, kernel = LAW_CASES[case]
     batch = sim(n=50, replicates=200_000, seed=31, checkpoints=CHECKPOINTS)
     for ci, n in enumerate(CHECKPOINTS):
         assert tv_to_pmf(batch.counts[:, ci], count_pmf(kernel(), n)) <= 0.01
@@ -129,6 +151,12 @@ def test_chain_sampler_refuses_the_power_kernel():
     # x = y, so a_j (x_j - y_j) = 0: the scan would not draw this kernel's law
     with pytest.raises(ValueError, match="off by 1 at generation 1"):
         _sim_chain(PowerKernel(2.0, 1.0), 50, 10, 0, None, 1)
+
+
+def test_renewal_sampler_refuses_a_kernel_with_no_chain():
+    # u(k) = 1/k is not log-convex at k = 1 (Kaluza): f(2) = u(2) - u(1)^2 = -0.5
+    with pytest.raises(ValueError, match="at gap 2,"):
+        _sim_chain(kernel_distance(lambda i: i.astype(float), "n"), 50, 10, 0, None, 1)
 
 
 class _FlatKernel(RhoKernel):
@@ -183,6 +211,9 @@ def test_threads_default_to_every_usable_cpu(monkeypatch):
     assert resolve_threads(1) == 1
     monkeypatch.setenv("LIMITLAB_THREADS", "2")
     assert resolve_threads() == 2
+    monkeypatch.setenv("LIMITLAB_THREADS", "-3")
+    with pytest.raises(ValueError, match="positive integer"):
+        resolve_threads()
     monkeypatch.delenv("LIMITLAB_THREADS")
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 6)
@@ -203,7 +234,7 @@ def _series_inv(a, deg):
 
 
 def exact_return_laws(level, n):
-    """(f, g) on 0..n in rationals, from the offspring generating function alone.
+    """(u, f, g) on 0..n in rationals, from the offspring generating function alone.
 
     A_k(s) = E[s^Z_k | Z_0 = 1] satisfies A_k = 1/(2 - A_{k-1}) with A_0 = s;
     coefficients up to s^level of that quotient need only those of A_{k-1}.
@@ -221,24 +252,30 @@ def exact_return_laws(level, n):
     inv_u = _series_inv(u, n)
     f = [Fraction(0)] + [-c for c in inv_u[1:]]
     g = _series_mul(v, inv_u, n)
-    return f, g
+    return u, f, g
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
+# sim_gw counts visits to level 1 only: the chain of the distance kernel (1+n)^2
+@pytest.mark.parametrize("level", [1])
 def test_return_laws_match_exact_rationals(level):
     n = 60
-    _, f, g = _gw_return_laws(level, n)
-    ef, eg = exact_return_laws(level, n)
-    assert f[0] == g[0] == ef[0] == eg[0] == 0
+    u, ef, eg = exact_return_laws(level, n)
+    assert u == [Fraction(1, (k + 1) ** 2) for k in range(n + 1)]
+    assert eg == ef  # from one ancestor the first visit and every return share one law
+    f = _first_return_law(DistanceKernel(_SQUARES), n)
+    assert f[0] == ef[0] == 0
     for k in range(1, n + 1):
         assert f[k] == pytest.approx(float(ef[k]), rel=1e-13, abs=0)
-        assert g[k] == pytest.approx(float(eg[k]), rel=1e-13, abs=0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(level=st.integers(1, 6), n=st.integers(1, 400))
-def test_first_return_law_is_a_defective_law_that_renews_u(level, n):
-    u, f, _ = _gw_return_laws(level, n)
+@given(s=st.integers(1, 300).map(lambda c: c / 100), n=st.integers(1, 400))
+def test_first_return_law_is_a_defective_law_that_renews_u(s, n):
+    # weights (1+n)^s with s in (0, 3]; u = (1+k)^-s is log-convex, so f is a law
+    kernel = kernel_distance(lambda i: (1.0 + i) ** s)
+    f = _first_return_law(kernel, n)
+    u = kernel.marginal_probs(n)
+    u[0] = 1.0
     assert np.all(f[1:] > 0)
     assert f.sum() < 1.0
     # renewal equation: u(k) = sum_{j=1..k} f(j) u(k-j) for k >= 1
@@ -251,18 +288,17 @@ CHAIN_N, CHAIN_REPS, CHAIN_CPS = 200, 1_000_000, (50, 200)
 
 @pytest.fixture(scope="module")
 def chain_counts():
-    """Generation-chain counts at levels 1 and 2, from one run of the chain."""
-    return gw_generations(CHAIN_N, (1, 2), CHAIN_REPS, seed=22, checkpoints=CHAIN_CPS)
+    """Generation-chain counts at level 1, from one run of the chain."""
+    return gw_generations(CHAIN_N, (1,), CHAIN_REPS, seed=22, checkpoints=CHAIN_CPS)
 
 
-@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("level", [1])
 def test_renewal_sampler_matches_the_generation_chain(level, chain_counts):
-    # The mean count is sum_k v(k) whatever u is (G U = V), so only the pmf
-    # sees an error in the return law f.  With 1e6 replicates a side, 40
-    # same-law pairs gave TV distances of at most 0.0018 (mean 0.001); a 1%
-    # error in the exponent of u gives about 0.005.
+    # The mean and the whole pmf of the counts against the literal chain.
+    # With 1e6 replicates a side, 40 same-law pairs gave TV distances of at
+    # most 0.0018 (mean 0.001); a 1% error in the exponent of u gives about 0.005.
     reps, cps = CHAIN_REPS, CHAIN_CPS
-    fast = sim_gw(CHAIN_N, level=level, replicates=reps, seed=21, checkpoints=cps).counts
+    fast = sim_gw(CHAIN_N, replicates=reps, seed=21, checkpoints=cps).counts
     slow = chain_counts[level - 1]
     for c in range(len(cps)):
         x, y = fast[:, c], slow[:, c]
