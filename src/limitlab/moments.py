@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import RhoKernel
-from .multisum import psi_curve
+from .multisum import _horizons, psi_curve
 
 __all__ = [
     "MomentTable",
@@ -95,7 +95,7 @@ class MomentTable:
 
     @classmethod
     def build(cls, kernel: RhoKernel, horizons: Sequence[int], k_max: int) -> "MomentTable":
-        hs = tuple(int(h) for h in horizons)
+        hs = tuple(int(h) for h in _horizons(horizons))
         if any(b <= a for a, b in zip(hs, hs[1:])):
             raise ValueError("horizons must be strictly increasing")
         return cls(horizons=hs, orders=tuple(range(1, k_max + 1)),

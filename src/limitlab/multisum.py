@@ -14,13 +14,24 @@ j >= n0 and 0 below the gap:
 A direct O(n^2)-per-fold convolution is the reference path.  The FFT path
 (O(n log n) per fold) convolves at a 5-smooth length >= 2n + 1: q = 1 needs no
 transform, d_2 = irfft(r_hat^2) needs one, and each later order an rfft and an
-irfft, so a table of order m costs 2m - 2 transforms.  Its round-off is
-relative to the largest entry of the density it produces, not to each entry;
-negative round-off is clamped to zero, so every table is nondecreasing in
-n, and the running sum adds the remaining absolute errors.  With method "auto",
-horizons <= ``_FFT_THRESHOLD`` are read from a direct table built at the
-largest of them, and only the larger horizons from the FFT table, so a small
-horizon never carries the error scale of a large one.
+irfft.  Its round-off is relative to the largest entry of the density it
+produces, not to each entry; negative round-off is clamped to zero, so every
+table is nondecreasing in n, and the running sum adds the remaining absolute
+errors.  With method "auto", horizons <= ``_FFT_THRESHOLD`` are read from a
+direct table built at the largest of them, and only the larger horizons from
+the FFT table, so a small horizon never carries the error scale of a large one.
+
+A run needs Phi at a few horizons only.  Conditioning on the first index gives
+
+    Phi(h, q) = sum_{j <= h} r(j) Phi(h - j, q - 1),
+
+so a table of order m - 1 holds all the top order needs: each path builds its
+table to order m - 1 and takes every order q >= 2 at each horizon h from one
+dot product of h + 1 terms.  An order-2 sum needs no convolution, and an FFT
+table for order m makes max(0, 2m - 4) transforms.  The dots cost
+O(m * sum_h h).  With horizons spread over (2048, 1e5] they tie the order-m
+transforms they replace at about 450 horizons for m = 2 and 150 for m = 3
+(2-core x86-64); a registry run passes 1-4.
 
 ``psi_curve`` computes the analogous sum Psi_n(m) for a pairwise kernel,
 from the tables T_1[j] = 1/rho(0, j) and
@@ -114,12 +125,15 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _fold_tables(weights: WeightSequence, n: int, m: int, method: str) -> np.ndarray:
+def _fold_tables(weights: WeightSequence, n: int, m: int, method: str,
+                 r: np.ndarray | None = None) -> np.ndarray:
     """Tables T[q-1, x] = Phi(x, q) for 0 <= x <= n, 1 <= q <= m; method "direct" or "fft".
 
-    Each row is the running sum of the density d_q = r * d_{q-1}, d_1 = r.
+    Each row is the running sum of the density d_q = r * d_{q-1}, d_1 = r.  A
+    caller that already holds ``weights.reciprocals(n)`` passes it as ``r``.
     """
-    r = weights.reciprocals(n)
+    if r is None:
+        r = weights.reciprocals(n)
     tables = np.empty((m, n + 1))
     np.cumsum(r, out=tables[0])
     if method == "fft" and m > 1:
@@ -143,6 +157,14 @@ def _fold_curves(weights: WeightSequence, horizons, m: int, method: str) -> np.n
 
     With method "auto" the horizons <= ``_FFT_THRESHOLD`` take the direct path
     and the others the FFT path; "direct" or "fft" forces one path for all.
+    Each path builds its table only to order m - 1 (order 1 when m = 1) and
+    reads order 1 from it.  Every order q >= 2 comes from the first-index
+    identity Phi(h, q) = sum_{i <= h} Phi(i, q - 1) r(h - i), one contiguous
+    dot product per horizon against a reversed copy of r.  The same formula
+    serves every order whatever m is, so a lower order is bit-identical to its
+    own run.  The dots cost sum_h (h + 1) multiply-adds per order, which beats
+    the order-m convolution up to a few hundred horizons at n = 1e5 (see the
+    module docstring).
     """
     if method not in ("auto", "direct", "fft"):
         raise ValueError(f"unknown method {method!r}")
@@ -152,13 +174,33 @@ def _fold_curves(weights: WeightSequence, horizons, m: int, method: str) -> np.n
     direct = hs <= _FFT_THRESHOLD if method == "auto" else np.full(hs.shape, method == "direct")
     curves = np.empty((m, hs.size))
     for sel, path in ((direct, "direct"), (~direct, "fft")):
-        if sel.any():
-            curves[:, sel] = _fold_tables(weights, int(hs[sel].max()), m, path)[:, hs[sel]]
+        if not sel.any():
+            continue
+        h_sel = hs[sel]
+        n = int(h_sel.max())
+        r = weights.reciprocals(n)
+        tables = _fold_tables(weights, n, max(m - 1, 1), path, r)
+        curves[0, sel] = tables[0, h_sel]
+        r_rev = r[::-1].copy()  # r_rev[n - h + i] = r[h - i]: both operands contiguous
+        for q in range(2, m + 1):
+            row = tables[q - 2]
+            # einsum, not np.dot: a threaded BLAS dot rounds differently per thread count
+            curves[q - 1, sel] = [np.einsum("i,i->", row[: h + 1], r_rev[n - h:]) for h in h_sel]
     return curves
 
 
 def _horizons(horizons) -> np.ndarray:
-    hs = np.asarray(horizons, dtype=int)
+    """Horizons as a nonnegative int array; refuses empty, negative or non-integral input."""
+    raw = np.asarray(horizons)
+    if raw.size == 0:
+        raise ValueError("horizons must not be empty")
+    if raw.dtype.kind in "iuf":
+        bad = ~np.isfinite(raw) | (raw != np.round(raw))
+    else:
+        bad = np.ones(raw.shape, dtype=bool)
+    if bad.any():
+        raise ValueError(f"horizons must be integers, got {raw[bad].flat[0].item()!r}")
+    hs = raw.astype(int)
     if hs.min() < 0:
         raise ValueError(f"horizons must be nonnegative, got {hs.min()}")
     return hs

@@ -44,6 +44,7 @@ Models:
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -65,11 +66,15 @@ _SQUARES = WeightSequence(weight=lambda i: (1.0 + i) ** 2, label="(1+n)^2")
 def resolve_threads(threads: int | None = None) -> int:
     """Explicit argument wins, then LIMITLAB_THREADS, then every usable CPU.
 
+    An explicit count or LIMITLAB_THREADS below 1 raises ValueError.
+
     Usable CPUs are those of the process's affinity mask where the platform
     reports one, else ``os.cpu_count()``.
     """
     if threads is not None:
-        return max(1, int(threads))
+        if not isinstance(threads, numbers.Integral) or threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {threads!r}")
+        return int(threads)
     env = os.environ.get("LIMITLAB_THREADS", "").strip()
     if not env:
         if hasattr(os, "sched_getaffinity"):

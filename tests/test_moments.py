@@ -123,6 +123,15 @@ class TestScaledCurveAndTable:
         with pytest.raises(ValueError):
             MomentTable.build(gw_kernel(), [5, 5], 1)
 
+    @pytest.mark.parametrize("horizons, message", [
+        ([2.5, 3.9], "integers, got 2.5"),
+        ([], "not be empty"),
+    ])
+    def test_fractional_or_empty_horizons_rejected(self, horizons, message):
+        # 2.5 and 3.9 used to be truncated to the table at (2, 3)
+        with pytest.raises(ValueError, match=message):
+            MomentTable.build(gw_kernel(), horizons, 1)
+
     def test_moment_table(self):
         t = MomentTable.build(gw_kernel(), [2, 10, 50], 3)
         assert t.values.shape == (3, 3)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +43,20 @@ WEIGHT_FAMILIES = {
 
 def scalar(fn):
     return lambda j: float(fn(np.array([j]))[0])
+
+
+def head_convolution(a, b, blocks=8):
+    """The first len(a) entries of the convolution a * b, for len(b) >= len(a).
+
+    ``a`` is cut into blocks, so the upper half np.convolve would also form
+    is mostly never computed.
+    """
+    n = a.size
+    step = -(-n // blocks)
+    out = np.zeros(n, dtype=np.result_type(a, b))
+    for lo in range(0, n, step):
+        out[lo:] += np.convolve(a[lo:lo + step], b[: n - lo])[: n - lo]
+    return out
 
 
 def psi_at(kernel, n, m):
@@ -129,6 +146,22 @@ class TestPhiOracle:
                 psi_curve(kernel, [-5, 100], 2)
         assert phi_curve(w, [0, 3], 2)[0] == 0.0
 
+    @pytest.mark.parametrize("horizons, message", [
+        ([2.5, 3], "integers, got 2.5"),
+        ([2, math.inf], "integers, got inf"),
+        (["3"], "integers, got '3'"),
+        ([], "not be empty"),
+    ])
+    def test_fractional_or_empty_horizons_rejected(self, horizons, message):
+        # 2.5 used to be truncated to 2, and no horizon at all raised from inside numpy
+        w = WeightSequence(weight=WEIGHT_FAMILIES["n"])
+        for curve in (phi_curve, phi_fold_curves):
+            with pytest.raises(ValueError, match=message):
+                curve(w, horizons, 2)
+        with pytest.raises(ValueError, match=message):
+            psi_curve(kernel_power(2.0, 1.0), horizons, 2)
+        assert np.array_equal(phi_curve(w, [2.0, 3.0], 2), phi_curve(w, [2, 3], 2))
+
     def test_negative_weight_rejected(self):
         w = WeightSequence(weight=lambda i: np.asarray(i, dtype=float) - 2.5)
         with pytest.raises(ValueError):
@@ -172,15 +205,57 @@ class TestFoldEngine:
             assert np.array_equal(top[k - 1], phi_curve(w, hs, k, method=method))
         assert np.array_equal(_fold_tables(w, 3000, 4, method)[0], np.cumsum(w.reciprocals(3000)))
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_fft_table_of_order_m_makes_2m_minus_2_transforms(self, monkeypatch, m):
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        """The names of the FFTs the fold engine makes, in call order."""
         calls = []
         for name in ("rfft", "irfft"):
             real = getattr(multisum.np.fft, name)
             monkeypatch.setattr(multisum.np.fft, name,
                                 lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_fft_table_of_order_m_makes_2m_minus_2_transforms(self, transforms, m):
         _fold_tables(WeightSequence(weight=WEIGHT_FAMILIES["n"]), 3000, m, "fft")
-        assert len(calls) == 2 * m - 2
+        assert len(transforms) == 2 * m - 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_fft_fold_curves_of_order_m_make_2m_minus_4_transforms(self, transforms, m):
+        # the table stops at order m - 1 and the top order takes one dot per horizon
+        phi_fold_curves(WeightSequence(weight=WEIGHT_FAMILIES["n"]), [100, 3000], m, method="fft")
+        assert len(transforms) == max(0, 2 * m - 4)
+
+    def test_fold_curves_do_not_depend_on_the_blas_thread_count(self):
+        # a threaded BLAS splits a dot of more than 10^4 terms among its threads,
+        # so np.dot would round the top order differently per thread count
+        code = ("from limitlab.multisum import WeightSequence, phi_fold_curves; "
+                "w = WeightSequence(weight=lambda j: (1.0 + j) ** 2); "
+                "print([v.hex() for v in phi_fold_curves(w, [30_000, 70_000, 100_000], 4).ravel()])")
+        outputs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t}).stdout
+                   for t in ("1", "2")}
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("weight", [
+        WEIGHT_FAMILIES["(1+n)^2"],
+        lambda j: np.sqrt(np.asarray(j, dtype=float)),
+        lambda j: np.asarray(j, dtype=float) + 1.0,
+        lambda j: np.asarray(j, dtype=float) ** 0.2,
+    ], ids=["(1+n)^2", "sqrt(n)", "n+1", "n^0.2"])
+    def test_fold_curves_match_a_long_double_convolution(self, weight):
+        # the densities d_2 = r * r and d_3 = r * d_2 convolved in long double
+        # from the same float64 reciprocals, so only the fold's own rounding shows
+        n = 20_000
+        w = WeightSequence(weight=weight)
+        r = w.reciprocals(n).astype(np.longdouble)
+        d2 = head_convolution(r, r)
+        d3 = head_convolution(r, d2)
+        hs = [100, 1000, 5000, n]
+        for m, dens in ((2, d2), (3, d3)):
+            want = np.cumsum(dens)[hs]
+            got = phi_curve(w, hs, m).astype(np.longdouble)
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 class TestUSum:
@@ -416,6 +491,31 @@ def test_fft_fold_equals_direct(n, m, gap, s, seed):
         if s >= 1.0:
             support = d > 0
             assert np.all(np.abs(f - d)[support] <= 1e-10 * d[support])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5000), m=st.integers(1, 4), gap=st.integers(1, 3), s=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**32 - 1), extra=st.lists(st.integers(0, 5000), max_size=4))
+def test_fold_curves_equal_the_running_sums_of_direct_tables(n, m, gap, s, seed, extra):
+    # the curves take the top order from dots against the order m - 1 table;
+    # the reference convolves every order of the full direct table.  Horizons
+    # include 0, both sides of the gap and of the first feasible tuple m gap.
+    u = np.random.default_rng(seed).uniform(1.0, 10.0, n + 1)
+    weights = WeightSequence(weight=lambda j: u[j] * (1.0 + j) ** s, gap=gap)
+    edges = [0, gap - 1, gap, m * gap - 1, m * gap, n] + extra
+    hs = sorted({min(h, n) for h in edges})
+    want = _fold_tables(weights, n, m, "direct")[:, hs]
+    got = phi_fold_curves(weights, hs, m, method="direct")
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    # FFT round-off is relative to each table's largest entry (the horizon n);
+    # for s >= 1 that bound is also entry-wise wherever a tuple is feasible.
+    # An order with no feasible tuple (n < q gap) has no support to compare on.
+    feasible = want[:, -1] > 0
+    err = np.abs(phi_fold_curves(weights, hs, m, method="fft") - want)[feasible]
+    want = want[feasible]
+    assert np.all(err <= 1e-12 * want[:, -1:])
+    if s >= 1.0:
+        assert np.all(err[want > 0] <= 1e-12 * want[want > 0])
 
 
 distance_kernels = st.builds(

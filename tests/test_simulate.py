@@ -222,6 +222,14 @@ def test_threads_default_to_every_usable_cpu(monkeypatch):
     assert resolve_threads() == 1
 
 
+@pytest.mark.parametrize("threads", [0, -5])
+def test_an_explicit_thread_count_below_1_is_refused(threads):
+    with pytest.raises(ValueError, match=f"threads must be a positive integer, got {threads}"):
+        resolve_threads(threads)
+    with pytest.raises(ValueError, match="positive integer"):
+        sim_gw(10, replicates=5, seed=0, threads=threads)
+
+
 def _series_mul(a, b, deg):
     return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(deg + 1)]
 
