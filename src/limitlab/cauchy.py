@@ -10,8 +10,11 @@ positive.  It is a one-dimensional fast multipole scheme (Greengard & Rokhlin
 
 - Indices are cut into leaves of ``LEAF`` consecutive entries, and leaves
   into a dyadic tree of index blocks.
-- Near field: each leaf's own strictly lower block and the full block of its
-  left neighbour are summed densely.
+- Near field: each leaf is one dense LEAF x 2 LEAF block, its left
+  neighbour followed by its own leaf, applied by one batched ``matmul``.  A
+  ghost leaf (y = -inf, v = 0) stands before leaf 0, and a constant mask adds
+  +inf on and above the diagonal of the own leaf, so those entries divide
+  to 0.
 - Far field: every block carries charges, the sum of its v[i] times the
   Lagrange basis at y[i] on ``ORDER`` Chebyshev points spanning its
   y-range.  Charges are formed at the leaves and passed up the tree; the
@@ -19,11 +22,14 @@ positive.  It is a one-dimensional fast multipole scheme (Greengard & Rokhlin
   ORDER - 1.  At each level a target leaf meets the standard 1-D interaction
   list, the children of its parent's left neighbour and of its parent that
   are not its own neighbour, and sums the charges against 1/(x[j] - node).
+  Each of the two lists names a target leaf at most once, so it adds into
+  ``out`` directly.
 - Index separation is not value separation: where y is concave
   (y = i^gamma, gamma < 1) the first blocks are wide in y.  A target leaf and
   source block with (min x - centre) < ``SEPARATION`` * half-width are pushed
   down to the source block's two children, and at the leaf level summed
-  densely.
+  densely.  A target can meet several pushed-down blocks, so these pairs,
+  and only these, add into ``out`` through ``np.add.at``.
 
 Error budget.  On a source block with centre c and half-width h, the
 Chebyshev interpolant of 1/(x - y) at r = (x - c)/h has relative error at
@@ -34,7 +40,10 @@ term is positive, so the same bound, plus round-off, holds for each out[j].
 
 Every temporary is cut into slices of at most ``_SLICE`` float64 values
 (2 MiB), so memory stays flat in n.  Cost: O(n LEAF) near field and
-O(n ORDER log(n / LEAF)) far field.
+O(n ORDER log(n / LEAF)) far field.  For the power kernel at n = 1e4 (1e5),
+each out[j] takes 2 LEAF = 128 near-field entries and 160 (260) far-field
+entries, at about 4.5 (3.8) and 5.6 (4.9) ns each on a 2-core x86-64 host;
+a bare subtract and divide costs about 2 ns.
 """
 
 from __future__ import annotations
@@ -55,14 +64,24 @@ _SLICE = 1 << 18
 _THETA = (2 * np.arange(ORDER) + 1) * np.pi / (2 * ORDER)
 _NODES = np.cos(_THETA)  # Chebyshev points of the first kind on [-1, 1]
 _BARY = (-1.0) ** np.arange(ORDER) * np.sin(_THETA)  # their barycentric weights
+# +inf where a near-field window column is not strictly left of the target row
+_MASK = np.where(np.arange(2 * LEAF) >= np.arange(LEAF, 2 * LEAF)[:, None], np.inf, 0.0)
 
 
 def _lagrange(u: np.ndarray) -> np.ndarray:
     """L[..., k]: the k-th Lagrange basis polynomial on _NODES at u."""
     d = u[..., None] - _NODES
-    d[d == 0.0] = 1e-300  # u on a node: the basis there is 1, the others 0
-    w = _BARY / d
-    return w / w.sum(axis=-1, keepdims=True)
+    if not d.all():
+        d[d == 0.0] = 1e-300  # u on a node: the basis there is 1, the others 0
+    np.divide(_BARY, d, out=d)
+    d /= d.sum(axis=-1, keepdims=True)
+    return d
+
+
+def _windows(flat: np.ndarray) -> np.ndarray:
+    """Read-only view whose row b is leaves b and b + 1 of a flat array of whole leaves."""
+    s = flat.strides[0]
+    return np.lib.stride_tricks.as_strided(flat, (flat.size // LEAF - 1, 2 * LEAF), (LEAF * s, s), writeable=False)
 
 
 def _slices(count: int, per_item: int):
@@ -82,23 +101,24 @@ def lower_matvec(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     n = v.size
     nl = -(-n // LEAF)
     pad = nl * LEAF - n
-    V = np.pad(np.asarray(v, dtype=float), (0, pad)).reshape(nl, LEAF)
-    X = np.pad(np.asarray(x, dtype=float), (0, pad), constant_values=np.inf).reshape(nl, LEAF)
-    Y = np.pad(np.asarray(y, dtype=float), (0, pad), mode="edge").reshape(nl, LEAF)
-    out = np.zeros((nl, LEAF))
+    # flat copies led by a ghost leaf (y = -inf, v = 0); the padding (x = inf, v = 0) adds no term
+    vg = np.concatenate([np.zeros(LEAF), v, np.zeros(pad)])
+    yg = np.concatenate([np.full(LEAF, -np.inf), y, np.repeat(y[-1:], pad)])
+    X = np.concatenate([x, np.full(pad, np.inf)]).reshape(nl, LEAF)
+    Y, V = yg[LEAF:].reshape(nl, LEAF), vg[LEAF:].reshape(nl, LEAF)
+    out = np.empty((nl, LEAF))
 
-    def dense(b, a, mask=None):
-        """out[b] += block(b, a) @ V[a] for leaf pairs (b, a)."""
-        for s in _slices(b.size, LEAF * LEAF):
-            d = X[b[s], :, None] - Y[a[s], None, :]
-            k = 1.0 / d if mask is None else np.divide(1.0, d, out=np.zeros_like(d), where=mask)
-            np.add.at(out, b[s], np.einsum("brc,bc->br", k, V[a[s]]))
-
-    leaves = np.arange(nl)
-    dense(leaves, leaves, np.tri(LEAF, k=-1, dtype=bool))
-    dense(leaves[1:], leaves[:-1])
+    # near field: leaf b against the window [leaf b - 1, leaf b]; the ghost and
+    # the +inf mask on and above the diagonal divide to 0
+    Yw, Vw = _windows(yg), _windows(vg)
+    for s in _slices(nl, 2 * LEAF * LEAF):
+        d = X[s, :, None] - Yw[s, None, :]
+        d += _MASK
+        np.reciprocal(d, out=d)
+        out[s] = np.matmul(d, Vw[s, :, None])[..., 0]
     if nl < 3:
         return out.ravel()[:n]
+    leaves = np.arange(nl)
 
     # upward pass: (centre, half-width, charges) of every block, level by level
     c, h = _interval(Y[:, 0], Y[:, -1])
@@ -125,14 +145,26 @@ def lower_matvec(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         c, h, W = tree[level]
         J = leaves >> level
         even, odd = J >= 2, (J >= 3) & (J % 2 == 1)
-        b = np.concatenate([leaves[even], leaves[odd], near_b, near_b])
-        a = np.concatenate([J[even] - 2, J[odd] - 3, 2 * near_a, 2 * near_a + 1])
-        far = xmin[b] - c[a] >= SEPARATION * h[a]
-        fb, fa = b[far], a[far]
-        for s in _slices(fb.size, LEAF * ORDER):
-            nodes = c[fa[s], None] + h[fa[s], None] * _NODES
-            k = 1.0 / (X[fb[s], :, None] - nodes[:, None, :])
-            np.add.at(out, fb[s], np.einsum("brk,bk->br", k, W[fa[s]]))
-        near_b, near_a = b[~far], a[~far]
-    dense(near_b, near_a)
+        pushed = (np.concatenate([near_b, near_b]), np.concatenate([2 * near_a, 2 * near_a + 1]))
+        # a regular list names each target leaf at most once; pushed pairs may repeat one
+        lists = [(leaves[even], J[even] - 2, True), (leaves[odd], J[odd] - 3, True), (*pushed, False)]
+        near = []
+        for b, a, unique in lists:
+            far = xmin[b] - c[a] >= SEPARATION * h[a]
+            fb, fa = b[far], a[far]
+            for s in _slices(fb.size, LEAF * ORDER):
+                k = X[fb[s], :, None] - (c[fa[s], None] + h[fa[s], None] * _NODES)[:, None, :]
+                np.reciprocal(k, out=k)
+                f = np.matmul(k, W[fa[s], :, None])[..., 0]
+                if unique:
+                    out[fb[s]] += f
+                else:
+                    np.add.at(out, fb[s], f)
+            near.append((b[~far], a[~far]))
+        near_b, near_a = (np.concatenate(z) for z in zip(*near))
+
+    # pairs pushed down to the leaves are summed densely
+    for s in _slices(near_b.size, LEAF * LEAF):
+        k = 1.0 / (X[near_b[s], :, None] - Y[near_a[s], None, :])
+        np.add.at(out, near_b[s], np.matmul(k, V[near_a[s], :, None])[..., 0])
     return out.ravel()[:n]

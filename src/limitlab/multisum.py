@@ -31,7 +31,8 @@ dot product of h + 1 terms.  An order-2 sum needs no convolution, and an FFT
 table for order m makes max(0, 2m - 4) transforms.  The dots cost
 O(m * sum_h h).  With horizons spread over (2048, 1e5] they tie the order-m
 transforms they replace at about 450 horizons for m = 2 and 150 for m = 3
-(2-core x86-64); a registry run passes 1-4.
+(2-core x86-64); a registry run passes 1-4.  A call with more horizons than
+that folds to order m and reads its rows instead.
 
 ``psi_curve`` computes the analogous sum Psi_n(m) for a pairwise kernel,
 from the tables T_1[j] = 1/rho(0, j) and
@@ -73,6 +74,10 @@ __all__ = [
 
 # direct convolution below this horizon, FFT above
 _FFT_THRESHOLD = 2048
+# the top orders come from dots while sum_h (h + 1) <= this many terms per table
+# cell, else from one more fold; the dots tie the fold at about 250 (FFT,
+# n = 1e5, m = 2), 80 (m = 3) and 70 / 30 (direct, n = 2048; 2-core x86-64)
+_DOTS_PER_CELL = 128
 
 
 @dataclass(frozen=True)
@@ -162,9 +167,10 @@ def _fold_curves(weights: WeightSequence, horizons, m: int, method: str) -> np.n
     identity Phi(h, q) = sum_{i <= h} Phi(i, q - 1) r(h - i), one contiguous
     dot product per horizon against a reversed copy of r.  The same formula
     serves every order whatever m is, so a lower order is bit-identical to its
-    own run.  The dots cost sum_h (h + 1) multiply-adds per order, which beats
-    the order-m convolution up to a few hundred horizons at n = 1e5 (see the
-    module docstring).
+    own run.  The dots cost sum_h (h + 1) multiply-adds per order.  When that
+    exceeds ``_DOTS_PER_CELL`` (n + 1), the path instead folds its table to
+    order m and reads every order from its rows; the choice depends on the
+    horizons only, never on m, so lower orders still match their own runs.
     """
     if method not in ("auto", "direct", "fft"):
         raise ValueError(f"unknown method {method!r}")
@@ -179,6 +185,9 @@ def _fold_curves(weights: WeightSequence, horizons, m: int, method: str) -> np.n
         h_sel = hs[sel]
         n = int(h_sel.max())
         r = weights.reciprocals(n)
+        if (h_sel + 1).sum() > _DOTS_PER_CELL * (n + 1):  # many horizons: one more fold is cheaper
+            curves[:, sel] = _fold_tables(weights, n, m, path, r)[:, h_sel]
+            continue
         tables = _fold_tables(weights, n, max(m - 1, 1), path, r)
         curves[0, sel] = tables[0, h_sel]
         r_rev = r[::-1].copy()  # r_rev[n - h + i] = r[h - i]: both operands contiguous

@@ -86,6 +86,12 @@ def psi_loop(kernel, n: int, m: int) -> np.ndarray:
     return tables
 
 
+def cauchy_lower_dense(v, x, y) -> np.ndarray:
+    """out[j] = sum_{i<j} v[i] / (x[j] - y[i]), row by row with an exact sum of the rounded terms."""
+    v, x, y = (np.asarray(a, dtype=float) for a in (v, x, y))
+    return np.array([math.fsum(v[:j] / (x[j] - y[:j])) for j in range(v.size)])
+
+
 def probability_range(kernel, n: int) -> tuple[float, float]:
     """(min, max) of success_prob over all pairs 0 <= i < j <= n."""
     values = [kernel.marginal_probs(n)[1:]] + [kernel.cond_column(j) for j in range(2, n + 1)]

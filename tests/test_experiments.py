@@ -81,6 +81,17 @@ def test_monte_carlo_experiments_pass_every_check(text):
     assert [c["name"] for c in report["checks"] if not c["passed"]] == []
 
 
+@pytest.mark.parametrize("d", [4, 5])
+def test_levelwalk_off_dimension_3_passes_every_check(d):
+    # gamma = d - 2: the exact mean grows like gamma (a/b) log n, so the band is
+    # on that scale (without gamma the ratio read 1.91 at d = 4 and n = 500)
+    report = experiments.run(experiments.parse_config(f"experiment = c3-cutsphere\nd = {d}\nreplicates = 2000\n"))
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+    band = next(c for c in report["checks"] if c["name"].startswith("mean/("))
+    assert band["name"].startswith(f"mean/({d - 2} (a/b) log n)")
+    assert abs(band["value"] - 1.0) < 0.1
+
+
 @pytest.mark.parametrize("experiment, builder, k_max", [
     ("rzr-i", "_fold_tables", 3),
     ("rzr-ii", "_fold_tables", 2),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from limitlab.multisum import (
 from limitlab import multisum
 from limitlab.multisum import _fold_tables, _psi_tables
 
-from oracles import phi_bruteforce, phi_recursion, psi_bruteforce, psi_loop
+from oracles import cauchy_lower_dense, phi_bruteforce, phi_recursion, psi_bruteforce, psi_loop
 from test_kernels import cauchy_kernels
 
 WEIGHT_FAMILIES = {
@@ -205,6 +206,22 @@ class TestFoldEngine:
             assert np.array_equal(top[k - 1], phi_curve(w, hs, k, method=method))
         assert np.array_equal(_fold_tables(w, 3000, 4, method)[0], np.cumsum(w.reciprocals(3000)))
 
+    @pytest.mark.parametrize("name", list(WEIGHT_FAMILIES))
+    def test_many_horizons_fold_to_the_top_order(self, name, monkeypatch):
+        # all of 1..5000: the dots would cost about 2500 terms per table cell, so
+        # each path folds to order m and reads rows; a few horizons take the dots
+        w = WeightSequence(weight=WEIGHT_FAMILIES[name])
+        orders = []
+        real = multisum._fold_tables
+        monkeypatch.setattr(multisum, "_fold_tables", lambda *a: orders.append(a[2]) or real(*a))
+        rows = phi_fold_curves(w, np.arange(1, 5001), 4)
+        assert orders == [4, 4]
+        probe = [1, 2, 3, 700, 2048, 2049, 3000, 5000]
+        dots = phi_fold_curves(w, probe, 4)
+        assert orders == [4, 4, 3, 3]
+        got = rows[:, np.array(probe) - 1]
+        assert np.all(np.abs(got - dots) <= 1e-12 * dots)
+
     @pytest.fixture
     def transforms(self, monkeypatch):
         """The names of the FFTs the fold engine makes, in call order."""
@@ -366,10 +383,46 @@ class TestPsiFastVsExact:
         i = np.arange(1, n + 1, dtype=float)
         x, y = (i + 0.25) ** gamma, i**gamma
         v = np.random.default_rng(5).random(n)
-        exact = np.array([np.dot(v[:j], 1.0 / (x[j] - y[:j])) for j in range(n)])
+        exact = cauchy_lower_dense(v, x, y)
         fast = lower_matvec(v, x, y)
         assert fast[0] == 0.0
         assert np.all(np.abs(fast[1:] - exact[1:]) <= FAST_RTOL * exact[1:])
+
+    @pytest.mark.parametrize("n", [129, 191, 192, 193, 257])
+    @pytest.mark.parametrize("case", ["power", "nonmonotone x", "zeros in v"])
+    def test_matvec_few_leaves(self, n, case):
+        # three to five leaves, the last one partial; the docstring only asks
+        # x_j > y_{j-1}, so x may fall back below earlier x's
+        rng = np.random.default_rng(n)
+        if case == "power":
+            _, x, y = (a[1:] for a in kernel_power(2.0, 1.0).cauchy(n))
+        else:
+            y = np.cumsum(rng.random(n) + 0.01)
+            x = np.concatenate([[y[0]], y[:-1] + 10.0 ** rng.uniform(-3, 3, n - 1)])
+        v = rng.random(n)
+        if case == "zeros in v":
+            v[:70] = 0.0  # the whole first leaf and part of the second
+            v[rng.random(n) < 0.3] = 0.0
+        with np.errstate(all="raise"):
+            fast = lower_matvec(v, x, y)
+        exact = cauchy_lower_dense(v, x, y)
+        assert fast[0] == 0.0
+        assert np.all(np.abs(fast - exact) <= FAST_RTOL * exact)
+
+    def test_matvec_memory_stays_sliced(self):
+        # every temporary is cut to _SLICE floats (2 MiB), so the peak is a few
+        # O(n) arrays plus a few slices; 10 MiB is just above the 9.82 MiB of the
+        # two-pass near field, so the 64 x 128 near-field blocks must not raise it
+        n = 100_000
+        _, x, y = (a[1:] for a in kernel_power(2.0, 1.0).cauchy(n))
+        v = np.random.default_rng(2).random(n)
+        tracemalloc.start()
+        try:
+            lower_matvec(v, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
     def test_breakdown_reaches_psi_curve(self):
         kernel = kernel_branching(OffspringSchedule.constant(0.6))

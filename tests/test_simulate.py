@@ -63,15 +63,18 @@ def test_moments_match_the_exact_table(model):
         assert abs(zscore(c**2, table.values[1, ci])) <= 4.0
 
 
-@pytest.mark.parametrize("x0", [None, 1.0])
-def test_steps_oracle_matches_the_exact_mean(x0):
+@pytest.mark.parametrize("x0, gamma", [
+    pytest.param(x0, gamma, id=str(x0) if gamma == 1.0 else f"{x0}-gamma{gamma}")
+    for gamma in (0.5, 1.0, 2.0) for x0 in (None, 1.0)])
+def test_steps_oracle_matches_the_exact_mean(x0, gamma):
     n = 10
-    counts = levelwalk_steps(SPEC, n, replicates=2000, seed=5, x0=x0)
-    exact = MomentTable.build(kernel_scale(SPEC), range(1, n + 1), 1).values[0]
+    spec = ScaleSpec(gamma, SPEC.a, SPEC.b)
+    counts = levelwalk_steps(spec, n, replicates=2000, seed=5, x0=x0)
+    exact = MomentTable.build(kernel_scale(spec), range(1, n + 1), 1).values[0]
     for k in range(n):
         assert abs(zscore(counts[:, k].astype(float), exact[k])) <= 4.0
-        # about 3x the expected TV distance of 2000 exact draws (at most 0.023 here)
-        assert tv_to_pmf(counts[:, k], count_pmf(kernel_scale(SPEC), k + 1)) <= 0.07
+        # about 3x the expected TV distance of 2000 exact draws (at most 0.023 for these gammas)
+        assert tv_to_pmf(counts[:, k], count_pmf(kernel_scale(spec), k + 1)) <= 0.07
 
 
 DECAY = OffspringSchedule.from_decay(lambda t: t**-2.0)
