@@ -12,25 +12,41 @@ j >= n0 and 0 below the gap:
     Phi(n, q) = sum_{x <= n} d_q(x)    (a running sum of the density).
 
 A direct O(n^2)-per-fold convolution is the reference path.  The FFT path
-(O(n log n) per fold) convolves at a 5-smooth length >= 2n + 1: q = 1 needs no
-transform, d_2 = irfft(r_hat^2) needs one, and each later order an rfft and an
-irfft.  Its round-off is relative to the largest entry of the density it
-produces, not to each entry; negative round-off is clamped to zero, so every
-table is nondecreasing in n, and the running sum adds the remaining absolute
-errors.  With method "auto", horizons <= ``_FFT_THRESHOLD`` are read from a
-direct table built at the largest of them, and only the larger horizons from
-the FFT table, so a small horizon never carries the error scale of a large one.
+(O(n log n) per fold) convolves at a 5-smooth length that holds the whole
+product, 2n + 1 for a full r: q = 1 needs no transform, d_2 = irfft(r_hat^2)
+needs one, each later order an rfft and an irfft, and r one rfft per length.
+Its round-off is relative to the largest entry of the density it produces, not
+to each entry; negative round-off is clamped to zero, so every table is
+nondecreasing in n, and the running sum adds the remaining absolute errors.
+With method "auto", horizons <= ``_FFT_THRESHOLD`` are read from a direct table
+built at the largest of them, and only the larger horizons from the FFT table,
+so a small horizon never carries the error scale of a large one.
 
 A run needs Phi at a few horizons only.  Conditioning on the first index gives
 
     Phi(h, q) = sum_{j <= h} r(j) Phi(h - j, q - 1),
 
-so a table of order m - 1 holds all the top order needs: each path builds its
-table to order m - 1 and takes every order q >= 2 at each horizon h from one
-dot product of h + 1 terms.  An order-2 sum needs no convolution, and an FFT
-table for order m makes max(0, 2m - 4) transforms.  The dots cost
+so a table of order m - 1 holds all the top order needs, and for m >= 3 only
+the head of r goes into it.  Gaps summing to at most n leave at most one gap
+above tau = floor(n/2), since two would sum past n.  So for q >= 3, with
+P_{q-1} the running sum of the (q-1)-fold density of r cut to r[0..tau],
+
+    Phi(h, q) = sum_{j <= min(h, tau)} r(j) P_{q-1}(h - j)
+                + q sum_{tau < j <= h} r(j) P_{q-1}(h - j).
+
+The first sum counts the tuples with every gap <= tau.  The second counts
+those with one gap above tau, which may sit in any of the q places; there
+h - j <= n - tau - 1 <= tau, where P_{q-1} = Phi(., q - 1).  Each path builds
+the tables of r[0..tau] to order m - 1 and takes each order q >= 3 at each
+horizon h from one dot product of h + 1 terms, against r with its entries
+above tau scaled by q.  Orders 1 and 2 come from the running sum of the full r
+and one dot against r.  The cut product r * r fits in n + 1 entries and each
+later one in n + tau + 1, so the FFT lengths are about n and 1.5n, not 2n,
+and the direct path's d_2 costs a quarter of the full product.  An order-2 sum
+needs no convolution; an FFT table for order m = 3 makes 2 transforms, and
+for m >= 4 it makes 2m - 3 (r is transformed at both lengths).  The dots cost
 O(m * sum_h h).  With horizons spread over (2048, 1e5] they tie the order-m
-transforms they replace at about 450 horizons for m = 2 and 150 for m = 3
+transforms they replace at about 450 horizons for m = 2 and 280 for m = 3
 (2-core x86-64); a registry run passes 1-4.  A call with more horizons than
 that folds to order m and reads its rows instead.
 
@@ -76,7 +92,7 @@ __all__ = [
 _FFT_THRESHOLD = 2048
 # the top orders come from dots while sum_h (h + 1) <= this many terms per table
 # cell, else from one more fold; the dots tie the fold at about 250 (FFT,
-# n = 1e5, m = 2), 80 (m = 3) and 70 / 30 (direct, n = 2048; 2-core x86-64)
+# n = 1e5, m = 2), 140 (m = 3) and 70 (direct, n = 2048; 2-core x86-64)
 _DOTS_PER_CELL = 128
 
 
@@ -135,24 +151,35 @@ def _fold_tables(weights: WeightSequence, n: int, m: int, method: str,
     """Tables T[q-1, x] = Phi(x, q) for 0 <= x <= n, 1 <= q <= m; method "direct" or "fft".
 
     Each row is the running sum of the density d_q = r * d_{q-1}, d_1 = r.  A
-    caller that already holds ``weights.reciprocals(n)`` passes it as ``r``.
+    caller that already holds ``weights.reciprocals(n)`` passes it as ``r``; a
+    shorter ``r`` is read as zero beyond its end.  Each fold convolves only the
+    supports: d_q is zero past s_q = min(n, s_r + s_{q-1}), and the FFT length
+    is the 5-smooth length >= max(n, s_r + s_{q-1}) + 1.
     """
     if r is None:
         r = weights.reciprocals(n)
+    s_r = r.size - 1
     tables = np.empty((m, n + 1))
-    np.cumsum(r, out=tables[0])
-    if method == "fft" and m > 1:
-        size = _smooth_length(2 * n + 1)  # no wrap-around into indices 0..n
-        r_hat = np.fft.rfft(r, size)
-    dens = r
+    np.cumsum(r, out=tables[0, : s_r + 1])
+    tables[0, s_r + 1:] = tables[0, s_r]
+    r_hats = {}  # spectra of r by FFT length
+    dens, s = r, s_r  # d_{q-1} and the last index where it may be nonzero
     for q in range(2, m + 1):
+        end = s_r + s  # last index of the full product r * d_{q-1}
         if method == "fft":
+            size = _smooth_length(max(n, end) + 1)  # no wrap-around into indices 0..n
+            if size not in r_hats:
+                r_hats[size] = np.fft.rfft(r, size)
+            r_hat = r_hats[size]
             spec = r_hat.copy() if q == 2 else np.fft.rfft(dens, size)  # d_1 = r has spectrum r_hat
             spec *= r_hat
-            dens = np.fft.irfft(spec, size)[: n + 1].copy()  # the copy frees the 2n-long buffer
+            dens = np.fft.irfft(spec, size)[: n + 1].copy()  # the copy frees the long buffer
             np.maximum(dens, 0.0, out=dens)  # FFT round-off may graze below zero
         else:
-            dens = np.convolve(r, dens)[: n + 1]
+            head = np.convolve(r, dens[: s + 1])[: n + 1]
+            dens = np.zeros(n + 1)
+            dens[: head.size] = head
+        s = min(n, end)
         np.cumsum(dens, out=tables[q - 1])
     return tables
 
@@ -162,13 +189,16 @@ def _fold_curves(weights: WeightSequence, horizons, m: int, method: str) -> np.n
 
     With method "auto" the horizons <= ``_FFT_THRESHOLD`` take the direct path
     and the others the FFT path; "direct" or "fft" forces one path for all.
-    Each path builds its table only to order m - 1 (order 1 when m = 1) and
-    reads order 1 from it.  Every order q >= 2 comes from the first-index
-    identity Phi(h, q) = sum_{i <= h} Phi(i, q - 1) r(h - i), one contiguous
-    dot product per horizon against a reversed copy of r.  The same formula
-    serves every order whatever m is, so a lower order is bit-identical to its
-    own run.  The dots cost sum_h (h + 1) multiply-adds per order.  When that
-    exceeds ``_DOTS_PER_CELL`` (n + 1), the path instead folds its table to
+    Each path builds its table only to order m - 1 (order 1 when m = 1), from
+    r[0..n // 2] when m >= 3, and reads order 1 from the running sum of r.
+    Every order q >= 2 comes from the first-index identity
+    Phi(h, q) = sum_{i <= h} Phi(i, q - 1) r(h - i), one contiguous dot product
+    per horizon against a reversed copy of r; for q >= 3 the table is the cut
+    one and the entries of r above n // 2 count q times (see the module
+    docstring).  The same formula serves every order whatever m is, and the
+    cut depends on n only, so a lower order is bit-identical to its own run.
+    The dots cost sum_h (h + 1) multiply-adds per order.  When that exceeds
+    ``_DOTS_PER_CELL`` (n + 1), the path instead folds its table to
     order m and reads every order from its rows; the choice depends on the
     horizons only, never on m, so lower orders still match their own runs.
     """
@@ -188,13 +218,19 @@ def _fold_curves(weights: WeightSequence, horizons, m: int, method: str) -> np.n
         if (h_sel + 1).sum() > _DOTS_PER_CELL * (n + 1):  # many horizons: one more fold is cheaper
             curves[:, sel] = _fold_tables(weights, n, m, path, r)[:, h_sel]
             continue
-        tables = _fold_tables(weights, n, max(m - 1, 1), path, r)
-        curves[0, sel] = tables[0, h_sel]
+        tau = n // 2  # two gaps above tau sum past n, so a tuple has at most one
+        cut = m > 2  # orders >= 3 need only the tables of r cut to r[0..tau]
+        tables = _fold_tables(weights, n, max(m - 1, 1), path, r[: tau + 1] if cut else r)
+        run = np.cumsum(r) if cut else tables[0]
+        curves[0, sel] = run[h_sel]
         r_rev = r[::-1].copy()  # r_rev[n - h + i] = r[h - i]: both operands contiguous
         for q in range(2, m + 1):
-            row = tables[q - 2]
+            row, w = run, r_rev
+            if q > 2:  # the one gap above tau may sit in any of the q places
+                row, w = tables[q - 2], r_rev.copy()
+                w[: n - tau] *= q
             # einsum, not np.dot: a threaded BLAS dot rounds differently per thread count
-            curves[q - 1, sel] = [np.einsum("i,i->", row[: h + 1], r_rev[n - h:]) for h in h_sel]
+            curves[q - 1, sel] = [np.einsum("i,i->", row[: h + 1], w[n - h:]) for h in h_sel]
     return curves
 
 

@@ -29,7 +29,7 @@ from limitlab.multisum import (
     u_sum_curve,
 )
 from limitlab import multisum
-from limitlab.multisum import _fold_tables, _psi_tables
+from limitlab.multisum import _fold_tables, _psi_tables, _smooth_length
 
 from oracles import cauchy_lower_dense, phi_bruteforce, phi_recursion, psi_bruteforce, psi_loop
 from test_kernels import cauchy_kernels
@@ -190,9 +190,10 @@ class TestFoldEngine:
             assert np.all(np.abs(got - direct[m - 1]) <= 1e-12 * direct[m - 1])
 
     def test_constant_weight_counts_tuples(self):
-        # D = 2 with gap 1: Phi(n, m) = C(n, m) / 2^m, an exact oracle up to 1e5
-        hs = [5, 10, 100, 1000, 100_000]
-        for m in (2, 3):
+        # D = 2 with gap 1: Phi(n, m) = C(n, m) / 2^m, an exact oracle up to 1e5,
+        # here on both sides of the cut at n // 2 and next to n
+        hs = [5, 10, 100, 1000, 49_999, 50_000, 50_001, 99_999, 100_000]
+        for m in (2, 3, 4, 5):
             got = phi_curve(WeightSequence(weight=lambda j: 2.0 + 0 * j), hs, m)
             want = np.array([math.comb(h, m) / 2.0**m for h in hs])
             assert np.all(np.abs(got - want) <= 1e-12 * want)
@@ -205,6 +206,40 @@ class TestFoldEngine:
         for k in (1, 2, 3):
             assert np.array_equal(top[k - 1], phi_curve(w, hs, k, method=method))
         assert np.array_equal(_fold_tables(w, 3000, 4, method)[0], np.cumsum(w.reciprocals(3000)))
+
+    @pytest.mark.parametrize("n", [2000, 2001, 3000, 3001])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_orders_above_2_split_at_half_the_horizon(self, n, m):
+        # gaps summing to at most n leave at most one above tau = n // 2, so
+        # orders >= 3 come from tables of r[0..tau], the one long gap counted
+        # once per place; odd n leaves the 2 tau + 1 entries of r * r one short.
+        # Gaps tau and tau + 1 put all of a tuple's mass above the cut, or none.
+        tau = n // 2
+        u = np.random.default_rng(n + m).uniform(1.0, 10.0, n + 1)
+        hs = [1, 2, tau - 1, tau, tau + 1, n - 1, n]
+        for gap in (1, 3, tau, tau + 1):
+            w = WeightSequence(weight=lambda j: u[j] * (1.0 + j) ** 1.5, gap=gap)
+            want = _fold_tables(w, n, m, "direct")[:, hs]
+            direct = phi_fold_curves(w, hs, m, method="direct")
+            assert np.all(np.abs(direct - want) <= 1e-12 * want)
+            # FFT round-off is relative to each order's largest entry
+            fft = phi_fold_curves(w, hs, m, method="fft")
+            feasible = want[:, -1] > 0
+            assert np.all(np.abs(fft - want)[feasible] <= 1e-12 * want[feasible, -1:])
+        assert not direct[1:].any() and not fft[1:].any()  # no two gaps above tau fit in n
+
+    @pytest.mark.parametrize("n", [3000, 3001])
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    def test_a_short_r_is_read_as_zero_past_its_end(self, method, n):
+        # the tables of r[0..tau] equal the full-length tables of a weight that
+        # is infinite past tau; for odd n, r * r ends one short of n
+        tau = n // 2
+        w = WeightSequence(weight=WEIGHT_FAMILIES["n"])
+        cut = _fold_tables(w, n, 4, method, w.reciprocals(n)[: tau + 1])
+        padded = WeightSequence(weight=lambda j: np.where(j <= tau, j, np.inf))
+        want = _fold_tables(padded, n, 4, "direct")
+        assert np.all(cut[0] == want[0])
+        assert np.all(np.abs(cut - want) <= 1e-12 * want[:, -1:])
 
     @pytest.mark.parametrize("name", list(WEIGHT_FAMILIES))
     def test_many_horizons_fold_to_the_top_order(self, name, monkeypatch):
@@ -224,24 +259,42 @@ class TestFoldEngine:
 
     @pytest.fixture
     def transforms(self, monkeypatch):
-        """The names of the FFTs the fold engine makes, in call order."""
+        """The (name, length) of each FFT the fold engine makes, in call order."""
         calls = []
         for name in ("rfft", "irfft"):
             real = getattr(multisum.np.fft, name)
             monkeypatch.setattr(multisum.np.fft, name,
-                                lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw))
+                                lambda a, size, _real=real, _name=name: calls.append((_name, size)) or _real(a, size))
         return calls
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_fft_table_of_order_m_makes_2m_minus_2_transforms(self, transforms, m):
+        # a full r keeps every order at the length of the whole product, 2n + 1
         _fold_tables(WeightSequence(weight=WEIGHT_FAMILIES["n"]), 3000, m, "fft")
         assert len(transforms) == 2 * m - 2
+        assert {size for _, size in transforms} <= {_smooth_length(6001)}
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_fft_fold_curves_of_order_m_make_2m_minus_4_transforms(self, transforms, m):
         # the table stops at order m - 1 and the top order takes one dot per horizon
         phi_fold_curves(WeightSequence(weight=WEIGHT_FAMILIES["n"]), [100, 3000], m, method="fft")
         assert len(transforms) == max(0, 2 * m - 4)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_fft_fold_curves_of_order_m_make_2m_minus_3_transforms(self, transforms, m):
+        # orders >= 3 convolve at a longer length than order 2, so r is transformed twice
+        phi_fold_curves(WeightSequence(weight=WEIGHT_FAMILIES["n"]), [100, 3000], m, method="fft")
+        assert len(transforms) == 2 * m - 3
+
+    @pytest.mark.parametrize("n", [3000, 3001, 100_000])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_fft_fold_curves_convolve_at_about_n_and_three_halves_n(self, transforms, n, m):
+        # the table is folded from r[0..n // 2]: d_2 fits in n + 1 entries, and
+        # r * d_{q-1} in n + n // 2 + 1
+        phi_fold_curves(WeightSequence(weight=WEIGHT_FAMILIES["n"]), [100, n], m, method="fft")
+        sizes = [size for _, size in transforms]
+        assert len(sizes) >= 2 and max(sizes[:2]) <= _smooth_length(n + 1)
+        assert max(sizes) <= _smooth_length(n + n // 2 + 1)
 
     def test_fold_curves_do_not_depend_on_the_blas_thread_count(self):
         # a threaded BLAS splits a dot of more than 10^4 terms among its threads,
@@ -261,15 +314,16 @@ class TestFoldEngine:
         lambda j: np.asarray(j, dtype=float) ** 0.2,
     ], ids=["(1+n)^2", "sqrt(n)", "n+1", "n^0.2"])
     def test_fold_curves_match_a_long_double_convolution(self, weight):
-        # the densities d_2 = r * r and d_3 = r * d_2 convolved in long double
-        # from the same float64 reciprocals, so only the fold's own rounding shows
+        # the densities d_q = r * d_{q-1} convolved in long double from the same
+        # float64 reciprocals, so only the fold's own rounding shows
         n = 20_000
         w = WeightSequence(weight=weight)
         r = w.reciprocals(n).astype(np.longdouble)
         d2 = head_convolution(r, r)
         d3 = head_convolution(r, d2)
-        hs = [100, 1000, 5000, n]
-        for m, dens in ((2, d2), (3, d3)):
+        d4 = head_convolution(r, d3)
+        hs = [100, 1000, 5000, n // 2 - 1, n // 2, n // 2 + 1, n - 1, n]
+        for m, dens in ((2, d2), (3, d3), (4, d4)):
             want = np.cumsum(dens)[hs]
             got = phi_curve(w, hs, m).astype(np.longdouble)
             assert np.all(np.abs(got - want) <= 1e-13 * want)
@@ -547,16 +601,17 @@ def test_fft_fold_equals_direct(n, m, gap, s, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 5000), m=st.integers(1, 4), gap=st.integers(1, 3), s=st.floats(0.0, 3.0),
+@given(n=st.integers(1, 5000), m=st.integers(1, 5), gap=st.integers(1, 3), s=st.floats(0.0, 3.0),
        seed=st.integers(0, 2**32 - 1), extra=st.lists(st.integers(0, 5000), max_size=4))
 def test_fold_curves_equal_the_running_sums_of_direct_tables(n, m, gap, s, seed, extra):
-    # the curves take the top order from dots against the order m - 1 table;
-    # the reference convolves every order of the full direct table.  Horizons
-    # include 0, both sides of the gap and of the first feasible tuple m gap.
+    # the curves take the top order from dots against the order m - 1 table,
+    # cut at n // 2 for m >= 3; the reference convolves every order of the full
+    # direct table.  Horizons include 0, both sides of the gap, of the first
+    # feasible tuple m gap and of the cut, and n.
     u = np.random.default_rng(seed).uniform(1.0, 10.0, n + 1)
     weights = WeightSequence(weight=lambda j: u[j] * (1.0 + j) ** s, gap=gap)
-    edges = [0, gap - 1, gap, m * gap - 1, m * gap, n] + extra
-    hs = sorted({min(h, n) for h in edges})
+    edges = [0, gap - 1, gap, m * gap - 1, m * gap, n // 2 - 1, n // 2, n // 2 + 1, n] + extra
+    hs = sorted({min(max(h, 0), n) for h in edges})
     want = _fold_tables(weights, n, m, "direct")[:, hs]
     got = phi_fold_curves(weights, hs, m, method="direct")
     assert np.all(np.abs(got - want) <= 1e-12 * want)

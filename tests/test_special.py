@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from limitlab import special
 from limitlab.special import (
     gamma_moment,
     iterated_log,
@@ -127,19 +128,47 @@ class TestZetaTail:
             term = 1.0 / lambda_weight(m, s, n0)
             assert whole.value == pytest.approx(rest.value + term, abs=1e-12)
 
-    # fsum rounds the exact sum of its terms correctly, so however the terms
-    # are gathered the values stay bit for bit; (1, 2, 2) at the default
-    # tolerance takes seconds, so it is pinned at 1e-6
+    # fsum rounds the exact sum of its terms and the tail estimate correctly,
+    # so however the terms are gathered the values stay bit for bit
     @pytest.mark.parametrize("m, s, n0, tol, value", [
-        (0, 2.0, 2, 1e-10, "0x1.4a34cc4a60fa2p-1"),
-        (0, 2.0, 1, 1e-10, "0x1.a51a6625307d1p+0"),
-        (0, 2.0, None, 1e-10, "0x1.a51a6625307d1p+0"),
-        (1, 2.0, 2, 1e-6, "0x1.0e0c0d5713012p+1"),
-        (0, 1.5, 1, 1e-10, "0x1.4e6250bfbd89ep+1"),
-        (0, 3.0, 1, 1e-10, "0x1.33ba004f0059ep+0"),
+        (0, 2.0, 2, 1e-10, "0x1.4a34cc4a60fa6p-1"),
+        (0, 2.0, 1, 1e-10, "0x1.a51a6625307d3p+0"),
+        (0, 2.0, None, 1e-10, "0x1.a51a6625307d3p+0"),
+        (1, 2.0, 2, 1e-10, "0x1.0e0c0d5724562p+1"),
+        (0, 1.5, 1, 1e-10, "0x1.4e6250bfbd89dp+1"),
+        (0, 3.0, 1, 1e-10, "0x1.33ba004f00621p+0"),
     ])
     def test_pinned_values(self, m, s, n0, tol, value):
         assert zeta_tail(m, s, n0, tol=tol).value == float.fromhex(value)
+
+    @pytest.mark.parametrize("s, n0, exact", [
+        (2.0, 1, math.pi**2 / 6.0),
+        (2.0, 2, math.pi**2 / 6.0 - 1.0),
+        (3.0, 1, float(mpmath.zeta(3))),
+    ])
+    def test_closed_forms_to_round_off(self, s, n0, exact):
+        # the Euler-Maclaurin estimate sits far inside its 1e-10 enclosure
+        assert abs(zeta_tail(0, s, n0).value - exact) <= 1e-15
+
+    @pytest.mark.parametrize("m, s, n0, most", [(0, 2.0, 2, 4096), (1, 2.0, 2, 100_000)])
+    def test_terms_evaluated(self, monkeypatch, m, s, n0, most):
+        # the certified error falls like |f'(N)|, not f(N): 1/i^2 needs about 10^3 terms
+        seen = []
+        real = special.lambda_weight
+        monkeypatch.setattr(special, "lambda_weight",
+                            lambda m, s, i: seen.append(np.size(i)) or real(m, s, i))
+        ts = zeta_tail(m, s, n0)
+        assert ts.truncation_bound <= 1e-10
+        assert 0 < sum(seen) <= most
+
+    def test_enclosure_holds_far_from_the_cutoff(self):
+        # a loose tolerance cuts early; the certified bound still covers the exact value
+        for s in (1.5, 2.0, 3.0):
+            exact = float(mpmath.zeta(s))
+            for tol in (1.0, 1e-2, 1e-4, 1e-6):
+                ts = zeta_tail(0, s, 1, tol=tol)
+                assert ts.truncation_bound <= tol
+                assert abs(ts.value - exact) <= ts.truncation_bound + 1e-15
 
     def test_self_consistency_across_cutoffs(self):
         a = zeta_tail(1, 2.0, 2, tol=1e-4).value
