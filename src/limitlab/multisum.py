@@ -154,7 +154,9 @@ def _fold_tables(weights: WeightSequence, n: int, m: int, method: str,
     caller that already holds ``weights.reciprocals(n)`` passes it as ``r``; a
     shorter ``r`` is read as zero beyond its end.  Each fold convolves only the
     supports: d_q is zero past s_q = min(n, s_r + s_{q-1}), and the FFT length
-    is the 5-smooth length >= max(n, s_r + s_{q-1}) + 1.
+    is the 5-smooth length >= max(n, s_r + s_{q-1}) + 1.  d_q is also zero below
+    q * gap; the FFT's round-off there is set to zero, else the dots of the top
+    order would pick it up where no tuple fits.
     """
     if r is None:
         r = weights.reciprocals(n)
@@ -175,6 +177,7 @@ def _fold_tables(weights: WeightSequence, n: int, m: int, method: str,
             spec *= r_hat
             dens = np.fft.irfft(spec, size)[: n + 1].copy()  # the copy frees the long buffer
             np.maximum(dens, 0.0, out=dens)  # FFT round-off may graze below zero
+            dens[: q * weights.gap] = 0.0  # no tuple fits below q gaps
         else:
             head = np.convolve(r, dens[: s + 1])[: n + 1]
             dens = np.zeros(n + 1)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitlab.cauchy import LEAF, lower_matvec
 from limitlab.kernels import (
@@ -227,6 +227,15 @@ class TestFoldEngine:
             feasible = want[:, -1] > 0
             assert np.all(np.abs(fft - want)[feasible] <= 1e-12 * want[feasible, -1:])
         assert not direct[1:].any() and not fft[1:].any()  # no two gaps above tau fit in n
+
+    @pytest.mark.parametrize("gap", [1, 2, 3])
+    def test_fft_tables_are_zero_below_q_gaps(self, gap):
+        # no q-tuple of gaps fits below q * gap; the FFT's round-off there would
+        # enter the top order's dots where its true value is tiny or zero
+        w = WeightSequence(weight=lambda j: 3.0 + np.asarray(j, dtype=float), gap=gap)
+        tables = _fold_tables(w, 40, 5, "fft")
+        for q in range(1, 6):
+            assert not tables[q - 1, : q * gap].any() and tables[q - 1, q * gap] > 0
 
     @pytest.mark.parametrize("n", [3000, 3001])
     @pytest.mark.parametrize("method", ["direct", "fft"])
@@ -603,6 +612,8 @@ def test_fft_fold_equals_direct(n, m, gap, s, seed):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 5000), m=st.integers(1, 5), gap=st.integers(1, 3), s=st.floats(0.0, 3.0),
        seed=st.integers(0, 2**32 - 1), extra=st.lists(st.integers(0, 5000), max_size=4))
+@example(n=10, m=5, gap=2, s=0.0, seed=3, extra=[])  # a single order-5 tuple fits, at n
+@example(n=11, m=5, gap=2, s=1.0, seed=2, extra=[])
 def test_fold_curves_equal_the_running_sums_of_direct_tables(n, m, gap, s, seed, extra):
     # the curves take the top order from dots against the order m - 1 table,
     # cut at n // 2 for m >= 3; the reference convolves every order of the full
