@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limitlab import simulate
 from limitlab.experiments import ConfigError, parse_config, run
 from limitlab.kernels import (DistanceKernel, OffspringSchedule, PowerKernel, RhoKernel, ScaleSpec,
                               kernel_branching, kernel_distance, kernel_scale)
@@ -43,13 +44,35 @@ def zscore(sample, exact):
     return (sample.mean() - exact) / (sample.std(ddof=1) / math.sqrt(sample.size))
 
 
+# a chunk size small enough that a test can run several chunks cheaply
+SMALL_CHUNK = 1024
+
+
 @pytest.mark.parametrize("model", list(MODELS))
-def test_counts_do_not_depend_on_thread_count(model):
+def test_counts_do_not_depend_on_thread_count(model, monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK", SMALL_CHUNK)
     sim, _ = MODELS[model]
-    kw = dict(n=50, replicates=2 * _CHUNK + 1, seed=3, checkpoints=CHECKPOINTS)
-    one, two = sim(threads=1, **kw), sim(threads=2, **kw)
-    assert one.counts.shape == (2 * _CHUNK + 1, len(CHECKPOINTS))
-    assert np.array_equal(one.counts, two.counts)
+    replicates = 2 * SMALL_CHUNK + 1  # three chunks
+    kw = dict(n=50, replicates=replicates, seed=3, checkpoints=CHECKPOINTS)
+    one = sim(threads=1, **kw)
+    assert one.counts.shape == (replicates, len(CHECKPOINTS))
+    for threads in (2, 3, 4):  # 4: more threads than chunks
+        assert np.array_equal(one.counts, sim(threads=threads, **kw).counts)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("built a thread pool")
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+def test_one_chunk_runs_without_a_thread_pool(model, monkeypatch):
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", _NoPool)
+    sim, _ = MODELS[model]
+    batch = sim(n=10, replicates=_CHUNK, seed=3, threads=2)
+    assert batch.counts.shape == (_CHUNK, 1)
+    with pytest.raises(AssertionError, match="thread pool"):  # one row more is two chunks
+        sim(n=10, replicates=_CHUNK + 1, seed=3, threads=2)
 
 
 @pytest.mark.parametrize("model", list(MODELS))
@@ -137,12 +160,13 @@ def test_generation_chain_matches_the_exact_count_pmf(schedule):
         assert tv_to_pmf(counts[:, ci], count_pmf(kernel_branching(schedule), n)) <= 0.02
 
 
-@pytest.mark.parametrize("replicates", [1, _CHUNK, _CHUNK + 1, 10_000, 3 * _CHUNK - 1])
-def test_chunks_are_equal_to_within_one_row(replicates):
+@pytest.mark.parametrize("replicates", [1, 8192, 8193, 10_000, 3 * 8192 - 1])
+def test_chunks_are_equal_to_within_one_row(replicates, monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK", 8192)  # the layout rule at several chunk counts
     sizes = []
     _run_chunked(lambda rng, rows: sizes.append(rows) or np.zeros((rows, 1)), replicates, 0, 1, threads=1)
-    assert len(sizes) == -(-replicates // _CHUNK)
-    assert sum(sizes) == replicates and max(sizes) - min(sizes) <= 1 and max(sizes) <= _CHUNK
+    assert len(sizes) == -(-replicates // 8192)
+    assert sum(sizes) == replicates and max(sizes) - min(sizes) <= 1 and max(sizes) <= 8192
 
 
 @pytest.mark.parametrize("case", list(CHAIN_CASES))
@@ -223,6 +247,19 @@ def test_threads_default_to_every_usable_cpu(monkeypatch):
     assert resolve_threads() == 6
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert resolve_threads() == 1
+
+
+@pytest.mark.parametrize("n, checkpoints, value", [
+    (200, [100.7, 200], "100.7"), (200.5, None, "200.5"), (200, [float("nan"), 200], "nan"),
+    (200, [50, float("inf")], "inf")])
+def test_fractional_or_non_finite_horizons_are_refused(n, checkpoints, value):
+    with pytest.raises(ValueError, match=f"must be integers, got {value}"):
+        sim_gw(n, replicates=5, checkpoints=checkpoints)
+
+
+def test_integral_float_horizons_run_as_ints():
+    assert sim_gw(200.0, replicates=5).checkpoints == (200,)
+    assert sim_gw(200, replicates=5, checkpoints=[100.0, 200]).checkpoints == (100, 200)
 
 
 @pytest.mark.parametrize("threads", [0, -5])
