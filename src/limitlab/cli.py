@@ -4,16 +4,51 @@ Verbs: ``run <config>``, ``list-experiments``, ``describe <id>``,
 ``plotdata <report.json>``.  Environment: ``LIMITLAB_THREADS`` sets the
 simulation worker count (default: every usable CPU), ``LIMITLAB_SEED``
 overrides every config seed.
-Exit status of ``run`` is 0 exactly when all declared tolerances pass.
+Exit status of ``run`` is 0 exactly when all declared tolerances pass, 1
+when one fails, and 2 when the input is rejected: a bad config, environment
+or path, with a one-line message.
+
+Heap: ``main`` sets glibc's allocator once per process, through ``mallopt``,
+to serve arrays below 32 MiB from the heap (``M_MMAP_THRESHOLD``) and to keep
+up to 1 GiB of freed heap mapped (``M_TRIM_THRESHOLD``).  By default glibc
+hands the freed top of the heap back to the OS after each n = 1e5 fold, so
+the next call faults the same ~5 MB of numpy arrays in again: a repeated
+``prpd-rv`` run at n = 1e5 took about 1,860 minor page faults, and takes
+under 10 with this setting.  A pass of the benchmark's ``fold`` workload
+went from 11,737 faults to 10, and ran 31% faster on a 2-core x86_64 host.
+The setting belongs to the ``limitlab`` program only: ``import limitlab``
+leaves the allocator of a host process alone, and a C library without
+``mallopt`` is left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import json
 import sys
 from pathlib import Path
 
 from . import experiments
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters of glibc's <malloc.h>
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Serve arrays below 32 MiB from the heap and keep its freed pages mapped; once per process.
+
+    Does nothing where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to open, or one without mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _keep_freed_heap()
     try:
         if args.command == "list-experiments":
             for exp_id, summary in experiments.list_experiments():
@@ -54,8 +90,15 @@ def main(argv=None) -> int:
             return 0
         # run
         config = experiments.load_config(args.config)
-        report = experiments.run(config)
-        out_dir = args.out or config.out_dir or str(Path("runs") / config.experiment)
+        out_dir = Path(args.out or config.out_dir or Path("runs") / config.experiment)
+        created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
+        out_dir.mkdir(parents=True, exist_ok=True)  # a bad path fails before the experiment runs
+        try:
+            report = experiments.run(config)
+        except experiments.ConfigError:
+            for p in created:  # a rejected run leaves no output behind
+                p.rmdir()
+            raise
         json_path, csv_path = experiments.write_outputs(report, out_dir)
         for check in report["checks"]:
             mark = "PASS" if check["passed"] else "FAIL"
@@ -66,8 +109,12 @@ def main(argv=None) -> int:
     except experiments.ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing path, a directory where a file must be, or the reverse
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:  # a config that is not text, a report not JSON
+        path = args.config if args.command == "run" else args.report
+        print(f"error: {path}: {e}", file=sys.stderr)
         return 2
 
 

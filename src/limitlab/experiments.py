@@ -543,6 +543,11 @@ def run(config: ExperimentConfig) -> dict:
         # parameters outside a model's domain, e.g. alpha <= 0 or a horizon past a kernel's range,
         # or sizes past a closed form's floating-point range
         raise ConfigError(f"{config.experiment}: {e}") from e
+    except MemoryError as e:  # e.g. replicates = 1e13: numpy refuses the counts array at once
+        sizes = f"horizons up to {config.horizons[-1]}"
+        if config.replicates is not None:
+            sizes = f"replicates = {config.replicates} at {sizes}"
+        raise ConfigError(f"{config.experiment}: {sizes} need more memory than can be allocated ({e})") from e
     wall = time.perf_counter() - t0
     return {
         "experiment": config.experiment,
@@ -603,6 +608,8 @@ def emit_plotdata(report_path, out_csv=None) -> Path:
     """Regenerate the flat CSV table from a JSON report."""
     path = Path(report_path)
     report = json.loads(path.read_text())
+    if not isinstance(report, dict) or not {"columns", "rows"} <= report.keys():
+        raise ConfigError(f"{path} is not a limitlab report: it has no 'columns' and 'rows'")
     target = Path(out_csv) if out_csv else path.with_name("plotdata.csv")
     tmp = target.with_suffix(target.suffix + ".tmp")
     tmp.write_text(_table_text(report))

@@ -138,10 +138,11 @@ def _run_chunked(worker, replicates: int, seed: int, ncols: int, threads: int | 
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    # first, so that a count no machine can hold fails here, before the per-chunk lists are built
+    counts = np.zeros((replicates, ncols), dtype=np.int64)
     nchunks = -(-replicates // _CHUNK)
     bounds = [replicates * ci // nchunks for ci in range(nchunks + 1)]
     children = np.random.SeedSequence(int(seed)).spawn(nchunks)
-    counts = np.zeros((replicates, ncols), dtype=np.int64)
 
     def job(ci: int):
         start, stop = bounds[ci], bounds[ci + 1]

@@ -1,10 +1,13 @@
-"""Exit codes of ``limitlab run`` and the cost of importing the CLI.
+"""Exit codes of ``limitlab run``, the cost of importing the CLI and the heap it keeps.
 
 Exit 0: every declared tolerance passed; 1: a tolerance failed; 2: the input
-(config file or ``LIMITLAB_*`` environment) was rejected, with a one-line
-message and no traceback.
+(config file or ``LIMITLAB_*`` environment) was rejected, or a path was: a
+config or report that is missing, a directory, not text or not a report, and
+an ``--out`` at or under an existing file.  Exit 2 prints a one-line message
+and no traceback, and a run rejected for its input leaves no output behind.
 """
 
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +64,77 @@ def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     assert needle in out.err
     assert len(out.err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def _must_not_run(config):
+    raise AssertionError("the experiment ran")
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["run", "{tmp}"], "Is a directory"),
+    (["run", "{tmp}/binary"], "can't decode"),
+    (["run", "{tmp}/exp.cfg", "--out", "{tmp}/text"], "File exists"),
+    (["run", "{tmp}/exp.cfg", "--out", "{tmp}/text/out"], "Not a directory"),
+    (["plotdata", "{tmp}/text"], "Expecting value"),
+    (["plotdata", "{tmp}/list.json"], "not a limitlab report"),
+], ids=["run-directory", "run-binary", "out-at-file", "out-under-file", "plotdata-not-json",
+        "plotdata-not-report"])
+def test_exit_2_on_bad_path(tmp_path, capsys, monkeypatch, argv, needle):
+    (tmp_path / "exp.cfg").write_text("experiment = prpd-summable\n")
+    (tmp_path / "text").write_text("not json\n")
+    (tmp_path / "binary").write_bytes(b"\x89PNG\r\n")
+    (tmp_path / "list.json").write_text("[1, 2]\n")
+    monkeypatch.setattr(cli.experiments, "run", _must_not_run)  # a bad --out fails first
+    code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert needle in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_a_rejected_run_removes_the_out_directories_it_made(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = thg\nalpha = -1\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "a" / "b")]) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_absurd_replicates_fail_at_once(tmp_path):
+    # 1e13 replicates need a 146 TiB counts array, which numpy refuses before any chunk is set up
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = thy-gw\nreplicates = 10000000000000\n")
+    proc = subprocess.run([sys.executable, "-m", "limitlab.cli", "run", str(cfg), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=10, env={"PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2
+    assert "replicates = 10000000000000" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+FAULT_PROBE = """
+import contextlib, io, resource, sys
+from limitlab import cli
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting is glibc's mallopt")
+def test_a_repeated_run_reuses_its_heap_pages(tmp_path):
+    # glibc's default trim returns the freed top of the heap after each n = 1e5 fold, and the
+    # next run faults about 1,860 pages back in; with the setting of cli.main it takes a few
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = prpd-rv\nhorizons = 1000, 100000\n")
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, check=True, timeout=120,
+                          env={"PYTHONPATH": str(SRC)})
+    code, faults = map(int, proc.stdout.split())
+    assert code == 0
+    assert faults < 100
 
 
 def test_import_loads_no_scipy():

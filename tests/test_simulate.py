@@ -12,6 +12,7 @@ chain."""
 
 import math
 import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,18 @@ def test_one_chunk_runs_without_a_thread_pool(model, monkeypatch):
     assert batch.counts.shape == (_CHUNK, 1)
     with pytest.raises(AssertionError, match="thread pool"):  # one row more is two chunks
         sim(n=10, replicates=_CHUNK + 1, seed=3, threads=2)
+
+
+def test_chunks_run_concurrently_on_the_thread_pool(monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK", 4)
+    barrier = threading.Barrier(2, timeout=10)
+
+    def worker(rng, rows):
+        barrier.wait()  # breaks after 10 s unless both chunks run at the same time
+        return np.full((rows, 1), rows)
+
+    counts = _run_chunked(worker, 8, seed=0, ncols=1, threads=2)
+    assert np.array_equal(counts, np.full((8, 1), 4))
 
 
 @pytest.mark.parametrize("model", list(MODELS))
