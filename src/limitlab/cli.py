@@ -8,24 +8,27 @@ Exit status of ``run`` is 0 exactly when all declared tolerances pass, 1
 when one fails, and 2 when the input is rejected: a bad config, environment
 or path, with a one-line message.
 
-Heap: ``main`` sets glibc's allocator once per process, through ``mallopt``,
-to serve arrays below 32 MiB from the heap (``M_MMAP_THRESHOLD``) and to keep
-up to 1 GiB of freed heap mapped (``M_TRIM_THRESHOLD``).  By default glibc
-hands the freed top of the heap back to the OS after each n = 1e5 fold, so
-the next call faults the same ~5 MB of numpy arrays in again: a repeated
-``prpd-rv`` run at n = 1e5 took about 1,860 minor page faults, and takes
-under 10 with this setting.  A pass of the benchmark's ``fold`` workload
-went from 11,737 faults to 10, and ran 31% faster on a 2-core x86_64 host.
-The setting belongs to the ``limitlab`` program only: ``import limitlab``
-leaves the allocator of a host process alone, and a C library without
-``mallopt`` is left as it is.
+Heap: ``main`` sets glibc's allocator, through ``mallopt``, to serve arrays
+below 32 MiB from the heap (``M_MMAP_THRESHOLD``) and to keep up to 1 GiB of
+freed heap mapped (``M_TRIM_THRESHOLD``).  By default glibc maps large numpy
+arrays fresh until it has freed one of their size, and hands the freed top of
+the heap back to the OS, so the n = 1e5 folds fault the same ~5 MB of arrays
+in again and again.  On a 2-core x86_64 host, one ``limitlab run`` of each of
+the eight fold experiments at horizons up to 1e5, each in a fresh
+interpreter, took 23-56% fewer minor page faults, and the eight ``main`` calls
+11-13% less wall time in all (medians of 10 alternating runs, measured twice;
+single experiments move from +2% to -21%, some inside their noise).  A second
+run in the same process, as a benchmark harness makes, takes under 10 faults
+instead of about 1,860 (``prpd-rv``).  The setting belongs to the ``limitlab`` program only:
+``import limitlab`` leaves the allocator of a host process alone, and a C
+library without ``mallopt`` is left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
-import functools
 import json
 import sys
 from pathlib import Path
@@ -35,9 +38,8 @@ from . import experiments
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters of glibc's <malloc.h>
 
 
-@functools.cache
 def _keep_freed_heap() -> None:
-    """Serve arrays below 32 MiB from the heap and keep its freed pages mapped; once per process.
+    """Serve arrays below 32 MiB from the heap and keep its freed pages mapped.
 
     Does nothing where the C library has no ``mallopt``.
     """
@@ -73,6 +75,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_path(path, e: Exception) -> int:
+    """Reject a path that cannot be read or written as asked: one line, exit status 2."""
+    detail = e if isinstance(e, OSError) else f"{path}: {e}"  # an OSError names its own path
+    print(f"error: {detail}", file=sys.stderr)
+    return 2
+
+
+_UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError)  # missing, a directory, not text, not JSON
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _keep_freed_heap()
@@ -85,19 +97,29 @@ def main(argv=None) -> int:
             print(experiments.describe(args.experiment))
             return 0
         if args.command == "plotdata":
-            target = experiments.emit_plotdata(args.report, args.out)
+            try:
+                target = experiments.emit_plotdata(args.report, args.out)
+            except _UNREADABLE as e:
+                return _bad_path(args.report, e)
             print(f"wrote {target}")
             return 0
         # run
-        config = experiments.load_config(args.config)
+        try:
+            config = experiments.load_config(args.config)
+        except _UNREADABLE as e:
+            return _bad_path(args.config, e)
         out_dir = Path(args.out or config.out_dir or Path("runs") / config.experiment)
         created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
-        out_dir.mkdir(parents=True, exist_ok=True)  # a bad path fails before the experiment runs
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)  # a bad path fails before the experiment runs
+        except OSError as e:
+            return _bad_path(out_dir, e)
         try:
             report = experiments.run(config)
-        except experiments.ConfigError:
-            for p in created:  # a rejected run leaves no output behind
-                p.rmdir()
+        except BaseException:
+            for p in created:  # a run that stops leaves no output behind
+                with contextlib.suppress(OSError):  # e.g. "a/.." of "a/../b"; report the run's own error
+                    p.rmdir()
             raise
         json_path, csv_path = experiments.write_outputs(report, out_dir)
         for check in report["checks"]:
@@ -109,12 +131,8 @@ def main(argv=None) -> int:
     except experiments.ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:  # a missing path, a directory where a file must be, or the reverse
+    except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:  # a config that is not text, a report not JSON
-        path = args.config if args.command == "run" else args.report
-        print(f"error: {path}: {e}", file=sys.stderr)
         return 2
 
 

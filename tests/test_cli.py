@@ -4,9 +4,10 @@ Exit 0: every declared tolerance passed; 1: a tolerance failed; 2: the input
 (config file or ``LIMITLAB_*`` environment) was rejected, or a path was: a
 config or report that is missing, a directory, not text or not a report, and
 an ``--out`` at or under an existing file.  Exit 2 prints a one-line message
-and no traceback, and a run rejected for its input leaves no output behind.
+and no traceback.  A run that stops, rejected or not, leaves no output behind.
 """
 
+import errno
 import platform
 import subprocess
 import sys
@@ -66,8 +67,10 @@ def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     assert not (tmp_path / "out").exists()
 
 
-def _must_not_run(config):
-    raise AssertionError("the experiment ran")
+def _raising(exc):
+    def run(config):
+        raise exc
+    return run
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -84,7 +87,8 @@ def test_exit_2_on_bad_path(tmp_path, capsys, monkeypatch, argv, needle):
     (tmp_path / "text").write_text("not json\n")
     (tmp_path / "binary").write_bytes(b"\x89PNG\r\n")
     (tmp_path / "list.json").write_text("[1, 2]\n")
-    monkeypatch.setattr(cli.experiments, "run", _must_not_run)  # a bad --out fails first
+    # a bad --out fails before the experiment runs
+    monkeypatch.setattr(cli.experiments, "run", _raising(AssertionError("the experiment ran")))
     code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2
@@ -92,11 +96,26 @@ def test_exit_2_on_bad_path(tmp_path, capsys, monkeypatch, argv, needle):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_a_rejected_run_removes_the_out_directories_it_made(tmp_path, capsys):
+@pytest.mark.parametrize("out", ["a/b", "a/../b"])
+def test_a_rejected_run_removes_the_out_directories_it_made(tmp_path, capsys, out):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("experiment = thg\nalpha = -1\n")
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "a" / "b")]) == 2
-    assert "alpha" in capsys.readouterr().err
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "alpha" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt(),
+                                 OSError(errno.ENOSPC, "No space left on device")],
+                         ids=["runtime-error", "interrupt", "disk-full"])
+def test_a_run_that_stops_removes_the_out_directories_it_made(tmp_path, monkeypatch, exc):
+    # an error from inside the run is not a rejected input: it propagates, and leaves no output
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = prpd-summable\n")
+    monkeypatch.setattr(cli.experiments, "run", _raising(exc))
+    with pytest.raises(type(exc)):
+        cli.main(["run", str(cfg), "--out", str(tmp_path / "a" / "b")])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
