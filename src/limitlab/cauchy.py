@@ -38,12 +38,15 @@ rho = r + sqrt(r^2 - 1).  Far-field pairs have r >= SEPARATION = 3, which at
 ORDER = 20 bounds each far-field term to 3.4e-15 relative.  For v >= 0 every
 term is positive, so the same bound, plus round-off, holds for each out[j].
 
-Every temporary is cut into slices of at most ``_SLICE`` float64 values
-(2 MiB), so memory stays flat in n.  Cost: O(n LEAF) near field and
-O(n ORDER log(n / LEAF)) far field.  For the power kernel at n = 1e4 (1e5),
-each out[j] takes 2 LEAF = 128 near-field entries and 160 (260) far-field
-entries, at about 4.5 (3.8) and 5.6 (4.9) ns each on a 2-core x86-64 host;
-a bare subtract and divide costs about 2 ns.
+Every temporary is cut into tiles of at most ``_SLICE`` float64 values
+(512 KiB), so memory stays flat in n and the two or three arrays a step holds
+at once stay in a 2 MiB L2 cache.  A tile groups whole leaves or whole
+pairs, so out[j] gets the same terms in the same order at any tile size.
+Cost: O(n LEAF) near field and O(n ORDER log(n / LEAF)) far field.  For the
+power kernel at n = 1e4 (1e5), each out[j] takes 2 LEAF = 128 near-field
+entries and 160 (260) far-field entries, at about 4.0 (3.8) and 5.0 (4.8) ns
+each on a 2-core x86-64 host with 2 MiB of L2 per core; a bare subtract and
+divide costs about 2 ns.
 """
 
 from __future__ import annotations
@@ -59,7 +62,15 @@ LEAF = 64
 # pair needs: together they bound each far-field term to 3.4e-15 relative.
 ORDER = 20
 SEPARATION = 3.0
-_SLICE = 1 << 18
+# Floats per temporary tile.  Median ms of one matvec, power kernel alpha = 2,
+# tile sizes interleaved in one process, the range over two sweeps, on a
+# 2-core x86-64 host with 2 MiB of L2 per core:
+#   tile      2^14       2^15       2^16       2^17       2^18
+#   n = 2e3   3.3-4.2    3.4-4.0    3.8-3.9    3.8-4.0    3.9-4.2
+#   n = 1e4   19.3-20.2  17.6-18.6  16.8-18.3  18.6-19.9  21.6-22.5
+#   n = 1e5   242-252    212-213    194-206    211-229    240-251
+# At 2^16 a near-field tile is 8 leaves, so n <= 512 still runs as one tile.
+_SLICE = 1 << 16
 
 _THETA = (2 * np.arange(ORDER) + 1) * np.pi / (2 * ORDER)
 _NODES = np.cos(_THETA)  # Chebyshev points of the first kind on [-1, 1]

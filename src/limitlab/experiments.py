@@ -26,6 +26,7 @@ bit-faithful.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -584,6 +585,18 @@ def _table_text(report: dict) -> str:
     return buf.getvalue()
 
 
+def _write_atomically(path: Path, text: str) -> None:
+    """Write text to path through a temporary file, which no failure leaves behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
 def write_outputs(report: dict, out_dir) -> tuple[Path, Path]:
     """Write report.json and table.csv atomically; returns their paths.
 
@@ -595,12 +608,8 @@ def write_outputs(report: dict, out_dir) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
     csv_path = out / "table.csv"
-    tmp = json_path.with_suffix(".json.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, json_path)
-    tmp = csv_path.with_suffix(".csv.tmp")
-    tmp.write_text(_table_text(report))
-    os.replace(tmp, csv_path)
+    _write_atomically(json_path, text)
+    _write_atomically(csv_path, _table_text(report))
     return json_path, csv_path
 
 
@@ -611,7 +620,5 @@ def emit_plotdata(report_path, out_csv=None) -> Path:
     if not isinstance(report, dict) or not {"columns", "rows"} <= report.keys():
         raise ConfigError(f"{path} is not a limitlab report: it has no 'columns' and 'rows'")
     target = Path(out_csv) if out_csv else path.with_name("plotdata.csv")
-    tmp = target.with_suffix(target.suffix + ".tmp")
-    tmp.write_text(_table_text(report))
-    os.replace(tmp, target)
+    _write_atomically(target, _table_text(report))
     return target

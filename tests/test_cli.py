@@ -96,6 +96,29 @@ def test_exit_2_on_bad_path(tmp_path, capsys, monkeypatch, argv, needle):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_a_failed_output_write_leaves_no_temporary_file(tmp_path):
+    # an error while writing the outputs is not a rejected input: it propagates, as before
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = prpd-summable\n")
+    out = tmp_path / "out"
+    (out / "table.csv").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        cli.main(["run", str(cfg), "--out", str(out)])
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "table.csv"]
+
+
+def test_a_rejected_plotdata_target_leaves_no_temporary_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = prpd-summable\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    (tmp_path / "plot").mkdir()
+    capsys.readouterr()
+    assert cli.main(["plotdata", str(tmp_path / "out" / "report.json"), "--out", str(tmp_path / "plot")]) == 2
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "out", "plot"]
+
+
 @pytest.mark.parametrize("out", ["a/b", "a/../b"])
 def test_a_rejected_run_removes_the_out_directories_it_made(tmp_path, capsys, out):
     cfg = tmp_path / "exp.cfg"

@@ -28,7 +28,7 @@ from limitlab.multisum import (
     u_sum,
     u_sum_curve,
 )
-from limitlab import multisum
+from limitlab import cauchy, multisum
 from limitlab.multisum import _fold_tables, _psi_tables, _smooth_length
 
 from oracles import cauchy_lower_dense, phi_bruteforce, phi_recursion, psi_bruteforce, psi_loop
@@ -442,10 +442,7 @@ class TestPsiFastVsExact:
     def test_matvec_value_separation(self, gamma):
         # y = i^gamma with small gamma packs the late blocks close in value to
         # the early ones, so index-separated pairs must be split further
-        n = 3000
-        i = np.arange(1, n + 1, dtype=float)
-        x, y = (i + 0.25) ** gamma, i**gamma
-        v = np.random.default_rng(5).random(n)
+        v, x, y = _value_separation_inputs(gamma)
         exact = cauchy_lower_dense(v, x, y)
         fast = lower_matvec(v, x, y)
         assert fast[0] == 0.0
@@ -454,28 +451,30 @@ class TestPsiFastVsExact:
     @pytest.mark.parametrize("n", [129, 191, 192, 193, 257])
     @pytest.mark.parametrize("case", ["power", "nonmonotone x", "zeros in v"])
     def test_matvec_few_leaves(self, n, case):
-        # three to five leaves, the last one partial; the docstring only asks
-        # x_j > y_{j-1}, so x may fall back below earlier x's
-        rng = np.random.default_rng(n)
-        if case == "power":
-            _, x, y = (a[1:] for a in kernel_power(2.0, 1.0).cauchy(n))
-        else:
-            y = np.cumsum(rng.random(n) + 0.01)
-            x = np.concatenate([[y[0]], y[:-1] + 10.0 ** rng.uniform(-3, 3, n - 1)])
-        v = rng.random(n)
-        if case == "zeros in v":
-            v[:70] = 0.0  # the whole first leaf and part of the second
-            v[rng.random(n) < 0.3] = 0.0
+        v, x, y = _few_leaf_inputs(n, case)
         with np.errstate(all="raise"):
             fast = lower_matvec(v, x, y)
         exact = cauchy_lower_dense(v, x, y)
         assert fast[0] == 0.0
         assert np.all(np.abs(fast - exact) <= FAST_RTOL * exact)
 
+    def test_matvec_bytes_do_not_depend_on_the_slice(self, monkeypatch):
+        # a tile groups whole leaves or whole pairs, so each entry sums the same
+        # terms in the same order; gamma = 0.05 sends pairs through np.add.at
+        cases = [tuple(a[1:] for a in kernel_power(2.0, 1.0).cauchy(3000)), _value_separation_inputs(0.05)]
+        cases += [_few_leaf_inputs(n, case) for n in (129, 191, 192, 193, 257)
+                  for case in ("power", "nonmonotone x", "zeros in v")]
+        for v, x, y in cases:
+            want = lower_matvec(v, x, y)
+            for size in (1 << 10, 1 << 14, cauchy._SLICE, 1 << 18):
+                with monkeypatch.context() as m:
+                    m.setattr(cauchy, "_SLICE", size)
+                    assert np.array_equal(lower_matvec(v, x, y), want)
+
     def test_matvec_memory_stays_sliced(self):
-        # every temporary is cut to _SLICE floats (2 MiB), so the peak is a few
-        # O(n) arrays plus a few slices; 10 MiB is just above the 9.82 MiB of the
-        # two-pass near field, so the 64 x 128 near-field blocks must not raise it
+        # every temporary is cut to _SLICE floats (512 KiB), so the peak is a
+        # few O(n) arrays (0.76 MiB each) plus a few tiles; 5.5 MiB is just
+        # above the 5.05 MiB measured with tiles of 2^16 floats
         n = 100_000
         _, x, y = (a[1:] for a in kernel_power(2.0, 1.0).cauchy(n))
         v = np.random.default_rng(2).random(n)
@@ -485,12 +484,34 @@ class TestPsiFastVsExact:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 2**20
+        assert peak <= 5.5 * 2**20
 
     def test_breakdown_reaches_psi_curve(self):
         kernel = kernel_branching(OffspringSchedule.constant(0.6))
         with pytest.raises(ValueError, match="generation"):
             psi_curve(kernel, [3000], 2)
+
+
+def _value_separation_inputs(gamma):
+    n = 3000
+    i = np.arange(1, n + 1, dtype=float)
+    return np.random.default_rng(5).random(n), (i + 0.25) ** gamma, i**gamma
+
+
+def _few_leaf_inputs(n, case):
+    # three to five leaves, the last one partial; the docstring only asks
+    # x_j > y_{j-1}, so x may fall back below earlier x's
+    rng = np.random.default_rng(n)
+    if case == "power":
+        _, x, y = (a[1:] for a in kernel_power(2.0, 1.0).cauchy(n))
+    else:
+        y = np.cumsum(rng.random(n) + 0.01)
+        x = np.concatenate([[y[0]], y[:-1] + 10.0 ** rng.uniform(-3, 3, n - 1)])
+    v = rng.random(n)
+    if case == "zeros in v":
+        v[:70] = 0.0  # the whole first leaf and part of the second
+        v[rng.random(n) < 0.3] = 0.0
+    return v, x, y
 
 
 class UnitShiftCauchy(RhoKernel):
