@@ -7,16 +7,20 @@ asymptotic with rates as slow as iterated logarithms, so the checks are
 exact-moment comparisons, Monte Carlo z-scores and trend bands rather
 than tight limiting tolerances; every bound is declared in the registry.
 
-Runners come in two shapes.  Exact runners build multiple sums, Psi tables
-or count moments at every horizon and compare them with a prediction
-(``predict`` or a limit law's moments).  Monte Carlo runners go through
-``_monte_carlo``: the exact first two count moments of a kernel against a
-simulator's counts, as z-scores, plus each model's own checks.  Checks are
-written with five helpers: ``_within`` (an error at most a tolerance),
-``_band`` (a value inside an interval), ``_zscore`` (a sample mean within 4
-standard errors of an exact value), ``_shrinking`` (an error strictly
-decreasing across horizons) and ``_nondecreasing`` (a curve that never
-falls).  The last two compare horizons, so a run with one horizon omits them.
+Runners come in two shapes.  Every exact experiment is an ``ExactSpec``,
+run by one runner: a model (weights or a kernel), a quantity (multiple sums,
+Psi tables or count moments of orders 1..top at every horizon), a claim
+(order k -> ``AsymptoticPrediction``, built from the params and never from
+the model) and a policy (the checks of one order).  The runner refuses
+horizons where a claim's scale is not finite and positive.  Monte Carlo
+runners go through ``_monte_carlo``: the exact first two count moments of a
+kernel against a simulator's counts, as z-scores, plus each model's own
+checks.  Checks are written with five helpers: ``_within`` (an error at
+most a tolerance), ``_band`` (a value inside an interval), ``_zscore`` (a
+sample mean within 4 standard errors of an exact value), ``_shrinking`` (an
+error strictly decreasing across horizons) and ``_nondecreasing`` (a curve
+that never falls).  The last two compare horizons, so a run with one
+horizon omits them.
 
 Config files are flat key = value text, one key per line, ``#`` comments.
 Reports are JSON (timestamps and wall clock live only here); tables are
@@ -33,7 +37,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -43,7 +47,7 @@ import numpy as np
 
 from .kernels import BranchingKernel, DistanceKernel, OffspringSchedule, PowerKernel, ScaleKernel, ScaleSpec
 from .moments import MomentTable, geo_limit_moments
-from .multisum import WeightSequence, _u_weights, phi_curve, phi_fold_curves, predict, psi_curve
+from .multisum import AsymptoticPrediction, WeightSequence, _log_power, _u_weights, phi_fold_curves, predict, psi_curve
 from .simulate import _SQUARES, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
 from .special import zeta_tail
 from .stats import LimitLaw, tv_distance_integer
@@ -138,11 +142,12 @@ def _zscore(name, sample, exact):
     return _check(name, z, "|z| <= 4", abs(z) <= 4.0)
 
 
-def _ratio_checks(horizons, ratios, tol, label="ratio"):
-    """Final ratio within tol of 1 plus strictly shrinking |1 - ratio|."""
-    errs = np.abs(np.asarray(ratios) - 1.0)
-    return ([_within(f"{label} at n={horizons[-1]} within {tol:g} of 1", errs[-1], tol)]
-            + _shrinking(f"{label} error decreasing over {list(horizons)}", errs))
+def _positive_scale(name, scale, horizons):
+    """The scale of a claim at the horizons; refuses one that is 0, negative or not finite there."""
+    bad = np.flatnonzero(~(np.isfinite(scale) & (scale > 0)))
+    if bad.size:
+        raise ValueError(f"the scale {name} is {scale[bad[0]]:g} at n = {horizons[bad[0]]}, not finite and positive")
+    return scale
 
 
 def _monte_carlo(cfg: ExperimentConfig, kernel, simulate):
@@ -165,107 +170,133 @@ def _monte_carlo(cfg: ExperimentConfig, kernel, simulate):
     return rows, checks, table, batch
 
 
-# ---------------------------------------------------------------- runners
+# ---------------------------------------------------------------- exact runner
 
 
-def _run_prpd_summable(cfg: ExperimentConfig):
-    zeta = zeta_tail(0, 2.0, 2).value  # sum of (1+n)^-2 over n >= 1
-    pred = predict("summable", cfg.params["m"], zeta_value=zeta)
-    vals = phi_curve(_SQUARES, cfg.horizons, cfg.params["m"])
-    rows = [_row(h, v, pred.coefficient) for h, v in zip(cfg.horizons, vals)]
-    checks = _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.01)
-    checks += _nondecreasing("observed nondecreasing in n", vals)
-    return rows, checks
+@dataclass(frozen=True)
+class ExactSpec:
+    """An exact experiment, declared in four parts; calling it with a config runs it.
+
+    - ``model(params)``: the weights or kernel;
+    - ``quantity``: the curves of orders 1..top, one row per order: "phi"
+      (``phi_fold_curves`` of weights), "psi" (``psi_curve``) or "moments"
+      (``MomentTable`` rows).  A name, not a function: the runner looks the
+      engine up at each call, so a wrapper bound to the module's name (a
+      profiler's, a test's) sees the call;
+    - ``claim(params)``: maps an order k to the ``AsymptoticPrediction`` of
+      its curve.  It is built once per run and never from the model, so a
+      perturbed model meets the same claim;
+    - ``policy(k, horizons, observed, predicted)``: the checks of order k,
+      from that order's table columns.
+
+    ``orders(params)`` gives the orders checked, ascending, and the one the
+    table shows.  The table shows the curve against coefficient * scale, or
+    with ``scaled`` the curve / scale against the coefficient.
+    """
+
+    model: Callable[[dict], object]
+    quantity: str
+    claim: Callable[[dict], Callable[[int], AsymptoticPrediction]]
+    policy: Callable[[int, tuple, np.ndarray, np.ndarray], list]
+    orders: Callable[[dict], tuple[range, int]]
+    scaled: bool = False
+
+    def __call__(self, cfg: ExperimentConfig):
+        hs = cfg.horizons
+        orders, shown = self.orders(cfg.params)
+        if shown not in orders:
+            raise ValueError(f"shown order k must lie in [1, k_max = {orders.stop - 1}], got {shown}")
+        model, claim = self.model(cfg.params), self.claim(cfg.params)
+        preds = [claim(k) for k in orders]
+        scales = [_positive_scale(f"{p.scaling} of order {k}", p.scale(hs), hs) for k, p in zip(orders, preds)]
+        engines = {"phi": phi_fold_curves, "psi": psi_curve, "moments": lambda *a: MomentTable.build(*a).values}
+        curves = engines[self.quantity](model, hs, orders[-1])
+        rows, checks = [], []
+        for k, pred, scale in zip(orders, preds, scales):
+            observed, predicted = curves[k - 1], pred.coefficient * scale
+            if self.scaled:
+                observed, predicted = observed / scale, np.full(len(hs), pred.coefficient)
+            if k == shown:
+                rows = [_row(h, o, p) for h, o, p in zip(hs, observed, predicted)]
+            checks += self.policy(k, hs, observed, predicted)
+        return rows, checks
 
 
-def _run_prpd_rv(cfg: ExperimentConfig):
-    w = WeightSequence(weight=lambda i: np.sqrt(i.astype(float)), label="sqrt(n)")
-    pred = predict("regularly_varying", cfg.params["m"], tau=0.5, weights=w)
-    vals = phi_curve(w, cfg.horizons, cfg.params["m"])
-    obs = vals / pred.scale(cfg.horizons)
-    rows = [_row(h, o, pred.coefficient) for h, o in zip(cfg.horizons, obs)]
-    return rows, _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.10)
+def _single(key):
+    """Orders: check and show the one order params[key]."""
+    return lambda p: (range(p[key], p[key] + 1), p[key])
 
 
-def _run_rzr(case: str, cfg: ExperimentConfig):
-    m, sigma, n0, k_show, k_max = (cfg.params[key] for key in ("m", "sigma", "n0", "k", "k_max"))
-    if not 1 <= k_show <= k_max:
-        raise ValueError(f"shown order k must lie in [1, k_max = {k_max}], got {k_show}")
-    curves = phi_fold_curves(_u_weights(m, n0, sigma), cfg.horizons, k_max)
-    zeta = zeta_tail(m, sigma, n0).value if sigma > 1.0 else None
-    n = cfg.horizons[-1]
-    rows, checks = [], []
-    for k, vals in enumerate(curves, 1):
-        pk = predict("rzr", k, m=m, sigma=sigma, zeta_value=zeta)
-        predicted = pk.coefficient * pk.scale(cfg.horizons)
-        ratios = vals / predicted
-        if k == k_show:
-            rows = [_row(h, v, p) for h, v, p in zip(cfg.horizons, vals, predicted)]
-        if case == "i":
-            checks += [_within(f"k={k}: ratio at n={n} within 1% of 1", abs(ratios[-1] - 1.0), 0.01),
-                       *_nondecreasing(f"k={k}: observed nondecreasing in n", vals)]
-        elif case == "iii":
-            checks += [_band(f"k={k}: ratio at n={n} inside (0.4, 1.2)", ratios[-1], 0.4, 1.2),
-                       *_shrinking(f"k={k}: ratio error decreasing", np.abs(ratios - 1.0))]
-        else:
-            tol = {"ii": 0.15, "iv": 0.05}[case]
-            checks += _ratio_checks(cfg.horizons, ratios, tol, label=f"k={k} ratio")
-    return rows, checks
+def _ratio(tol, label="k={k} ratio", monotone=False):
+    """Policy: the final ratio within tol of 1 and a strictly shrinking |1 - ratio|;
+    with ``monotone``, also an observed curve that never falls."""
+    def policy(k, hs, observed, predicted):
+        errs, name = np.abs(observed / predicted - 1.0), label.format(k=k)
+        checks = [_within(f"{name} at n={hs[-1]} within {tol:g} of 1", errs[-1], tol),
+                  *_shrinking(f"{name} error decreasing over {list(hs)}", errs)]
+        return checks + _nondecreasing("observed nondecreasing in n", observed) if monotone else checks
+    return policy
 
 
-def _run_thg(cfg: ExperimentConfig):
-    alpha, beta, k = cfg.params["alpha"], cfg.params["beta"], cfg.params["k"]
-    psis = psi_curve(PowerKernel(alpha, beta), cfg.horizons, k)[k - 1]
-    pred = predict("power", k, alpha=alpha, beta=beta)
-    predicted = pred.coefficient * pred.scale(cfg.horizons)
-    rows = [_row(h, v, p) for h, v, p in zip(cfg.horizons, psis, predicted)]
-    return rows, _ratio_checks(cfg.horizons, [r[3] for r in rows], 0.20)
+def _rzr_i_policy(k, hs, observed, predicted):
+    return [_within(f"k={k}: ratio at n={hs[-1]} within 1% of 1", abs(observed[-1] / predicted[-1] - 1.0), 0.01),
+            *_nondecreasing(f"k={k}: observed nondecreasing in n", observed)]
 
 
-def _run_thbb_geo(cfg: ExperimentConfig):
-    targets = geo_limit_moments(zeta_tail(0, 2.0, 2).value, cfg.params["k_max"])
-    table = MomentTable.build(DistanceKernel(_SQUARES), cfg.horizons, cfg.params["k_max"])
-    rows = [_row(h, v, targets[0]) for h, v in zip(cfg.horizons, table.values[0])]
-    checks = [_within(f"k=1 ratio at n={cfg.horizons[-1]} within 1e-3 of 1", abs(rows[-1][3] - 1.0), 1e-3)]
-    for k, vals, target in zip(table.orders, table.values, targets):
-        checks.append(_check(f"k={k}: exact moments below the limit moment",
-                             np.max(vals - target), "<= 1e-9", np.all(vals <= target + 1e-9)))
-        checks += _nondecreasing(f"k={k}: nondecreasing in n", vals)
-    return rows, checks
+def _rzr_iii_policy(k, hs, observed, predicted):
+    return [_band(f"k={k}: ratio at n={hs[-1]} inside (0.4, 1.2)", observed[-1] / predicted[-1], 0.4, 1.2),
+            *_shrinking(f"k={k}: ratio error decreasing", np.abs(observed / predicted - 1.0))]
 
 
-def _run_thbb_exp(cfg: ExperimentConfig):
-    k_max = cfg.params["k_max"]
-    kern = DistanceKernel(WeightSequence(weight=lambda i: i + 1.0, label="n+1"))
-    S = kern.weights.partial_sums(max(cfg.horizons))
-    law = LimitLaw.exponential(1.0)
-    table = MomentTable.build(kern, cfg.horizons, k_max)
-    rows, checks = [], []
-    for k, vals in zip(table.orders, table.values):
-        target = law.moment(k)  # k! for Exp(1)
-        obs = [v / S[h] ** k for h, v in zip(cfg.horizons, vals)]
-        ratios = [o / target for o in obs]
-        if k == k_max:
-            rows = [_row(h, o, target) for h, o in zip(cfg.horizons, obs)]
-        if k == 1:
-            checks.append(_within("k=1: scaled mean equals 1 exactly", abs(ratios[-1] - 1.0), 1e-12))
-        else:
-            checks.extend(_ratio_checks(cfg.horizons, ratios, 0.15, label=f"k={k} ratio"))
-    return rows, checks
+def _geo_policy(k, hs, observed, predicted):
+    """Moments below their geometric limits and rising; the mean within 1e-3 of its limit."""
+    checks = [_within(f"k=1 ratio at n={hs[-1]} within 1e-3 of 1", abs(observed[-1] / predicted[-1] - 1.0),
+                      1e-3)] if k == 1 else []
+    return checks + [_check(f"k={k}: exact moments below the limit moment", np.max(observed - predicted),
+                            "<= 1e-9", np.all(observed <= predicted + 1e-9)),
+                     *_nondecreasing(f"k={k}: nondecreasing in n", observed)]
 
 
-def _run_tha_gamma(cfg: ExperimentConfig):
-    alpha, beta, k_max = cfg.params["alpha"], cfg.params["beta"], cfg.params["k_max"]
-    table = MomentTable.build(PowerKernel(alpha, beta), cfg.horizons, k_max)
-    rows, checks = [], []
-    for k, vals in zip(table.orders, table.values):
-        pred = predict("power", k, alpha=alpha, beta=beta, moment=True)
-        scale = pred.scale(cfg.horizons)
-        if k == k_max:
-            rows = [_row(h, v, pred.coefficient) for h, v in zip(cfg.horizons, vals / scale)]
-        checks.extend(_ratio_checks(cfg.horizons, vals / (pred.coefficient * scale), 0.15,
-                                    label=f"k={k} ratio"))
-    return rows, checks
+def _exp_policy(k, hs, observed, predicted):
+    """The scaled mean is 1 by construction; higher orders get 15% ratio checks."""
+    if k == 1:
+        return [_within("k=1: scaled mean equals 1 exactly", abs(observed[-1] / predicted[-1] - 1.0), 1e-12)]
+    return _ratio(0.15)(k, hs, observed, predicted)
+
+
+_SQRT_WEIGHTS = WeightSequence(weight=lambda i: np.sqrt(i.astype(float)), label="sqrt(n)")
+_LINEAR_WEIGHTS = WeightSequence(weight=lambda i: i + 1.0, label="n+1")
+
+
+def _rzr_claim(p):
+    zeta = zeta_tail(p["m"], p["sigma"], p["n0"]).value if p["sigma"] > 1.0 else None
+    return partial(predict, "rzr", m=p["m"], sigma=p["sigma"], zeta_value=zeta)
+
+
+def _geo_claim(p):
+    """Constant claims: the moments of the geometric law with mean pi^2/6 - 1."""
+    targets = geo_limit_moments(zeta_tail(0, 2.0, 2).value, p["k_max"])
+    return lambda k: AsymptoticPrediction("constant", targets[k - 1], _log_power(0, 0))
+
+
+def _exp_claim(p):
+    """E(count)^k ~ k! S(n)^k: the Exp(1) moments on the scale S(n)^k of the weights n+1."""
+    return lambda k: replace(predict("regularly_varying", k, tau=0.0, weights=_LINEAR_WEIGHTS),
+                             coefficient=LimitLaw.exponential(1.0).moment(k))
+
+
+def _rzr(policy) -> ExactSpec:
+    """The iterated-log sums: the four cases differ only in their policy."""
+    return ExactSpec(lambda p: _u_weights(p["m"], p["n0"], p["sigma"]), "phi", _rzr_claim, policy,
+                     lambda p: (range(1, p["k_max"] + 1), p["k"]))
+
+
+def _power(p) -> PowerKernel:
+    return PowerKernel(p["alpha"], p["beta"])
+
+
+def _power_claim(p, moment=False):
+    return partial(predict, "power", alpha=p["alpha"], beta=p["beta"], moment=moment)
 
 
 def _dimension_spec(params) -> ScaleSpec:
@@ -280,11 +311,12 @@ def _gbm_spec(params) -> ScaleSpec:
 
 def _run_levelwalk(scale_spec, cfg: ExperimentConfig):
     spec = scale_spec(cfg.params)
-    rows, checks, table, _ = _monte_carlo(cfg, ScaleKernel(spec), partial(sim_levelwalk, spec))
     # g_j ~ gamma c / j, so the mean grows like gamma (a/b) log n
-    log_n = np.log(np.asarray(cfg.horizons, dtype=float))
-    exact_ratio = table.values[0] / (spec.gamma * spec.offset_ratio * log_n)
     scale = "(a/b) log n" if spec.gamma == 1.0 else f"{spec.gamma:g} (a/b) log n"
+    log_n = np.log(np.asarray(cfg.horizons, dtype=float))
+    scale_values = _positive_scale(scale, spec.gamma * spec.offset_ratio * log_n, cfg.horizons)
+    rows, checks, table, _ = _monte_carlo(cfg, ScaleKernel(spec), partial(sim_levelwalk, spec))
+    exact_ratio = table.values[0] / scale_values
     checks.append(_band(f"mean/({scale}) at n={max(cfg.horizons)} inside (0.5, 1.5)",
                         exact_ratio[-1], 0.5, 1.5))
     if len(cfg.horizons) > 1:
@@ -332,28 +364,32 @@ _register(ExperimentDef(
     "Weights (1+n)^2; the gap-constrained m-fold sum tends to (pi^2/6 - 1)^m. "
     "Checks a 1% final ratio and monotone growth.",
     seed=0, replicates=None, horizons=(100, 1000, 10000), params={"m": 3},
-    runner=_run_prpd_summable))
+    runner=ExactSpec(lambda p: _SQUARES, "phi",
+                     lambda p: partial(predict, "summable", zeta_value=zeta_tail(0, 2.0, 2).value),
+                     _ratio(0.01, "ratio", monotone=True), _single("m"))))
 _register(ExperimentDef(
     "prpd-rv",
     "m-fold sum with sqrt weights scales like S(n)^m with Gamma-ratio constant",
     "Weights sqrt(n) (partial sums regularly varying, index 1/2); the m-fold sum "
     "over S(n)^m tends to (pi/4)^(m-1). Checks a 10% final band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000), params={"m": 2},
-    runner=_run_prpd_rv))
+    runner=ExactSpec(lambda p: _SQRT_WEIGHTS, "phi",
+                     lambda p: partial(predict, "regularly_varying", tau=0.5, weights=_SQRT_WEIGHTS),
+                     _ratio(0.10, "ratio"), _single("m"), scaled=True)))
 _register(ExperimentDef(
     "rzr-i",
     "iterated-log sums with exponent > 1 converge to zeta-power constants",
     "Weights i^2 (depth 0): the k-fold sum tends to (pi^2/6)^k for k = 1..k_max. "
     "Checks 1% final ratios and monotone growth.",
     seed=0, replicates=None, horizons=(100, 1000, 10000),
-    params={"m": 0, "sigma": 2.0, "n0": 1, "k": 2, "k_max": 3}, runner=partial(_run_rzr, "i")))
+    params={"m": 0, "sigma": 2.0, "n0": 1, "k": 2, "k_max": 3}, runner=_rzr(_rzr_i_policy)))
 _register(ExperimentDef(
     "rzr-ii",
     "critical exponent: k-fold sums grow like (log n)^k",
     "Weights i (depth 0, exponent 1): the k-fold sum over (log n)^k tends to 1. "
     "Checks a 15% final band with shrinking error (log-rate limit).",
     seed=0, replicates=None, horizons=(1000, 10000, 100000),
-    params={"m": 0, "sigma": 1.0, "n0": 1, "k": 2, "k_max": 2}, runner=partial(_run_rzr, "ii")))
+    params={"m": 0, "sigma": 1.0, "n0": 1, "k": 2, "k_max": 2}, runner=_rzr(_ratio(0.15))))
 _register(ExperimentDef(
     "rzr-iii",
     "deep iterated-log weights: (1-sigma)^k U_n / (log_m n)^{k(1-sigma)} tends to 1",
@@ -362,21 +398,22 @@ _register(ExperimentDef(
     "Iterated-log rates are extremely slow at desk scale, so the check is a "
     "(0.4, 1.2) band plus a strictly shrinking error across decades.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000),
-    params={"m": 1, "sigma": 0.5, "n0": 2, "k": 2, "k_max": 2}, runner=partial(_run_rzr, "iii")))
+    params={"m": 1, "sigma": 0.5, "n0": 2, "k": 2, "k_max": 2}, runner=_rzr(_rzr_iii_policy)))
 _register(ExperimentDef(
     "rzr-iv",
     "sub-unit exponent, depth 0: sums grow like n^(k(1-sigma)) with Beta constant",
     "Weights i^0.5: the k-fold sum over n^(k/2) tends to pi for k = 2 "
     "(Gamma-product constant). Checks a 5% final band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000),
-    params={"m": 0, "sigma": 0.5, "n0": 1, "k": 2, "k_max": 2}, runner=partial(_run_rzr, "iv")))
+    params={"m": 0, "sigma": 0.5, "n0": 1, "k": 2, "k_max": 2}, runner=_rzr(_ratio(0.05))))
 _register(ExperimentDef(
     "thg",
     "pairwise power-kernel sums grow like (log n)^k with rising-factorial constant",
     "Kernel rho(i,j) = beta j^(1-alpha)(j^alpha - i^alpha): the k-fold sum over "
     "(log n)^k tends to prod_{j<k}(j+alpha)/(k! alpha^k beta^k). 20% band + trend.",
     seed=0, replicates=None, horizons=(1000, 10000, 30000),
-    params={"alpha": 2.0, "beta": 1.0, "k": 2}, runner=_run_thg))
+    params={"alpha": 2.0, "beta": 1.0, "k": 2},
+    runner=ExactSpec(_power, "psi", _power_claim, _ratio(0.20, "ratio"), _single("k"))))
 _register(ExperimentDef(
     "thbb-geo",
     "summable distance kernel: count moments rise to geometric-law moments",
@@ -384,14 +421,16 @@ _register(ExperimentDef(
     "law with mean pi^2/6 - 1 from below. Checks monotonicity, the bound, and a "
     "1e-3 final mean ratio.",
     seed=0, replicates=None, horizons=(100, 1000, 10000), params={"k_max": 3},
-    runner=_run_thbb_geo))
+    runner=ExactSpec(lambda p: DistanceKernel(_SQUARES), "moments", _geo_claim, _geo_policy,
+                     lambda p: (range(1, p["k_max"] + 1), 1))))
 _register(ExperimentDef(
     "thbb-exp",
     "non-summable distance kernel: scaled count moments reach exponential moments",
     "Kernel n+1 (partial sums ~ log n, index 0): E(count)^k / S(n)^k tends to k!. "
     "k=1 is exact by construction; k=2 gets a 15% band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000), params={"k_max": 2},
-    runner=_run_thbb_exp))
+    runner=ExactSpec(lambda p: DistanceKernel(_LINEAR_WEIGHTS), "moments", _exp_claim, _exp_policy,
+                     lambda p: (range(1, p["k_max"] + 1), p["k_max"]), scaled=True)))
 _register(ExperimentDef(
     "tha-gamma",
     "power kernel: moments over (log n)^k reach Gamma-law moment constants",
@@ -399,7 +438,9 @@ _register(ExperimentDef(
     "prod_{j<k}(j+alpha)/(alpha beta)^k (k = 1: 1, k = 2: 1.5). 15% bands with "
     "shrinking error across decades.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000),
-    params={"alpha": 2.0, "beta": 1.0, "k_max": 2}, runner=_run_tha_gamma))
+    params={"alpha": 2.0, "beta": 1.0, "k_max": 2},
+    runner=ExactSpec(_power, "moments", partial(_power_claim, moment=True), _ratio(0.15),
+                     lambda p: (range(1, p["k_max"] + 1), p["k_max"]), scaled=True)))
 _register(ExperimentDef(
     "c3-cutsphere",
     "level walk of a transient 3-d motion: counts match exact kernel moments",
@@ -504,6 +545,8 @@ def parse_config(text: str) -> ExperimentConfig:
         resolve_threads()
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    if d.replicates is None and "replicates" in data:
+        raise ConfigError(f"{exp} is exact: it takes no replicates")
     replicates = _int("replicates", d.replicates)
     if replicates is not None and replicates < 2:
         # a standard error needs two replicates
@@ -527,6 +570,8 @@ def parse_config(text: str) -> ExperimentConfig:
             params[key] = type(params[key])(val) if not isinstance(params[key], float) else float(val)
         except ValueError as e:
             raise ConfigError(f"bad value for {key!r}: {val!r}") from e
+        if not math.isfinite(params[key]):  # a report could not echo it: JSON has no inf or nan
+            raise ConfigError(f"{key!r} must be finite, got {val!r}")
     return ExperimentConfig(experiment=exp, seed=seed, replicates=replicates,
                             horizons=horizons, params=params, out_dir=out_dir)
 

@@ -56,6 +56,14 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     ({"LIMITLAB_THREADS": "0"}, "experiment = c3-cutsphere\nreplicates = 100\nhorizons = 10, 20\n",
      "LIMITLAB_THREADS"),
     ({}, "experiment = thy-gw\nlevel = 2\n", "level"),
+    # a report echoes its params, and JSON has no spelling for inf or nan
+    ({}, "experiment = rzr-i\nsigma = inf\n", "sigma"),
+    ({}, "experiment = thz-bpve-i\ndecay_power = inf\nreplicates = 200\nhorizons = 100\n", "decay_power"),
+    # an exact experiment draws nothing, and a report with replicates reads as a Monte Carlo one
+    ({}, "experiment = prpd-summable\nreplicates = 5000\n", "replicates"),
+    # a claim's scale is log n, 0 at n = 1, where every ratio would be infinite
+    *(({}, f"experiment = {exp}\nhorizons = 1, 10\n", "scale")
+      for exp in ("thg", "tha-gamma", "rzr-ii", "c3-cutsphere", "c4-gbm")),
 ])
 def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     for key, value in env.items():

@@ -1,15 +1,19 @@
 """Reports reload bit for bit from the files ``write_outputs`` and ``emit_plotdata`` write,
-and the Monte Carlo experiments pass every check end to end."""
+the Monte Carlo experiments pass every check end to end, and an exact experiment's claim
+does not move with its model."""
 
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from limitlab import experiments, multisum
+from limitlab import DistanceKernel, PowerKernel, WeightSequence, experiments, multisum
 from limitlab.simulate import ReplicateBatch
+
+EXACT = [exp for exp, d in experiments._REGISTRY.items() if isinstance(d.runner, experiments.ExactSpec)]
 
 
 def bits(rows):
@@ -113,3 +117,30 @@ def test_runner_builds_one_table_at_its_top_order(monkeypatch, experiment, build
     built = k_max - 1 if builder == "_fold_tables" else k_max
     assert orders == {"_fold_tables": [], "_psi_tables": [], builder: [built]}
     assert len(zeta_calls) == (1 if experiment == "rzr-i" else 0)
+
+
+def perturbed(model):
+    """The model with every weight, or the power kernel's alpha, times 1.1."""
+    if isinstance(model, WeightSequence):
+        return replace(model, weight=lambda i: 1.1 * model.weight(i))
+    if isinstance(model, DistanceKernel):
+        return DistanceKernel(perturbed(model.weights))
+    return PowerKernel(1.1 * model.alpha, model.beta)
+
+
+@pytest.mark.parametrize("experiment", EXACT)
+def test_a_perturbed_model_meets_the_same_claim(monkeypatch, experiment):
+    # the claim is built from the params alone, so a model off the theorem moves only the observed column
+    config = experiments.parse_config(f"experiment = {experiment}\n")
+    want = experiments.run(config)["rows"]
+    d = experiments._REGISTRY[experiment]
+    spec = replace(d.runner, model=lambda p: perturbed(d.runner.model(p)))
+    monkeypatch.setitem(experiments._REGISTRY, experiment, replace(d, runner=spec))
+    got = experiments.run(config)["rows"]
+    assert want and [repr(row[2]) for row in got] == [repr(row[2]) for row in want]
+    assert all(g[1] != w[1] for g, w in zip(got, want))
+
+
+def test_every_experiment_without_replicates_is_exact():
+    assert len(EXACT) == 10
+    assert EXACT == [exp for exp, d in experiments._REGISTRY.items() if d.replicates is None]
