@@ -208,7 +208,8 @@ class ExactSpec:
             raise ValueError(f"shown order k must lie in [1, k_max = {orders.stop - 1}], got {shown}")
         model, claim = self.model(cfg.params), self.claim(cfg.params)
         preds = [claim(k) for k in orders]
-        scales = [_positive_scale(f"{p.scaling} of order {k}", p.scale(hs), hs) for k, p in zip(orders, preds)]
+        with np.errstate(divide="ignore", invalid="ignore"):  # the refusal of a scale that is not finite speaks alone
+            scales = [_positive_scale(f"{p.scaling} of order {k}", p.scale(hs), hs) for k, p in zip(orders, preds)]
         engines = {"phi": phi_fold_curves, "psi": psi_curve, "moments": lambda *a: MomentTable.build(*a).values}
         curves = engines[self.quantity](model, hs, orders[-1])
         rows, checks = [], []

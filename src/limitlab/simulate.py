@@ -25,10 +25,11 @@ Models:
   D(k) = (1+k)^2, the same kernel whose exact moments the ``thy-gw``
   experiment checks.  ``_sim_chain`` hands a distance kernel to
   ``_renewal_worker``, which turns it into its first-return law
-  (``_first_return_law``, power-series division of the marginals) and draws
-  whole gaps between visits from that law instead of stepping every
-  generation.  The generation-by-generation chain is kept in the test suite
-  (``tests/oracles.py``) as the independent check of this sampler.
+  (``_first_return_law``, the renewal equation solved in blocks of 64
+  entries) and draws whole gaps between visits from that law instead of
+  stepping every generation.  The generation-by-generation chain is kept in
+  the test suite (``tests/oracles.py``) as the independent check of this
+  sampler.
 - ``sim_bpve`` and ``sim_levelwalk``: branching with one immigrant per
   generation and geometric offspring, counting generations with zero
   population; and a transient level walk with scale weight w(x) = x^(-gamma),
@@ -68,6 +69,15 @@ __all__ = ["ReplicateBatch", "resolve_threads", "sim_bpve", "sim_gw", "sim_level
 # two threads (8192-row chunks ran slower at 2 threads than at 1).
 _CHUNK = 65536
 _RETIRE_EVERY = 16  # steps between retirements in _cauchy_chain_worker
+# Entries per block of _first_return_law.  At n = 2000 (medians of 15, two
+# cores) blocks of 32, 64 and 128 took 1.19-1.26, 1.00-1.06 and 1.09-1.13 ms;
+# at n = 5000, 128 beat 64 by 12%, and at 3e4 neither won on all three kernels.
+_BLOCK = 64
+# Most terms of one dot in _first_return_law.  OpenBLAS splits a dot of more
+# than 10^4 terms among its threads: with 30000-term segments f had other bytes
+# at 2 BLAS threads than at 1 (n = 3e4).  At n = 3e4 segments of 4096, 8192
+# and 16384 took 0.157, 0.128 and 0.136 s.
+_SEGMENT = 8192
 # D(k) = (1+k)^2: the distance kernel of critical geometric branching's visits to 1 (see sim_gw)
 _SQUARES = WeightSequence(weight=lambda i: (1.0 + i) ** 2, label="(1+n)^2")
 
@@ -163,16 +173,55 @@ def _first_return_law(kernel: DistanceKernel, n: int) -> np.ndarray:
 
     A success renews the chain, so with u(0) = 1 and
     u(k) = ``kernel.marginal_probs(n)[k]`` the gaps between successes have
-    the law f(k) = u(k) - sum_{0<j<k} f(j) u(k-j), O(n^2).  By Kaluza's
-    theorem a log-convex u, such as (1+k)^(-s), gives a law; otherwise f may
-    go negative or sum past 1, and ValueError names the first such gap
+    the law f(k) = u(k) - sum_{0<j<k} f(j) u(k-j).  By Kaluza's theorem a
+    log-convex u, such as (1+k)^(-s), gives a law; otherwise f may go
+    negative or sum past 1, and ValueError names the first such gap
     (D(n) = n gives f(2) = -0.5).
+
+    The solve takes the same O(n^2) arithmetic as that recursion, in blocks
+    of _BLOCK entries.  f(1..63) come from the recursion itself.  A later
+    block k0 <= k < k0 + 64 first takes its right-hand side
+    u(k) - sum_{0<j<k0} f(j) u(k-j), one ``np.correlate`` per segment of at
+    most _SEGMENT terms j, and then solves its unit lower-triangular
+    Toeplitz system in u(0..63) with one product by the inverse matrix.
+    Since 1/U(z) = 1 - F(z), that inverse is the Toeplitz matrix of
+    (1, -f(1), ..., -f(63)), which the first block gives.  Medians against
+    the per-entry recursion (``tests/oracles.first_return_recursion``), one
+    range over D(k) = (1+k)^s with s in {1.5, 2, 3}, on a 2-core host:
+
+    ========  ==============  ==============
+    n         per entry       blocks
+    ========  ==============  ==============
+    2000      7.1-7.2 ms      1.00-1.06 ms
+    5000      11.8-13.2 ms    3.5-3.8 ms
+    3e4       0.16-0.20 s     0.14-0.15 s
+    1e5       1.24-1.44 s     1.27-1.37 s
+    ========  ==============  ==============
+
+    At 1e5 the recursion's dots are long enough for OpenBLAS to split among
+    its threads, which is also why its bytes depend on the thread count.
+    Here no dot is that long, so f has the same bytes at any BLAS thread
+    count.  f(1..63) equal the recursion's bit for bit.  Every entry lies
+    within 1e-13 relative of the exact law at n = 200 and within 3e-15 of a
+    long-double recursion at n = 2e4 and 1e5, where the per-entry recursion
+    is up to 2.3e-14 off.
     """
     u = kernel.marginal_probs(n)
-    u_rev = u[::-1].copy()  # u_rev[n - i] = u(i)
     f = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        f[k] = u[k] - f[1:k] @ u_rev[n - k + 1 : n]
+    head = min(n, _BLOCK - 1)
+    u_rev = u[head::-1].copy()  # u_rev[head - i] = u(i)
+    for k in range(1, head + 1):
+        f[k] = u[k] - f[1:k] @ u_rev[head - k + 1 : head]
+    c = np.zeros(_BLOCK)
+    c[0], c[1 : head + 1] = 1.0, -f[1 : head + 1]  # 1 - F(z), unused when n < _BLOCK
+    inverse = np.tril(c[np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))])
+    for k0 in range(_BLOCK, n + 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, n + 1)
+        rhs = u[k0:k1].copy()
+        for j0 in range(1, k0, _SEGMENT):
+            j1 = min(j0 + _SEGMENT, k0)
+            rhs -= np.correlate(u[k0 - j1 + 1 : k1 - j0], f[j1 - 1 : j0 - 1 : -1], "valid")  # sum_j f(j) u(k - j)
+        f[k0:k1] = inverse[: k1 - k0, : k1 - k0] @ rhs
     bad = np.flatnonzero((f < 0) | (np.cumsum(f) > 1))
     if bad.size:
         raise ValueError(f"{kernel.description}: the first-return law goes negative or sums past 1 "

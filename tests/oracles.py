@@ -244,6 +244,22 @@ def count_pmf(kernel, n: int) -> np.ndarray:
     return pmf
 
 
+def first_return_recursion(u: np.ndarray) -> np.ndarray:
+    """First-return law f(0..n) of the renewal marginals u(1..n), one dot per entry.
+
+    f(k) = u(k) - sum_{0<j<k} f(j) u(k-j): the recursion that
+    ``simulate._first_return_law`` solves in blocks, entry by entry.  It
+    computes in u's dtype, so a long-double u gives a long-double f; u[0] is
+    not read.  O(n^2), with n Python-level dots.
+    """
+    n = u.size - 1
+    u_rev = u[::-1].copy()  # u_rev[n - i] = u(i)
+    f = np.zeros_like(u)
+    for k in range(1, n + 1):
+        f[k] = u[k] - f[1:k] @ u_rev[n - k + 1 : n]
+    return f
+
+
 def tv_to_pmf(counts: np.ndarray, pmf: np.ndarray) -> float:
     """Total-variation distance between the empirical law of integer counts and pmf."""
     freq = np.bincount(counts, minlength=pmf.size) / counts.size

@@ -64,6 +64,9 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     # a claim's scale is log n, 0 at n = 1, where every ratio would be infinite
     *(({}, f"experiment = {exp}\nhorizons = 1, 10\n", "scale")
       for exp in ("thg", "tha-gamma", "rzr-ii", "c3-cutsphere", "c4-gbm")),
+    # (log log 2)^(1/2) is NaN: the refusal is the only output, and the suite's
+    # error::RuntimeWarning filter would turn a numpy warning into an exception
+    ({}, "experiment = rzr-iii\nm = 2\nn0 = 16\nhorizons = 2, 20, 100\n", "is nan at n = 2"),
 ])
 def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     for key, value in env.items():

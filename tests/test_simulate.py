@@ -8,10 +8,14 @@ three distance kernels, (1+n)^2 among them; so are the two literal chains
 the scan replaces.  The renewal sampler is checked twice more for ``sim_gw``:
 its first-return law against exact rational arithmetic on the offspring
 generating function, and its counts against the generation-by-generation
-chain."""
+chain.  The block solve of that law is checked against the per-entry
+recursion at the block edges, against exact rationals and a long-double
+recursion, and for the same bytes at one and two BLAS threads."""
 
 import math
 import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 
@@ -28,7 +32,8 @@ from limitlab.multisum import WeightSequence
 from limitlab.simulate import (_CHUNK, _SQUARES, _cauchy_chain_worker, _first_return_law, _run_chunked,
                                _sim_chain, resolve_threads, sim_bpve, sim_gw, sim_levelwalk)
 
-from oracles import bpve_generations, count_pmf, gw_generations, levelwalk_steps, tv_to_pmf
+from oracles import (bpve_generations, count_pmf, first_return_recursion, gw_generations, levelwalk_steps,
+                     tv_to_pmf)
 
 SPEC = ScaleSpec.from_dimension(3.0, 1.0, 2.0)
 SCHEDULE = OffspringSchedule.harmonic_drift(0.5)
@@ -342,6 +347,48 @@ def test_first_return_law_is_a_defective_law_that_renews_u(s, n):
     # renewal equation: u(k) = sum_{j=1..k} f(j) u(k-j) for k >= 1
     renewed = np.convolve(f, u)[1 : n + 1]
     assert renewed == pytest.approx(u[1:], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 2000])
+def test_first_return_law_matches_the_per_entry_recursion(s, n):
+    # n at the edges of the 64-entry blocks.  The first block is the recursion
+    # itself; later blocks sum in another order, each side rounding in float64.
+    kernel = kernel_distance(lambda i: (1.0 + i) ** s)
+    f, want = _first_return_law(kernel, n), first_return_recursion(kernel.marginal_probs(n))
+    assert np.array_equal(f[:64], want[:64])
+    assert f[1:] == pytest.approx(want[1:], rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_first_return_law_matches_exact_rationals(s):
+    n = 200
+    exact = [-c for c in _series_inv([Fraction(1, (k + 1) ** s) for k in range(n + 1)], n)]  # 1 - F = 1/U
+    f = _first_return_law(kernel_distance(lambda i: (1.0 + i) ** s), n)
+    for k in range(1, n + 1):
+        assert f[k] == pytest.approx(float(exact[k]), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0])
+def test_first_return_law_matches_a_long_double_recursion(s):
+    # the recursion in long double from the same float64 marginals, so only the solve's rounding shows
+    n = 20_000
+    kernel = kernel_distance(lambda i: (1.0 + i) ** s)
+    want = first_return_recursion(kernel.marginal_probs(n).astype(np.longdouble))
+    f = _first_return_law(kernel, n).astype(np.longdouble)
+    assert np.all(np.abs(f[1:] - want[1:]) <= 1e-12 * want[1:])
+
+
+def test_first_return_law_does_not_depend_on_the_blas_thread_count():
+    # a threaded BLAS splits a dot of more than 10^4 terms among its threads,
+    # so a longer dot would round f differently per thread count
+    code = ("import hashlib; from limitlab.kernels import DistanceKernel; "
+            "from limitlab.simulate import _SQUARES, _first_return_law; "
+            "print(hashlib.sha256(_first_return_law(DistanceKernel(_SQUARES), 30_000).tobytes()).hexdigest())")
+    outputs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t}).stdout
+               for t in ("1", "2")}
+    assert len(outputs) == 1
 
 
 CHAIN_N, CHAIN_REPS, CHAIN_CPS = 200, 1_000_000, (50, 200)
