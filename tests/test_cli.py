@@ -1,5 +1,8 @@
 """Exit codes of ``limitlab run``, the cost of importing the CLI and the heap it keeps.
 
+The parser and the heap setting are made once per process, at the first
+``main`` call: no call carries state into the next, and importing sets up neither.
+
 Exit 0: every declared tolerance passed; 1: a tolerance failed; 2: the input
 (config file or ``LIMITLAB_*`` environment) was rejected, or a path was: a
 config or report that is missing, a directory, not text or not a report, and
@@ -9,7 +12,9 @@ and no traceback.  A run that stops, rejected or not, leaves no output behind.
 
 import errno
 import platform
+import re
 import subprocess
+import types
 import sys
 from pathlib import Path
 
@@ -196,3 +201,68 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                           env={"PYTHONPATH": str(SRC)})
     assert proc.stdout.strip() == "[]"
+
+
+def _masked(out: str) -> str:
+    return re.sub(r"\(\d+\.\d\ds\)", "(wall s)", out)  # the closing line prints the run's wall clock
+
+
+def test_the_cached_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment = prpd-summable\nout = {tmp_path / 'y'}\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("experiment = thg\nalpha = -1\n")
+    good = ["run", str(cfg), "--out", str(tmp_path / "x")]
+    assert cli.main(good) == 0
+    first = capsys.readouterr()
+    assert "x/report.json" in first.out
+    assert cli.main(["run", str(bad), "--out", str(tmp_path / "z")]) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert cli.main(good) == 0
+    again = capsys.readouterr()
+    assert (_masked(again.out), again.err) == (_masked(first.out), first.err)
+    assert cli.main(["describe", "thg"]) == 0
+    capsys.readouterr()
+    assert cli.main(good) == 0
+    again = capsys.readouterr()
+    assert (_masked(again.out), again.err) == (_masked(first.out), first.err)
+    # without --out the config's own out key holds
+    assert cli.main(["run", str(cfg)]) == 0
+    assert f"{tmp_path / 'y' / 'report.json'}," in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "exp.cfg", "x", "y"]
+
+
+def test_main_builds_one_parser_and_sets_the_heap_once(monkeypatch, capsys):
+    opened, set_params = [], []
+
+    def mallopt(param, value):
+        set_params.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or types.SimpleNamespace(mallopt=mallopt))
+    cli._build_parser.cache_clear()
+    cli._keep_freed_heap.cache_clear()
+    try:
+        for argv in (["list-experiments"], ["describe", "thg"], ["list-experiments"], ["describe", "prpd-rv"],
+                     ["describe", "c4-gbm"]):
+            assert cli.main(argv) == 0
+    finally:
+        cli._keep_freed_heap.cache_clear()  # the next main sets the real allocator's parameters
+    assert cli._build_parser.cache_info().misses == 1
+    assert opened == [None]
+    assert set_params == [(cli._M_MMAP_THRESHOLD, 32 << 20), (cli._M_TRIM_THRESHOLD, 1 << 30)]
+
+
+IMPORT_PROBE = """
+import ctypes
+opened, real = [], ctypes.CDLL
+ctypes.CDLL = lambda *args, **kw: opened.append(args[:1]) or real(*args, **kw)
+from limitlab import cli
+print(cli._build_parser.cache_info().misses, cli._keep_freed_heap.cache_info().misses, opened)
+"""
+
+
+def test_import_builds_no_parser_and_leaves_the_heap_alone():
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(SRC)})
+    assert proc.stdout.strip() == "0 0 []"
