@@ -3,14 +3,12 @@ cross-checks for sums of Markov-dependent Bernoulli indicators."""
 
 from .kernels import (
     BranchingKernel,
-    DistanceKernel,
     OffspringSchedule,
     PowerKernel,
     RhoKernel,
     ScaleKernel,
     ScaleSpec,
     kernel_branching,
-    kernel_distance,
     kernel_power,
     kernel_scale,
 )

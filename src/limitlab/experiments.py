@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import BranchingKernel, DistanceKernel, OffspringSchedule, PowerKernel, ScaleKernel, ScaleSpec
+from .kernels import BranchingKernel, OffspringSchedule, PowerKernel, ScaleKernel, ScaleSpec
 from .moments import MomentTable, geo_limit_moments
 from .multisum import AsymptoticPrediction, WeightSequence, _log_power, _u_weights, phi_fold_curves, predict, psi_curve
 from .simulate import _SQUARES, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
@@ -328,7 +328,7 @@ def _run_levelwalk(scale_spec, cfg: ExperimentConfig):
 
 def _run_thy_gw(cfg: ExperimentConfig):
     n = max(cfg.horizons)
-    rows, checks, _, batch = _monte_carlo(cfg, DistanceKernel(_SQUARES), sim_gw)
+    rows, checks, _, batch = _monte_carlo(cfg, _SQUARES, sim_gw)
     law = LimitLaw.geometric_from_mean(zeta_tail(0, 2.0, 2).value)
     tv = tv_distance_integer(batch.counts[:, -1], law)
     checks.append(_within(f"TV distance to {law} at n={n}", tv, 0.02))
@@ -422,7 +422,7 @@ _register(ExperimentDef(
     "law with mean pi^2/6 - 1 from below. Checks monotonicity, the bound, and a "
     "1e-3 final mean ratio.",
     seed=0, replicates=None, horizons=(100, 1000, 10000), params={"k_max": 3},
-    runner=ExactSpec(lambda p: DistanceKernel(_SQUARES), "moments", _geo_claim, _geo_policy,
+    runner=ExactSpec(lambda p: _SQUARES, "moments", _geo_claim, _geo_policy,
                      lambda p: (range(1, p["k_max"] + 1), 1))))
 _register(ExperimentDef(
     "thbb-exp",
@@ -430,7 +430,7 @@ _register(ExperimentDef(
     "Kernel n+1 (partial sums ~ log n, index 0): E(count)^k / S(n)^k tends to k!. "
     "k=1 is exact by construction; k=2 gets a 15% band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000), params={"k_max": 2},
-    runner=ExactSpec(lambda p: DistanceKernel(_LINEAR_WEIGHTS), "moments", _exp_claim, _exp_policy,
+    runner=ExactSpec(lambda p: _LINEAR_WEIGHTS, "moments", _exp_claim, _exp_policy,
                      lambda p: (range(1, p["k_max"] + 1), p["k_max"]), scaled=True)))
 _register(ExperimentDef(
     "tha-gamma",
@@ -660,11 +660,23 @@ def write_outputs(report: dict, out_dir) -> tuple[Path, Path]:
 
 
 def emit_plotdata(report_path, out_csv=None) -> Path:
-    """Regenerate the flat CSV table from a JSON report."""
+    """Regenerate the flat CSV table from a JSON report.
+
+    Raises ConfigError unless ``columns`` is a list of names and ``rows`` a
+    list of rows of that length, each entry a number or null.
+    """
     path = Path(report_path)
     report = json.loads(path.read_text())
     if not isinstance(report, dict) or not {"columns", "rows"} <= report.keys():
         raise ConfigError(f"{path} is not a limitlab report: it has no 'columns' and 'rows'")
+    columns, rows = report["columns"], report["rows"]
+    if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+        raise ConfigError(f"{path} is not a limitlab report: 'columns' is not a list of names")
+    if not (isinstance(rows, list) and all(
+            isinstance(r, list) and len(r) == len(columns)
+            and all(v is None or isinstance(v, (int, float)) for v in r) for r in rows)):
+        raise ConfigError(f"{path} is not a limitlab report: 'rows' is not a list of "
+                          f"{len(columns)}-entry lists of numbers")
     target = Path(out_csv) if out_csv else path.with_name("plotdata.csv")
     _write_atomically(target, _table_text(report))
     return target

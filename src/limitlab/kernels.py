@@ -22,13 +22,13 @@ held as three arrays built once per horizon:
              a_j = 1 / ((j+c)^gamma g_j),  x_j = (j+c)^gamma,  y_i = i^gamma,
              where g_j = (w(j) - w(j+c)) / w(j) is formed via expm1/log1p.
 
-Every query (``rho``, ``success_prob``, ``marginal_probs``, ``cond_column``)
-reads these arrays, and ``multisum.psi_curve`` pushes whole tables through
-the matrix 1/(x_j - y_i).  The arrays must be finite, with a > 0, y strictly
+The engines read these arrays and nothing else: ``multisum.psi_curve``
+pushes whole tables through the matrix 1/(x_j - y_i), and ``cond_column``
+gives one column of 1/rho.  The arrays must be finite, with a > 0, y strictly
 increasing and x_j > y_{j-1}; where a family's data break down (a branching
 schedule with constant p != 1/2 overflows exp(L) or exp(-L) within a few
 thousand generations, and its H stops growing in floating point well before
-that), a query reaching that generation raises ValueError naming it.
+that), ``cauchy`` at that generation or beyond raises ValueError naming it.
 
 The branching and scale families also satisfy rho(j, j) = a_j (x_j - y_j) = 1
 (e^(L_j) (H_j - H_{j-1}) = 1, and (1 - (j/(j+c))^gamma) / g_j = 1), with x
@@ -37,11 +37,12 @@ product of per-generation factors, which is what lets
 ``simulate._cauchy_chain_worker`` draw their chains exactly.  The power family
 has x = y, so a_j (x_j - y_j) = 0 and that sampler refuses it.
 
-Distance kernels rho(i, j) = D(j - i) are not of this form: they keep their
-own queries, their Psi tables come from the convolution engine, and
-``simulate._renewal_worker`` draws their chains from the first-return law.
+Distance kernels rho(i, j) = D(j - i) are not of this form and need no class:
+a ``multisum.WeightSequence`` is the kernel.  ``psi_curve`` folds its weights
+with the convolution engine, and ``simulate._renewal_worker`` draws its chain
+from the first-return law.
 
-Kernels are total over j > i >= 0: queries never range-check the resulting
+Kernels are total over j > i >= 0: nothing range-checks the resulting
 probability, because the moment algebra is well defined for any positive
 weights and some acceptance sweeps deliberately use boundary families
 (e.g. D(n) = n, whose unit-gap value is exactly 1).
@@ -54,18 +55,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .multisum import WeightSequence
-
 __all__ = [
     "BranchingKernel",
-    "DistanceKernel",
     "OffspringSchedule",
     "PowerKernel",
     "RhoKernel",
     "ScaleKernel",
     "ScaleSpec",
     "kernel_branching",
-    "kernel_distance",
     "kernel_power",
     "kernel_scale",
 ]
@@ -106,62 +103,13 @@ class RhoKernel:
         a, x, y = self._data
         return a[: n + 1], x[: n + 1], y[: n + 1]
 
-    def rho(self, i, j):
-        """a_j (x_j - y_i); i and j may be integer arrays, broadcast together."""
-        a, x, y = self.cauchy(int(np.max(j)))
-        return a[j] * (x[j] - y[i])
-
-    def success_prob(self, i: int, j: int) -> float:
-        """1 / rho(i, j) for j > i >= 0; equals 1 on the diagonal."""
-        if j == i:
-            return 1.0
-        if j < i or i < 0:
-            raise ValueError(f"success_prob needs j >= i >= 0, got ({i}, {j})")
-        return float(1.0 / self.rho(i, j))
-
-    def marginal_probs(self, n: int) -> np.ndarray:
-        """Array p with p[j] = success_prob(0, j) for 1 <= j <= n (p[0] = 0)."""
-        a, x, y = self.cauchy(n)
-        p = np.zeros(n + 1)
-        p[1:] = 1.0 / (a[1:] * (x[1:] - y[0]))
-        return p
-
     def cond_column(self, j: int) -> np.ndarray:
-        """success_prob(i, j) for i = 1..j-1."""
+        """1 / rho(i, j) for i = 1..j-1."""
         a, x, y = self.cauchy(j)
         return 1.0 / (a[j] * (x[j] - y[1:j]))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.description}>"
-
-
-class DistanceKernel(RhoKernel):
-    """rho(i, j) = D(j - i) for all j > i >= 0 (not in Cauchy form).
-
-    ``weights`` holds D; the convolution engine folds it directly.
-    """
-
-    def __init__(self, weights: WeightSequence):
-        self.weights = weights
-        self.description = weights.label or "distance"
-        self._recip = np.zeros(1)
-
-    def _reciprocals(self, n: int) -> np.ndarray:
-        if self._recip.size <= n:
-            self._recip = self.weights.reciprocals(n)
-        return self._recip
-
-    def rho(self, i: int, j: int) -> float:
-        """D(j - i); infinite below the weights' gap, where success_prob is 0."""
-        with np.errstate(divide="ignore"):
-            return 1.0 / self._reciprocals(j - i)[j - i]
-
-    def marginal_probs(self, n: int) -> np.ndarray:
-        return self._reciprocals(n)[: n + 1].copy()
-
-    def cond_column(self, j: int) -> np.ndarray:
-        r = self._reciprocals(j)
-        return r[j - 1 : 0 : -1]  # gaps j-1, j-2, ..., 1 for i = 1..j-1
 
 
 class PowerKernel(RhoKernel):
@@ -306,9 +254,9 @@ class ScaleKernel(RhoKernel):
 
     With c = a/b and w(x) = x^(-gamma):
 
-        success_prob(0, j) = g_j = (w(j) - w(j+c)) / w(j)
-        success_prob(i, j) = [w(i) / (w(i) - w(j+c))] * g_j
-                           = g_j (j+c)^gamma / ((j+c)^gamma - i^gamma)
+        1 / rho(0, j) = g_j = (w(j) - w(j+c)) / w(j)
+        1 / rho(i, j) = [w(i) / (w(i) - w(j+c))] * g_j
+                      = g_j (j+c)^gamma / ((j+c)^gamma - i^gamma)
 
     g_j = -expm1(-gamma log1p(c/j)) avoids cancellation at large j.
     """
@@ -323,11 +271,6 @@ class ScaleKernel(RhoKernel):
         x = (j + c) ** g
         gap = -np.expm1(-g * np.log1p(c / j))
         return 1.0 / (x * gap), x, j**g
-
-
-def kernel_distance(weight, label: str = "") -> DistanceKernel:
-    """Distance kernel from a weight callable D (accepting integer arrays)."""
-    return DistanceKernel(WeightSequence(weight=weight, label=label))
 
 
 def kernel_power(alpha: float, beta: float) -> PowerKernel:

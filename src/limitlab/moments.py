@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import RhoKernel
-from .multisum import _horizons, psi_curve
+from .multisum import WeightSequence, _horizons, psi_curve
 
 __all__ = [
     "MomentTable",
@@ -48,7 +48,7 @@ def composition_coefficient(k: int, m: int) -> int:
     return m * (composition_coefficient(k - 1, m) + composition_coefficient(k - 1, m - 1))
 
 
-def _moment_rows(kernel: RhoKernel, horizons, k_max: int) -> np.ndarray:
+def _moment_rows(kernel: RhoKernel | WeightSequence, horizons, k_max: int) -> np.ndarray:
     """Rows E(count_h)^k for k = 1..k_max over the horizons, from one Psi table."""
     if k_max < 1:
         raise ValueError("moment order k must be >= 1")
@@ -63,7 +63,7 @@ def _moment_rows(kernel: RhoKernel, horizons, k_max: int) -> np.ndarray:
     return rows
 
 
-def count_moment_curve(kernel: RhoKernel, k: int, horizons) -> np.ndarray:
+def count_moment_curve(kernel: RhoKernel | WeightSequence, k: int, horizons) -> np.ndarray:
     """Exact k-th moments at several horizons, sharing one Psi table."""
     return _moment_rows(kernel, horizons, k)[-1]
 
@@ -94,7 +94,7 @@ class MomentTable:
     values: np.ndarray
 
     @classmethod
-    def build(cls, kernel: RhoKernel, horizons: Sequence[int], k_max: int) -> "MomentTable":
+    def build(cls, kernel: RhoKernel | WeightSequence, horizons: Sequence[int], k_max: int) -> "MomentTable":
         hs = tuple(int(h) for h in _horizons(horizons))
         if any(b <= a for a, b in zip(hs, hs[1:])):
             raise ValueError("horizons must be strictly increasing")

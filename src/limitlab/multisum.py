@@ -55,11 +55,13 @@ from the tables T_1[j] = 1/rho(0, j) and
 
     T_q[j] = sum_{i<j} T_{q-1}[i] / rho(i, j),    Psi_n(q) = sum_{j<=n} T_q[j].
 
-Distance kernels are difference kernels, so they take the convolution path.
+A kernel is its data.  A distance kernel rho(i, j) = D(j - i) is a
+``WeightSequence``, whose Psi is its Phi, so it takes the convolution path.
 Every other kernel is in Cauchy form rho(i, j) = a_j (x_j - y_i) (see
-``kernels``), so each step is T_q = (T_{q-1} pushed through the strictly
-lower-triangular matrix 1/(x_j - y_i)) / a_j: one call of the hierarchical
-matvec ``cauchy.lower_matvec``, O(n log n) per fold.  Its far-field terms carry
+``kernels``), and ``psi_curve`` reads only its arrays (a, x, y): each step is
+T_q = (T_{q-1} pushed through the strictly lower-triangular matrix
+1/(x_j - y_i)) / a_j, one call of the hierarchical matvec
+``cauchy.lower_matvec``, O(n log n) per fold.  Its far-field terms carry
 a relative error of at most 3.4e-15 each; all terms are positive, so every
 T_q[j] keeps that bound plus round-off.  ``predict`` returns, for each
 supported regime, the limiting coefficient and the scale it multiplies.
@@ -118,7 +120,7 @@ class WeightSequence:
         if n >= self.gap:
             idx = np.arange(self.gap, n + 1)
             d = np.asarray(self.weight(idx), dtype=float)
-            if np.any(d <= 0):
+            if np.any(~(d > 0)):  # NaN fails too; +inf is a zero probability
                 raise ValueError(f"weights must be positive ({self.label or 'weight'})")
             r[self.gap:] = 1.0 / d
         return r
@@ -289,28 +291,30 @@ def _u_weights(m: int, n0: int, s: float) -> WeightSequence:
 
 
 def psi_curve(kernel, horizons, m: int) -> np.ndarray:
-    """Matrix P[q-1, h] = Psi_h(q) for q = 1..m over the given horizons."""
-    from .kernels import DistanceKernel  # kernels imports this module
+    """Matrix P[q-1, h] = Psi_h(q) for q = 1..m over the given horizons.
 
+    ``kernel`` is a ``WeightSequence`` (a distance kernel) or a Cauchy-form
+    ``kernels.RhoKernel``.
+    """
     hs = _horizons(horizons)
     if m < 1:
         raise ValueError("fold count m must be >= 1")
-    if isinstance(kernel, DistanceKernel):
-        return phi_fold_curves(kernel.weights, hs, m)
+    if isinstance(kernel, WeightSequence):
+        return phi_fold_curves(kernel, hs, m)
     return np.cumsum(_psi_tables(kernel, int(hs.max()), m), axis=1)[:, hs]
 
 
 def _psi_tables(kernel, n: int, m: int) -> np.ndarray:
     """T[q-1, j] = T_q[j] for a Cauchy-form kernel, 0 <= j <= n."""
+    a, x, y = kernel.cauchy(n)
     tables = np.zeros((m, n + 1))
-    tables[0] = kernel.marginal_probs(n)
+    tables[0, 1:] = 1.0 / (a[1:] * (x[1:] - y[0]))
     if n <= LEAF:
         # one leaf has no far field: the step is the dense triangle, column by column
         for q in range(1, m):
             for j in range(q + 1, n + 1):
                 tables[q, j] = tables[q - 1, 1:j] @ kernel.cond_column(j)
         return tables
-    a, x, y = kernel.cauchy(n)
     for q in range(1, m):
         tables[q, 1:] = lower_matvec(tables[q - 1, 1:], x[1:], y[1:]) / a[1:]
     return tables

@@ -23,13 +23,13 @@ Models:
   generations where the population is 1.  The chain starts afresh at each
   visit, so the visits are the success chain of a distance kernel,
   D(k) = (1+k)^2, the same kernel whose exact moments the ``thy-gw``
-  experiment checks.  ``_sim_chain`` hands a distance kernel to
-  ``_renewal_worker``, which turns it into its first-return law
-  (``_first_return_law``, the renewal equation solved in blocks of 64
-  entries) and draws whole gaps between visits from that law instead of
-  stepping every generation.  The generation-by-generation chain is kept in
-  the test suite (``tests/oracles.py``) as the independent check of this
-  sampler.
+  experiment checks.  A distance kernel is its ``WeightSequence``:
+  ``_sim_chain`` hands the weights to ``_renewal_worker``, which turns their
+  reciprocals into the first-return law (``_first_return_law``, the renewal
+  equation solved in blocks of 64 entries) and draws whole gaps between
+  visits from that law instead of stepping every generation.  The
+  generation-by-generation chain is kept in the test suite
+  (``tests/oracles.py``) as the independent check of this sampler.
 - ``sim_bpve`` and ``sim_levelwalk``: branching with one immigrant per
   generation and geometric offspring, counting generations with zero
   population; and a transient level walk with scale weight w(x) = x^(-gamma),
@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import BranchingKernel, DistanceKernel, OffspringSchedule, RhoKernel, ScaleKernel, ScaleSpec
+from .kernels import BranchingKernel, OffspringSchedule, RhoKernel, ScaleKernel, ScaleSpec
 from .multisum import WeightSequence, _horizons
 
 __all__ = ["ReplicateBatch", "resolve_threads", "sim_bpve", "sim_gw", "sim_levelwalk"]
@@ -168,12 +168,12 @@ def _run_chunked(worker, replicates: int, seed: int, ncols: int, threads: int | 
     return counts
 
 
-def _first_return_law(kernel: DistanceKernel, n: int) -> np.ndarray:
-    """First-return law f on times 0..n of a distance kernel's success chain.
+def _first_return_law(weights: WeightSequence, n: int) -> np.ndarray:
+    """First-return law f on times 0..n of the success chain of the distance kernel D.
 
     A success renews the chain, so with u(0) = 1 and
-    u(k) = ``kernel.marginal_probs(n)[k]`` the gaps between successes have
-    the law f(k) = u(k) - sum_{0<j<k} f(j) u(k-j).  By Kaluza's theorem a
+    u(k) = 1/D(k) = ``weights.reciprocals(n)[k]`` the gaps between successes
+    have the law f(k) = u(k) - sum_{0<j<k} f(j) u(k-j).  By Kaluza's theorem a
     log-convex u, such as (1+k)^(-s), gives a law; otherwise f may go
     negative or sum past 1, and ValueError names the first such gap
     (D(n) = n gives f(2) = -0.5).
@@ -206,7 +206,7 @@ def _first_return_law(kernel: DistanceKernel, n: int) -> np.ndarray:
     long-double recursion at n = 2e4 and 1e5, where the per-entry recursion
     is up to 2.3e-14 off.
     """
-    u = kernel.marginal_probs(n)
+    u = weights.reciprocals(n)
     f = np.zeros(n + 1)
     head = min(n, _BLOCK - 1)
     u_rev = u[head::-1].copy()  # u_rev[head - i] = u(i)
@@ -224,12 +224,12 @@ def _first_return_law(kernel: DistanceKernel, n: int) -> np.ndarray:
         f[k0:k1] = inverse[: k1 - k0, : k1 - k0] @ rhs
     bad = np.flatnonzero((f < 0) | (np.cumsum(f) > 1))
     if bad.size:
-        raise ValueError(f"{kernel.description}: the first-return law goes negative or sums past 1 "
+        raise ValueError(f"{weights.label or 'distance'}: the first-return law goes negative or sums past 1 "
                          f"at gap {bad[0]}, so no chain has this kernel")
     return f
 
 
-def _renewal_worker(kernel: DistanceKernel, cps: tuple[int, ...]):
+def _renewal_worker(weights: WeightSequence, cps: tuple[int, ...]):
     """Chunk worker drawing the success chain of a distance kernel as a renewal process.
 
     Every gap between successes, the first one from time 0 included, has
@@ -241,7 +241,7 @@ def _renewal_worker(kernel: DistanceKernel, cps: tuple[int, ...]):
     whatever n is.
     """
     n = cps[-1]
-    cdf = np.cumsum(_first_return_law(kernel, n)[1:])
+    cdf = np.cumsum(_first_return_law(weights, n)[1:])
     bins = np.searchsorted(np.asarray(cps), np.arange(n + 1))  # first checkpoint >= t
 
     def worker(rng: np.random.Generator, rows: int):
@@ -325,16 +325,17 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
     return worker
 
 
-def _sim_chain(kernel: RhoKernel, n: int, replicates: int, seed: int,
+def _sim_chain(kernel: RhoKernel | WeightSequence, n: int, replicates: int, seed: int,
                checkpoints: Sequence[int] | None, threads: int | None) -> ReplicateBatch:
     """Counts of the kernel's success chain, with the worker chosen by the kernel's form.
 
-    A ``DistanceKernel`` renews at every success and goes to
-    ``_renewal_worker``; every other kernel goes to the running-max scan
-    ``_cauchy_chain_worker``, which refuses a kernel it cannot draw exactly.
+    A distance kernel, given as its ``WeightSequence``, renews at every
+    success and goes to ``_renewal_worker``; a Cauchy-form kernel goes to the
+    running-max scan ``_cauchy_chain_worker``, which refuses a kernel it
+    cannot draw exactly.
     """
     cps = _validate_checkpoints(checkpoints, n)
-    make_worker = _renewal_worker if isinstance(kernel, DistanceKernel) else _cauchy_chain_worker
+    make_worker = _renewal_worker if isinstance(kernel, WeightSequence) else _cauchy_chain_worker
     counts = _run_chunked(make_worker(kernel, cps), replicates, seed, len(cps), threads)
     return ReplicateBatch(replicates=replicates, checkpoints=cps, counts=counts)
 
@@ -352,7 +353,7 @@ def sim_gw(n: int, replicates: int = 10_000, seed: int = 0,
     the success chain of the distance kernel D(k) = (1+k)^2, drawn by
     ``_renewal_worker``.
     """
-    return _sim_chain(DistanceKernel(_SQUARES), n, replicates, seed, checkpoints, threads)
+    return _sim_chain(_SQUARES, n, replicates, seed, checkpoints, threads)
 
 
 def sim_bpve(schedule: OffspringSchedule, n: int, replicates: int = 10_000, seed: int = 0,

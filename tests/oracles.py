@@ -1,7 +1,10 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here enumerates or sums directly, never sharing code paths with
-the implementations it checks.
+the implementations it checks.  The point queries ``rho``, ``success_prob``,
+``marginals`` and ``column`` read a kernel's data only, in either form: a
+distance kernel is a ``WeightSequence`` (rho(i, j) = D(j - i), read from its
+reciprocals), any other kernel has Cauchy arrays (rho(i, j) = a_j (x_j - y_i)).
 """
 
 from __future__ import annotations
@@ -10,6 +13,49 @@ import itertools
 import math
 
 import numpy as np
+
+from limitlab.multisum import WeightSequence
+
+
+def rho(kernel, i, j):
+    """rho(i, j) for j > i >= 0; i and j may be integer arrays, broadcast together.
+
+    A distance kernel gives D(j - i), and inf below its gap, where the
+    success probability is 0.
+    """
+    if isinstance(kernel, WeightSequence):
+        gaps = np.asarray(j) - np.asarray(i)
+        with np.errstate(divide="ignore"):
+            return 1.0 / kernel.reciprocals(int(np.max(gaps)))[gaps]
+    a, x, y = kernel.cauchy(int(np.max(j)))
+    return a[j] * (x[j] - y[i])
+
+
+def success_prob(kernel, i: int, j: int) -> float:
+    """1 / rho(i, j) for j > i >= 0; equals 1 on the diagonal."""
+    if j == i:
+        return 1.0
+    if j < i or i < 0:
+        raise ValueError(f"success_prob needs j >= i >= 0, got ({i}, {j})")
+    if isinstance(kernel, WeightSequence):
+        return float(kernel.reciprocals(j - i)[j - i])
+    return float(1.0 / rho(kernel, i, j))
+
+
+def marginals(kernel, n: int) -> np.ndarray:
+    """Array p with p[j] = success_prob(0, j) for 1 <= j <= n (p[0] = 0)."""
+    if isinstance(kernel, WeightSequence):
+        return kernel.reciprocals(n)
+    p = np.zeros(n + 1)
+    p[1:] = 1.0 / rho(kernel, 0, np.arange(1, n + 1))
+    return p
+
+
+def column(kernel, j: int) -> np.ndarray:
+    """success_prob(i, j) for i = 1..j-1."""
+    if isinstance(kernel, WeightSequence):
+        return kernel.reciprocals(j)[j - 1 : 0 : -1]  # gaps j-1, j-2, ..., 1
+    return 1.0 / rho(kernel, np.arange(1, j), j)
 
 
 def phi_bruteforce(weight_fn, n: int, m: int, gap: int = 1) -> float:
@@ -53,7 +99,7 @@ def count_moment_bruteforce(kernel, n: int, k: int) -> float:
         prev = 0
         prod = 1.0
         for j in sorted(set(tup)):
-            prod *= kernel.success_prob(prev, j)
+            prod *= success_prob(kernel, prev, j)
             prev = j
         terms.append(prod)
     return math.fsum(terms)
@@ -66,7 +112,7 @@ def psi_bruteforce(kernel, n: int, m: int) -> float:
         prev = 0
         prod = 1.0
         for j in tup:
-            prod *= kernel.success_prob(prev, j)
+            prod *= success_prob(kernel, prev, j)
             prev = j
         terms.append(prod)
     return math.fsum(terms)
@@ -76,13 +122,13 @@ def psi_loop(kernel, n: int, m: int) -> np.ndarray:
     """Tables T[q-1, j] = T_q[j] (0 <= j <= n) by the O(n^2 m) column loop.
 
     T_1[j] = success_prob(0, j) and T_q[j] = sum_{i<j} T_{q-1}[i] success_prob(i, j),
-    each column taken from ``cond_column``.
+    each column taken from ``column``.
     """
     tables = np.zeros((m, n + 1))
-    tables[0] = kernel.marginal_probs(n)
+    tables[0] = marginals(kernel, n)
     for q in range(1, m):
         for j in range(q + 1, n + 1):
-            tables[q, j] = float(np.dot(tables[q - 1, 1:j], kernel.cond_column(j)))
+            tables[q, j] = float(np.dot(tables[q - 1, 1:j], column(kernel, j)))
     return tables
 
 
@@ -94,7 +140,7 @@ def cauchy_lower_dense(v, x, y) -> np.ndarray:
 
 def probability_range(kernel, n: int) -> tuple[float, float]:
     """(min, max) of success_prob over all pairs 0 <= i < j <= n."""
-    values = [kernel.marginal_probs(n)[1:]] + [kernel.cond_column(j) for j in range(2, n + 1)]
+    values = [marginals(kernel, n)[1:]] + [column(kernel, j) for j in range(2, n + 1)]
     flat = np.concatenate(values)
     return float(flat.min()), float(flat.max())
 
@@ -229,7 +275,7 @@ def count_pmf(kernel, n: int) -> np.ndarray:
     u = np.zeros((n + 1, n + 1))
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            u[i, j] = kernel.success_prob(i, j)
+            u[i, j] = success_prob(kernel, i, j)
     f = np.zeros_like(u)
     for i in range(n + 1):
         for j in range(i + 1, n + 1):

@@ -5,12 +5,14 @@ The parser and the heap setting are made once per process, at the first
 
 Exit 0: every declared tolerance passed; 1: a tolerance failed; 2: the input
 (config file or ``LIMITLAB_*`` environment) was rejected, or a path was: a
-config or report that is missing, a directory, not text or not a report, and
+config or report that is missing, a directory, not text or not a report (a
+report needs a list of column names and rows of that length), and
 an ``--out`` at or under an existing file.  Exit 2 prints a one-line message
 and no traceback.  A run that stops, rejected or not, leaves no output behind.
 """
 
 import errno
+import json
 import platform
 import re
 import subprocess
@@ -133,6 +135,22 @@ def test_a_rejected_plotdata_target_leaves_no_temporary_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Is a directory" in err and len(err.strip().splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "out", "plot"]
+
+
+@pytest.mark.parametrize("report, needle", [
+    ({"columns": ["a"], "rows": 5}, "'rows'"),
+    ({"columns": 5, "rows": []}, "'columns'"),
+    ({"columns": ["a", 2], "rows": []}, "'columns'"),
+    ({"columns": ["a", "b"], "rows": [[1, 2], [3]]}, "2-entry"),
+    ({"columns": ["a"], "rows": [[{"x": 1}]]}, "numbers"),
+], ids=["rows-not-a-list", "columns-not-a-list", "column-not-a-name", "short-row", "entry-not-a-number"])
+def test_plotdata_rejects_a_malformed_report(tmp_path, capsys, report, needle):
+    # rows = 5, columns = 5 and a dict entry ended in a traceback; the others wrote a ragged table
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    assert cli.main(["plotdata", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 @pytest.mark.parametrize("out", ["a/b", "a/../b"])

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from limitlab import DistanceKernel, PowerKernel, WeightSequence, experiments, multisum
+from limitlab import PowerKernel, WeightSequence, experiments, multisum
 from limitlab.simulate import ReplicateBatch
 
 EXACT = [exp for exp, d in experiments._REGISTRY.items() if isinstance(d.runner, experiments.ExactSpec)]
@@ -123,8 +123,6 @@ def perturbed(model):
     """The model with every weight, or the power kernel's alpha, times 1.1."""
     if isinstance(model, WeightSequence):
         return replace(model, weight=lambda i: 1.1 * model.weight(i))
-    if isinstance(model, DistanceKernel):
-        return DistanceKernel(perturbed(model.weights))
     return PowerKernel(1.1 * model.alpha, model.beta)
 
 

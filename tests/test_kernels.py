@@ -6,69 +6,86 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitlab.kernels import (
-    DistanceKernel,
     OffspringSchedule,
     ScaleSpec,
     kernel_branching,
-    kernel_distance,
     kernel_power,
     kernel_scale,
 )
+from limitlab.moments import MomentTable
 from limitlab.multisum import WeightSequence
+from limitlab.simulate import _sim_chain
 
-from oracles import probability_range, scale_success_prob
+from oracles import column, marginals, probability_range, rho, scale_success_prob, success_prob
 
 
 class TestDistanceKernel:
+    """A distance kernel rho(i, j) = D(j - i) is its ``WeightSequence``."""
+
     def test_shifted_square(self):
-        k = kernel_distance(lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
-        assert k.success_prob(3, 5) == pytest.approx(1 / 9, rel=1e-14)
-        assert k.success_prob(0, 1) == pytest.approx(1 / 4, rel=1e-14)
+        k = WeightSequence(weight=lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
+        assert success_prob(k, 3, 5) == pytest.approx(1 / 9, rel=1e-14)
+        assert success_prob(k, 0, 1) == pytest.approx(1 / 4, rel=1e-14)
 
     def test_unit_shift(self):
-        k = kernel_distance(lambda i: np.asarray(i, dtype=float) + 1.0)
-        assert k.success_prob(7, 8) == pytest.approx(0.5, rel=1e-14)
+        k = WeightSequence(weight=lambda i: np.asarray(i, dtype=float) + 1.0)
+        assert success_prob(k, 7, 8) == pytest.approx(0.5, rel=1e-14)
 
     def test_diagonal_and_order(self):
-        k = kernel_distance(lambda i: np.asarray(i, dtype=float) + 1.0)
-        assert k.success_prob(4, 4) == 1.0
+        k = WeightSequence(weight=lambda i: np.asarray(i, dtype=float) + 1.0)
+        assert success_prob(k, 4, 4) == 1.0
         with pytest.raises(ValueError):
-            k.success_prob(5, 4)
+            success_prob(k, 5, 4)
 
     def test_proper_range(self):
-        k = kernel_distance(lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
+        k = WeightSequence(weight=lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
         lo, hi = probability_range(k, 60)
         assert 0.0 < lo and hi < 1.0
 
     def test_cond_column_matches_scalar(self):
-        k = kernel_distance(lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
-        col = k.cond_column(6)
-        assert col == pytest.approx([k.success_prob(i, 6) for i in range(1, 6)])
+        k = WeightSequence(weight=lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
+        col = column(k, 6)
+        assert col == pytest.approx([success_prob(k, i, 6) for i in range(1, 6)])
         assert col == pytest.approx([1.0 / (7.0 - i) ** 2 for i in range(1, 6)], rel=1e-14)
 
     def test_nonpositive_weight_rejected(self):
-        k = kernel_distance(lambda i: np.asarray(i, dtype=float) - 3.0)
+        k = WeightSequence(weight=lambda i: np.asarray(i, dtype=float) - 3.0)
         with pytest.raises(ValueError):
-            k.success_prob(0, 5)
+            success_prob(k, 0, 5)
 
     def test_success_prob_is_zero_below_the_gap(self):
-        k = DistanceKernel(WeightSequence(weight=lambda i: (1.0 + i) ** 1.5, gap=2))
+        k = WeightSequence(weight=lambda i: (1.0 + i) ** 1.5, gap=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by zero on the way
-            assert k.success_prob(3, 4) == 0.0
-            assert k.rho(3, 4) == math.inf
-            assert k.success_prob(3, 5) == pytest.approx(3.0**-1.5, rel=1e-14)
+            assert success_prob(k, 3, 4) == 0.0
+            assert rho(k, 3, 4) == math.inf
+            assert success_prob(k, 3, 5) == pytest.approx(3.0**-1.5, rel=1e-14)
+
+    def test_nan_weight_is_refused_by_both_engines(self):
+        # NaN passes a "d <= 0" test; the renewal sampler then drew about 20
+        # successes by n = 50 where the kernel's mean is about 0.6, and the
+        # moment table gave NaN rows
+        k = WeightSequence(weight=lambda i: np.where(i == 3, np.nan, (1.0 + i) ** 2), label="nan-at-3")
+        with pytest.raises(ValueError, match="nan-at-3"):
+            _sim_chain(k, 50, 10, 0, None, 1)
+        with pytest.raises(ValueError, match="nan-at-3"):
+            MomentTable.build(k, [10, 50], 2)
+
+    def test_infinite_weight_is_a_zero_probability(self):
+        k = WeightSequence(weight=lambda i: np.where(i == 3, np.inf, (1.0 + i) ** 2))
+        assert success_prob(k, 2, 5) == 0.0
+        assert np.all(np.isfinite(MomentTable.build(k, [10, 50], 2).values))
 
 
 class TestPowerKernel:
     def test_alpha_one_is_distance(self):
         k = kernel_power(1.0, 1.0)
         for i, j in [(1, 3), (2, 6), (5, 9)]:
-            assert k.success_prob(i, j) == pytest.approx(1.0 / (j - i), rel=1e-14)
+            assert success_prob(k, i, j) == pytest.approx(1.0 / (j - i), rel=1e-14)
 
     def test_alpha_two_example(self):
         k = kernel_power(2.0, 1.0)
-        assert k.success_prob(1, 2) == pytest.approx(2 / 3, rel=1e-14)
+        assert success_prob(k, 1, 2) == pytest.approx(2 / 3, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_distance_envelope(self, alpha):
@@ -79,7 +96,7 @@ class TestPowerKernel:
         lo_c, hi_c = min(alpha, 1.0), max(alpha, 1.0)
         for i in range(1, 40, 3):
             for j in range(i + 1, 60, 5):
-                r = k.rho(i, j) / beta
+                r = rho(k, i, j) / beta
                 assert lo_c * (j - i) - 1e-9 <= r <= hi_c * (j - i) + 1e-9
 
     def test_proper_range_with_large_beta(self):
@@ -127,14 +144,14 @@ class TestOffspringSchedule:
 class TestBranchingKernel:
     def test_constant_half_closed_form(self):
         k = kernel_branching(OffspringSchedule.constant(0.5))
-        assert k.success_prob(2, 5) == pytest.approx(0.25, abs=1e-14)
-        assert k.success_prob(0, 3) == pytest.approx(0.25, abs=1e-14)
+        assert success_prob(k, 2, 5) == pytest.approx(0.25, abs=1e-14)
+        assert success_prob(k, 0, 3) == pytest.approx(0.25, abs=1e-14)
         for i, j in [(0, 1), (1, 2), (3, 9), (0, 50)]:
-            assert k.success_prob(i, j) == pytest.approx(1.0 / (j - i + 1), rel=1e-13)
+            assert success_prob(k, i, j) == pytest.approx(1.0 / (j - i + 1), rel=1e-13)
 
     def test_first_generation_is_p1(self):
         k = kernel_branching([1 / 3, 0.5])
-        assert k.success_prob(0, 1) == pytest.approx(1 / 3, rel=1e-14)
+        assert success_prob(k, 0, 1) == pytest.approx(1 / 3, rel=1e-14)
 
     def test_direct_product_sum(self):
         # independent evaluation of 1 + sum of suffix products
@@ -143,14 +160,14 @@ class TestBranchingKernel:
         k = kernel_branching(OffspringSchedule.from_table(p))
         for i, j in [(0, 4), (1, 3), (2, 4)]:
             expect = 1.0 + sum(np.prod(m[t - 1 : j]) for t in range(i + 1, j + 1))
-            assert k.rho(i, j) == pytest.approx(expect, rel=1e-13)
+            assert rho(k, i, j) == pytest.approx(expect, rel=1e-13)
 
     def test_grid_matches_scalar(self):
         k = kernel_branching(OffspringSchedule.harmonic_drift(0.3))
         i = np.array([5, 10])
         j = np.array([20, 40])
-        grid = k.rho(i, j)
-        assert grid == pytest.approx([k.rho(5, 20), k.rho(10, 40)], rel=1e-13)
+        grid = rho(k, i, j)
+        assert grid == pytest.approx([rho(k, 5, 20), rho(k, 10, 40)], rel=1e-13)
 
     def test_proper_range(self):
         lo, hi = probability_range(kernel_branching(OffspringSchedule.harmonic_drift(0.5)), 50)
@@ -165,7 +182,7 @@ class TestBranchingKernel:
         gaps = np.arange(200, 2001, 200)
         ii, gg = np.meshgrid(i, gaps, indexing="ij")
         jj = ii + gg
-        r = k.rho(ii.ravel(), jj.ravel())
+        r = rho(k, ii.ravel(), jj.ravel())
         if B > 0:
             target = jj.ravel() ** B * (jj.ravel() ** (1 - B) - ii.ravel() ** (1 - B)) / (1 - B)
         else:
@@ -178,7 +195,7 @@ class TestBranchingKernel:
         i = np.arange(200, 2001, 200)
         gaps = np.arange(200, 2001, 200)
         ii, gg = np.meshgrid(i, gaps, indexing="ij")
-        r = k.rho(ii.ravel(), (ii + gg).ravel())
+        r = rho(k, ii.ravel(), (ii + gg).ravel())
         ratio = r / gg.ravel()
         assert np.all(np.abs(ratio - 1.0) <= 0.05)
 
@@ -203,12 +220,12 @@ class TestScaleSpec:
 class TestScaleKernel:
     def test_marginal_example(self):
         k = kernel_scale(ScaleSpec.from_dimension(3, 1.0, 2.0))
-        assert k.success_prob(0, 1) == pytest.approx(1 / 3, rel=1e-13)
+        assert success_prob(k, 0, 1) == pytest.approx(1 / 3, rel=1e-13)
 
     def test_near_equal_offset(self):
         # offset ratio close to 1 reproduces the (w(1) - w(2))/w(1) = 1/2 value
         k = kernel_scale(ScaleSpec(1.0, 1.0, 1.0 + 1e-9))
-        assert k.success_prob(0, 1) == pytest.approx(0.5, rel=1e-6)
+        assert success_prob(k, 0, 1) == pytest.approx(0.5, rel=1e-6)
 
     def test_joint_equals_chained_conditionals(self):
         # the joint law of a success chain, straight from the scale function
@@ -217,7 +234,7 @@ class TestScaleKernel:
         for chain in ([2, 5], [2, 5, 11]):
             steps = list(zip([0] + chain, chain))
             joint = math.prod(scale_success_prob(spec, i, j) for i, j in steps)
-            chained = math.prod(k.success_prob(i, j) for i, j in steps)
+            chained = math.prod(success_prob(k, i, j) for i, j in steps)
             assert chained == pytest.approx(joint, rel=1e-12)
 
     def test_marginal_asymptote(self):
@@ -225,7 +242,7 @@ class TestScaleKernel:
         spec = ScaleSpec.from_dimension(3, 1.0, 2.0)
         k = kernel_scale(spec)
         j = 10**4
-        value = k.rho(0, j) * spec.offset_ratio * spec.gamma / j
+        value = rho(k, 0, j) * spec.offset_ratio * spec.gamma / j
         assert abs(value - 1.0) < 0.01
 
     def test_proper_range(self):
@@ -236,7 +253,7 @@ class TestScaleKernel:
         spec = ScaleSpec.from_dimension(3, 1.0, 2.0)
         k = kernel_scale(spec)
         col = k.cond_column(7)
-        assert col == pytest.approx([k.success_prob(i, 7) for i in range(1, 7)], rel=1e-13)
+        assert col == pytest.approx([success_prob(k, i, 7) for i in range(1, 7)], rel=1e-13)
         assert col == pytest.approx([scale_success_prob(spec, i, 7) for i in range(1, 7)], rel=1e-13)
 
 
@@ -255,7 +272,7 @@ class TestCauchyForm:
         for j in (1, 2, 7, 50, 200):
             i = np.arange(j)
             want = 1.3 * j ** (1.0 - alpha) * (j**alpha - i.astype(float) ** alpha)
-            assert k.rho(i, j) == pytest.approx(want, rel=1e-13)
+            assert rho(k, i, j) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("schedule", [
         OffspringSchedule.harmonic_drift(0.5),
@@ -270,7 +287,7 @@ class TestCauchyForm:
             if j > top:
                 continue
             want = [_branching_rho(p, i, j) for i in range(j)]
-            assert k.rho(np.arange(j), j) == pytest.approx(want, rel=1e-12)
+            assert rho(k, np.arange(j), j) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_scale(self, gamma):
@@ -278,11 +295,11 @@ class TestCauchyForm:
         k = kernel_scale(spec)
         for j in (1, 2, 7, 50, 200):
             want = [1.0 / scale_success_prob(spec, i, j) for i in range(j)]
-            assert k.rho(np.arange(j), j) == pytest.approx(want, rel=1e-11)
+            assert rho(k, np.arange(j), j) == pytest.approx(want, rel=1e-11)
 
     def test_arrays_are_cut_to_the_horizon(self):
         k = kernel_power(2.0, 1.0)
-        k.marginal_probs(100)
+        k.cauchy(100)
         a, x, y = k.cauchy(10)
         assert a.size == x.size == y.size == 11
         assert y[0] == 0.0 and np.isnan(a[0]) and np.isnan(x[0])
@@ -300,7 +317,7 @@ class TestBranchingBreakdown:
     def test_subcritical_marginals_raise(self):
         k = kernel_branching(OffspringSchedule.constant(0.6))
         with pytest.raises(ValueError, match=r"p=0\.6.*generation \d+"):
-            k.marginal_probs(3000)
+            k.cauchy(3000)
 
     def test_supercritical_column_raises(self):
         k = kernel_branching(OffspringSchedule.constant(0.4))
@@ -309,10 +326,10 @@ class TestBranchingBreakdown:
 
     def test_below_the_breakdown_still_answers(self):
         k = kernel_branching(OffspringSchedule.constant(0.6))
-        assert np.all(np.isfinite(k.marginal_probs(1000)))
+        assert np.all(np.isfinite(marginals(k, 1000)))
         with pytest.raises(ValueError):
-            k.marginal_probs(3000)
-        assert np.all(np.isfinite(k.marginal_probs(500)))
+            k.cauchy(3000)
+        assert np.all(np.isfinite(marginals(k, 500)))
 
 
 class TestChainSamplerPrecondition:
@@ -360,5 +377,5 @@ def cauchy_kernels(draw):
 @settings(max_examples=60, deadline=None)
 @given(kernel=cauchy_kernels(), n=st.integers(1, 3000))
 def test_marginal_probs_are_probabilities(kernel, n):
-    p = kernel.marginal_probs(n)[1:]
+    p = marginals(kernel, n)[1:]
     assert np.all((p > 0.0) & (p <= 1.0))

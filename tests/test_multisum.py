@@ -13,11 +13,10 @@ from limitlab.kernels import (
     OffspringSchedule,
     ScaleSpec,
     kernel_branching,
-    kernel_distance,
     kernel_power,
     kernel_scale,
 )
-from limitlab.kernels import DistanceKernel, RhoKernel
+from limitlab.kernels import RhoKernel
 from limitlab.multisum import (
     WeightSequence,
     phi,
@@ -142,7 +141,7 @@ class TestPhiOracle:
                 curve(w, [-5, 100], 2)
         with pytest.raises(ValueError, match="nonnegative"):
             u_sum_curve(2, 0, 1, 2.0, [-5, 100])
-        for kernel in (kernel_distance(WEIGHT_FAMILIES["n"]), kernel_power(2.0, 1.0)):
+        for kernel in (w, kernel_power(2.0, 1.0)):
             with pytest.raises(ValueError, match="nonnegative"):
                 psi_curve(kernel, [-5, 100], 2)
         assert phi_curve(w, [0, 3], 2)[0] == 0.0
@@ -355,7 +354,7 @@ class TestUSum:
 
 class TestPsiGeneral:
     def setup_method(self):
-        self.gw = kernel_distance(lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
+        self.gw = WeightSequence(weight=lambda i: (1.0 + np.asarray(i, dtype=float)) ** 2)
 
     def test_single_fold(self):
         assert psi_at(self.gw, 2, 1) == pytest.approx(13 / 36, rel=1e-14)
@@ -659,7 +658,7 @@ def test_fold_curves_equal_the_running_sums_of_direct_tables(n, m, gap, s, seed,
 
 
 distance_kernels = st.builds(
-    lambda s: kernel_distance(lambda i: (1.0 + np.asarray(i, dtype=float)) ** s), st.floats(0.0, 3.0))
+    lambda s: WeightSequence(weight=lambda i: (1.0 + np.asarray(i, dtype=float)) ** s), st.floats(0.0, 3.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -669,5 +668,5 @@ def test_psi_curve_is_nondecreasing_in_n(kernel, n, m):
     # Each fold table is nondecreasing (negative FFT round-off is clamped), but
     # a distance kernel's curve meets two tables at the direct/FFT seam
     # (h = 2048 to 2049) and may dip there by their round-off.
-    slack = 1e-13 * curve[:, -1:] if isinstance(kernel, DistanceKernel) else 0.0
+    slack = 1e-13 * curve[:, -1:] if isinstance(kernel, WeightSequence) else 0.0
     assert np.all(np.diff(curve, axis=1) >= -slack)

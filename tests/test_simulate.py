@@ -25,21 +25,20 @@ from hypothesis import given, settings, strategies as st
 
 from limitlab import simulate
 from limitlab.experiments import ConfigError, parse_config, run
-from limitlab.kernels import (DistanceKernel, OffspringSchedule, PowerKernel, RhoKernel, ScaleSpec,
-                              kernel_branching, kernel_distance, kernel_scale)
+from limitlab.kernels import OffspringSchedule, PowerKernel, RhoKernel, ScaleSpec, kernel_branching, kernel_scale
 from limitlab.moments import MomentTable
 from limitlab.multisum import WeightSequence
 from limitlab.simulate import (_CHUNK, _SQUARES, _cauchy_chain_worker, _first_return_law, _run_chunked,
                                _sim_chain, resolve_threads, sim_bpve, sim_gw, sim_levelwalk)
 
 from oracles import (bpve_generations, count_pmf, first_return_recursion, gw_generations, levelwalk_steps,
-                     tv_to_pmf)
+                     marginals, tv_to_pmf)
 
 SPEC = ScaleSpec.from_dimension(3.0, 1.0, 2.0)
 SCHEDULE = OffspringSchedule.harmonic_drift(0.5)
 # simulator and the kernel whose exact moments its counts follow
 MODELS = {
-    "gw": (sim_gw, lambda: kernel_distance(lambda i: (1.0 + i) ** 2)),
+    "gw": (sim_gw, lambda: WeightSequence(weight=lambda i: (1.0 + i) ** 2)),
     "bpve": (lambda **kw: sim_bpve(SCHEDULE, **kw), lambda: kernel_branching(SCHEDULE)),
     "levelwalk": (lambda **kw: sim_levelwalk(SPEC, **kw), lambda: kernel_scale(SPEC)),
 }
@@ -132,7 +131,7 @@ CHAIN_CASES = {
 
 def _renewal_case(weight, label, gap=1):
     def kernel():
-        return DistanceKernel(WeightSequence(weight=weight, gap=gap, label=label))
+        return WeightSequence(weight=weight, gap=gap, label=label)
 
     def sim(n, replicates, seed, checkpoints):
         return _sim_chain(kernel(), n, replicates, seed, checkpoints, None)
@@ -142,7 +141,7 @@ def _renewal_case(weight, label, gap=1):
 
 # distance kernels, drawn by the renewal sampler; n+1 has a first-return law summing toward 1
 RENEWAL_CASES = {
-    "renewal-squares": (sim_gw, lambda: DistanceKernel(_SQUARES)),
+    "renewal-squares": (sim_gw, lambda: _SQUARES),
     "renewal-linear": _renewal_case(lambda i: i + 1.0, "n+1"),
     "renewal-power1.5-gap2": _renewal_case(lambda i: (1.0 + i) ** 1.5, "(1+n)^1.5", gap=2),
 }
@@ -201,7 +200,7 @@ def test_chain_sampler_refuses_the_power_kernel():
 def test_renewal_sampler_refuses_a_kernel_with_no_chain():
     # u(k) = 1/k is not log-convex at k = 1 (Kaluza): f(2) = u(2) - u(1)^2 = -0.5
     with pytest.raises(ValueError, match="at gap 2,"):
-        _sim_chain(kernel_distance(lambda i: i.astype(float), "n"), 50, 10, 0, None, 1)
+        _sim_chain(WeightSequence(weight=lambda i: i.astype(float), label="n"), 50, 10, 0, None, 1)
 
 
 class _FlatKernel(RhoKernel):
@@ -328,7 +327,7 @@ def test_return_laws_match_exact_rationals(level):
     u, ef, eg = exact_return_laws(level, n)
     assert u == [Fraction(1, (k + 1) ** 2) for k in range(n + 1)]
     assert eg == ef  # from one ancestor the first visit and every return share one law
-    f = _first_return_law(DistanceKernel(_SQUARES), n)
+    f = _first_return_law(_SQUARES, n)
     assert f[0] == ef[0] == 0
     for k in range(1, n + 1):
         assert f[k] == pytest.approx(float(ef[k]), rel=1e-13, abs=0)
@@ -338,9 +337,9 @@ def test_return_laws_match_exact_rationals(level):
 @given(s=st.integers(1, 300).map(lambda c: c / 100), n=st.integers(1, 400))
 def test_first_return_law_is_a_defective_law_that_renews_u(s, n):
     # weights (1+n)^s with s in (0, 3]; u = (1+k)^-s is log-convex, so f is a law
-    kernel = kernel_distance(lambda i: (1.0 + i) ** s)
+    kernel = WeightSequence(weight=lambda i: (1.0 + i) ** s)
     f = _first_return_law(kernel, n)
-    u = kernel.marginal_probs(n)
+    u = marginals(kernel, n)
     u[0] = 1.0
     assert np.all(f[1:] > 0)
     assert f.sum() < 1.0
@@ -354,8 +353,8 @@ def test_first_return_law_is_a_defective_law_that_renews_u(s, n):
 def test_first_return_law_matches_the_per_entry_recursion(s, n):
     # n at the edges of the 64-entry blocks.  The first block is the recursion
     # itself; later blocks sum in another order, each side rounding in float64.
-    kernel = kernel_distance(lambda i: (1.0 + i) ** s)
-    f, want = _first_return_law(kernel, n), first_return_recursion(kernel.marginal_probs(n))
+    kernel = WeightSequence(weight=lambda i: (1.0 + i) ** s)
+    f, want = _first_return_law(kernel, n), first_return_recursion(marginals(kernel, n))
     assert np.array_equal(f[:64], want[:64])
     assert f[1:] == pytest.approx(want[1:], rel=1e-13, abs=0)
 
@@ -364,7 +363,7 @@ def test_first_return_law_matches_the_per_entry_recursion(s, n):
 def test_first_return_law_matches_exact_rationals(s):
     n = 200
     exact = [-c for c in _series_inv([Fraction(1, (k + 1) ** s) for k in range(n + 1)], n)]  # 1 - F = 1/U
-    f = _first_return_law(kernel_distance(lambda i: (1.0 + i) ** s), n)
+    f = _first_return_law(WeightSequence(weight=lambda i: (1.0 + i) ** s), n)
     for k in range(1, n + 1):
         assert f[k] == pytest.approx(float(exact[k]), rel=1e-13, abs=0)
 
@@ -373,8 +372,8 @@ def test_first_return_law_matches_exact_rationals(s):
 def test_first_return_law_matches_a_long_double_recursion(s):
     # the recursion in long double from the same float64 marginals, so only the solve's rounding shows
     n = 20_000
-    kernel = kernel_distance(lambda i: (1.0 + i) ** s)
-    want = first_return_recursion(kernel.marginal_probs(n).astype(np.longdouble))
+    kernel = WeightSequence(weight=lambda i: (1.0 + i) ** s)
+    want = first_return_recursion(marginals(kernel, n).astype(np.longdouble))
     f = _first_return_law(kernel, n).astype(np.longdouble)
     assert np.all(np.abs(f[1:] - want[1:]) <= 1e-12 * want[1:])
 
@@ -382,9 +381,8 @@ def test_first_return_law_matches_a_long_double_recursion(s):
 def test_first_return_law_does_not_depend_on_the_blas_thread_count():
     # a threaded BLAS splits a dot of more than 10^4 terms among its threads,
     # so a longer dot would round f differently per thread count
-    code = ("import hashlib; from limitlab.kernels import DistanceKernel; "
-            "from limitlab.simulate import _SQUARES, _first_return_law; "
-            "print(hashlib.sha256(_first_return_law(DistanceKernel(_SQUARES), 30_000).tobytes()).hexdigest())")
+    code = ("import hashlib; from limitlab.simulate import _SQUARES, _first_return_law; "
+            "print(hashlib.sha256(_first_return_law(_SQUARES, 30_000).tobytes()).hexdigest())")
     outputs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                               env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t}).stdout
                for t in ("1", "2")}
