@@ -12,8 +12,9 @@ chunks and only calls on arrays this long pay for handing the GIL between
 threads.  With 8192-row chunks each numpy call of a worker lasted a few
 microseconds, and a ``c3-cutsphere`` run (1e4 replicates, n = 500) took
 59 ms at 2 threads against 38 ms at 1 on a 2-core host; at 65536 rows it
-is one chunk, runs without a thread pool and takes 31 ms, and 2e5
-replicates take 307 ms at 2 threads against 482 ms at 1.  Each simulator
+is one chunk, runs without a thread pool and takes 11-17 ms, and 2e5
+replicates take 139-150 ms at 2 threads against 192-220 ms at 1 (medians
+of 21 and 7 calls, three runs each).  Each simulator
 returns a ``ReplicateBatch``, which holds only the counts at the
 checkpoints; the caller keeps the model, its parameters and the seed.
 
@@ -37,16 +38,22 @@ Models:
   Both counts are Markovian Bernoulli chains whose kernel is in Cauchy form
   with a_j (x_j - y_j) = 1 (``BranchingKernel``, ``ScaleKernel``), and both
   simulators hand their kernel to ``_sim_chain``, which draws that chain by
-  one scan, ``_cauchy_chain_worker``.  The scan retires a replicate once
-  its running maximum reaches x_n at the last checkpoint n: x increases
-  and the maximum never falls, so that replicate has no later success.
-  The two models are one problem: by
+  one running-maximum scan, ``_cauchy_chain_worker``, in blocks of at most
+  16 generations.  A replicate whose running maximum already reaches x at
+  the block's end cannot succeed inside the block, and crosses it with one
+  uniform that draws the block's largest step exactly; the others step
+  through the block one generation at a time.  At the ``c3-cutsphere``
+  size fewer than a third of the scan's uniforms are drawn.  The scan
+  retires a replicate once its running maximum reaches x_n at the last
+  checkpoint n: x increases and the maximum never falls, so that replicate
+  has no later success.  The two models are one problem: by
   the Kesten-Kozlov-Spitzer correspondence, the zeros of a
   geometric-offspring branching process with immigration are the cut levels
   of a nearest-neighbour walk.  The generation chain of the
-  branching process (``bpve_generations``) and the literal step-by-step walk
-  (``levelwalk_steps``) are kept in the test suite (``tests/oracles.py``) as
-  the independent checks of this sampler.
+  branching process (``bpve_generations``), the literal step-by-step walk
+  (``levelwalk_steps``) and the scan without blocks, one uniform per row
+  and generation (``cauchy_chain_scan``), are kept in the test suite
+  (``tests/oracles.py``) as the independent checks of this sampler.
 """
 
 from __future__ import annotations
@@ -68,7 +75,9 @@ __all__ = ["ReplicateBatch", "resolve_threads", "sim_bpve", "sim_gw", "sim_level
 # a worker's numpy calls are long enough to pay for the GIL handoff between
 # two threads (8192-row chunks ran slower at 2 threads than at 1).
 _CHUNK = 65536
-_RETIRE_EVERY = 16  # steps between retirements in _cauchy_chain_worker
+# Generations between retirements in _cauchy_chain_worker, and its longest skip
+# block: a row that cannot succeed in a block crosses it with one uniform.
+_RETIRE_EVERY = 16
 # Entries per block of _first_return_law.  At n = 2000 (medians of 15, two
 # cores) blocks of 32, 64 and 128 took 1.19-1.26, 1.00-1.06 and 1.09-1.13 ms;
 # at n = 5000, 128 beat 64 by 12%, and at 3e4 neither won on all three kernels.
@@ -263,22 +272,35 @@ def _renewal_worker(weights: WeightSequence, cps: tuple[int, ...]):
 def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
     """Chunk worker drawing the success chain of a Cauchy kernel with a_j (x_j - y_j) = 1.
 
-    Scans generations t = 1..n (n = cps[-1]) on every live row at once: with
-    U_t uniform on (0, 1], theta_t = y_{t-1} + (y_t - y_{t-1}) / U_t, and t
-    is a success when max_{s<=t} theta_s < x_t.  For v >= y_s,
+    With U_t uniform on (0, 1], theta_t = y_{t-1} + (y_t - y_{t-1}) / U_t,
+    and t is a success when max_{s<=t} theta_s < x_t.  For v >= y_s,
     P(theta_s < v) = (v - y_s) / (v - y_{s-1}).  After a success at i the old
     maximum lies below x_i <= x_j and never binds again, so the product
     telescopes: P(success at j | success at i, any earlier history)
     = (x_j - y_j) / (x_j - y_i) = 1 / rho(i, j).  The successes therefore
     renew with exactly the kernel's law.
 
+    The generations 1..n (n = cps[-1]) split into blocks (t0, t1] that end
+    at every _RETIRE_EVERY-th generation and at every checkpoint, and each
+    block splits the live rows by their running maximum M at t0.  A far row
+    has M >= x_{t1} >= x_t for every t in the block, so it has no success
+    there, and only its maximum at t1 is needed.  The same telescoping gives
+    that maximum in one draw: for v >= y_{t1},
+    P(max_{t0<s<=t1} theta_s <= v) = prod_s (v - y_s) / (v - y_{s-1})
+    = (v - y_{t1}) / (v - y_{t0}), which is the law of
+    y_{t0} + (y_{t1} - y_{t0}) / U, so a far row sets
+    M = max(M, y_{t0} + (y_{t1} - y_{t0}) / U) with one uniform.  A near row
+    (M < x_{t1}) steps through the block one generation at a time.  Counts
+    are written at block ends, which include the checkpoints.
+
     A row whose running maximum has reached x_n is retired: x increases and
     the maximum never falls, so it stays >= x_n >= x_t and the row has no
-    later success.  Every _RETIRE_EVERY steps such rows write their count
-    into the checkpoints still ahead and leave the scan; a row is live at t
-    with probability (x_n - y_t) / x_n.  Raises ValueError, naming the first
-    bad generation, when x is not strictly increasing or a_j (x_j - y_j)
-    misses 1 by more than 1e-8 relative: the scan would draw another law.
+    later success.  At every _RETIRE_EVERY-th generation such rows write
+    their count into the checkpoints still ahead and leave the scan; a row
+    is live at t with probability (x_n - y_t) / x_n.  Raises ValueError,
+    naming the first bad generation, when x is not strictly increasing or
+    a_j (x_j - y_j) misses 1 by more than 1e-8 relative: the scan would draw
+    another law.
     """
     n = cps[-1]
     a, x, y = kernel.cauchy(n)
@@ -293,6 +315,8 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
                          f"but it is off by {off[misses[0] - 1]:.3g} at generation {misses[0]}")
     steps = np.diff(y)
     x_last = x[n]
+    # block ends: every _RETIRE_EVERY-th generation before n, every checkpoint
+    ends = sorted(set(range(_RETIRE_EVERY, n, _RETIRE_EVERY)).union(cps))
 
     def worker(rng: np.random.Generator, rows: int):
         counts = np.zeros((rows, len(cps)), dtype=np.int64)
@@ -300,18 +324,35 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
         seen = np.zeros(rows, dtype=np.int64)
         top = np.zeros(rows)  # max of theta so far; every theta_t >= y_t > 0
         theta = np.empty(rows)
-        ci = 0
-        for t in range(1, n + 1):
-            rng.random(out=theta)
-            np.subtract(1.0, theta, out=theta)  # U_t on (0, 1]
-            np.divide(steps[t - 1], theta, out=theta)
-            theta += y[t - 1]
-            np.maximum(top, theta, out=top)
-            seen += top < x[t]
-            if t == cps[ci]:
+        ci, t0 = 0, 0
+        for t1 in ends:
+            far = top >= x[t1]
+            nfar = np.count_nonzero(far)
+            if nfar:  # one draw of the block's largest theta
+                block = theta[:nfar]
+                rng.random(out=block)
+                np.subtract(1.0, block, out=block)
+                np.divide(y[t1] - y[t0], block, out=block)
+                block += y[t0]
+                top[far] = np.maximum(top[far], block)
+            if nfar < top.size:  # the near rows step through the block
+                near = np.flatnonzero(~far) if nfar else slice(None)
+                near_top, near_seen = top[near], seen[near]  # views when every row is near
+                step = theta[: near_top.size]
+                for t in range(t0 + 1, t1 + 1):
+                    rng.random(out=step)
+                    np.subtract(1.0, step, out=step)  # U_t on (0, 1]
+                    np.divide(steps[t - 1], step, out=step)
+                    step += y[t - 1]
+                    np.maximum(near_top, step, out=near_top)
+                    near_seen += near_top < x[t]
+                if nfar:
+                    top[near], seen[near] = near_top, near_seen
+            t0 = t1
+            if t1 == cps[ci]:
                 counts[idx, ci] = seen
                 ci += 1
-            if t % _RETIRE_EVERY == 0 and t < n:
+            if t1 % _RETIRE_EVERY == 0 and t1 < n:
                 done = top >= x_last
                 if done.any():
                     counts[idx[done], ci:] = seen[done, None]
@@ -319,7 +360,6 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
                     idx, seen, top = idx[live], seen[live], top[live]
                     if not idx.size:
                         break
-                    theta = np.empty(idx.size)
         return counts
 
     return worker

@@ -262,6 +262,62 @@ def bpve_generations(schedule, n: int, replicates: int, seed: int, checkpoints=N
     return counts
 
 
+def cauchy_chain_scan(kernel, cps: tuple[int, ...]):
+    """Chunk worker drawing a Cauchy kernel's success chain generation by generation.
+
+    The scan that ``simulate._cauchy_chain_worker`` replaced, kept as its
+    independent check: every live row draws one uniform per generation,
+    theta_t = y_{t-1} + (y_t - y_{t-1}) / U_t, and t is a success when
+    max_{s<=t} theta_s < x_t.  Every 16 steps the rows whose running maximum
+    has reached x_n leave the scan with their count written into the
+    checkpoints ahead.  Returns ``worker(rng, rows) -> counts``.
+    """
+    retire_every = 16
+    n = cps[-1]
+    a, x, y = kernel.cauchy(n)
+    stalls = np.flatnonzero(np.diff(x[1:]) <= 0) + 2  # generations t with x_t <= x_{t-1}
+    if stalls.size:
+        raise ValueError(f"{kernel.description}: the chain sampler needs x strictly increasing, "
+                         f"but it is not at generation {stalls[0]}")
+    off = np.abs(a[1:] * (x[1:] - y[1:]) - 1.0)
+    misses = np.flatnonzero(off > 1e-8) + 1
+    if misses.size:
+        raise ValueError(f"{kernel.description}: the chain sampler needs a_j (x_j - y_j) = 1, "
+                         f"but it is off by {off[misses[0] - 1]:.3g} at generation {misses[0]}")
+    steps = np.diff(y)
+    x_last = x[n]
+
+    def worker(rng: np.random.Generator, rows: int):
+        counts = np.zeros((rows, len(cps)), dtype=np.int64)
+        idx = np.arange(rows)  # the live rows
+        seen = np.zeros(rows, dtype=np.int64)
+        top = np.zeros(rows)  # max of theta so far; every theta_t >= y_t > 0
+        theta = np.empty(rows)
+        ci = 0
+        for t in range(1, n + 1):
+            rng.random(out=theta)
+            np.subtract(1.0, theta, out=theta)  # U_t on (0, 1]
+            np.divide(steps[t - 1], theta, out=theta)
+            theta += y[t - 1]
+            np.maximum(top, theta, out=top)
+            seen += top < x[t]
+            if t == cps[ci]:
+                counts[idx, ci] = seen
+                ci += 1
+            if t % retire_every == 0 and t < n:
+                done = top >= x_last
+                if done.any():
+                    counts[idx[done], ci:] = seen[done, None]
+                    live = ~done
+                    idx, seen, top = idx[live], seen[live], top[live]
+                    if not idx.size:
+                        break
+                    theta = np.empty(idx.size)
+        return counts
+
+    return worker
+
+
 def count_pmf(kernel, n: int) -> np.ndarray:
     """P(count = k), k = 0..n, for the successes in 1..n of a kernel's chain.
 

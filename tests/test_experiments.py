@@ -62,8 +62,8 @@ def test_a_sample_with_zero_variance_fails_with_finite_values(tmp_path, monkeypa
 
 def test_a_zero_variance_sample_passes_only_at_the_exact_mean():
     sample = np.full(5, 2.0)
-    assert experiments._zscore("z", sample, 2.0)["passed"]
-    assert not experiments._zscore("z", sample, 2.0 + 1e-12)["passed"]
+    assert experiments._zscore("z", sample, 2.0, 1.0)["passed"]
+    assert not experiments._zscore("z", sample, 2.0 + 1e-12, 1.0)["passed"]
 
 
 @pytest.mark.parametrize("experiment", ["prpd-summable", "rzr-i", "rzr-iii", "thbb-geo"])

@@ -5,12 +5,16 @@ Both samplers behind ``_sim_chain`` are checked against the exact law of the
 count (``oracles.count_pmf``): the Cauchy-chain scan of ``sim_bpve`` and
 ``sim_levelwalk`` on five kernels, and the renewal sampler of ``sim_gw`` on
 three distance kernels, (1+n)^2 among them; so are the two literal chains
-the scan replaces.  The renewal sampler is checked twice more for ``sim_gw``:
-its first-return law against exact rational arithmetic on the offspring
-generating function, and its counts against the generation-by-generation
-chain.  The block solve of that law is checked against the per-entry
-recursion at the block edges, against exact rationals and a long-double
-recursion, and for the same bytes at one and two BLAS threads."""
+the scan replaces.  The block skip of that scan is checked against the
+generation-by-generation scan (``oracles.cauchy_chain_scan``) by two
+samples, at checkpoints that end no 16-generation block and below one
+block, and by the uniforms it draws, counted, not timed.  The renewal
+sampler is checked twice more for ``sim_gw``: its first-return law against
+exact rational arithmetic on the offspring generating function, and its
+counts against the generation-by-generation chain.  The block solve of that
+law is checked against the per-entry recursion at the block edges, against
+exact rationals and a long-double recursion, and for the same bytes at one
+and two BLAS threads."""
 
 import math
 import os
@@ -31,8 +35,8 @@ from limitlab.multisum import WeightSequence
 from limitlab.simulate import (_CHUNK, _SQUARES, _cauchy_chain_worker, _first_return_law, _run_chunked,
                                _sim_chain, resolve_threads, sim_bpve, sim_gw, sim_levelwalk)
 
-from oracles import (bpve_generations, count_pmf, first_return_recursion, gw_generations, levelwalk_steps,
-                     marginals, tv_to_pmf)
+from oracles import (bpve_generations, cauchy_chain_scan, count_pmf, first_return_recursion, gw_generations,
+                     levelwalk_steps, marginals, tv_to_pmf)
 
 SPEC = ScaleSpec.from_dimension(3.0, 1.0, 2.0)
 SCHEDULE = OffspringSchedule.harmonic_drift(0.5)
@@ -167,6 +171,65 @@ def test_sampler_matches_the_exact_count_pmf(case):
     batch = sim(n=50, replicates=200_000, seed=31, checkpoints=CHECKPOINTS)
     for ci, n in enumerate(CHECKPOINTS):
         assert tv_to_pmf(batch.counts[:, ci], count_pmf(kernel(), n)) <= 0.01
+
+
+@pytest.mark.parametrize("checkpoints", [(1,), (2, 5), (7, 250, 333)])
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_checkpoints_off_the_block_ends_match_the_exact_law(case, checkpoints):
+    # Horizons below one 16-generation block, and checkpoints that end blocks
+    # of their own.  TV where count_pmf is cheap (n <= 50), with the bound of
+    # the test above; the mean within 4 exact standard errors everywhere.
+    sim, kernel = CHAIN_CASES[case]
+    batch = sim(n=checkpoints[-1], replicates=200_000, seed=33, checkpoints=checkpoints)
+    table = MomentTable.build(kernel(), checkpoints, 2)
+    for ci, n in enumerate(checkpoints):
+        c = batch.counts[:, ci]
+        mean, second = table.values[:, ci]
+        assert abs(c.mean() - mean) <= 4.0 * math.sqrt((second - mean**2) / c.size)
+        if n <= 50:
+            assert tv_to_pmf(c, count_pmf(kernel(), n)) <= 0.01
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_block_skip_matches_the_generation_scan(case):
+    # Two samples of 1e5 rows, one from the skip and one from the scan it
+    # replaced (oracles.cauchy_chain_scan).  Bounds: the means within 4
+    # standard errors of their difference, and TV at most 3x its expectation
+    # for two samples of one law, sum_k sqrt(p_k (1 - p_k) / (pi R)), read
+    # from the pooled frequencies p.
+    kernel, cps, reps = CHAIN_CASES[case][1](), (7, 250, 333), 100_000
+    skip = _cauchy_chain_worker(kernel, cps)(np.random.default_rng(34), reps)
+    scan = cauchy_chain_scan(kernel, cps)(np.random.default_rng(35), reps)
+    for ci in range(len(cps)):
+        x, y = skip[:, ci], scan[:, ci]
+        se = math.sqrt((x.var(ddof=1) + y.var(ddof=1)) / reps)
+        assert abs(x.mean() - y.mean()) <= 4.0 * se
+        size = int(max(x.max(), y.max())) + 1
+        px, py = np.bincount(x, minlength=size) / reps, np.bincount(y, minlength=size) / reps
+        pooled = (px + py) / 2
+        assert 0.5 * np.abs(px - py).sum() <= 3.0 * np.sqrt(pooled * (1 - pooled) / (math.pi * reps)).sum()
+
+
+class _CountingRng:
+    """A Generator's ``random`` that counts the uniforms it hands out."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = np.random.default_rng(seed), 0
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        self.drawn += np.size(u)
+        return u
+
+
+def test_block_skip_draws_under_half_the_uniforms_of_the_scan():
+    # c3-cutsphere's size: a far row crosses a block with one uniform, where
+    # the scan draws one per generation (the skip draws 0.30 as many at seed 0)
+    kernel, cps, rows = kernel_scale(SPEC), (100, 250, 500), 10_000
+    skip, scan = _CountingRng(0), _CountingRng(0)
+    _cauchy_chain_worker(kernel, cps)(skip, rows)
+    cauchy_chain_scan(kernel, cps)(scan, rows)
+    assert 0 < skip.drawn < scan.drawn / 2
 
 
 @pytest.mark.parametrize("schedule", [SCHEDULE, DECAY], ids=["bpve-drift", "bpve-decay"])
