@@ -21,32 +21,54 @@ positive.  It is a one-dimensional fast multipole scheme (Greengard & Rokhlin
   passing is exact, since a parent's basis is a polynomial of degree
   ORDER - 1.  At each level a target leaf meets the standard 1-D interaction
   list, the children of its parent's left neighbour and of its parent that
-  are not its own neighbour, and sums the charges against 1/(x[j] - node).
-  Each of the two lists names a target leaf at most once, so it adds into
-  ``out`` directly.
+  are not its own neighbour.  Each of the two lists names a target leaf at
+  most once, so it adds into the leaf directly.
+- Local values: from ``_LOCAL_LEAVES`` leaves on, a leaf also carries ORDER
+  Chebyshev points spanning its x-range [min x, max x] (x need not be
+  monotone), centre c_b and half-width h_b.  A far pair with
+  c_b - (c + h) >= SEPARATION * h_b adds its charges against
+  1/(x node - y node) into the leaf's local values, one ORDER x ORDER
+  product (multipole to local); the leaf sums its local values against the
+  Lagrange basis at each x[j] once, at the end.  Other far pairs sum the
+  charges against 1/(x[j] - y node) at every target.  Every difference to a
+  node is taken through the centres, (x[j] - c) - h t_l or
+  (c_b - c) + h_b t_k - h t_l, so it carries no rounding of the order of
+  ulp(x) / (x - y).
 - Index separation is not value separation: where y is concave
   (y = i^gamma, gamma < 1) the first blocks are wide in y.  A target leaf and
   source block with (min x - centre) < ``SEPARATION`` * half-width are pushed
   down to the source block's two children, and at the leaf level summed
   densely.  A target can meet several pushed-down blocks, so these pairs,
-  and only these, add into ``out`` through ``np.add.at``.
+  and only these, add into ``out`` through ``np.add.at``, and never through
+  local values.
 
-Error budget.  On a source block with centre c and half-width h, the
-Chebyshev interpolant of 1/(x - y) at r = (x - c)/h has relative error at
-most 4 (r + 1) rho^-ORDER / (sqrt(r^2 - 1) (1 - 1/rho)) with
-rho = r + sqrt(r^2 - 1).  Far-field pairs have r >= SEPARATION = 3, which at
-ORDER = 20 bounds each far-field term to 3.4e-15 relative.  For v >= 0 every
-term is positive, so the same bound, plus round-off, holds for each out[j].
+Error budget.  On an interval with centre c and half-width h, the Chebyshev
+interpolant of 1/(x - y) in y at r = (x - c)/h has relative error at most
+eps(r) = 4 (r + 1) rho^-ORDER / (sqrt(r^2 - 1) (1 - 1/rho)) with
+rho = r + sqrt(r^2 - 1), and by symmetry so has the interpolant in x.  Far
+pairs have r >= SEPARATION = 3 on the source side, and eps(3) = 3.4e-15 at
+ORDER = 20 bounds each term summed at the targets.  A pair through local
+values is interpolated on both sides, each at r >= 3: the x-side error of
+each source node's term, at most (r + 1)/(r - 1) = 2 times the true term,
+is carried through the source-side basis, whose Lebesgue constant is below
+2.91, so each term is off by at most (1 + 2 * 2.91) eps(3) = 2.3e-14
+relative.  For v >= 0 every term is positive, so that bound, plus
+round-off, holds for each out[j].  Measured against a long-double dense sum
+at n = 2e4, with v uniform on [0, 1): at most 7.3e-16 relative over the
+power, scale and branching kernels of the tests and y = i^gamma down to
+gamma = 0.02.
 
 Every temporary is cut into tiles of at most ``_SLICE`` float64 values
 (512 KiB), so memory stays flat in n and the two or three arrays a step holds
 at once stay in a 2 MiB L2 cache.  A tile groups whole leaves or whole
 pairs, so out[j] gets the same terms in the same order at any tile size.
 Cost: O(n LEAF) near field and O(n ORDER log(n / LEAF)) far field.  For the
-power kernel at n = 1e4 (1e5), each out[j] takes 2 LEAF = 128 near-field
-entries and 160 (260) far-field entries, at about 4.0 (3.8) and 5.0 (4.8) ns
-each on a 2-core x86-64 host with 2 MiB of L2 per core; a bare subtract and
-divide costs about 2 ns.
+power kernel alpha = 2 at n = 1e4 (1e5), each out[j] takes 2 LEAF = 128
+near-field entries and 72 (101) far-field entries, the multipole-to-local
+and local evaluation shares included (160 (260) without local values), at
+about 0.82 (0.79) us per row in all on a 2-core x86-64 host with 2 MiB of L2
+per core; branching with B = 0.5 takes 126 (152) far-field entries and 1.07
+(0.93) us per row.
 """
 
 from __future__ import annotations
@@ -59,7 +81,7 @@ __all__ = ["LEAF", "ORDER", "SEPARATION", "lower_matvec"]
 # ORDER per entry and level; 64 balances the two at ORDER = 20.
 LEAF = 64
 # Chebyshev points per block, and the separation r = (x - c)/h that a far-field
-# pair needs: together they bound each far-field term to 3.4e-15 relative.
+# pair needs: together they bound each interpolation to 3.4e-15 relative.
 ORDER = 20
 SEPARATION = 3.0
 # Floats per temporary tile.  Median ms of one matvec, power kernel alpha = 2,
@@ -71,6 +93,11 @@ SEPARATION = 3.0
 #   n = 1e5   242-252    212-213    194-206    211-229    240-251
 # At 2^16 a near-field tile is 8 leaves, so n <= 512 still runs as one tile.
 _SLICE = 1 << 16
+# Leaves from which far pairs may go through local values.  Median ms of one
+# matvec with / without, 25 interleaved pairs, same host, power alpha = 2,
+# branching B = 0.5, scale gamma = 3: 24 leaves 1.59/1.68, 2.25/2.30, 1.97/1.92;
+# 32 leaves 2.29/2.40, 2.89/2.93, 2.32/2.35; 48 leaves 3.01/3.44, 3.69/3.88, 2.95/3.21.
+_LOCAL_LEAVES = 32
 
 _THETA = (2 * np.arange(ORDER) + 1) * np.pi / (2 * ORDER)
 _NODES = np.cos(_THETA)  # Chebyshev points of the first kind on [-1, 1]
@@ -79,14 +106,23 @@ _BARY = (-1.0) ** np.arange(ORDER) * np.sin(_THETA)  # their barycentric weights
 _MASK = np.where(np.arange(2 * LEAF) >= np.arange(LEAF, 2 * LEAF)[:, None], np.inf, 0.0)
 
 
-def _lagrange(u: np.ndarray) -> np.ndarray:
-    """L[..., k]: the k-th Lagrange basis polynomial on _NODES at u."""
+def _basis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, s): r[..., k] = 1 / (u - _NODES[k]) and s = r @ _BARY.
+
+    The k-th Lagrange basis polynomial at u is _BARY[k] r[..., k] / s, so a sum
+    against the basis takes one more product.
+    """
     d = u[..., None] - _NODES
     if not d.all():
-        d[d == 0.0] = 1e-300  # u on a node: the basis there is 1, the others 0
-    np.divide(_BARY, d, out=d)
-    d /= d.sum(axis=-1, keepdims=True)
-    return d
+        d[d == 0.0] = 1e-30  # u on a node: its term outweighs the others by 1e27
+    np.reciprocal(d, out=d)
+    return d, d @ _BARY
+
+
+def _charges(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """W[..., k] = sum_i v[..., i] times the k-th Lagrange basis polynomial at u[..., i]."""
+    r, s = _basis(u)
+    return np.matmul((v / s)[..., None, :], r)[..., 0, :] * _BARY
 
 
 def _windows(flat: np.ndarray) -> np.ndarray:
@@ -135,7 +171,7 @@ def lower_matvec(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     c, h = _interval(Y[:, 0], Y[:, -1])
     W = np.empty((nl, ORDER))
     for s in _slices(nl, LEAF * ORDER):
-        W[s] = np.einsum("bik,bi->bk", _lagrange((Y[s] - c[s, None]) / h[s, None]), V[s])
+        W[s] = _charges((Y[s] - c[s, None]) / h[s, None], V[s])
     tree = [(c, h, W)]
     while (nl - 1) >> len(tree) >= 2:
         c, h, W = tree[-1]
@@ -145,15 +181,20 @@ def lower_matvec(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         for child in (0, 1):
             cc, ch, cw = c[child : 2 * half : 2], h[child : 2 * half : 2], W[child : 2 * half : 2]
             for s in _slices(half, ORDER * ORDER):
-                nodes = cc[s, None] + ch[s, None] * _NODES
-                PW[s] += np.einsum("bkl,bk->bl", _lagrange((nodes - pc[s, None]) / ph[s, None]), cw[s])
+                PW[s] += _charges(((cc[s] - pc[s])[:, None] + ch[s, None] * _NODES) / ph[s, None], cw[s])
         tree.append((pc, ph, PW))
 
-    # downward pass: interaction lists, pairs too close in value go to the children
+    # downward pass: interaction lists, pairs too close in value go to the children;
+    # a far pair that is also far from the target leaf's x-range adds into the
+    # leaf's local values at ORDER Chebyshev points spanning that range
     xmin = X.min(axis=1)
+    local = nl >= _LOCAL_LEAVES
+    if local:
+        hx = np.maximum((X.max(axis=1) - xmin) / 2, 1e-12 * np.abs(xmin) + 1e-300)  # inf on a partial leaf
+        cx, L = xmin + hx, np.zeros((nl, ORDER))
     near_b = near_a = np.empty(0, dtype=int)
     for level in range(len(tree) - 1, -1, -1):
-        c, h, W = tree[level]
+        c, h, W = tree.pop()
         J = leaves >> level
         even, odd = J >= 2, (J >= 3) & (J % 2 == 1)
         pushed = (np.concatenate([near_b, near_b]), np.concatenate([2 * near_a, 2 * near_a + 1]))
@@ -162,20 +203,38 @@ def lower_matvec(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         near = []
         for b, a, unique in lists:
             far = xmin[b] - c[a] >= SEPARATION * h[a]
+            near.append((b[~far], a[~far]))
+            if local and unique:
+                # centre of the leaf's range minus (c + h) is at least SEPARATION * hx
+                m2l = far & (xmin[b] - (c[a] + h[a]) >= (SEPARATION - 1) * hx[b])
+                lb, la = b[m2l], a[m2l]
+                for s in _slices(lb.size, ORDER * ORDER):
+                    k = (hx[lb[s], None] * _NODES)[..., None] - (h[la[s], None] * _NODES)[:, None, :]
+                    k += (cx[lb[s]] - c[la[s]])[:, None, None]
+                    np.reciprocal(k, out=k)
+                    L[lb[s]] += np.matmul(k, W[la[s], :, None])[..., 0]
+                far &= ~m2l
             fb, fa = b[far], a[far]
             for s in _slices(fb.size, LEAF * ORDER):
-                k = X[fb[s], :, None] - (c[fa[s], None] + h[fa[s], None] * _NODES)[:, None, :]
+                k = (X[fb[s]] - c[fa[s], None])[..., None] - (h[fa[s], None] * _NODES)[:, None, :]
                 np.reciprocal(k, out=k)
                 f = np.matmul(k, W[fa[s], :, None])[..., 0]
                 if unique:
                     out[fb[s]] += f
                 else:
                     np.add.at(out, fb[s], f)
-            near.append((b[~far], a[~far]))
         near_b, near_a = (np.concatenate(z) for z in zip(*near))
+    del c, h, W  # the leaf charges: freed before the last tiles keeps the peak down
 
     # pairs pushed down to the leaves are summed densely
     for s in _slices(near_b.size, LEAF * LEAF):
         k = 1.0 / (X[near_b[s], :, None] - Y[near_a[s], None, :])
         np.add.at(out, near_b[s], np.matmul(k, V[near_a[s], :, None])[..., 0])
+
+    # each leaf evaluates its local values once, at its own targets
+    if local:
+        lb = np.flatnonzero(L.any(axis=1))
+        for s in _slices(lb.size, LEAF * ORDER):
+            r, q = _basis((X[lb[s]] - cx[lb[s], None]) / hx[lb[s], None])
+            out[lb[s]] += np.matmul(r, (L[lb[s]] * _BARY)[..., None])[..., 0] / q
     return out.ravel()[:n]

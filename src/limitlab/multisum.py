@@ -62,8 +62,9 @@ Every other kernel is in Cauchy form rho(i, j) = a_j (x_j - y_i) (see
 T_q = (T_{q-1} pushed through the strictly lower-triangular matrix
 1/(x_j - y_i)) / a_j, one call of the hierarchical matvec
 ``cauchy.lower_matvec``, O(n log n) per fold.  Its far-field terms carry
-a relative error of at most 3.4e-15 each; all terms are positive, so every
-T_q[j] keeps that bound plus round-off.  ``predict`` returns, for each
+a relative error of at most 2.3e-14 each, interpolated on both sides (see
+``cauchy``); all terms are positive, so each step adds at most that
+relative error, plus round-off, to every T_q[j].  ``predict`` returns, for each
 supported regime, the limiting coefficient and the scale it multiplies.
 """
 

@@ -16,7 +16,7 @@ from limitlab.kernels import (
     kernel_power,
     kernel_scale,
 )
-from limitlab.kernels import RhoKernel
+from limitlab.kernels import BranchingKernel, PowerKernel, RhoKernel
 from limitlab.multisum import (
     WeightSequence,
     phi,
@@ -401,6 +401,9 @@ CAUCHY_KERNELS = {
 SQRT_WEIGHTS = WeightSequence(weight=lambda i: np.sqrt(np.asarray(i, dtype=float)))
 # fixed before the fast path was written: relative, on every table entry
 FAST_RTOL = 1e-11
+# the interpolation budget in the cauchy docstring, 2.3e-14, plus as much
+# again for round-off: relative, on every entry of one matvec
+BUDGET_RTOL = 5e-14
 
 
 def assert_tables_close(fast, exact):
@@ -446,6 +449,15 @@ class TestPsiFastVsExact:
         fast = lower_matvec(v, x, y)
         assert fast[0] == 0.0
         assert np.all(np.abs(fast[1:] - exact[1:]) <= FAST_RTOL * exact[1:])
+        assert np.all(np.abs(fast[1:] - exact[1:]) <= BUDGET_RTOL * exact[1:])
+
+    @pytest.mark.parametrize("name", list(CAUCHY_KERNELS))
+    def test_matvec_stays_within_its_error_budget(self, name):
+        # 3000 entries, 47 leaves: most far pairs go through local values
+        _, x, y = (a[1:] for a in CAUCHY_KERNELS[name]().cauchy(3000))
+        v = np.random.default_rng(6).random(3000)
+        exact = cauchy_lower_dense(v, x, y)
+        assert np.all(np.abs(lower_matvec(v, x, y)[1:] - exact[1:]) <= BUDGET_RTOL * exact[1:])
 
     @pytest.mark.parametrize("n", [129, 191, 192, 193, 257])
     @pytest.mark.parametrize("case", ["power", "nonmonotone x", "zeros in v"])
@@ -457,12 +469,45 @@ class TestPsiFastVsExact:
         assert fast[0] == 0.0
         assert np.all(np.abs(fast - exact) <= FAST_RTOL * exact)
 
+    def test_matvec_local_expansions(self, monkeypatch):
+        # above the gate, a partial last leaf, zeros in v, and x that falls
+        # back within a leaf but spans little more than the leaf's y-range, so
+        # most far pairs pass the x-side test and go through local values
+        n = LEAF * 40 + 17
+        rng = np.random.default_rng(40)
+        y = np.cumsum(rng.random(n) + 0.01)
+        x = np.concatenate([[y[0]], y[:-1] + 10.0 ** rng.uniform(-3, 0, n - 1)])
+        v = rng.random(n)
+        v[:70] = 0.0
+        v[rng.random(n) < 0.3] = 0.0
+        assert np.any(np.diff(x) < 0) and n // LEAF >= cauchy._LOCAL_LEAVES
+        with np.errstate(all="raise"):
+            fast = lower_matvec(v, x, y)
+        exact = cauchy_lower_dense(v, x, y)
+        assert fast[0] == 0.0
+        assert np.all(np.abs(fast - exact) <= FAST_RTOL * exact)
+        monkeypatch.setattr(cauchy, "_LOCAL_LEAVES", n)
+        assert not np.array_equal(lower_matvec(v, x, y), fast)  # the local path ran
+
+    def test_matvec_does_not_depend_on_the_blas_thread_count(self):
+        code = ("import hashlib, numpy as np; from limitlab.cauchy import lower_matvec; "
+                "from limitlab.kernels import PowerKernel; "
+                "_, x, y = (a[1:] for a in PowerKernel(2.0, 1.0).cauchy(100_000)); "
+                "v = np.random.default_rng(2).random(100_000); "
+                "print(hashlib.sha256(lower_matvec(v, x, y).tobytes()).hexdigest())")
+        outputs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t}).stdout
+                   for t in ("1", "2")}
+        assert len(outputs) == 1
+
     def test_matvec_bytes_do_not_depend_on_the_slice(self, monkeypatch):
         # a tile groups whole leaves or whole pairs, so each entry sums the same
-        # terms in the same order; gamma = 0.05 sends pairs through np.add.at
+        # terms in the same order; gamma = 0.05 sends pairs through np.add.at,
+        # and the 3000-entry cases go through local values
         cases = [tuple(a[1:] for a in kernel_power(2.0, 1.0).cauchy(3000)), _value_separation_inputs(0.05)]
         cases += [_few_leaf_inputs(n, case) for n in (129, 191, 192, 193, 257)
                   for case in ("power", "nonmonotone x", "zeros in v")]
+        assert max(v.size for v, _, _ in cases) >= LEAF * cauchy._LOCAL_LEAVES
         for v, x, y in cases:
             want = lower_matvec(v, x, y)
             for size in (1 << 10, 1 << 14, cauchy._SLICE, 1 << 18):
@@ -528,8 +573,8 @@ CROSS_RTOL = 1e-10
 
 
 class TestFoldVsCauchy:
-    """D(n) = n + 1 is both a distance weight and a Cauchy kernel, so the fold
-    engine and the hierarchical matvec check each other."""
+    """D(n) = n + 1 and D(n) = 1.5 n are both distance weights and Cauchy
+    kernels, so the fold engine and the hierarchical matvec check each other."""
 
     @pytest.mark.parametrize("n, method", [(1000, "direct"), (20_000, "fft")])
     def test_unit_shift(self, n, method):
@@ -537,6 +582,21 @@ class TestFoldVsCauchy:
         fold = phi_fold_curves(WeightSequence(weight=lambda i: i + 1.0), hs, 3, method=method)
         cauchy = psi_curve(UnitShiftCauchy(), hs, 3)
         assert np.all(np.abs(cauchy - fold) <= CROSS_RTOL * fold)
+
+    @pytest.mark.parametrize("cauchy_kernel, weight", [
+        (UnitShiftCauchy, lambda i: i + 1.0),
+        (lambda: BranchingKernel(OffspringSchedule.harmonic_drift(0.0)), lambda i: i + 1.0),
+        (lambda: PowerKernel(1.0, 1.5), lambda i: 1.5 * i),
+    ], ids=["unit-shift", "branching-drift0", "power-1"])
+    def test_full_size(self, cauchy_kernel, weight):
+        # every horizon to 1e5, where the matvec runs its local expansions;
+        # the tables are zero below order q on both sides
+        hs = np.arange(1, 100_001)
+        fold = psi_curve(WeightSequence(weight=weight), hs, 4)
+        fast = psi_curve(cauchy_kernel(), hs, 4)
+        assert np.array_equal(fast != 0, fold != 0)
+        nonzero = fold != 0
+        assert np.all(np.abs(fast[nonzero] - fold[nonzero]) <= FAST_RTOL * fold[nonzero])
 
 
 class TestPredict:

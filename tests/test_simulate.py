@@ -8,7 +8,9 @@ three distance kernels, (1+n)^2 among them; so are the two literal chains
 the scan replaces.  The block skip of that scan is checked against the
 generation-by-generation scan (``oracles.cauchy_chain_scan``) by two
 samples, at checkpoints that end no 16-generation block and below one
-block, and by the uniforms it draws, counted, not timed.  The renewal
+block, and by the uniforms it draws, counted, not timed.  On D(k) = 1 + k,
+which is both a distance and a branching kernel, the two samplers are
+checked against each other by two samples.  The renewal
 sampler is checked twice more for ``sim_gw``: its first-return law against
 exact rational arithmetic on the offspring generating function, and its
 counts against the generation-by-generation chain.  The block solve of that
@@ -32,8 +34,8 @@ from limitlab.experiments import ConfigError, parse_config, run
 from limitlab.kernels import OffspringSchedule, PowerKernel, RhoKernel, ScaleSpec, kernel_branching, kernel_scale
 from limitlab.moments import MomentTable
 from limitlab.multisum import WeightSequence
-from limitlab.simulate import (_CHUNK, _SQUARES, _cauchy_chain_worker, _first_return_law, _run_chunked,
-                               _sim_chain, resolve_threads, sim_bpve, sim_gw, sim_levelwalk)
+from limitlab.simulate import (_CHUNK, _SQUARES, _cauchy_chain_worker, _first_return_law, _renewal_worker,
+                               _run_chunked, _sim_chain, resolve_threads, sim_bpve, sim_gw, sim_levelwalk)
 
 from oracles import (bpve_generations, cauchy_chain_scan, count_pmf, first_return_recursion, gw_generations,
                      levelwalk_steps, marginals, tv_to_pmf)
@@ -190,24 +192,42 @@ def test_checkpoints_off_the_block_ends_match_the_exact_law(case, checkpoints):
             assert tv_to_pmf(c, count_pmf(kernel(), n)) <= 0.01
 
 
-@pytest.mark.parametrize("case", list(CHAIN_CASES))
-def test_block_skip_matches_the_generation_scan(case):
-    # Two samples of 1e5 rows, one from the skip and one from the scan it
-    # replaced (oracles.cauchy_chain_scan).  Bounds: the means within 4
-    # standard errors of their difference, and TV at most 3x its expectation
-    # for two samples of one law, sum_k sqrt(p_k (1 - p_k) / (pi R)), read
-    # from the pooled frequencies p.
-    kernel, cps, reps = CHAIN_CASES[case][1](), (7, 250, 333), 100_000
-    skip = _cauchy_chain_worker(kernel, cps)(np.random.default_rng(34), reps)
-    scan = cauchy_chain_scan(kernel, cps)(np.random.default_rng(35), reps)
-    for ci in range(len(cps)):
-        x, y = skip[:, ci], scan[:, ci]
+def assert_one_law(first, second):
+    """Two samples of counts (rows x checkpoints, equal rows) drawn from one law.
+
+    At each checkpoint the means lie within 4 standard errors of their
+    difference, and the TV distance is at most 3x its expectation for two
+    samples of one law, sum_k sqrt(p_k (1 - p_k) / (pi R)), read from the
+    pooled frequencies p.
+    """
+    reps = first.shape[0]
+    for x, y in zip(first.T, second.T):
         se = math.sqrt((x.var(ddof=1) + y.var(ddof=1)) / reps)
         assert abs(x.mean() - y.mean()) <= 4.0 * se
         size = int(max(x.max(), y.max())) + 1
         px, py = np.bincount(x, minlength=size) / reps, np.bincount(y, minlength=size) / reps
         pooled = (px + py) / 2
         assert 0.5 * np.abs(px - py).sum() <= 3.0 * np.sqrt(pooled * (1 - pooled) / (math.pi * reps)).sum()
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_block_skip_matches_the_generation_scan(case):
+    # Two samples of 1e5 rows, one from the skip and one from the scan it
+    # replaced (oracles.cauchy_chain_scan).
+    kernel, cps, reps = CHAIN_CASES[case][1](), (7, 250, 333), 100_000
+    skip = _cauchy_chain_worker(kernel, cps)(np.random.default_rng(34), reps)
+    scan = cauchy_chain_scan(kernel, cps)(np.random.default_rng(35), reps)
+    assert_one_law(skip, scan)
+
+
+def test_renewal_and_cauchy_chain_samplers_agree_on_one_kernel():
+    # D(k) = 1 + k is the distance kernel i + 1 and the branching kernel
+    # harmonic_drift(0), so the two samplers draw one law
+    cps, reps = (7, 100, 1000), 100_000
+    renewal = _renewal_worker(WeightSequence(weight=lambda i: i + 1.0), cps)(np.random.default_rng(36), reps)
+    chain = _cauchy_chain_worker(kernel_branching(OffspringSchedule.harmonic_drift(0.0)), cps)(
+        np.random.default_rng(37), reps)
+    assert_one_law(renewal, chain)
 
 
 class _CountingRng:
