@@ -7,20 +7,27 @@ asymptotic with rates as slow as iterated logarithms, so the checks are
 exact-moment comparisons, Monte Carlo z-scores and trend bands rather
 than tight limiting tolerances; every bound is declared in the registry.
 
-Runners come in two shapes.  Every exact experiment is an ``ExactSpec``,
-run by one runner: a model (weights or a kernel), a quantity (multiple sums,
-Psi tables or count moments of orders 1..top at every horizon), a claim
-(order k -> ``AsymptoticPrediction``, built from the params and never from
-the model) and a policy (the checks of one order).  The runner refuses
-horizons where a claim's scale is not finite and positive.  Monte Carlo
-runners go through ``_monte_carlo``: the exact first two count moments of a
-kernel against a simulator's counts, as z-scores, plus each model's own
-checks.  Checks are written with five helpers: ``_within`` (an error at
-most a tolerance), ``_band`` (a value inside an interval), ``_zscore`` (a
-sample mean within 4 standard errors of an exact value), ``_shrinking`` (an
-error strictly decreasing across horizons) and ``_nondecreasing`` (a curve
-that never falls).  The last two compare horizons, so a run with one
-horizon omits them.
+Every experiment is declared by one of two specs, and calling the spec with
+a config runs it.  An exact experiment is an ``ExactSpec``: a model (weights
+or a kernel), a quantity (multiple sums, Psi tables or count moments of
+orders 1..top at every horizon), a claim (order k ->
+``AsymptoticPrediction``) and a policy (the checks of one order).  A Monte
+Carlo experiment is a ``MonteCarloSpec``: a model (the kernel or weights
+whose exact count moments the counts must match), a sampler (a ``sim_*``
+simulator), a claim (the limit the policy compares with, or none) and a
+policy (its own checks, from the exact moments and the counts); its runner
+adds one row per horizon and the z-scores of the first two moments.  Both
+build the claim from the params and never from the model, and both refuse
+horizons where a claim's scale is not finite and positive, before any
+table or draw.  A sweep over a theorem's range is ``dataclasses.replace``
+on a config's params, for any experiment.
+
+Checks are written with five helpers: ``_within`` (an error at most a
+tolerance), ``_band`` (a value inside an interval), ``_zscore`` (a sample
+mean within 4 standard errors of an exact value), ``_shrinking`` (an error
+strictly decreasing across horizons) and ``_nondecreasing`` (a curve that
+never falls).  The last two compare horizons, so a run with one horizon
+omits them.
 
 Config files are flat key = value text, one key per line, ``#`` comments.
 Reports are JSON (timestamps and wall clock live only here); tables are
@@ -90,7 +97,7 @@ class ExperimentDef:
     replicates: int | None
     horizons: tuple[int, ...]
     params: dict
-    runner: Callable[[ExperimentConfig], tuple[list, list]]
+    runner: ExactSpec | MonteCarloSpec
 
 
 def _row(horizon, observed, predicted, stderr=None):
@@ -160,30 +167,7 @@ def _positive_scale(name, scale, horizons):
     return scale
 
 
-def _monte_carlo(cfg: ExperimentConfig, kernel, simulate):
-    """Simulated counts against the kernel's exact moments at every horizon.
-
-    ``simulate(n, replicates=, seed=, checkpoints=)`` draws the counts.  Returns
-    (rows, checks, table, batch): one row per checkpoint (empirical mean with
-    its standard error, against the exact mean), then the z-scores of the
-    mean and the second moment, each required within 4.  The table holds
-    orders 1..4, so each z-score divides by the exact variance
-    E C^(2k) - (E C^k)^2.
-    """
-    table = MomentTable.build(kernel, cfg.horizons, 4)
-    batch = simulate(max(cfg.horizons), replicates=cfg.replicates, seed=cfg.seed,
-                     checkpoints=cfg.horizons)
-    rows, checks = [], []
-    m1, m2, _, m4 = table.values
-    for ci, h in enumerate(batch.checkpoints):
-        c = batch.counts[:, ci].astype(float)
-        rows.append(_row(h, c.mean(), m1[ci], c.std(ddof=1) / math.sqrt(c.size)))
-        checks += [_zscore(f"mean z-score at n={h}", c, m1[ci], m2[ci] - m1[ci] ** 2),
-                   _zscore(f"second-moment z-score at n={h}", c**2, m2[ci], m4[ci] - m2[ci] ** 2)]
-    return rows, checks, table, batch
-
-
-# ---------------------------------------------------------------- exact runner
+# ---------------------------------------------------------------- runners
 
 
 @dataclass(frozen=True)
@@ -234,6 +218,53 @@ class ExactSpec:
                 rows = [_row(h, o, p) for h, o, p in zip(hs, observed, predicted)]
             checks += self.policy(k, hs, observed, predicted)
         return rows, checks
+
+
+@dataclass(frozen=True)
+class MonteCarloSpec:
+    """A Monte Carlo experiment, declared in four parts; calling it with a config runs it.
+
+    - ``model(params)``: the kernel or weights whose exact count moments the
+      simulated counts must match;
+    - ``sample(params)``: the simulator, called as
+      ``(n, replicates=, seed=, checkpoints=)``.  The registry's samplers
+      name their ``sim_*`` function inside the lambda, so it is read from
+      this module at each run and a wrapper bound to the module's name (a
+      profiler's, a test's) sees the draws;
+    - ``claim(params)``: the limit the policy compares with (an
+      ``AsymptoticPrediction`` or a ``LimitLaw``), or None.  It is never
+      built from the model, so a perturbed model meets the same claim;
+    - ``policy(horizons, moments, counts, claim)``: the experiment's own
+      checks, from the exact moments of orders 1..4 (one row per order) and
+      the counts (one column per horizon).
+
+    The runner refuses a claim whose scale times coefficient is not finite
+    and positive at the horizons, before any table or draw.  It writes one
+    row per horizon (the sample mean with its standard error, against the
+    exact mean), then the z-scores of the mean and the second moment, each
+    divided by its exact variance E C^(2k) - (E C^k)^2, then the policy's
+    checks.
+    """
+
+    model: Callable[[dict], object]
+    sample: Callable[[dict], Callable]
+    claim: Callable[[dict], object] = lambda p: None
+    policy: Callable[[tuple, np.ndarray, np.ndarray, object], list] = lambda hs, moments, counts, claim: []
+
+    def __call__(self, cfg: ExperimentConfig):
+        hs, claim = cfg.horizons, self.claim(cfg.params)
+        if isinstance(claim, AsymptoticPrediction):
+            _positive_scale(claim.scaling, claim.coefficient * claim.scale(hs), hs)
+        table = MomentTable.build(self.model(cfg.params), hs, 4)
+        batch = self.sample(cfg.params)(max(hs), replicates=cfg.replicates, seed=cfg.seed, checkpoints=hs)
+        rows, checks = [], []
+        m1, m2, _, m4 = table.values
+        for ci, h in enumerate(batch.checkpoints):
+            c = batch.counts[:, ci].astype(float)
+            rows.append(_row(h, c.mean(), m1[ci], c.std(ddof=1) / math.sqrt(c.size)))
+            checks += [_zscore(f"mean z-score at n={h}", c, m1[ci], m2[ci] - m1[ci] ** 2),
+                       _zscore(f"second-moment z-score at n={h}", c**2, m2[ci], m4[ci] - m2[ci] ** 2)]
+        return rows, checks + self.policy(hs, table.values, batch.counts, claim)
 
 
 def _single(key):
@@ -313,8 +344,27 @@ def _power_claim(p, moment=False):
     return partial(predict, "power", alpha=p["alpha"], beta=p["beta"], moment=moment)
 
 
-def _dimension_spec(params) -> ScaleSpec:
-    return ScaleSpec.from_dimension(params["d"], params["a"], params["b"])
+def _levelwalk(scale_spec) -> MonteCarloSpec:
+    """The level walk of ``scale_spec(params)`` against its ``ScaleKernel``.
+
+    The claim: g_j ~ gamma c / j, so the mean grows like gamma (a/b) log n.
+    """
+    def claim(p):
+        spec = scale_spec(p)
+        gamma = "" if spec.gamma == 1.0 else np.format_float_positional(spec.gamma, trim="-") + " "
+        return AsymptoticPrediction(f"{gamma}(a/b) log n", spec.gamma * spec.offset_ratio, _log_power(1, 1))
+    return MonteCarloSpec(lambda p: ScaleKernel(scale_spec(p)), lambda p: partial(sim_levelwalk, scale_spec(p)),
+                          claim, _levelwalk_policy)
+
+
+def _levelwalk_policy(hs, moments, counts, claim):
+    """The exact mean over the claim inside (0.5, 1.5) at the last horizon, and moving toward 1."""
+    ratio = moments[0] / (claim.coefficient * claim.scale(hs))
+    checks = [_band(f"mean/({claim.scaling}) at n={hs[-1]} inside (0.5, 1.5)", ratio[-1], 0.5, 1.5)]
+    if len(hs) > 1:
+        drift = abs(ratio[-1] - 1.0) - abs(ratio[0] - 1.0)
+        checks.append(_check("scaled mean moves toward 1 across horizons", drift, "< 0", drift < 0))
+    return checks
 
 
 def _gbm_spec(params) -> ScaleSpec:
@@ -323,46 +373,18 @@ def _gbm_spec(params) -> ScaleSpec:
     return ScaleSpec.from_gbm(params["mu"], params["sigma"], params["a"], params["b"])
 
 
-def _run_levelwalk(scale_spec, cfg: ExperimentConfig):
-    spec = scale_spec(cfg.params)
-    # g_j ~ gamma c / j, so the mean grows like gamma (a/b) log n
-    scale = "(a/b) log n" if spec.gamma == 1.0 else f"{spec.gamma:g} (a/b) log n"
-    log_n = np.log(np.asarray(cfg.horizons, dtype=float))
-    scale_values = _positive_scale(scale, spec.gamma * spec.offset_ratio * log_n, cfg.horizons)
-    rows, checks, table, _ = _monte_carlo(cfg, ScaleKernel(spec), partial(sim_levelwalk, spec))
-    exact_ratio = table.values[0] / scale_values
-    checks.append(_band(f"mean/({scale}) at n={max(cfg.horizons)} inside (0.5, 1.5)",
-                        exact_ratio[-1], 0.5, 1.5))
-    if len(cfg.horizons) > 1:
-        drift = abs(exact_ratio[-1] - 1.0) - abs(exact_ratio[0] - 1.0)
-        checks.append(_check("scaled mean moves toward 1 across horizons", drift, "< 0", drift < 0))
-    return rows, checks
+def _gw_policy(hs, moments, counts, law):
+    """The TV distance of the last counts to the law, and few counts still changing after the first horizon."""
+    checks = [_within(f"TV distance to {law} at n={hs[-1]}", tv_distance_integer(counts[:, -1], law), 0.02)]
+    if len(hs) > 1:
+        checks.append(_within(f"fraction still changing between n={hs[0]} and n={hs[-1]}",
+                              (counts[:, -1] != counts[:, 0]).mean(), 0.005))
+    return checks
 
 
-def _run_thy_gw(cfg: ExperimentConfig):
-    n = max(cfg.horizons)
-    rows, checks, _, batch = _monte_carlo(cfg, _SQUARES, sim_gw)
-    law = LimitLaw.geometric_from_mean(zeta_tail(0, 2.0, 2).value)
-    tv = tv_distance_integer(batch.counts[:, -1], law)
-    checks.append(_within(f"TV distance to {law} at n={n}", tv, 0.02))
-    if len(cfg.horizons) > 1:
-        stab = (batch.counts[:, -1] != batch.counts[:, 0]).mean()
-        checks.append(_within(f"fraction still changing between n={cfg.horizons[0]} and n={n}", stab, 0.005))
-    return rows, checks
-
-
-def _decay_schedule(params) -> OffspringSchedule:
-    q = params["decay_power"]
-    return OffspringSchedule.from_decay(lambda t: t ** (-q), label=f"p=1/2-t^-{q}/4")
-
-
-def _drift_schedule(params) -> OffspringSchedule:
-    return OffspringSchedule.harmonic_drift(params["B"])
-
-
-def _run_thz(schedule, cfg: ExperimentConfig):
-    sched = schedule(cfg.params)
-    return _monte_carlo(cfg, BranchingKernel(sched), partial(sim_bpve, sched))[:2]
+def _bpve(schedule) -> MonteCarloSpec:
+    """The zero generations of the immigration model with offspring ``schedule(params)``; no claim yet."""
+    return MonteCarloSpec(lambda p: BranchingKernel(schedule(p)), lambda p: partial(sim_bpve, schedule(p)))
 
 
 _REGISTRY: dict[str, ExperimentDef] = {}
@@ -462,7 +484,8 @@ _register(ExperimentDef(
     "checkpoint within 4 standard errors of the exact kernel moments; the exact "
     "mean over gamma (a/b) log n sits in (0.5, 1.5) and moves toward 1.",
     seed=20240 , replicates=10000, horizons=(100, 250, 500),
-    params={"d": 3.0, "a": 1.0, "b": 2.0}, runner=partial(_run_levelwalk, _dimension_spec)))
+    params={"d": 3.0, "a": 1.0, "b": 2.0},
+    runner=_levelwalk(lambda p: ScaleSpec.from_dimension(p["d"], p["a"], p["b"]))))
 _register(ExperimentDef(
     "c4-gbm",
     "level walk in scale units of exponential growth: same checks as c3-cutsphere",
@@ -471,7 +494,7 @@ _register(ExperimentDef(
     "matches the same scale kernel, whose exact mean grows like gamma (a/b) log n.",
     seed=20241, replicates=5000, horizons=(100, 250, 500),
     params={"mu": 1.0, "sigma": 1.0, "a": 1.0, "b": 2.0, "x0": 1.0},
-    runner=partial(_run_levelwalk, _gbm_spec)))
+    runner=_levelwalk(_gbm_spec)))
 _register(ExperimentDef(
     "thy-gw",
     "critical geometric branching: returns to level 1 are geometric-distributed",
@@ -479,7 +502,8 @@ _register(ExperimentDef(
     "Checks TV distance <= 0.02 to the geometric law with success 6/pi^2, a 4-se "
     "mean match to the exact kernel mean, and stabilization <= 0.005 after n = 1000.",
     seed=20242, replicates=100000, horizons=(1000, 5000), params={},
-    runner=_run_thy_gw))
+    runner=MonteCarloSpec(lambda p: _SQUARES, lambda p: sim_gw,
+                          lambda p: LimitLaw.geometric_from_mean(zeta_tail(0, 2.0, 2).value), _gw_policy)))
 _register(ExperimentDef(
     "thz-bpve-i",
     "immigration branching, vanishing drift: zero counts match the kernel mean",
@@ -487,7 +511,8 @@ _register(ExperimentDef(
     "checkpoint within 4 se of the exact branching-kernel moments (limit family "
     "Exp(1) on the log n scale).",
     seed=20243, replicates=50000, horizons=(1000, 5000), params={"decay_power": 2.0},
-    runner=partial(_run_thz, _decay_schedule)))
+    runner=_bpve(lambda p: OffspringSchedule.from_decay(lambda t: t ** (-p["decay_power"]),
+                                                        label=f"p=1/2-t^-{p['decay_power']}/4"))))
 _register(ExperimentDef(
     "thz-bpve-ii",
     "immigration branching, 1/t drift: zero counts match the kernel mean",
@@ -495,7 +520,7 @@ _register(ExperimentDef(
     "empirical counts within 4 se of exact kernel moments (limit family "
     "Gamma(1-B, 1) on the log n scale).",
     seed=20244, replicates=50000, horizons=(1000, 5000), params={"B": 0.5},
-    runner=partial(_run_thz, _drift_schedule)))
+    runner=_bpve(lambda p: OffspringSchedule.harmonic_drift(p["B"]))))
 
 
 def list_experiments() -> list[tuple[str, str]]:

@@ -42,3 +42,9 @@ def test_kernels_import_nothing_from_multisum():
     # a kernel is data: the engines read it, and the kernel layer does not reach back into them
     for module_name, names in _imports(PACKAGE / "kernels.py"):
         assert "multisum" not in module_name.split(".") and "multisum" not in names
+
+
+def test_the_submodules_export_49_names():
+    # a change that adds or deletes a public name moves this number in its own diff
+    counts = {name: len(getattr(importlib.import_module(f"limitlab.{name}"), "__all__", [])) for name in SUBMODULES}
+    assert sum(counts.values()) == 49, counts
