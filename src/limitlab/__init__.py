@@ -16,7 +16,6 @@ from .moments import (
     MomentTable,
     composition_coefficient,
     count_moment_curve,
-    geo_limit_moments,
 )
 from .multisum import (
     AsymptoticPrediction,
@@ -31,7 +30,6 @@ from .multisum import (
 from .simulate import ReplicateBatch, sim_bpve, sim_gw, sim_levelwalk
 from .special import (
     TailSum,
-    gamma_moment,
     iterated_log,
     lambda_sigma,
     lambda_weight,

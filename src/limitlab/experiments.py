@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import BranchingKernel, OffspringSchedule, PowerKernel, ScaleKernel, ScaleSpec
-from .moments import MomentTable, geo_limit_moments
+from .moments import MomentTable
 from .multisum import AsymptoticPrediction, WeightSequence, _log_power, _u_weights, phi_fold_curves, predict, psi_curve
 from .simulate import _SQUARES, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
 from .special import zeta_tail
@@ -318,16 +318,21 @@ def _rzr_claim(p):
     return partial(predict, "rzr", m=p["m"], sigma=p["sigma"], zeta_value=zeta)
 
 
+def _gw_limit(p) -> LimitLaw:
+    """The geometric law with mean pi^2/6 - 1, the limit of the returns to level 1 of kernel (1+n)^2."""
+    return LimitLaw.geometric(zeta_tail(0, 2.0, 2).value)
+
+
 def _geo_claim(p):
     """Constant claims: the moments of the geometric law with mean pi^2/6 - 1."""
-    targets = geo_limit_moments(zeta_tail(0, 2.0, 2).value, p["k_max"])
-    return lambda k: AsymptoticPrediction("constant", targets[k - 1], _log_power(0, 0))
+    law = _gw_limit(p)
+    return lambda k: AsymptoticPrediction("constant", law.moment(k), _log_power(0, 0))
 
 
 def _exp_claim(p):
     """E(count)^k ~ k! S(n)^k: the Exp(1) moments on the scale S(n)^k of the weights n+1."""
     return lambda k: replace(predict("regularly_varying", k, tau=0.0, weights=_LINEAR_WEIGHTS),
-                             coefficient=LimitLaw.exponential(1.0).moment(k))
+                             coefficient=LimitLaw.gamma(1.0, 1.0).moment(k))
 
 
 def _rzr(policy) -> ExactSpec:
@@ -502,8 +507,7 @@ _register(ExperimentDef(
     "Checks TV distance <= 0.02 to the geometric law with success 6/pi^2, a 4-se "
     "mean match to the exact kernel mean, and stabilization <= 0.005 after n = 1000.",
     seed=20242, replicates=100000, horizons=(1000, 5000), params={},
-    runner=MonteCarloSpec(lambda p: _SQUARES, lambda p: sim_gw,
-                          lambda p: LimitLaw.geometric_from_mean(zeta_tail(0, 2.0, 2).value), _gw_policy)))
+    runner=MonteCarloSpec(lambda p: _SQUARES, lambda p: sim_gw, _gw_limit, _gw_policy)))
 _register(ExperimentDef(
     "thz-bpve-i",
     "immigration branching, vanishing drift: zero counts match the kernel mean",

@@ -1,4 +1,4 @@
-"""Exact moments of the success count and limit-law moment targets.
+"""Exact moments of the success count.
 
 The k-th moment of the count expands over sorted support tuples as
 
@@ -26,7 +26,6 @@ __all__ = [
     "MomentTable",
     "composition_coefficient",
     "count_moment_curve",
-    "geo_limit_moments",
 ]
 
 # beyond this order the coefficients exceed 2^53 and lose float accuracy
@@ -66,23 +65,6 @@ def _moment_rows(kernel: RhoKernel | WeightSequence, horizons, k_max: int) -> np
 def count_moment_curve(kernel: RhoKernel | WeightSequence, k: int, horizons) -> np.ndarray:
     """Exact k-th moments at several horizons, sharing one Psi table."""
     return _moment_rows(kernel, horizons, k)[-1]
-
-
-def geo_limit_moments(zeta: float, K: int) -> list[float]:
-    """Moments k = 1..K of the geometric law on {0, 1, ...} with mean zeta.
-
-    Uses the self-consistency recursion E(X^k) = E(X) * (E((X+1)^k) - E(X^k)),
-    solved by binomially expanding E((X+1)^k) over lower moments:
-    m_k = zeta * sum_{j=0}^{k-1} C(k, j) m_j with m_0 = 1.
-    """
-    if zeta <= 0:
-        raise ValueError(f"mean zeta must be positive, got {zeta}")
-    from math import comb
-
-    m = [1.0]
-    for k in range(1, K + 1):
-        m.append(zeta * sum(comb(k, j) * m[j] for j in range(k)))
-    return m[1:]
 
 
 @dataclass(frozen=True)

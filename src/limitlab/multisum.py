@@ -77,7 +77,8 @@ from typing import Callable
 import numpy as np
 
 from .cauchy import LEAF, lower_matvec
-from .special import gamma_moment, lambda_sigma, lambda_weight, script_O, zeta_tail
+from .special import lambda_sigma, lambda_weight, script_O, zeta_tail
+from .stats import LimitLaw
 
 __all__ = [
     "AsymptoticPrediction",
@@ -359,8 +360,8 @@ def predict(regime: str, order: int, **params) -> AsymptoticPrediction:
     - ``power``: needs ``alpha`` (> 0) and optional ``beta`` (default 1);
       the k-fold pairwise power sum over (log n)^k tends to
       prod_{j<k}(j+alpha) / (k! alpha^k beta^k).  With ``moment=True``
-      the coefficient is for the k-th count moment instead:
-      prod_{j<k}(j+alpha) / (alpha beta)^k.
+      the coefficient is for the k-th count moment instead: the k-th moment
+      of Gamma(alpha, alpha beta), prod_{j<k}(j+alpha) / (alpha beta)^k.
     - ``rzr``: needs ``m`` (log-iteration depth) and ``sigma``; dispatches
       on (sigma, m) to the four limit cases of the iterated-log sums
       (constant / iterated-log power / power-of-n scalings).  For sigma > 1
@@ -385,13 +386,13 @@ def predict(regime: str, order: int, **params) -> AsymptoticPrediction:
     if regime == "power":
         alpha = params["alpha"]
         beta = params.get("beta", 1.0)
-        if alpha <= 0 or beta <= 0:
+        if not (alpha > 0 and beta > 0):
             raise ValueError("power regime requires alpha > 0 and beta > 0")
-        num = gamma_moment(alpha, order)
         if params.get("moment", False):
-            coefficient = num / (alpha * beta) ** order
+            coefficient = LimitLaw.gamma(alpha, alpha * beta).moment(order)
         else:
-            coefficient = num / (math.factorial(order) * alpha**order * beta**order)
+            coefficient = (LimitLaw.gamma(alpha, 1.0).moment(order)
+                           / (math.factorial(order) * alpha**order * beta**order))
         return AsymptoticPrediction("(log n)^k", coefficient, _log_power(1, order))
     if regime == "rzr":
         m = params["m"]

@@ -4,7 +4,7 @@ Everything here is elementary but load-bearing: the Gamma-ratio constant
 ``lambda_sigma``, iterated logarithms with their admissibility threshold,
 the weight ``(log_m i)^s * prod_{j<m} log_j i`` built from them, and
 truncated series of reciprocal weights carrying a certified bound on the
-omitted tail.
+omitted tail.  The moments of the Gamma limit laws are ``stats.LimitLaw``'s.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "TailSum",
-    "gamma_moment",
     "iterated_log",
     "lambda_sigma",
     "lambda_weight",
@@ -155,18 +154,3 @@ def zeta_tail(m: int, s: float, n0: int | None = None, tol: float = 1e-10,
     value = math.fsum(itertools.chain(*(t.tolist() for t in terms), [est]))
     return TailSum(value=value, truncation_bound=bound)
 
-
-def gamma_moment(alpha, k: int):
-    """k-th moment of a unit-rate Gamma(alpha) variable: prod_{j<k} (j + alpha).
-
-    Works with any numeric type that supports ``+`` and ``*`` (floats,
-    ``fractions.Fraction``), staying exact for exact inputs.  k = 0 gives 1.
-    """
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
-    if not (alpha > 0):
-        raise ValueError(f"gamma_moment requires alpha > 0, got {alpha}")
-    out = 1
-    for j in range(k):
-        out = out * (j + alpha)
-    return out

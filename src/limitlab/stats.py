@@ -1,19 +1,21 @@
 """Limit laws and empirical comparison utilities.
 
-``LimitLaw`` covers the two target families the experiments compare with
-(geometric on {0, 1, ...} and exponential), with the geometric pmf and exact
-moments.  Distances are reported descriptively; acceptance thresholds are
+``LimitLaw`` covers the two families the paper's limits fall in: the
+geometric law on {0, 1, ...} and the Gamma law, of which Exp(rate) is shape
+1.  Each law gives its exact moments; the geometric law also gives its pmf
+and tail.  Distances are reported descriptively; acceptance thresholds are
 absolute, so no p-value machinery is attached.
+
+This module imports nothing from the rest of ``limitlab``, so every other
+module may read a law from it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
-
-from .moments import geo_limit_moments
 
 __all__ = [
     "LimitLaw",
@@ -23,52 +25,76 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LimitLaw:
-    """One of Geometric(p) on {0,1,...} or Exponential(rate)."""
+    """Geometric(mean) on {0, 1, ...}, or Gamma(shape, rate) on [0, inf).
+
+    ``params`` is (mean,) or (shape, rate), as given: the geometric law keeps
+    its mean, not the success probability 1/(mean + 1) it is printed by.
+    """
 
     kind: str
-    param: float
+    params: tuple
 
     @classmethod
-    def geometric_from_mean(cls, zeta: float) -> "LimitLaw":
-        """Geometric with mean zeta, i.e. success parameter 1/(zeta + 1)."""
-        if zeta <= 0:
-            raise ValueError(f"mean must be positive, got {zeta}")
-        return cls("geometric", 1.0 / (zeta + 1.0))
+    def geometric(cls, mean) -> "LimitLaw":
+        """The geometric law on {0, 1, ...} with mean ``mean``: P(X = i) = (1 - p)^i p, p = 1/(mean + 1)."""
+        if not mean > 0:
+            raise ValueError(f"mean must be positive, got {mean}")
+        return cls("geometric", (mean,))
 
     @classmethod
-    def exponential(cls, rate: float) -> "LimitLaw":
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        return cls("exponential", rate)
+    def gamma(cls, shape, rate) -> "LimitLaw":
+        """The Gamma law with density rate^shape x^(shape-1) e^(-rate x) / Gamma(shape).
 
-    def pmf(self, i) -> np.ndarray:
-        """P(X = i) for the geometric variant; i may be an integer array."""
+        Exact types (``fractions.Fraction``) stay exact in ``moment``.
+        """
+        if not (shape > 0 and rate > 0):
+            raise ValueError(f"shape and rate must be positive, got {shape} and {rate}")
+        return cls("gamma", (shape, rate))
+
+    def moment(self, k: int):
+        """E X^k.  Gamma: prod_{j<k} (j + shape) / rate^k.  Geometric:
+        m_k = mean * sum_{j<k} C(k, j) m_j with m_0 = 1, from the
+        self-consistency E X^k = E X * (E (X+1)^k - E X^k)."""
+        if k < 0:
+            raise ValueError("moment order must be nonnegative")
+        if self.kind == "geometric":
+            (mean,) = self.params
+            m = [1.0]
+            for order in range(1, k + 1):
+                m.append(mean * sum(comb(order, j) * m[j] for j in range(order)))
+            return m[k]
+        shape, rate = self.params
+        out = 1
+        for j in range(k):
+            out = out * (j + shape)
+        return out / rate**k
+
+    def _success(self) -> float:
         if self.kind != "geometric":
-            raise ValueError(f"{self.kind} law has no pmf")
+            raise ValueError(f"a {self.kind} law has no pmf")
+        return 1.0 / (self.params[0] + 1.0)
+
+    def pmf(self, i):
+        """P(X = i) of the geometric law; i may be an integer array."""
+        p = self._success()
         i = np.asarray(i)
-        p = self.param
         out = np.where(i >= 0, (1.0 - p) ** np.maximum(i, 0) * p, 0.0)
         return out if out.shape else float(out)
 
-    def moment(self, k: int) -> float:
-        if k == 0:
-            return 1.0
-        if self.kind == "geometric":
-            zeta = (1.0 - self.param) / self.param
-            return geo_limit_moments(zeta, k)[-1]
-        return math.factorial(k) / self.param**k
+    def tail(self, i: int) -> float:
+        """P(X > i) = (1 - p)^(i + 1) of the geometric law, for an integer i >= -1."""
+        return (1.0 - self._success()) ** (i + 1)
 
     def __str__(self):
-        names = {"geometric": "Geo", "exponential": "Exp"}
-        return f"{names[self.kind]}({self.param:g})"
+        if self.kind == "geometric":
+            return f"Geo({self._success():g})"
+        return "Gamma({:g}, {:g})".format(*map(float, self.params))
 
 
 def tv_distance_integer(sample, law: LimitLaw) -> float:
     """Total variation between the empirical pmf of an integer sample and a
-    geometric law, with all law mass beyond the sample maximum folded into
-    one bin."""
-    if law.kind != "geometric":
-        raise ValueError("tv_distance_integer compares against a geometric law")
+    geometric law, with all law mass beyond the sample maximum (its ``tail``)
+    folded into one bin.  A Gamma law has no pmf and is refused."""
     arr = np.asarray(sample)
     if arr.size == 0:
         raise ValueError("tv_distance_integer needs a nonempty sample")
@@ -78,6 +104,4 @@ def tv_distance_integer(sample, law: LimitLaw) -> float:
         raise ValueError("sample must be nonnegative")
     top = int(arr.max())
     emp = np.bincount(arr, minlength=top + 1) / arr.size
-    model = law.pmf(np.arange(top + 1))
-    tail = (1.0 - law.param) ** (top + 1)
-    return float(0.5 * (np.abs(emp - model).sum() + tail))
+    return float(0.5 * (np.abs(emp - law.pmf(np.arange(top + 1))).sum() + law.tail(top)))

@@ -401,3 +401,15 @@ def geometric_moment_bruteforce(p: float, k: int, tol: float = 1e-14) -> float:
         if (1.0 - p) ** (i + 1) * ((i + 1 + k / p) ** k) < tol:
             return total
         i += 1
+
+
+def power_coefficient(alpha: float, beta: float, k: int, moment: bool) -> float:
+    """``predict("power")``'s coefficient in its first form, order of operations kept:
+    prod_{j<k}(j + alpha) over (alpha beta)^k for the k-th count moment, and over
+    k! alpha^k beta^k for the k-fold multiple sum."""
+    num = 1
+    for j in range(k):
+        num = num * (j + alpha)
+    if moment:
+        return num / (alpha * beta) ** k
+    return num / (math.factorial(k) * alpha**k * beta**k)

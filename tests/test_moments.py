@@ -8,10 +8,10 @@ from limitlab.moments import (
     MomentTable,
     composition_coefficient,
     count_moment_curve,
-    geo_limit_moments,
 )
 from limitlab.multisum import WeightSequence
 from limitlab.special import zeta_tail
+from limitlab.stats import LimitLaw
 
 from oracles import (
     count_moment_bruteforce,
@@ -84,35 +84,37 @@ class TestCountMoment:
         assert np.all(np.diff(vals) >= 0)
 
     def test_bounded_by_geometric_limit(self):
-        zeta = zeta_tail(0, 2.0, 2).value
-        limits = geo_limit_moments(zeta, 3)
+        law = LimitLaw.geometric(zeta_tail(0, 2.0, 2).value)
         horizons = [10, 100, 1000, 10000]
         for k in (1, 2, 3):
             vals = count_moment_curve(gw_kernel(), k, horizons)
-            assert np.all(vals <= limits[k - 1] + 1e-9)
+            assert np.all(vals <= law.moment(k) + 1e-9)
             assert np.all(np.diff(vals) >= 0)
 
 
 class TestGeoLimitMoments:
+    """The moments of the geometric limit law, read from ``LimitLaw.geometric``."""
+
     def test_mean_is_zeta(self):
         zeta = math.pi**2 / 6 - 1
-        assert geo_limit_moments(zeta, 1)[0] == pytest.approx(zeta, rel=1e-14)
+        assert LimitLaw.geometric(zeta).moment(1) == pytest.approx(zeta, rel=1e-14)
 
     def test_unit_mean(self):
-        assert geo_limit_moments(1.0, 2) == pytest.approx([1.0, 3.0], rel=1e-14)
+        law = LimitLaw.geometric(1.0)
+        assert [law.moment(1), law.moment(2)] == pytest.approx([1.0, 3.0], rel=1e-14)
 
     def test_against_pmf_summation(self):
         for zeta in (1.0, math.pi**2 / 6 - 1, 0.25):
             p = 1.0 / (zeta + 1.0)
-            ours = geo_limit_moments(zeta, 6)
+            law = LimitLaw.geometric(zeta)
             for k in range(1, 7):
-                assert ours[k - 1] == pytest.approx(
+                assert law.moment(k) == pytest.approx(
                     geometric_moment_bruteforce(p, k), rel=1e-10
                 )
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            geo_limit_moments(0.0, 3)
+            LimitLaw.geometric(0.0)
 
 
 class TestScaledCurveAndTable:

@@ -30,7 +30,7 @@ from limitlab.multisum import (
 from limitlab import cauchy, multisum
 from limitlab.multisum import _fold_tables, _psi_tables, _smooth_length
 
-from oracles import cauchy_lower_dense, phi_bruteforce, phi_recursion, psi_bruteforce, psi_loop
+from oracles import cauchy_lower_dense, phi_bruteforce, phi_recursion, power_coefficient, psi_bruteforce, psi_loop
 from test_kernels import cauchy_kernels
 
 WEIGHT_FAMILIES = {
@@ -620,6 +620,15 @@ class TestPredict:
         p = predict("power", 2, alpha=2.0, beta=1.0, moment=True)
         assert p.coefficient == pytest.approx(6.0 / 4.0, rel=1e-14)
 
+    @pytest.mark.parametrize("moment", [False, True])
+    def test_power_coefficient_keeps_its_bits(self, moment):
+        # the Gamma law's moment must divide in the order the coefficient was first written in
+        rng = np.random.default_rng(20250423)
+        for alpha, beta in rng.uniform(0.05, 6.0, (400, 2)).tolist():
+            for k in range(1, 9):
+                got = predict("power", k, alpha=alpha, beta=beta, moment=moment).coefficient
+                assert got == power_coefficient(alpha, beta, k, moment), (alpha, beta, k)
+
     def test_pi_consistency_of_the_two_routes(self):
         # route 1: regularly varying with tau = 1/2 and S(n) ~ 2 sqrt(n),
         # so the coefficient of Phi(n,2)/n is lambda^{-1} * 4
@@ -665,6 +674,9 @@ class TestPredict:
             predict("mystery", 2)
         with pytest.raises(ValueError):
             predict("power", 0, alpha=1.0)
+        for alpha, beta in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="alpha > 0 and beta > 0"):
+                predict("power", 2, alpha=alpha, beta=beta)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,9 +3,11 @@
 ``data/registry_reports.json`` holds, for each config below, the rows and
 checks that ``experiments.run`` returned when the file was written.  Strings,
 integers and verdicts must match exactly and floats to 1e-12 relative, so a
-refactor of the runners cannot change a report unnoticed.  A change that
-alters rows or checks on purpose regenerates the entries it alters, by name,
-and says so; with no names the whole file is rewritten:
+refactor of the runners cannot change a report unnoticed.  The ``predicted``
+column of an exact experiment is a closed-form claim and must keep its bits;
+a Monte Carlo experiment's is an engine's exact mean and keeps the 1e-12.  A
+change that alters rows or checks on purpose regenerates the entries it
+alters, by name, and says so; with no names the whole file is rewritten:
 
     PYTHONPATH=src python tests/test_registry_reports.py c4-gbm thy-gw@1000
     PYTHONPATH=src python tests/test_registry_reports.py
@@ -32,6 +34,9 @@ CONFIGS = {
     "c3-cutsphere@250": "experiment = c3-cutsphere\nhorizons = 250\n",
     "thy-gw@1000": "experiment = thy-gw\nreplicates = 20000\nhorizons = 1000\n",
 }
+
+
+PREDICTED = experiments.COLUMNS.index("predicted")
 
 
 def report(text: str) -> dict:
@@ -63,8 +68,11 @@ def test_report_matches_the_stored_one(name, stored, monkeypatch):
     for g, w in zip(got["checks"], want["checks"]):
         assert same(g, w), (g, w)
     assert len(got["rows"]) == len(want["rows"])
+    exact = isinstance(experiments._REGISTRY[experiments.parse_config(CONFIGS[name]).experiment].runner,
+                       experiments.ExactSpec)
     for g, w in zip(got["rows"], want["rows"]):
         assert same(g, w), (g, w)
+        assert not exact or g[PREDICTED] == w[PREDICTED], (g, w)
     assert got["passed"] == want["passed"]
 
 

@@ -7,13 +7,13 @@ import pytest
 
 from limitlab import special
 from limitlab.special import (
-    gamma_moment,
     iterated_log,
     lambda_sigma,
     lambda_weight,
     script_O,
     zeta_tail,
 )
+from limitlab.stats import LimitLaw
 
 
 class TestGammaFn:
@@ -33,9 +33,9 @@ class TestGammaFn:
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
     def test_domain(self, x):
-        # a Gamma shape from outside enters through gamma_moment, which keeps x > 0
+        # a Gamma shape from outside enters through LimitLaw.gamma, which keeps x > 0
         with pytest.raises(ValueError):
-            gamma_moment(x, 1)
+            LimitLaw.gamma(x, 1.0)
 
 
 class TestLambdaSigma:
@@ -187,22 +187,25 @@ class TestZetaTail:
 
 
 class TestGammaMoment:
+    """The unit-rate Gamma moments prod_{j<k} (j + shape), read from ``LimitLaw.gamma``."""
+
     def test_exponential_factorial(self):
-        assert gamma_moment(1.0, 3) == pytest.approx(6.0)
+        assert LimitLaw.gamma(1.0, 1.0).moment(3) == pytest.approx(6.0)
 
     def test_half(self):
-        assert gamma_moment(0.5, 2) == pytest.approx(0.75)
+        assert LimitLaw.gamma(0.5, 1.0).moment(2) == pytest.approx(0.75)
 
     def test_empty_product(self):
-        assert gamma_moment(2.7, 0) == 1
+        assert LimitLaw.gamma(2.7, 1.0).moment(0) == 1
 
     def test_exact_rational_recursion(self):
-        alpha = Fraction(1, 3)
+        law = LimitLaw.gamma(Fraction(1, 3), Fraction(1))
         for k in range(8):
-            assert gamma_moment(alpha, k + 1) == gamma_moment(alpha, k) * (k + alpha)
+            assert law.moment(k + 1) == law.moment(k) * (k + Fraction(1, 3))
+        assert isinstance(law.moment(8), Fraction)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            gamma_moment(0.0, 2)
+            LimitLaw.gamma(0.0, 1.0)
         with pytest.raises(ValueError):
-            gamma_moment(1.0, -1)
+            LimitLaw.gamma(1.0, 1.0).moment(-1)
