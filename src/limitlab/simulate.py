@@ -12,9 +12,13 @@ chunks and only calls on arrays this long pay for handing the GIL between
 threads.  With 8192-row chunks each numpy call of a worker lasted a few
 microseconds, and a ``c3-cutsphere`` run (1e4 replicates, n = 500) took
 59 ms at 2 threads against 38 ms at 1 on a 2-core host; at 65536 rows it
-is one chunk, runs without a thread pool and takes 11-17 ms, and 2e5
-replicates take 139-150 ms at 2 threads against 192-220 ms at 1 (medians
-of 21 and 7 calls, three runs each).  Each simulator
+is one chunk, runs without a thread pool and takes 9-11 ms (12-21 ms with
+the masked, one-generation-at-a-time bookkeeping it replaced), and 2e5
+replicates take 124-139 ms at 2 threads against 154-207 ms at 1 (medians
+of 21 and 7 calls, three runs each).  The chunk workers select rows by
+integer indices, never by boolean masks: at 16,384 rows with 15% selected,
+gathering and scattering two arrays through a mask took 190-210 us, and
+through ``np.flatnonzero`` and its indices 31-35 us.  Each simulator
 returns a ``ReplicateBatch``, which holds only the counts at the
 checkpoints; the caller keeps the model, its parameters and the seed.
 
@@ -41,8 +45,8 @@ Models:
   one running-maximum scan, ``_cauchy_chain_worker``, in blocks of at most
   16 generations.  A replicate whose running maximum already reaches x at
   the block's end cannot succeed inside the block, and crosses it with one
-  uniform that draws the block's largest step exactly; the others step
-  through the block one generation at a time.  At the ``c3-cutsphere``
+  uniform that draws the block's largest step exactly; the others cross it
+  a tile of generations at a time.  At the ``c3-cutsphere``
   size fewer than a third of the scan's uniforms are drawn.  The scan
   retires a replicate once its running maximum reaches x_n at the last
   checkpoint n: x increases and the maximum never falls, so that replicate
@@ -78,6 +82,9 @@ _CHUNK = 65536
 # Generations between retirements in _cauchy_chain_worker, and its longest skip
 # block: a row that cannot succeed in a block crosses it with one uniform.
 _RETIRE_EVERY = 16
+# Most floats in one tile of _cauchy_chain_worker's near rows (512 KiB, the budget
+# of cauchy._SLICE); one generation of more rows than this is a tile of its own.
+_TILE = 1 << 16
 # Entries per block of _first_return_law.  At n = 2000 (medians of 15, two
 # cores) blocks of 32, 64 and 128 took 1.19-1.26, 1.00-1.06 and 1.09-1.13 ms;
 # at n = 5000, 128 beat 64 by 12%, and at 3e4 neither won on all three kernels.
@@ -260,7 +267,7 @@ def _renewal_worker(weights: WeightSequence, cps: tuple[int, ...]):
         while True:
             # a gap past the truncated law (searchsorted index n) puts t past n: no success
             t += np.searchsorted(cdf, rng.random(idx.size), side="right") + 1
-            live = t <= n
+            live = np.flatnonzero(t <= n)
             idx, t = idx[live], t[live]
             if not idx.size:
                 return np.cumsum(visits, axis=1)
@@ -289,9 +296,15 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
     P(max_{t0<s<=t1} theta_s <= v) = prod_s (v - y_s) / (v - y_{s-1})
     = (v - y_{t1}) / (v - y_{t0}), which is the law of
     y_{t0} + (y_{t1} - y_{t0}) / U, so a far row sets
-    M = max(M, y_{t0} + (y_{t1} - y_{t0}) / U) with one uniform.  A near row
-    (M < x_{t1}) steps through the block one generation at a time.  Counts
-    are written at block ends, which include the checkpoints.
+    M = max(M, y_{t0} + (y_{t1} - y_{t0}) / U) with one uniform.  The near
+    rows (M < x_{t1}) cross the block a tile of generations at a time, at
+    most _TILE floats per tile: one draw fills a (generations, rows) array
+    generation by generation, so the stream is the one a scan of one
+    generation per call draws; one subtract, divide and add turn it into
+    theta; one ``np.maximum`` per generation carries the running maximum
+    down the tile, and one comparison with x, summed over the tile, counts
+    the successes.  Rows are selected by integer indices, taken once per
+    block.  Counts are written at block ends, which include the checkpoints.
 
     A row whose running maximum has reached x_n is retired: x increases and
     the maximum never falls, so it stays >= x_n >= x_t and the row has no
@@ -323,40 +336,47 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
         idx = np.arange(rows)  # the live rows
         seen = np.zeros(rows, dtype=np.int64)
         top = np.zeros(rows)  # max of theta so far; every theta_t >= y_t > 0
-        theta = np.empty(rows)
+        buf = np.empty(max(_TILE, rows))  # the far draw, then each tile of theta
         ci, t0 = 0, 0
         for t1 in ends:
-            far = top >= x[t1]
-            nfar = np.count_nonzero(far)
-            if nfar:  # one draw of the block's largest theta
-                block = theta[:nfar]
+            is_far = top >= x[t1]
+            far = np.flatnonzero(is_far)
+            if far.size:  # one draw of the block's largest theta
+                block = buf[: far.size]
                 rng.random(out=block)
                 np.subtract(1.0, block, out=block)
                 np.divide(y[t1] - y[t0], block, out=block)
                 block += y[t0]
                 top[far] = np.maximum(top[far], block)
-            if nfar < top.size:  # the near rows step through the block
-                near = np.flatnonzero(~far) if nfar else slice(None)
+            if far.size < top.size:  # the near rows cross the block a tile of generations at a time
+                near = np.flatnonzero(~is_far) if far.size else slice(None)
                 near_top, near_seen = top[near], seen[near]  # views when every row is near
-                step = theta[: near_top.size]
-                for t in range(t0 + 1, t1 + 1):
-                    rng.random(out=step)
-                    np.subtract(1.0, step, out=step)  # U_t on (0, 1]
-                    np.divide(steps[t - 1], step, out=step)
-                    step += y[t - 1]
-                    np.maximum(near_top, step, out=near_top)
-                    near_seen += near_top < x[t]
-                if nfar:
+                width = near_top.size
+                gens = max(1, _TILE // width)  # generations per tile
+                for s0 in range(t0, t1, gens):
+                    s1 = min(s0 + gens, t1)
+                    th = buf[: (s1 - s0) * width].reshape(s1 - s0, width)  # th[r]: theta at s0 + 1 + r
+                    rng.random(out=th)  # generation-major, as one generation at a time would draw
+                    np.subtract(1.0, th, out=th)  # U on (0, 1]
+                    np.divide(steps[s0:s1, None], th, out=th)
+                    th += y[s0:s1, None]
+                    np.maximum(near_top, th[0], out=th[0])
+                    for r in range(1, s1 - s0):  # th[r] becomes the running max
+                        np.maximum(th[r - 1], th[r], out=th[r])
+                    near_seen += (th < x[s0 + 1 : s1 + 1, None]).sum(axis=0, dtype=np.int64)
+                    near_top[:] = th[-1]
+                if far.size:
                     top[near], seen[near] = near_top, near_seen
             t0 = t1
             if t1 == cps[ci]:
                 counts[idx, ci] = seen
                 ci += 1
             if t1 % _RETIRE_EVERY == 0 and t1 < n:
-                done = top >= x_last
-                if done.any():
+                is_done = top >= x_last
+                done = np.flatnonzero(is_done)
+                if done.size:
                     counts[idx[done], ci:] = seen[done, None]
-                    live = ~done
+                    live = np.flatnonzero(~is_done)
                     idx, seen, top = idx[live], seen[live], top[live]
                     if not idx.size:
                         break

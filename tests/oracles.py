@@ -262,6 +262,21 @@ def bpve_generations(schedule, n: int, replicates: int, seed: int, checkpoints=N
     return counts
 
 
+def _chain_arrays(kernel, n: int):
+    """x, y and the steps y_t - y_{t-1} of a Cauchy kernel, refused as ``_cauchy_chain_worker`` refuses."""
+    a, x, y = kernel.cauchy(n)
+    stalls = np.flatnonzero(np.diff(x[1:]) <= 0) + 2  # generations t with x_t <= x_{t-1}
+    if stalls.size:
+        raise ValueError(f"{kernel.description}: the chain sampler needs x strictly increasing, "
+                         f"but it is not at generation {stalls[0]}")
+    off = np.abs(a[1:] * (x[1:] - y[1:]) - 1.0)
+    misses = np.flatnonzero(off > 1e-8) + 1
+    if misses.size:
+        raise ValueError(f"{kernel.description}: the chain sampler needs a_j (x_j - y_j) = 1, "
+                         f"but it is off by {off[misses[0] - 1]:.3g} at generation {misses[0]}")
+    return x, y, np.diff(y)
+
+
 def cauchy_chain_scan(kernel, cps: tuple[int, ...]):
     """Chunk worker drawing a Cauchy kernel's success chain generation by generation.
 
@@ -274,17 +289,7 @@ def cauchy_chain_scan(kernel, cps: tuple[int, ...]):
     """
     retire_every = 16
     n = cps[-1]
-    a, x, y = kernel.cauchy(n)
-    stalls = np.flatnonzero(np.diff(x[1:]) <= 0) + 2  # generations t with x_t <= x_{t-1}
-    if stalls.size:
-        raise ValueError(f"{kernel.description}: the chain sampler needs x strictly increasing, "
-                         f"but it is not at generation {stalls[0]}")
-    off = np.abs(a[1:] * (x[1:] - y[1:]) - 1.0)
-    misses = np.flatnonzero(off > 1e-8) + 1
-    if misses.size:
-        raise ValueError(f"{kernel.description}: the chain sampler needs a_j (x_j - y_j) = 1, "
-                         f"but it is off by {off[misses[0] - 1]:.3g} at generation {misses[0]}")
-    steps = np.diff(y)
+    x, y, steps = _chain_arrays(kernel, n)
     x_last = x[n]
 
     def worker(rng: np.random.Generator, rows: int):
@@ -314,6 +319,98 @@ def cauchy_chain_scan(kernel, cps: tuple[int, ...]):
                         break
                     theta = np.empty(idx.size)
         return counts
+
+    return worker
+
+
+def masked_cauchy_chain_worker(kernel, cps: tuple[int, ...]):
+    """The block-skip scan of ``simulate._cauchy_chain_worker`` with boolean masks, one generation at a time.
+
+    The bookkeeping that the tiled worker replaced, kept so that a test can
+    require the same counts, bit for bit, and the same uniforms: blocks end
+    at every 16th generation and at every checkpoint, a far row (running
+    maximum >= x at the block's end) crosses its block with one uniform, and
+    the near rows draw one uniform per generation.  Rows are selected by
+    boolean masks and stepped one generation per numpy call.
+    """
+    retire_every = 16
+    n = cps[-1]
+    x, y, steps = _chain_arrays(kernel, n)
+    x_last = x[n]
+    ends = sorted(set(range(retire_every, n, retire_every)).union(cps))
+
+    def worker(rng: np.random.Generator, rows: int):
+        counts = np.zeros((rows, len(cps)), dtype=np.int64)
+        idx = np.arange(rows)  # the live rows
+        seen = np.zeros(rows, dtype=np.int64)
+        top = np.zeros(rows)  # max of theta so far; every theta_t >= y_t > 0
+        theta = np.empty(rows)
+        ci, t0 = 0, 0
+        for t1 in ends:
+            far = top >= x[t1]
+            nfar = np.count_nonzero(far)
+            if nfar:  # one draw of the block's largest theta
+                block = theta[:nfar]
+                rng.random(out=block)
+                np.subtract(1.0, block, out=block)
+                np.divide(y[t1] - y[t0], block, out=block)
+                block += y[t0]
+                top[far] = np.maximum(top[far], block)
+            if nfar < top.size:  # the near rows step through the block
+                near = np.flatnonzero(~far) if nfar else slice(None)
+                near_top, near_seen = top[near], seen[near]  # views when every row is near
+                step = theta[: near_top.size]
+                for t in range(t0 + 1, t1 + 1):
+                    rng.random(out=step)
+                    np.subtract(1.0, step, out=step)  # U_t on (0, 1]
+                    np.divide(steps[t - 1], step, out=step)
+                    step += y[t - 1]
+                    np.maximum(near_top, step, out=near_top)
+                    near_seen += near_top < x[t]
+                if nfar:
+                    top[near], seen[near] = near_top, near_seen
+            t0 = t1
+            if t1 == cps[ci]:
+                counts[idx, ci] = seen
+                ci += 1
+            if t1 % retire_every == 0 and t1 < n:
+                done = top >= x_last
+                if done.any():
+                    counts[idx[done], ci:] = seen[done, None]
+                    live = ~done
+                    idx, seen, top = idx[live], seen[live], top[live]
+                    if not idx.size:
+                        break
+        return counts
+
+    return worker
+
+
+def masked_renewal_worker(weights: WeightSequence, cps: tuple[int, ...]):
+    """``simulate._renewal_worker`` with its live rows kept by a boolean mask.
+
+    The bookkeeping that the index form replaced, kept so that a test can
+    require the same counts, bit for bit.  It reads the first-return law
+    from ``simulate._first_return_law``: the law is not what it checks.
+    """
+    from limitlab.simulate import _first_return_law
+
+    n = cps[-1]
+    cdf = np.cumsum(_first_return_law(weights, n)[1:])
+    bins = np.searchsorted(np.asarray(cps), np.arange(n + 1))  # first checkpoint >= t
+
+    def worker(rng: np.random.Generator, rows: int):
+        visits = np.zeros((rows, len(cps)), dtype=np.int64)
+        idx = np.arange(rows)
+        t = np.zeros(rows, dtype=np.int64)
+        while True:
+            # a gap past the truncated law (searchsorted index n) puts t past n: no success
+            t += np.searchsorted(cdf, rng.random(idx.size), side="right") + 1
+            live = t <= n
+            idx, t = idx[live], t[live]
+            if not idx.size:
+                return np.cumsum(visits, axis=1)
+            visits[idx, bins[t]] += 1
 
     return worker
 

@@ -5,7 +5,9 @@ checks that ``experiments.run`` returned when the file was written.  Strings,
 integers and verdicts must match exactly and floats to 1e-12 relative, so a
 refactor of the runners cannot change a report unnoticed.  The ``predicted``
 column of an exact experiment is a closed-form claim and must keep its bits;
-a Monte Carlo experiment's is an engine's exact mean and keeps the 1e-12.  A
+a Monte Carlo experiment's is an engine's exact mean and keeps the 1e-12.
+The ``observed`` and ``stderr`` columns of a Monte Carlo experiment are read
+from seeded counts and must keep their bits too.  A
 change that alters rows or checks on purpose regenerates the entries it
 alters, by name, and says so; with no names the whole file is rewritten:
 
@@ -36,7 +38,7 @@ CONFIGS = {
 }
 
 
-PREDICTED = experiments.COLUMNS.index("predicted")
+PREDICTED, OBSERVED, STDERR = (experiments.COLUMNS.index(c) for c in ("predicted", "observed", "stderr"))
 
 
 def report(text: str) -> dict:
@@ -68,11 +70,13 @@ def test_report_matches_the_stored_one(name, stored, monkeypatch):
     for g, w in zip(got["checks"], want["checks"]):
         assert same(g, w), (g, w)
     assert len(got["rows"]) == len(want["rows"])
-    exact = isinstance(experiments._REGISTRY[experiments.parse_config(CONFIGS[name]).experiment].runner,
-                       experiments.ExactSpec)
+    runner = experiments._REGISTRY[experiments.parse_config(CONFIGS[name]).experiment].runner
+    exact = isinstance(runner, experiments.ExactSpec)
+    sampled = isinstance(runner, experiments.MonteCarloSpec)
     for g, w in zip(got["rows"], want["rows"]):
         assert same(g, w), (g, w)
         assert not exact or g[PREDICTED] == w[PREDICTED], (g, w)
+        assert not sampled or (g[OBSERVED], g[STDERR]) == (w[OBSERVED], w[STDERR]), (g, w)
     assert got["passed"] == want["passed"]
 
 

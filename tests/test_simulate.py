@@ -8,7 +8,11 @@ three distance kernels, (1+n)^2 among them; so are the two literal chains
 the scan replaces.  The block skip of that scan is checked against the
 generation-by-generation scan (``oracles.cauchy_chain_scan``) by two
 samples, at checkpoints that end no 16-generation block and below one
-block, and by the uniforms it draws, counted, not timed.  On D(k) = 1 + k,
+block, and by the uniforms it draws, counted, not timed.  Both chunk
+workers keep the bytes of their masked, one-generation-at-a-time forms
+(``oracles.masked_cauchy_chain_worker``, ``oracles.masked_renewal_worker``)
+and draw as many uniforms, and the scan's counts do not depend on its
+tile of generations.  On D(k) = 1 + k,
 which is both a distance and a branching kernel, the two samplers are
 checked against each other by two samples.  The renewal
 sampler is checked twice more for ``sim_gw``: its first-return law against
@@ -38,7 +42,7 @@ from limitlab.simulate import (_CHUNK, _SQUARES, _cauchy_chain_worker, _first_re
                                _run_chunked, _sim_chain, resolve_threads, sim_bpve, sim_gw, sim_levelwalk)
 
 from oracles import (bpve_generations, cauchy_chain_scan, count_pmf, first_return_recursion, gw_generations,
-                     levelwalk_steps, marginals, tv_to_pmf)
+                     levelwalk_steps, marginals, masked_cauchy_chain_worker, masked_renewal_worker, tv_to_pmf)
 
 SPEC = ScaleSpec.from_dimension(3.0, 1.0, 2.0)
 SCHEDULE = OffspringSchedule.harmonic_drift(0.5)
@@ -250,6 +254,45 @@ def test_block_skip_draws_under_half_the_uniforms_of_the_scan():
     _cauchy_chain_worker(kernel, cps)(skip, rows)
     cauchy_chain_scan(kernel, cps)(scan, rows)
     assert 0 < skip.drawn < scan.drawn / 2
+
+
+BYTE_ROWS = (1, 7, 10_000, 20_000)  # at 20,000 rows every row is near at first, in tiles of 3 generations
+BYTE_CHECKPOINTS = [(1, 2, 17), (7, 250, 333)]
+
+
+@pytest.mark.parametrize("checkpoints", BYTE_CHECKPOINTS)
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_tiled_scan_keeps_the_bits_of_the_masked_scan(case, checkpoints):
+    # the same uniforms in the same order through the same float operations
+    kernel = CHAIN_CASES[case][1]()
+    for rows in BYTE_ROWS:
+        tiled, masked = _CountingRng(rows), _CountingRng(rows)
+        got = _cauchy_chain_worker(kernel, checkpoints)(tiled, rows)
+        want = masked_cauchy_chain_worker(kernel, checkpoints)(masked, rows)
+        assert np.array_equal(got, want), rows
+        assert tiled.drawn == masked.drawn, rows
+
+
+@pytest.mark.parametrize("checkpoints", BYTE_CHECKPOINTS)
+@pytest.mark.parametrize("weights", [_SQUARES, WeightSequence(weight=lambda i: (1.0 + i) ** 1.5)],
+                         ids=["squares", "power1.5"])
+def test_renewal_indices_keep_the_bits_of_the_masked_sampler(weights, checkpoints):
+    for rows in BYTE_ROWS:
+        indexed, masked = _CountingRng(rows), _CountingRng(rows)
+        got = _renewal_worker(weights, checkpoints)(indexed, rows)
+        want = masked_renewal_worker(weights, checkpoints)(masked, rows)
+        assert np.array_equal(got, want), rows
+        assert indexed.drawn == masked.drawn, rows
+
+
+@pytest.mark.parametrize("tile", [1, 1 << 20], ids=["one-generation", "whole-blocks"])
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_counts_do_not_depend_on_the_tile(case, tile, monkeypatch):
+    kernel, cps, rows = CHAIN_CASES[case][1](), (7, 250, 333), 20_000
+    want = _cauchy_chain_worker(kernel, cps)(np.random.default_rng(38), rows)
+    monkeypatch.setattr(simulate, "_TILE", tile)
+    got = _cauchy_chain_worker(kernel, cps)(np.random.default_rng(38), rows)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("schedule", [SCHEDULE, DECAY], ids=["bpve-drift", "bpve-decay"])
