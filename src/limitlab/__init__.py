@@ -18,11 +18,9 @@ from .moments import (
     count_moment_curve,
 )
 from .multisum import (
-    AsymptoticPrediction,
     WeightSequence,
     phi,
     phi_curve,
-    predict,
     psi_curve,
     u_sum,
     u_sum_curve,

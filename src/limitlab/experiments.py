@@ -22,6 +22,16 @@ horizons where a claim's scale is not finite and positive, before any
 table or draw.  A sweep over a theorem's range is ``dataclasses.replace``
 on a config's params, for any experiment.
 
+A claim lives beside the experiment that declares it.  An
+``AsymptoticPrediction`` names a scaling, holds the coefficient and computes
+the scale, and five builders make every claim of the registry: ``_constant``
+(value**k, for the summable sums), ``_s_power`` (the scale S(n)^k of a
+weight's partial sums), ``_law_moments`` (a ``LimitLaw``'s k-th moment on a
+scale of order k), ``_power_claim`` (the power-kernel sum's Gamma(alpha, 1)
+moment over k! alpha^k beta^k) and ``_rzr_claim`` (the four (sigma, m) cases
+of the iterated-log sums).  ``ExactSpec`` refuses an order below 1 before it
+builds any claim.
+
 Checks are written with five helpers: ``_within`` (an error at most a
 tolerance), ``_band`` (a value inside an interval), ``_zscore`` (a sample
 mean within 4 standard errors of an exact value), ``_shrinking`` (an error
@@ -44,7 +54,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -54,9 +64,9 @@ import numpy as np
 
 from .kernels import BranchingKernel, OffspringSchedule, PowerKernel, ScaleKernel, ScaleSpec
 from .moments import MomentTable
-from .multisum import AsymptoticPrediction, WeightSequence, _log_power, _u_weights, phi_fold_curves, predict, psi_curve
+from .multisum import WeightSequence, _u_weights, phi_fold_curves, psi_curve
 from .simulate import _SQUARES, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
-from .special import zeta_tail
+from .special import lambda_sigma, zeta_tail
 from .stats import LimitLaw, tv_distance_integer
 
 __all__ = [
@@ -167,6 +177,54 @@ def _positive_scale(name, scale, horizons):
     return scale
 
 
+# ---------------------------------------------------------------- claims
+
+
+@dataclass(frozen=True)
+class AsymptoticPrediction:
+    """The limit of a multiple sum or moment: it tends to ``coefficient * scale(n)``.
+
+    ``scaling`` names the scale; ``scale`` maps horizons n >= 1 to its values
+    (a float array).
+    """
+
+    scaling: str
+    coefficient: float
+    scale: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+
+
+def _log_power(depth: int, power: float) -> Callable[[np.ndarray], np.ndarray]:
+    """n -> (log applied ``depth`` times to n) ** power; power 0 gives the constant 1."""
+
+    def scale(horizons) -> np.ndarray:
+        n = np.asarray(horizons, dtype=float)
+        for _ in range(depth):
+            n = np.log(n)
+        return n**power
+
+    return scale
+
+
+def _constant(value):
+    """Claims: order k tends to the constant value**k."""
+    return lambda k: AsymptoticPrediction("constant", value**k, _log_power(0, 0))
+
+
+def _s_power(weights: WeightSequence, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """n -> S(n)^k, with S(n) = sum_{i<=n} 1/D(i) the partial sums of the weights."""
+
+    def scale(horizons) -> np.ndarray:
+        hs = np.asarray(horizons, dtype=int)
+        return weights.partial_sums(int(hs.max()))[hs] ** k
+
+    return scale
+
+
+def _law_moments(law: LimitLaw, scaling: str, scale: Callable[[int], Callable]):
+    """Claims: order k tends to ``law.moment(k)`` times ``scale(k)``, the scale named ``scaling``."""
+    return lambda k: AsymptoticPrediction(scaling, law.moment(k), scale(k))
+
+
 # ---------------------------------------------------------------- runners
 
 
@@ -182,7 +240,8 @@ class ExactSpec:
       profiler's, a test's) sees the call;
     - ``claim(params)``: maps an order k to the ``AsymptoticPrediction`` of
       its curve.  It is built once per run and never from the model, so a
-      perturbed model meets the same claim;
+      perturbed model meets the same claim.  An order below 1 is refused
+      before it is built;
     - ``policy(k, horizons, observed, predicted)``: the checks of order k,
       from that order's table columns.
 
@@ -203,6 +262,8 @@ class ExactSpec:
         orders, shown = self.orders(cfg.params)
         if shown not in orders:
             raise ValueError(f"shown order k must lie in [1, k_max = {orders.stop - 1}], got {shown}")
+        if orders.start < 1:
+            raise ValueError(f"the order must be >= 1, got {orders.start}")
         model, claim = self.model(cfg.params), self.claim(cfg.params)
         preds = [claim(k) for k in orders]
         with np.errstate(divide="ignore", invalid="ignore"):  # the refusal of a scale that is not finite speaks alone
@@ -314,25 +375,32 @@ _LINEAR_WEIGHTS = WeightSequence(weight=lambda i: i + 1.0, label="n+1")
 
 
 def _rzr_claim(p):
-    zeta = zeta_tail(p["m"], p["sigma"], p["n0"]).value if p["sigma"] > 1.0 else None
-    return partial(predict, "rzr", m=p["m"], sigma=p["sigma"], zeta_value=zeta)
+    """The iterated-log sums of depth m and exponent sigma: the four (sigma, m) cases.
+
+    sigma > 1: the constant zeta_tail(m, sigma, n0)**k.  sigma = 1: the scale
+    (log_{m+1} n)^k.  0 <= sigma < 1 and m >= 1: partial sums grow like
+    (log_m n)^(1-sigma)/(1-sigma), so the scale carries the 1-sigma exponent
+    (it reduces to (log_m n)^k only at sigma = 0).  0 <= sigma < 1 and m = 0:
+    n^(k(1-sigma)) with the Gamma-product constant c^(k-1)/(1-sigma).
+    """
+    m, sigma = p["m"], p["sigma"]
+    if sigma > 1.0:
+        return _constant(zeta_tail(m, sigma, p["n0"]).value)
+    if sigma == 1.0:
+        return lambda k: AsymptoticPrediction("(log_{m+1} n)^k", 1.0, _log_power(m + 1, k))
+    if 0.0 <= sigma < 1.0 and m >= 1:
+        scaling = "(log_m n)^k" if sigma == 0.0 else "(log_m n)^{k(1-sigma)}"
+        return lambda k: AsymptoticPrediction(scaling, (1.0 - sigma) ** (-k), _log_power(m, k * (1.0 - sigma)))
+    if 0.0 <= sigma < 1.0 and m == 0:
+        c = math.gamma(2.0 - sigma) * math.gamma(1.0 - sigma) / math.gamma(3.0 - 2.0 * sigma)
+        return lambda k: AsymptoticPrediction("n^{k(1-sigma)}", c ** (k - 1) / (1.0 - sigma),
+                                              _log_power(0, k * (1.0 - sigma)))
+    raise ValueError(f"no supported limit for sigma={sigma}, m={m}")
 
 
 def _gw_limit(p) -> LimitLaw:
     """The geometric law with mean pi^2/6 - 1, the limit of the returns to level 1 of kernel (1+n)^2."""
     return LimitLaw.geometric(zeta_tail(0, 2.0, 2).value)
-
-
-def _geo_claim(p):
-    """Constant claims: the moments of the geometric law with mean pi^2/6 - 1."""
-    law = _gw_limit(p)
-    return lambda k: AsymptoticPrediction("constant", law.moment(k), _log_power(0, 0))
-
-
-def _exp_claim(p):
-    """E(count)^k ~ k! S(n)^k: the Exp(1) moments on the scale S(n)^k of the weights n+1."""
-    return lambda k: replace(predict("regularly_varying", k, tau=0.0, weights=_LINEAR_WEIGHTS),
-                             coefficient=LimitLaw.gamma(1.0, 1.0).moment(k))
 
 
 def _rzr(policy) -> ExactSpec:
@@ -345,8 +413,12 @@ def _power(p) -> PowerKernel:
     return PowerKernel(p["alpha"], p["beta"])
 
 
-def _power_claim(p, moment=False):
-    return partial(predict, "power", alpha=p["alpha"], beta=p["beta"], moment=moment)
+def _power_claim(p):
+    """The k-fold power-kernel sum over (log n)^k tends to Gamma(alpha, 1).moment(k) / (k! alpha^k beta^k)."""
+    alpha, beta = p["alpha"], p["beta"]
+    law = LimitLaw.gamma(alpha, 1.0)
+    return lambda k: AsymptoticPrediction("(log n)^k", law.moment(k) / (math.factorial(k) * alpha**k * beta**k),
+                                          _log_power(1, k))
 
 
 def _levelwalk(scale_spec) -> MonteCarloSpec:
@@ -405,8 +477,7 @@ _register(ExperimentDef(
     "Weights (1+n)^2; the gap-constrained m-fold sum tends to (pi^2/6 - 1)^m. "
     "Checks a 1% final ratio and monotone growth.",
     seed=0, replicates=None, horizons=(100, 1000, 10000), params={"m": 3},
-    runner=ExactSpec(lambda p: _SQUARES, "phi",
-                     lambda p: partial(predict, "summable", zeta_value=zeta_tail(0, 2.0, 2).value),
+    runner=ExactSpec(lambda p: _SQUARES, "phi", lambda p: _constant(zeta_tail(0, 2.0, 2).value),
                      _ratio(0.01, "ratio", monotone=True), _single("m"))))
 _register(ExperimentDef(
     "prpd-rv",
@@ -415,7 +486,8 @@ _register(ExperimentDef(
     "over S(n)^m tends to (pi/4)^(m-1). Checks a 10% final band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000), params={"m": 2},
     runner=ExactSpec(lambda p: _SQRT_WEIGHTS, "phi",
-                     lambda p: partial(predict, "regularly_varying", tau=0.5, weights=_SQRT_WEIGHTS),
+                     lambda p: lambda k: AsymptoticPrediction("S(n)^m", lambda_sigma(0.5) ** (-(k - 1)),
+                                                              _s_power(_SQRT_WEIGHTS, k)),
                      _ratio(0.10, "ratio"), _single("m"), scaled=True)))
 _register(ExperimentDef(
     "rzr-i",
@@ -462,7 +534,8 @@ _register(ExperimentDef(
     "law with mean pi^2/6 - 1 from below. Checks monotonicity, the bound, and a "
     "1e-3 final mean ratio.",
     seed=0, replicates=None, horizons=(100, 1000, 10000), params={"k_max": 3},
-    runner=ExactSpec(lambda p: _SQUARES, "moments", _geo_claim, _geo_policy,
+    runner=ExactSpec(lambda p: _SQUARES, "moments",
+                     lambda p: _law_moments(_gw_limit(p), "constant", lambda k: _log_power(0, 0)), _geo_policy,
                      lambda p: (range(1, p["k_max"] + 1), 1))))
 _register(ExperimentDef(
     "thbb-exp",
@@ -470,7 +543,9 @@ _register(ExperimentDef(
     "Kernel n+1 (partial sums ~ log n, index 0): E(count)^k / S(n)^k tends to k!. "
     "k=1 is exact by construction; k=2 gets a 15% band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000), params={"k_max": 2},
-    runner=ExactSpec(lambda p: _LINEAR_WEIGHTS, "moments", _exp_claim, _exp_policy,
+    runner=ExactSpec(lambda p: _LINEAR_WEIGHTS, "moments",
+                     lambda p: _law_moments(LimitLaw.gamma(1.0, 1.0), "S(n)^m", partial(_s_power, _LINEAR_WEIGHTS)),
+                     _exp_policy,
                      lambda p: (range(1, p["k_max"] + 1), p["k_max"]), scaled=True)))
 _register(ExperimentDef(
     "tha-gamma",
@@ -480,7 +555,9 @@ _register(ExperimentDef(
     "shrinking error across decades.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000),
     params={"alpha": 2.0, "beta": 1.0, "k_max": 2},
-    runner=ExactSpec(_power, "moments", partial(_power_claim, moment=True), _ratio(0.15),
+    runner=ExactSpec(_power, "moments",
+                     lambda p: _law_moments(LimitLaw.gamma(p["alpha"], p["alpha"] * p["beta"]), "(log n)^k",
+                                            partial(_log_power, 1)), _ratio(0.15),
                      lambda p: (range(1, p["k_max"] + 1), p["k_max"]), scaled=True)))
 _register(ExperimentDef(
     "c3-cutsphere",

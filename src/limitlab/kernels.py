@@ -51,7 +51,7 @@ weights and some acceptance sweeps deliberately use boundary families
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -116,8 +116,10 @@ class PowerKernel(RhoKernel):
     """rho(i, j) = beta * j^(1-alpha) * (j^alpha - i^alpha); rho(0, j) = beta*j."""
 
     def __init__(self, alpha: float, beta: float):
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("power kernel requires alpha > 0 and beta > 0")
+        if not alpha > 0:  # NaN fails too
+            raise ValueError(f"power kernel requires alpha > 0, got {alpha}")
+        if not beta > 0:
+            raise ValueError(f"power kernel requires beta > 0, got {beta}")
         self.alpha = alpha
         self.beta = beta
         self.description = f"power(alpha={alpha}, beta={beta})"
@@ -134,26 +136,18 @@ class OffspringSchedule:
 
     ``p`` maps integer arrays of generations to parameters in (0, 1); the
     per-individual offspring law is P(k) = p_t (1 - p_t)^k with mean
-    m_t = (1 - p_t)/p_t.  Table-backed schedules carry their length in
-    ``limit``.
+    m_t = (1 - p_t)/p_t.
     """
 
     p: Callable[[np.ndarray], np.ndarray]
     label: str
-    limit: int | None = None
 
     def values(self, n: int) -> np.ndarray:
-        if self.limit is not None and n > self.limit:
-            raise ValueError(f"schedule {self.label} defined up to generation {self.limit}")
         t = np.arange(1, n + 1)
         p = np.asarray(self.p(t), dtype=float)
         if np.any((p <= 0.0) | (p >= 1.0)):
             raise ValueError(f"offspring parameters must lie in (0, 1) ({self.label})")
         return p
-
-    @staticmethod
-    def constant(p: float) -> "OffspringSchedule":
-        return OffspringSchedule(p=lambda t: np.full(t.shape, float(p)), label=f"p={p}")
 
     @staticmethod
     def from_decay(r: Callable[[np.ndarray], np.ndarray], label: str = "") -> "OffspringSchedule":
@@ -177,13 +171,6 @@ class OffspringSchedule:
         if not 0.0 <= B < 1.0:
             raise ValueError(f"drift strength B must lie in [0, 1), got {B}")
         return OffspringSchedule.from_decay(lambda t: B / t, label=f"p=1/2-{B}/(4t)")
-
-    @staticmethod
-    def from_table(p: Sequence[float]) -> "OffspringSchedule":
-        arr = np.asarray(p, dtype=float)
-        return OffspringSchedule(
-            p=lambda t: arr[np.asarray(t) - 1], label=f"table[{arr.size}]", limit=arr.size
-        )
 
 
 class BranchingKernel(RhoKernel):
@@ -219,7 +206,7 @@ class ScaleSpec:
     b: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:  # NaN fails too
             raise ValueError(f"scale exponent gamma must be positive, got {self.gamma}")
         if not self.b > self.a > 0:
             raise ValueError(f"need spacing b > offset a > 0, got a={self.a}, b={self.b}")
@@ -231,7 +218,7 @@ class ScaleSpec:
     @classmethod
     def from_dimension(cls, d: float, a: float, b: float) -> "ScaleSpec":
         """Brownian motion in dimension d (> 2): gamma = d - 2."""
-        if d <= 2:
+        if not d > 2:
             raise ValueError(f"transient level walk needs dimension d > 2, got {d}")
         return cls(gamma=d - 2.0, a=a, b=b)
 
@@ -242,9 +229,9 @@ class ScaleSpec:
         Requires 2*mu > sigma^2 (otherwise the process is recurrent or
         drifts to zero and no level is ever cut); gamma = 2*mu/sigma^2 - 1.
         """
-        if sigma <= 0:
-            raise ValueError("volatility sigma must be positive")
-        if 2.0 * mu <= sigma**2:
+        if not sigma > 0:
+            raise ValueError(f"volatility sigma must be positive, got {sigma}")
+        if not 2.0 * mu > sigma**2:
             raise ValueError(f"need 2*mu > sigma^2 for transience, got mu={mu}, sigma={sigma}")
         return cls(gamma=2.0 * mu / sigma**2 - 1.0, a=a, b=b)
 
@@ -277,11 +264,8 @@ def kernel_power(alpha: float, beta: float) -> PowerKernel:
     return PowerKernel(alpha, beta)
 
 
-def kernel_branching(p) -> BranchingKernel:
-    """Branching kernel from an OffspringSchedule or a bounded table of p_t."""
-    if isinstance(p, OffspringSchedule):
-        return BranchingKernel(p)
-    return BranchingKernel(OffspringSchedule.from_table(p))
+def kernel_branching(schedule: OffspringSchedule) -> BranchingKernel:
+    return BranchingKernel(schedule)
 
 
 def kernel_scale(spec: ScaleSpec) -> ScaleKernel:

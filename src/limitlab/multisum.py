@@ -1,4 +1,4 @@
-"""Exact evaluation of gap-constrained multiple sums and their limit predictors.
+"""Exact evaluation of gap-constrained multiple sums and pairwise Psi tables.
 
 The central object is the m-fold sum over increasing index tuples
 
@@ -64,29 +64,27 @@ T_q = (T_{q-1} pushed through the strictly lower-triangular matrix
 ``cauchy.lower_matvec``, O(n log n) per fold.  Its far-field terms carry
 a relative error of at most 2.3e-14 each, interpolated on both sides (see
 ``cauchy``); all terms are positive, so each step adds at most that
-relative error, plus round-off, to every T_q[j].  ``predict`` returns, for each
-supported regime, the limiting coefficient and the scale it multiplies.
+relative error, plus round-off, to every T_q[j].
+
+The module computes sums and states no limits: the limit each experiment
+claims for them is built beside it, in ``experiments``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .cauchy import LEAF, lower_matvec
-from .special import lambda_sigma, lambda_weight, script_O, zeta_tail
-from .stats import LimitLaw
+from .special import lambda_weight, script_O
 
 __all__ = [
-    "AsymptoticPrediction",
     "WeightSequence",
     "phi",
     "phi_curve",
     "phi_fold_curves",
-    "predict",
     "psi_curve",
     "u_sum",
     "u_sum_curve",
@@ -102,7 +100,7 @@ _DOTS_PER_CELL = 128
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """A positive distance weight D(n) with the metadata the predictors need.
+    """A positive distance weight D(n) with its gap and label.
 
     ``weight`` must accept numpy integer arrays (all the built-in families
     do); ``gap`` is the minimal allowed spacing n0 between consecutive indices.
@@ -320,99 +318,3 @@ def _psi_tables(kernel, n: int, m: int) -> np.ndarray:
     for q in range(1, m):
         tables[q, 1:] = lower_matvec(tables[q - 1, 1:], x[1:], y[1:]) / a[1:]
     return tables
-
-
-@dataclass(frozen=True)
-class AsymptoticPrediction:
-    """The limit of a multiple sum or moment: it tends to ``coefficient * scale(n)``.
-
-    ``scaling`` names the scale; ``scale`` maps horizons n >= 1 to its values
-    (a float array).
-    """
-
-    scaling: str
-    coefficient: float
-    scale: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
-
-
-def _log_power(depth: int, power: float) -> Callable[[np.ndarray], np.ndarray]:
-    """n -> (log applied ``depth`` times to n) ** power; power 0 gives the constant 1."""
-
-    def scale(horizons) -> np.ndarray:
-        n = np.asarray(horizons, dtype=float)
-        for _ in range(depth):
-            n = np.log(n)
-        return n**power
-
-    return scale
-
-
-def predict(regime: str, order: int, **params) -> AsymptoticPrediction:
-    """Scaling and coefficient of the limit for a multiple sum or moment.
-
-    Regimes (``order`` is the fold/moment count m or k):
-
-    - ``summable``: needs ``zeta_value`` = sum of reciprocal weights over
-      the gap tail; the sum converges to a constant, zeta_value**m.
-    - ``regularly_varying``: needs ``tau`` in [0, 1] and the ``weights``
-      (a WeightSequence) whose partial sums S(n) form the scale;
-      Phi(n, m) / S(n)^m tends to lambda_sigma(tau)**-(m-1).
-    - ``power``: needs ``alpha`` (> 0) and optional ``beta`` (default 1);
-      the k-fold pairwise power sum over (log n)^k tends to
-      prod_{j<k}(j+alpha) / (k! alpha^k beta^k).  With ``moment=True``
-      the coefficient is for the k-th count moment instead: the k-th moment
-      of Gamma(alpha, alpha beta), prod_{j<k}(j+alpha) / (alpha beta)^k.
-    - ``rzr``: needs ``m`` (log-iteration depth) and ``sigma``; dispatches
-      on (sigma, m) to the four limit cases of the iterated-log sums
-      (constant / iterated-log power / power-of-n scalings).  For sigma > 1
-      the constant is zeta_tail(m, sigma, n0)**k, with the optional gap ``n0``
-      (default script_O(m)); a caller that holds the tail passes it as
-      ``zeta_value`` instead.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if regime == "summable":
-        zeta_value = params["zeta_value"]
-        return AsymptoticPrediction("constant", float(zeta_value) ** order, _log_power(0, 0))
-    if regime == "regularly_varying":
-        tau = params["tau"]
-        partial_sums = params["weights"].partial_sums
-
-        def s_power(horizons) -> np.ndarray:
-            hs = np.asarray(horizons, dtype=int)
-            return partial_sums(int(hs.max()))[hs] ** order
-
-        return AsymptoticPrediction("S(n)^m", lambda_sigma(tau) ** (-(order - 1)), s_power)
-    if regime == "power":
-        alpha = params["alpha"]
-        beta = params.get("beta", 1.0)
-        if not (alpha > 0 and beta > 0):
-            raise ValueError("power regime requires alpha > 0 and beta > 0")
-        if params.get("moment", False):
-            coefficient = LimitLaw.gamma(alpha, alpha * beta).moment(order)
-        else:
-            coefficient = (LimitLaw.gamma(alpha, 1.0).moment(order)
-                           / (math.factorial(order) * alpha**order * beta**order))
-        return AsymptoticPrediction("(log n)^k", coefficient, _log_power(1, order))
-    if regime == "rzr":
-        m = params["m"]
-        sigma = params["sigma"]
-        if sigma > 1.0:
-            z = params.get("zeta_value")
-            z = zeta_tail(m, sigma, params.get("n0")).value if z is None else z
-            return AsymptoticPrediction("constant", z**order, _log_power(0, 0))
-        if sigma == 1.0:
-            return AsymptoticPrediction("(log_{m+1} n)^k", 1.0, _log_power(m + 1, order))
-        if 0.0 <= sigma < 1.0 and m >= 1:
-            # Partial sums grow like (log_m n)^(1-sigma)/(1-sigma), so the
-            # correct scale carries the 1-sigma exponent (it reduces to
-            # (log_m n)^k only at sigma = 0).
-            scaling = "(log_m n)^k" if sigma == 0.0 else "(log_m n)^{k(1-sigma)}"
-            return AsymptoticPrediction(scaling, (1.0 - sigma) ** (-order),
-                                        _log_power(m, order * (1.0 - sigma)))
-        if 0.0 <= sigma < 1.0 and m == 0:
-            c = math.gamma(2.0 - sigma) * math.gamma(1.0 - sigma) / math.gamma(3.0 - 2.0 * sigma)
-            return AsymptoticPrediction("n^{k(1-sigma)}", c ** (order - 1) / (1.0 - sigma),
-                                        _log_power(0, order * (1.0 - sigma)))
-        raise ValueError(f"no supported limit for sigma={sigma}, m={m}")
-    raise ValueError(f"unsupported regime {regime!r}")

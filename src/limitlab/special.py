@@ -24,6 +24,9 @@ __all__ = [
     "zeta_tail",
 ]
 
+# the most terms zeta_tail sums exactly before it gives up on its tolerance
+_MAX_TERMS = 50_000_000
+
 
 def lambda_sigma(sigma: float) -> float:
     """The rate constant Gamma(1+2s) / (s * Gamma(s) * Gamma(1+s)) on [0, 1].
@@ -100,8 +103,7 @@ class TailSum:
     truncation_bound: float
 
 
-def zeta_tail(m: int, s: float, n0: int | None = None, tol: float = 1e-10,
-              max_terms: int = 50_000_000) -> TailSum:
+def zeta_tail(m: int, s: float, n0: int | None = None, tol: float = 1e-10) -> TailSum:
     """Sum of f(i) = ``1 / lambda_weight(m, s, i)`` over i >= n0, certified to ``tol``.
 
     Converges for s > 1.  Terms n0 <= i < N are summed exactly (``math.fsum``)
@@ -142,8 +144,8 @@ def zeta_tail(m: int, s: float, n0: int | None = None, tol: float = 1e-10,
     est, bound = tail(cutoff)
     while bound > tol:
         cutoff *= 2
-        if cutoff - n0 > max_terms:
-            raise RuntimeError(f"tolerance {tol} not reachable within {max_terms} terms (m={m}, s={s})")
+        if cutoff - n0 > _MAX_TERMS:
+            raise RuntimeError(f"tolerance {tol} not reachable within {_MAX_TERMS} terms (m={m}, s={s})")
         est, bound = tail(cutoff)
     if n0 > cutoff:
         cutoff = n0

@@ -5,6 +5,8 @@ the implementations it checks.  The point queries ``rho``, ``success_prob``,
 ``marginals`` and ``column`` read a kernel's data only, in either form: a
 distance kernel is a ``WeightSequence`` (rho(i, j) = D(j - i), read from its
 reciprocals), any other kernel has Cauchy arrays (rho(i, j) = a_j (x_j - y_i)).
+The offspring schedules ``constant_schedule`` and ``table_schedule`` serve
+only tests, so they live here and not in ``kernels``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+from limitlab.kernels import OffspringSchedule
 from limitlab.multisum import WeightSequence
 
 
@@ -136,6 +139,23 @@ def cauchy_lower_dense(v, x, y) -> np.ndarray:
     """out[j] = sum_{i<j} v[i] / (x[j] - y[i]), row by row with an exact sum of the rounded terms."""
     v, x, y = (np.asarray(a, dtype=float) for a in (v, x, y))
     return np.array([math.fsum(v[:j] / (x[j] - y[:j])) for j in range(v.size)])
+
+
+def constant_schedule(p: float) -> OffspringSchedule:
+    """p_t = p at every generation."""
+    return OffspringSchedule(p=lambda t: np.full(t.shape, float(p)), label=f"p={p}")
+
+
+def table_schedule(p) -> OffspringSchedule:
+    """p_t = p[t - 1] from a finite table; a generation past its end raises ValueError."""
+    arr = np.asarray(p, dtype=float)
+
+    def pfun(t):
+        if t.size and t.max() > arr.size:
+            raise ValueError(f"schedule table[{arr.size}] defined up to generation {arr.size}")
+        return arr[t - 1]
+
+    return OffspringSchedule(p=pfun, label=f"table[{arr.size}]")
 
 
 def probability_range(kernel, n: int) -> tuple[float, float]:
@@ -501,7 +521,7 @@ def geometric_moment_bruteforce(p: float, k: int, tol: float = 1e-14) -> float:
 
 
 def power_coefficient(alpha: float, beta: float, k: int, moment: bool) -> float:
-    """``predict("power")``'s coefficient in its first form, order of operations kept:
+    """The power-kernel claims' coefficient in its first form, order of operations kept:
     prod_{j<k}(j + alpha) over (alpha beta)^k for the k-th count moment, and over
     k! alpha^k beta^k for the k-fold multiple sum."""
     num = 1

@@ -1,5 +1,5 @@
 """The public surface: what each submodule exports, what the package
-re-exports, and which way the kernel and limit-law layers' imports point."""
+re-exports, and which way the kernel, engine and limit-law layers' imports point."""
 
 import ast
 import importlib
@@ -45,14 +45,21 @@ def test_kernels_import_nothing_from_multisum():
 
 
 def test_stats_imports_nothing_from_limitlab():
-    # every layer reads its limit laws from stats (multisum's predict among them), so an import
-    # from stats into the package would close a cycle such as stats -> moments -> multisum -> stats
+    # the claims of experiments read their limit laws from stats, so an import from stats into
+    # the package would close a cycle such as stats -> experiments -> stats
     for module_name, names in _imports(PACKAGE / "stats.py"):
         root = module_name.split(".")[0]
         assert root and root != "limitlab" and root not in SUBMODULES, (module_name, names)
 
 
-def test_the_submodules_export_47_names():
+def test_the_engines_import_nothing_from_stats():
+    # the engines compute sums, moments and draws and state no limits: the claims of experiments do
+    for engine in ("multisum", "cauchy", "moments", "simulate"):
+        for module_name, names in _imports(PACKAGE / f"{engine}.py"):
+            assert "stats" not in module_name.split(".") and "stats" not in names, (engine, module_name, names)
+
+
+def test_the_submodules_export_45_names():
     # a change that adds or deletes a public name moves this number in its own diff
     counts = {name: len(getattr(importlib.import_module(f"limitlab.{name}"), "__all__", [])) for name in SUBMODULES}
-    assert sum(counts.values()) == 47, counts
+    assert sum(counts.values()) == 45, counts

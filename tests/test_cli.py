@@ -74,6 +74,9 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     # (log log 2)^(1/2) is NaN: the refusal is the only output, and the suite's
     # error::RuntimeWarning filter would turn a numpy warning into an exception
     ({}, "experiment = rzr-iii\nm = 2\nn0 = 16\nhorizons = 2, 20, 100\n", "is nan at n = 2"),
+    # an order below 1 is refused before any claim is built
+    ({}, "experiment = prpd-summable\nm = 0\n", "order must be >= 1, got 0"),
+    ({}, "experiment = thg\nk = -2\n", "order must be >= 1, got -2"),
 ])
 def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     for key, value in env.items():

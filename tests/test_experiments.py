@@ -1,6 +1,6 @@
 """Reports reload bit for bit from the files ``write_outputs`` and ``emit_plotdata`` write,
 the Monte Carlo experiments pass every check end to end, sweep points inside a theorem's
-range pass, and no experiment's claim moves with its model."""
+range pass, no experiment's claim moves with its model, and each claim states its limit."""
 
 import csv
 import json
@@ -12,6 +12,9 @@ import pytest
 
 from limitlab import RhoKernel, WeightSequence, experiments, multisum
 from limitlab.simulate import ReplicateBatch
+from limitlab.special import zeta_tail
+
+from oracles import power_coefficient
 
 EXACT = [exp for exp, d in experiments._REGISTRY.items() if isinstance(d.runner, experiments.ExactSpec)]
 # the branching runs shortened, as in the registry snapshot; every other experiment runs at its defaults
@@ -118,8 +121,7 @@ def test_runner_builds_one_table_at_its_top_order(monkeypatch, experiment, build
         monkeypatch.setattr(multisum, name, lambda *a, _real=real, _seen=orders[name]: _seen.append(a[2]) or _real(*a))
     zeta_calls = []
     real_zeta = experiments.zeta_tail
-    for module in (experiments, multisum):
-        monkeypatch.setattr(module, "zeta_tail", lambda *a, **kw: zeta_calls.append(a) or real_zeta(*a, **kw))
+    monkeypatch.setattr(experiments, "zeta_tail", lambda *a, **kw: zeta_calls.append(a) or real_zeta(*a, **kw))
     experiments.run(experiments.parse_config(f"experiment = {experiment}\nhorizons = 100, 500, 1000\n"))
     # a fold table stops one order below k_max: the top order comes from one dot per horizon
     built = k_max - 1 if builder == "_fold_tables" else k_max
@@ -194,3 +196,90 @@ def test_a_point_inside_the_theorem_passes_every_check(experiment, params):
     report = experiments.run(config(experiment, **params))
     assert report["checks"]
     assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+
+
+def claim(experiment, **params):
+    """The claim of an exact experiment at its default params updated by ``params``: order k -> prediction."""
+    d = experiments._REGISTRY[experiment]
+    return d.runner.claim({**d.params, **params})
+
+
+class TestClaims:
+    """Each claim read through its experiment's runner, as ``ExactSpec`` builds it."""
+
+    def test_summable_constant(self):
+        p = claim("prpd-summable")(3)
+        assert p.scaling == "constant"
+        assert p.coefficient == pytest.approx((math.pi**2 / 6 - 1) ** 3, rel=1e-14)
+
+    def test_regularly_varying(self):
+        p = claim("prpd-rv")(2)
+        assert p.scaling == "S(n)^m"
+        assert p.coefficient == pytest.approx(math.pi / 4, rel=1e-12)
+
+    def test_power(self):
+        p = claim("thg", alpha=1.0)(2)
+        assert p.scaling == "(log n)^k"
+        assert p.coefficient == pytest.approx(1.0, rel=1e-14)
+
+    def test_power_moment_variant(self):
+        p = claim("tha-gamma", alpha=2.0, beta=1.0)(2)
+        assert p.scaling == "(log n)^k"
+        assert p.coefficient == pytest.approx(6.0 / 4.0, rel=1e-14)
+
+    @pytest.mark.parametrize("moment", [False, True])
+    def test_power_coefficient_keeps_its_bits(self, moment):
+        # the Gamma law's moment must divide in the order the coefficient was first written in
+        rng = np.random.default_rng(20250423)
+        for alpha, beta in rng.uniform(0.05, 6.0, (400, 2)).tolist():
+            claims = claim("tha-gamma" if moment else "thg", alpha=alpha, beta=beta)
+            for k in range(1, 9):
+                assert claims(k).coefficient == power_coefficient(alpha, beta, k, moment), (alpha, beta, k)
+
+    def test_pi_consistency_of_the_two_routes(self):
+        # route 1: regularly varying with tau = 1/2 and S(n) ~ 2 sqrt(n),
+        # so the coefficient of Phi(n,2)/n is lambda^{-1} * 4
+        via_rv = claim("prpd-rv")(2).coefficient * 4.0
+        # route 2: depth-0 weights i^(1/2), scale n^{k(1-sigma)} = n
+        via_rzr = claim("rzr-iv", m=0, sigma=0.5)(2).coefficient
+        assert via_rv == pytest.approx(math.pi, rel=1e-10)
+        assert via_rzr == pytest.approx(math.pi, rel=1e-10)
+        assert via_rv == pytest.approx(via_rzr, rel=1e-10)
+
+    def test_rzr_cases(self):
+        const = claim("rzr-i", m=0, sigma=2.0, n0=1)(2)
+        assert const.scaling == "constant"
+        assert const.coefficient == pytest.approx((math.pi**2 / 6) ** 2, abs=1e-9)
+        assert const.coefficient == zeta_tail(0, 2.0, 1).value ** 2
+        crit = claim("rzr-ii", m=1, sigma=1.0)(3)
+        assert crit.scaling == "(log_{m+1} n)^k"
+        assert crit.coefficient == 1.0
+        deep = claim("rzr-iii", m=1, sigma=0.5)(2)
+        assert deep.scaling == "(log_m n)^{k(1-sigma)}"
+        assert deep.coefficient == pytest.approx(4.0, rel=1e-14)
+        zero = claim("rzr-iii", m=2, sigma=0.0)(2)
+        assert zero.scaling == "(log_m n)^k"
+
+    def test_scale(self):
+        hs = [10, 100, 1000]
+        n = np.asarray(hs, dtype=float)
+        assert np.array_equal(claim("prpd-summable")(2).scale(hs), np.ones(3))
+        assert np.array_equal(claim("thg", alpha=2.0)(3).scale(hs), np.log(n) ** 3)
+        s = np.cumsum(1.0 / np.sqrt(np.arange(1, 1001)))
+        assert claim("prpd-rv")(2).scale(hs) == pytest.approx(s[n.astype(int) - 1] ** 2, rel=1e-13)
+        rzr = {(0, 2.0): np.ones(3), (0, 1.0): np.log(n) ** 2, (1, 1.0): np.log(np.log(n)) ** 2,
+               (1, 0.5): np.log(n), (0, 0.5): n}
+        for (m, sigma), want in rzr.items():
+            assert claim("rzr-i", m=m, sigma=sigma, n0=3)(2).scale(hs) == pytest.approx(want, rel=1e-14)
+
+    def test_unsupported(self):
+        with pytest.raises(ValueError, match="no supported limit for sigma=-0.5, m=0"):
+            claim("rzr-i", m=0, sigma=-0.5)
+
+    @pytest.mark.parametrize("experiment, params", [("prpd-summable", {"m": 0}), ("thg", {"k": -2})])
+    def test_an_order_below_1_is_refused_before_any_claim(self, monkeypatch, experiment, params):
+        d = experiments._REGISTRY[experiment]
+        monkeypatch.setitem(experiments._REGISTRY, experiment, replace(d, runner=replace(
+            d.runner, claim=lambda p: pytest.fail("a claim was built"))))
+        with pytest.raises(experiments.ConfigError, match="order"):
+            experiments.run(config(experiment, **params))

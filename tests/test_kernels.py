@@ -16,7 +16,16 @@ from limitlab.moments import MomentTable
 from limitlab.multisum import WeightSequence
 from limitlab.simulate import _sim_chain
 
-from oracles import column, marginals, probability_range, rho, scale_success_prob, success_prob
+from oracles import (
+    column,
+    constant_schedule,
+    marginals,
+    probability_range,
+    rho,
+    scale_success_prob,
+    success_prob,
+    table_schedule,
+)
 
 
 class TestDistanceKernel:
@@ -112,7 +121,7 @@ class TestPowerKernel:
 
 class TestOffspringSchedule:
     def test_constant(self):
-        s = OffspringSchedule.constant(0.5)
+        s = constant_schedule(0.5)
         assert np.all(s.values(5) == 0.5)
 
     def test_decay_matches_drift_at_harmonic_rate(self):
@@ -132,10 +141,10 @@ class TestOffspringSchedule:
         with pytest.raises(ValueError):
             OffspringSchedule.from_decay(lambda t: np.full(t.shape, 1.5)).values(3)
         with pytest.raises(ValueError):
-            OffspringSchedule.constant(0.0).values(3)
+            constant_schedule(0.0).values(3)
 
     def test_table_bounds(self):
-        s = OffspringSchedule.from_table([0.4, 0.5, 0.6])
+        s = table_schedule([0.4, 0.5, 0.6])
         assert s.values(3) == pytest.approx([0.4, 0.5, 0.6])
         with pytest.raises(ValueError):
             s.values(4)
@@ -143,21 +152,21 @@ class TestOffspringSchedule:
 
 class TestBranchingKernel:
     def test_constant_half_closed_form(self):
-        k = kernel_branching(OffspringSchedule.constant(0.5))
+        k = kernel_branching(constant_schedule(0.5))
         assert success_prob(k, 2, 5) == pytest.approx(0.25, abs=1e-14)
         assert success_prob(k, 0, 3) == pytest.approx(0.25, abs=1e-14)
         for i, j in [(0, 1), (1, 2), (3, 9), (0, 50)]:
             assert success_prob(k, i, j) == pytest.approx(1.0 / (j - i + 1), rel=1e-13)
 
     def test_first_generation_is_p1(self):
-        k = kernel_branching([1 / 3, 0.5])
+        k = kernel_branching(table_schedule([1 / 3, 0.5]))
         assert success_prob(k, 0, 1) == pytest.approx(1 / 3, rel=1e-14)
 
     def test_direct_product_sum(self):
         # independent evaluation of 1 + sum of suffix products
         p = np.array([0.4, 0.55, 0.5, 0.45])
         m = (1 - p) / p
-        k = kernel_branching(OffspringSchedule.from_table(p))
+        k = kernel_branching(table_schedule(p))
         for i, j in [(0, 4), (1, 3), (2, 4)]:
             expect = 1.0 + sum(np.prod(m[t - 1 : j]) for t in range(i + 1, j + 1))
             assert rho(k, i, j) == pytest.approx(expect, rel=1e-13)
@@ -215,6 +224,21 @@ class TestScaleSpec:
         assert ScaleSpec.from_dimension(3, 1.0, 2.0).gamma == 1.0
         assert ScaleSpec.from_gbm(1.0, 1.0, 1.0, 2.0).gamma == pytest.approx(1.0)
         assert ScaleSpec.from_gbm(1.5, 1.0, 1.0, 2.0).gamma == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("build, needle", [
+    (lambda: kernel_power(math.nan, 1.0), "alpha > 0, got nan"),
+    (lambda: kernel_power(1.0, math.nan), "beta > 0, got nan"),
+    (lambda: ScaleSpec(math.nan, 1.0, 2.0), "gamma must be positive, got nan"),
+    (lambda: ScaleSpec(1.0, math.nan, 2.0), "a=nan"),
+    (lambda: ScaleSpec.from_dimension(math.nan, 1.0, 2.0), "dimension d > 2, got nan"),
+    (lambda: ScaleSpec.from_gbm(math.nan, 1.0, 1.0, 2.0), "mu=nan"),
+    (lambda: ScaleSpec.from_gbm(1.0, math.nan, 1.0, 2.0), "sigma must be positive, got nan"),
+], ids=["power-alpha", "power-beta", "scale-gamma", "scale-a", "dimension-d", "gbm-mu", "gbm-sigma"])
+def test_nan_is_refused_at_construction(build, needle):
+    # a NaN passes every "x <= 0" test; refused only later, it read "Cauchy data not finite ... generation 1"
+    with pytest.raises(ValueError, match=needle):
+        build()
 
 
 class TestScaleKernel:
@@ -277,11 +301,11 @@ class TestCauchyForm:
     @pytest.mark.parametrize("schedule", [
         OffspringSchedule.harmonic_drift(0.5),
         OffspringSchedule.from_decay(lambda t: t ** (-2.0)),
-        OffspringSchedule.from_table([0.4, 0.55, 0.5, 0.45, 0.6, 0.3, 0.5]),
+        table_schedule([0.4, 0.55, 0.5, 0.45, 0.6, 0.3, 0.5]),
     ])
     def test_branching(self, schedule):
         k = kernel_branching(schedule)
-        top = 7 if schedule.limit else 200
+        top = 7 if schedule.label == "table[7]" else 200
         p = schedule.values(top)
         for j in (1, 2, 7, 50, 200):
             if j > top:
@@ -315,17 +339,17 @@ class TestBranchingBreakdown:
     """Constant p != 1/2 overflows exp(L) or exp(-L) within a few thousand generations."""
 
     def test_subcritical_marginals_raise(self):
-        k = kernel_branching(OffspringSchedule.constant(0.6))
+        k = kernel_branching(constant_schedule(0.6))
         with pytest.raises(ValueError, match=r"p=0\.6.*generation \d+"):
             k.cauchy(3000)
 
     def test_supercritical_column_raises(self):
-        k = kernel_branching(OffspringSchedule.constant(0.4))
+        k = kernel_branching(constant_schedule(0.4))
         with pytest.raises(ValueError, match=r"p=0\.4.*generation \d+"):
             k.cond_column(3000)
 
     def test_below_the_breakdown_still_answers(self):
-        k = kernel_branching(OffspringSchedule.constant(0.6))
+        k = kernel_branching(constant_schedule(0.6))
         assert np.all(np.isfinite(marginals(k, 1000)))
         with pytest.raises(ValueError):
             k.cauchy(3000)
@@ -345,7 +369,7 @@ class TestChainSamplerPrecondition:
     KERNELS = {
         "drift-0.5": lambda: kernel_branching(OffspringSchedule.harmonic_drift(0.5)),
         "decay-t^-2": lambda: kernel_branching(OffspringSchedule.from_decay(lambda t: t ** (-2.0))),
-        "table": lambda: kernel_branching(0.5 + 0.1 * np.sin(np.arange(1, 10_001))),
+        "table": lambda: kernel_branching(table_schedule(0.5 + 0.1 * np.sin(np.arange(1, 10_001)))),
         **{f"scale-{g}": lambda g=g: kernel_scale(ScaleSpec(g, 1.0, 2.0)) for g in (0.05, 0.5, 1.0, 3.0)},
     }
 

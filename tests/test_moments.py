@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from limitlab.kernels import OffspringSchedule, ScaleSpec, kernel_branching, kernel_power, kernel_scale
+from limitlab.kernels import ScaleSpec, kernel_branching, kernel_power, kernel_scale
 from limitlab.moments import (
     MomentTable,
     composition_coefficient,
@@ -14,6 +14,7 @@ from limitlab.special import zeta_tail
 from limitlab.stats import LimitLaw
 
 from oracles import (
+    constant_schedule,
     count_moment_bruteforce,
     geometric_moment_bruteforce,
     psi_loop,
@@ -60,7 +61,7 @@ class TestCountMoment:
     def test_bruteforce_oracle(self):
         kernels = [
             gw_kernel(),
-            kernel_branching(OffspringSchedule.constant(0.5)),
+            kernel_branching(constant_schedule(0.5)),
             kernel_scale(ScaleSpec.from_dimension(3, 1.0, 2.0)),
         ]
         for kern in kernels:

@@ -22,7 +22,6 @@ from limitlab.multisum import (
     phi,
     phi_curve,
     phi_fold_curves,
-    predict,
     psi_curve,
     u_sum,
     u_sum_curve,
@@ -30,7 +29,7 @@ from limitlab.multisum import (
 from limitlab import cauchy, multisum
 from limitlab.multisum import _fold_tables, _psi_tables, _smooth_length
 
-from oracles import cauchy_lower_dense, phi_bruteforce, phi_recursion, power_coefficient, psi_bruteforce, psi_loop
+from oracles import cauchy_lower_dense, constant_schedule, phi_bruteforce, phi_recursion, psi_bruteforce, psi_loop
 from test_kernels import cauchy_kernels
 
 WEIGHT_FAMILIES = {
@@ -398,7 +397,6 @@ CAUCHY_KERNELS = {
     "branching-drift0.5": lambda: kernel_branching(OffspringSchedule.harmonic_drift(0.5)),
     "branching-t^-2": lambda: kernel_branching(OffspringSchedule.from_decay(lambda t: t ** (-2.0))),
 }
-SQRT_WEIGHTS = WeightSequence(weight=lambda i: np.sqrt(np.asarray(i, dtype=float)))
 # fixed before the fast path was written: relative, on every table entry
 FAST_RTOL = 1e-11
 # the interpolation budget in the cauchy docstring, 2.3e-14, plus as much
@@ -531,7 +529,7 @@ class TestPsiFastVsExact:
         assert peak <= 5.5 * 2**20
 
     def test_breakdown_reaches_psi_curve(self):
-        kernel = kernel_branching(OffspringSchedule.constant(0.6))
+        kernel = kernel_branching(constant_schedule(0.6))
         with pytest.raises(ValueError, match="generation"):
             psi_curve(kernel, [3000], 2)
 
@@ -597,86 +595,6 @@ class TestFoldVsCauchy:
         assert np.array_equal(fast != 0, fold != 0)
         nonzero = fold != 0
         assert np.all(np.abs(fast[nonzero] - fold[nonzero]) <= FAST_RTOL * fold[nonzero])
-
-
-class TestPredict:
-    def test_summable_constant(self):
-        zeta = math.pi**2 / 6 - 1
-        p = predict("summable", 3, zeta_value=zeta)
-        assert p.scaling == "constant"
-        assert p.coefficient == pytest.approx(zeta**3, rel=1e-14)
-
-    def test_regularly_varying(self):
-        p = predict("regularly_varying", 2, tau=0.5, weights=SQRT_WEIGHTS)
-        assert p.scaling == "S(n)^m"
-        assert p.coefficient == pytest.approx(math.pi / 4, rel=1e-12)
-
-    def test_power(self):
-        p = predict("power", 2, alpha=1.0)
-        assert p.scaling == "(log n)^k"
-        assert p.coefficient == pytest.approx(1.0, rel=1e-14)
-
-    def test_power_moment_variant(self):
-        p = predict("power", 2, alpha=2.0, beta=1.0, moment=True)
-        assert p.coefficient == pytest.approx(6.0 / 4.0, rel=1e-14)
-
-    @pytest.mark.parametrize("moment", [False, True])
-    def test_power_coefficient_keeps_its_bits(self, moment):
-        # the Gamma law's moment must divide in the order the coefficient was first written in
-        rng = np.random.default_rng(20250423)
-        for alpha, beta in rng.uniform(0.05, 6.0, (400, 2)).tolist():
-            for k in range(1, 9):
-                got = predict("power", k, alpha=alpha, beta=beta, moment=moment).coefficient
-                assert got == power_coefficient(alpha, beta, k, moment), (alpha, beta, k)
-
-    def test_pi_consistency_of_the_two_routes(self):
-        # route 1: regularly varying with tau = 1/2 and S(n) ~ 2 sqrt(n),
-        # so the coefficient of Phi(n,2)/n is lambda^{-1} * 4
-        via_rv = predict("regularly_varying", 2, tau=0.5, weights=SQRT_WEIGHTS).coefficient * 4.0
-        # route 2: depth-0 weights i^(1/2), scale n^{k(1-sigma)} = n
-        via_rzr = predict("rzr", 2, m=0, sigma=0.5).coefficient
-        assert via_rv == pytest.approx(math.pi, rel=1e-10)
-        assert via_rzr == pytest.approx(math.pi, rel=1e-10)
-        assert via_rv == pytest.approx(via_rzr, rel=1e-10)
-
-    def test_rzr_cases(self):
-        const = predict("rzr", 2, m=0, sigma=2.0)
-        assert const.scaling == "constant"
-        assert const.coefficient == pytest.approx((math.pi**2 / 6) ** 2, abs=1e-9)
-        crit = predict("rzr", 3, m=1, sigma=1.0)
-        assert crit.scaling == "(log_{m+1} n)^k"
-        assert crit.coefficient == 1.0
-        deep = predict("rzr", 2, m=1, sigma=0.5)
-        assert deep.scaling == "(log_m n)^{k(1-sigma)}"
-        assert deep.coefficient == pytest.approx(4.0, rel=1e-14)
-        zero = predict("rzr", 2, m=2, sigma=0.0)
-        assert zero.scaling == "(log_m n)^k"
-        given = predict("rzr", 2, m=0, sigma=2.0, zeta_value=math.pi**2 / 6)
-        assert given.coefficient == (math.pi**2 / 6) ** 2
-
-    def test_scale(self):
-        hs = [10, 100, 1000]
-        n = np.asarray(hs, dtype=float)
-        assert np.array_equal(predict("summable", 2, zeta_value=0.5).scale(hs), np.ones(3))
-        assert np.array_equal(predict("power", 3, alpha=2.0).scale(hs), np.log(n) ** 3)
-        s = np.cumsum(1.0 / np.sqrt(np.arange(1, 1001)))
-        rv = predict("regularly_varying", 2, tau=0.5, weights=SQRT_WEIGHTS)
-        assert rv.scale(hs) == pytest.approx(s[n.astype(int) - 1] ** 2, rel=1e-13)
-        rzr = {(0, 2.0): np.ones(3), (0, 1.0): np.log(n) ** 2, (1, 1.0): np.log(np.log(n)) ** 2,
-               (1, 0.5): np.log(n), (0, 0.5): n}
-        for (m, sigma), want in rzr.items():
-            assert predict("rzr", 2, m=m, sigma=sigma).scale(hs) == pytest.approx(want, rel=1e-14)
-
-    def test_unsupported(self):
-        with pytest.raises(ValueError):
-            predict("rzr", 2, m=0, sigma=-0.5)
-        with pytest.raises(ValueError):
-            predict("mystery", 2)
-        with pytest.raises(ValueError):
-            predict("power", 0, alpha=1.0)
-        for alpha, beta in ((math.nan, 1.0), (1.0, math.nan)):
-            with pytest.raises(ValueError, match="alpha > 0 and beta > 0"):
-                predict("power", 2, alpha=alpha, beta=beta)
 
 
 @settings(max_examples=40, deadline=None)

@@ -41,8 +41,9 @@ from limitlab.multisum import WeightSequence
 from limitlab.simulate import (_CHUNK, _SQUARES, _cauchy_chain_worker, _first_return_law, _renewal_worker,
                                _run_chunked, _sim_chain, resolve_threads, sim_bpve, sim_gw, sim_levelwalk)
 
-from oracles import (bpve_generations, cauchy_chain_scan, count_pmf, first_return_recursion, gw_generations,
-                     levelwalk_steps, marginals, masked_cauchy_chain_worker, masked_renewal_worker, tv_to_pmf)
+from oracles import (bpve_generations, cauchy_chain_scan, constant_schedule, count_pmf, first_return_recursion,
+                     gw_generations, levelwalk_steps, marginals, masked_cauchy_chain_worker, masked_renewal_worker,
+                     tv_to_pmf)
 
 SPEC = ScaleSpec.from_dimension(3.0, 1.0, 2.0)
 SCHEDULE = OffspringSchedule.harmonic_drift(0.5)
@@ -359,7 +360,7 @@ def test_moments_match_the_exact_table_where_most_rows_retire(case):
 
 
 def test_sim_bpve_refuses_a_schedule_past_its_breakdown():
-    schedule = OffspringSchedule.constant(0.4)
+    schedule = constant_schedule(0.4)
     with pytest.raises(ValueError, match="generation 90") as kernel_error:
         kernel_branching(schedule).cauchy(200)
     with pytest.raises(ValueError) as sim_error:

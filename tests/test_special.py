@@ -17,7 +17,7 @@ from limitlab.stats import LimitLaw
 
 
 class TestGammaFn:
-    """``math.gamma``, which ``lambda_sigma`` and ``predict`` call for their Gamma ratios,
+    """``math.gamma``, which ``lambda_sigma`` and ``experiments._rzr_claim`` call for their Gamma ratios,
     to the accuracy those constants need."""
 
     def test_integer_values(self):
