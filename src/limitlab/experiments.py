@@ -9,8 +9,8 @@ than tight limiting tolerances; every bound is declared in the registry.
 
 Every experiment is declared by one of two specs, and calling the spec with
 a config runs it.  An exact experiment is an ``ExactSpec``: a model (weights
-or a kernel), a quantity (multiple sums, Psi tables or count moments of
-orders 1..top at every horizon), a claim (order k ->
+or a kernel), a quantity (Psi tables, which for weights are their multiple
+sums, or count moments, of orders 1..top at every horizon), a claim (order k ->
 ``AsymptoticPrediction``) and a policy (the checks of one order).  A Monte
 Carlo experiment is a ``MonteCarloSpec``: a model (the kernel or weights
 whose exact count moments the counts must match), a sampler (a ``sim_*``
@@ -64,7 +64,7 @@ import numpy as np
 
 from .kernels import BranchingKernel, OffspringSchedule, PowerKernel, ScaleKernel, ScaleSpec
 from .moments import MomentTable
-from .multisum import WeightSequence, _u_weights, phi_fold_curves, psi_curve
+from .multisum import WeightSequence, _u_weights, psi_curve
 from .simulate import _SQUARES, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
 from .special import lambda_sigma, zeta_tail
 from .stats import LimitLaw, tv_distance_integer
@@ -211,11 +211,11 @@ def _constant(value):
 
 
 def _s_power(weights: WeightSequence, k: int) -> Callable[[np.ndarray], np.ndarray]:
-    """n -> S(n)^k, with S(n) = sum_{i<=n} 1/D(i) the partial sums of the weights."""
+    """n -> S(n)^k, with S(n) = sum_{i<=n} 1/D(i) the running sum of the weights' reciprocals."""
 
     def scale(horizons) -> np.ndarray:
         hs = np.asarray(horizons, dtype=int)
-        return weights.partial_sums(int(hs.max()))[hs] ** k
+        return np.cumsum(weights.reciprocals(int(hs.max())))[hs] ** k
 
     return scale
 
@@ -233,11 +233,11 @@ class ExactSpec:
     """An exact experiment, declared in four parts; calling it with a config runs it.
 
     - ``model(params)``: the weights or kernel;
-    - ``quantity``: the curves of orders 1..top, one row per order: "phi"
-      (``phi_fold_curves`` of weights), "psi" (``psi_curve``) or "moments"
-      (``MomentTable`` rows).  A name, not a function: the runner looks the
-      engine up at each call, so a wrapper bound to the module's name (a
-      profiler's, a test's) sees the call;
+    - ``quantity``: the curves of orders 1..top, one row per order: "psi"
+      (``psi_curve``, the multiple sums of weights or the Psi tables of a
+      kernel) or "moments" (``MomentTable`` rows).  A name, not a function:
+      the runner looks the engine up at each call, so a wrapper bound to the
+      module's name (a profiler's, a test's) sees the call;
     - ``claim(params)``: maps an order k to the ``AsymptoticPrediction`` of
       its curve.  It is built once per run and never from the model, so a
       perturbed model meets the same claim.  An order below 1 is refused
@@ -268,7 +268,7 @@ class ExactSpec:
         preds = [claim(k) for k in orders]
         with np.errstate(divide="ignore", invalid="ignore"):  # the refusal of a scale that is not finite speaks alone
             scales = [_positive_scale(f"{p.scaling} of order {k}", p.scale(hs), hs) for k, p in zip(orders, preds)]
-        engines = {"phi": phi_fold_curves, "psi": psi_curve, "moments": lambda *a: MomentTable.build(*a).values}
+        engines = {"psi": psi_curve, "moments": lambda *a: MomentTable.build(*a).values}
         curves = engines[self.quantity](model, hs, orders[-1])
         rows, checks = [], []
         for k, pred, scale in zip(orders, preds, scales):
@@ -405,7 +405,7 @@ def _gw_limit(p) -> LimitLaw:
 
 def _rzr(policy) -> ExactSpec:
     """The iterated-log sums: the four cases differ only in their policy."""
-    return ExactSpec(lambda p: _u_weights(p["m"], p["n0"], p["sigma"]), "phi", _rzr_claim, policy,
+    return ExactSpec(lambda p: _u_weights(p["m"], p["n0"], p["sigma"]), "psi", _rzr_claim, policy,
                      lambda p: (range(1, p["k_max"] + 1), p["k"]))
 
 
@@ -477,7 +477,7 @@ _register(ExperimentDef(
     "Weights (1+n)^2; the gap-constrained m-fold sum tends to (pi^2/6 - 1)^m. "
     "Checks a 1% final ratio and monotone growth.",
     seed=0, replicates=None, horizons=(100, 1000, 10000), params={"m": 3},
-    runner=ExactSpec(lambda p: _SQUARES, "phi", lambda p: _constant(zeta_tail(0, 2.0, 2).value),
+    runner=ExactSpec(lambda p: _SQUARES, "psi", lambda p: _constant(zeta_tail(0, 2.0, 2).value),
                      _ratio(0.01, "ratio", monotone=True), _single("m"))))
 _register(ExperimentDef(
     "prpd-rv",
@@ -485,7 +485,7 @@ _register(ExperimentDef(
     "Weights sqrt(n) (partial sums regularly varying, index 1/2); the m-fold sum "
     "over S(n)^m tends to (pi/4)^(m-1). Checks a 10% final band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000), params={"m": 2},
-    runner=ExactSpec(lambda p: _SQRT_WEIGHTS, "phi",
+    runner=ExactSpec(lambda p: _SQRT_WEIGHTS, "psi",
                      lambda p: lambda k: AsymptoticPrediction("S(n)^m", lambda_sigma(0.5) ** (-(k - 1)),
                                                               _s_power(_SQRT_WEIGHTS, k)),
                      _ratio(0.10, "ratio"), _single("m"), scaled=True)))

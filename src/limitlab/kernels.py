@@ -145,7 +145,7 @@ class OffspringSchedule:
     def values(self, n: int) -> np.ndarray:
         t = np.arange(1, n + 1)
         p = np.asarray(self.p(t), dtype=float)
-        if np.any((p <= 0.0) | (p >= 1.0)):
+        if np.any(~((p > 0.0) & (p < 1.0))):  # NaN fails too
             raise ValueError(f"offspring parameters must lie in (0, 1) ({self.label})")
         return p
 
@@ -155,7 +155,7 @@ class OffspringSchedule:
 
         def pfun(t):
             rt = np.asarray(r(t), dtype=float)
-            if np.any((rt < 0.0) | (rt > 1.0)):
+            if np.any(~((rt >= 0.0) & (rt <= 1.0))):
                 raise ValueError("decay sequence must lie in [0, 1]")
             return 0.5 - rt / 4.0
 

@@ -55,7 +55,8 @@ from the tables T_1[j] = 1/rho(0, j) and
 
     T_q[j] = sum_{i<j} T_{q-1}[i] / rho(i, j),    Psi_n(q) = sum_{j<=n} T_q[j].
 
-A kernel is its data.  A distance kernel rho(i, j) = D(j - i) is a
+``psi_curve`` is the one Psi entry point, for weights and kernels alike, and
+a kernel is its data.  A distance kernel rho(i, j) = D(j - i) is a
 ``WeightSequence``, whose Psi is its Phi, so it takes the convolution path.
 Every other kernel is in Cauchy form rho(i, j) = a_j (x_j - y_i) (see
 ``kernels``), and ``psi_curve`` reads only its arrays (a, x, y): each step is
@@ -104,6 +105,8 @@ class WeightSequence:
 
     ``weight`` must accept numpy integer arrays (all the built-in families
     do); ``gap`` is the minimal allowed spacing n0 between consecutive indices.
+    ``reciprocals`` is the one evaluation of the weight: the fold tables, the
+    samplers and the claims' scales S(n) all read it.
     """
 
     weight: Callable[[np.ndarray], np.ndarray]
@@ -125,14 +128,6 @@ class WeightSequence:
             r[self.gap:] = 1.0 / d
         return r
 
-    def partial_sums(self, n: int) -> np.ndarray:
-        """S with S[n'] = sum_{i=1}^{n'} 1/D(i); requires D defined from 1."""
-        idx = np.arange(1, n + 1)
-        d = np.asarray(self.weight(idx), dtype=float)
-        s = np.zeros(n + 1)
-        np.cumsum(1.0 / d, out=s[1:])
-        return s
-
 
 def _smooth_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n: a length the FFT handles at full speed."""
@@ -148,20 +143,17 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _fold_tables(weights: WeightSequence, n: int, m: int, method: str,
-                 r: np.ndarray | None = None) -> np.ndarray:
+def _fold_tables(weights: WeightSequence, n: int, m: int, method: str, r: np.ndarray) -> np.ndarray:
     """Tables T[q-1, x] = Phi(x, q) for 0 <= x <= n, 1 <= q <= m; method "direct" or "fft".
 
-    Each row is the running sum of the density d_q = r * d_{q-1}, d_1 = r.  A
-    caller that already holds ``weights.reciprocals(n)`` passes it as ``r``; a
-    shorter ``r`` is read as zero beyond its end.  Each fold convolves only the
-    supports: d_q is zero past s_q = min(n, s_r + s_{q-1}), and the FFT length
-    is the 5-smooth length >= max(n, s_r + s_{q-1}) + 1.  d_q is also zero below
-    q * gap; the FFT's round-off there is set to zero, else the dots of the top
-    order would pick it up where no tuple fits.
+    Each row is the running sum of the density d_q = r * d_{q-1}, d_1 = r, with
+    ``r`` = ``weights.reciprocals(n)`` or a head of it; a shorter ``r`` is read
+    as zero beyond its end.  Each fold convolves only the supports: d_q is zero
+    past s_q = min(n, s_r + s_{q-1}), and the FFT length is the 5-smooth length
+    >= max(n, s_r + s_{q-1}) + 1.  d_q is also zero below q * gap; the FFT's
+    round-off there is set to zero, else the dots of the top order would pick
+    it up where no tuple fits.
     """
-    if r is None:
-        r = weights.reciprocals(n)
     s_r = r.size - 1
     tables = np.empty((m, n + 1))
     np.cumsum(r, out=tables[0, : s_r + 1])

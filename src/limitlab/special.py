@@ -9,7 +9,6 @@ omitted tail.  The moments of the Gamma limit laws are ``stats.LimitLaw``'s.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -103,15 +102,17 @@ class TailSum:
     truncation_bound: float
 
 
-def zeta_tail(m: int, s: float, n0: int | None = None, tol: float = 1e-10) -> TailSum:
+def zeta_tail(m: int, s: float, n0: int, tol: float = 1e-10) -> TailSum:
     """Sum of f(i) = ``1 / lambda_weight(m, s, i)`` over i >= n0, certified to ``tol``.
 
-    Converges for s > 1.  Terms n0 <= i < N are summed exactly (``math.fsum``)
-    and the rest is enclosed.  Every factor log_j x of the weight is concave
-    and positive, so log f = -s log(log_m x) - sum_{j<m} log(log_j x) is convex:
-    f is log-convex, hence convex.  For a convex f each trapezoid lies above
-    its strip and each midpoint value below its strip's mean, so with the
-    closed-form antiderivative I(x) = (log_m x)^(1-s) / (s-1) of f,
+    Converges for s > 1; ``n0`` >= script_O(m) is required.  The terms
+    n0 <= i < N and the estimate of the tail i >= N form one exact sum
+    (``math.fsum``), and the tail is enclosed.  Every factor log_j x of the
+    weight is concave and positive, so log f = -s log(log_m x) -
+    sum_{j<m} log(log_j x) is convex: f is log-convex, hence convex.  For a
+    convex f each trapezoid lies above its strip and each midpoint value below
+    its strip's mean, so with the closed-form antiderivative
+    I(x) = (log_m x)^(1-s) / (s-1) of f,
 
         I(N) + f(N)/2 <= sum_{i >= N} f(i) <= I(N - 1/2).
 
@@ -127,8 +128,6 @@ def zeta_tail(m: int, s: float, n0: int | None = None, tol: float = 1e-10) -> Ta
     if s <= 1.0:
         raise ValueError(f"series of reciprocal weights diverges for s <= 1 (got s={s})")
     threshold = script_O(m)
-    if n0 is None:
-        n0 = threshold
     if n0 < threshold:
         raise ValueError(f"n0 must be >= script_O({m}) = {threshold}, got {n0}")
 
@@ -150,9 +149,7 @@ def zeta_tail(m: int, s: float, n0: int | None = None, tol: float = 1e-10) -> Ta
     if n0 > cutoff:
         cutoff = n0
         est, bound = tail(cutoff)
-    block = 1 << 22
-    terms = (1.0 / lambda_weight(m, s, np.arange(lo, min(lo + block, cutoff)))
-             for lo in range(n0, cutoff, block))
-    value = math.fsum(itertools.chain(*(t.tolist() for t in terms), [est]))
+    terms = 1.0 / lambda_weight(m, s, np.arange(n0, cutoff))
+    value = math.fsum(np.append(terms, est).tolist())
     return TailSum(value=value, truncation_bound=bound)
 

@@ -234,7 +234,10 @@ class TestScaleSpec:
     (lambda: ScaleSpec.from_dimension(math.nan, 1.0, 2.0), "dimension d > 2, got nan"),
     (lambda: ScaleSpec.from_gbm(math.nan, 1.0, 1.0, 2.0), "mu=nan"),
     (lambda: ScaleSpec.from_gbm(1.0, math.nan, 1.0, 2.0), "sigma must be positive, got nan"),
-], ids=["power-alpha", "power-beta", "scale-gamma", "scale-a", "dimension-d", "gbm-mu", "gbm-sigma"])
+    (lambda: OffspringSchedule.from_decay(lambda t: np.full(t.shape, np.nan)).values(3), "decay sequence"),
+    (lambda: OffspringSchedule(p=lambda t: np.full(t.shape, np.nan), label="nan").values(3), r"\(0, 1\) \(nan\)"),
+], ids=["power-alpha", "power-beta", "scale-gamma", "scale-a", "dimension-d", "gbm-mu", "gbm-sigma",
+        "decay-r", "offspring-p"])
 def test_nan_is_refused_at_construction(build, needle):
     # a NaN passes every "x <= 0" test; refused only later, it read "Cauchy data not finite ... generation 1"
     with pytest.raises(ValueError, match=needle):

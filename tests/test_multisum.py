@@ -203,7 +203,8 @@ class TestFoldEngine:
         top = phi_fold_curves(w, hs, 4, method=method)
         for k in (1, 2, 3):
             assert np.array_equal(top[k - 1], phi_curve(w, hs, k, method=method))
-        assert np.array_equal(_fold_tables(w, 3000, 4, method)[0], np.cumsum(w.reciprocals(3000)))
+        r = w.reciprocals(3000)
+        assert np.array_equal(_fold_tables(w, 3000, 4, method, r)[0], np.cumsum(r))
 
     @pytest.mark.parametrize("n", [2000, 2001, 3000, 3001])
     @pytest.mark.parametrize("m", [3, 4, 5])
@@ -217,7 +218,7 @@ class TestFoldEngine:
         hs = [1, 2, tau - 1, tau, tau + 1, n - 1, n]
         for gap in (1, 3, tau, tau + 1):
             w = WeightSequence(weight=lambda j: u[j] * (1.0 + j) ** 1.5, gap=gap)
-            want = _fold_tables(w, n, m, "direct")[:, hs]
+            want = _fold_tables(w, n, m, "direct", w.reciprocals(n))[:, hs]
             direct = phi_fold_curves(w, hs, m, method="direct")
             assert np.all(np.abs(direct - want) <= 1e-12 * want)
             # FFT round-off is relative to each order's largest entry
@@ -231,7 +232,7 @@ class TestFoldEngine:
         # no q-tuple of gaps fits below q * gap; the FFT's round-off there would
         # enter the top order's dots where its true value is tiny or zero
         w = WeightSequence(weight=lambda j: 3.0 + np.asarray(j, dtype=float), gap=gap)
-        tables = _fold_tables(w, 40, 5, "fft")
+        tables = _fold_tables(w, 40, 5, "fft", w.reciprocals(40))
         for q in range(1, 6):
             assert not tables[q - 1, : q * gap].any() and tables[q - 1, q * gap] > 0
 
@@ -244,7 +245,7 @@ class TestFoldEngine:
         w = WeightSequence(weight=WEIGHT_FAMILIES["n"])
         cut = _fold_tables(w, n, 4, method, w.reciprocals(n)[: tau + 1])
         padded = WeightSequence(weight=lambda j: np.where(j <= tau, j, np.inf))
-        want = _fold_tables(padded, n, 4, "direct")
+        want = _fold_tables(padded, n, 4, "direct", padded.reciprocals(n))
         assert np.all(cut[0] == want[0])
         assert np.all(np.abs(cut - want) <= 1e-12 * want[:, -1:])
 
@@ -277,7 +278,8 @@ class TestFoldEngine:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_fft_table_of_order_m_makes_2m_minus_2_transforms(self, transforms, m):
         # a full r keeps every order at the length of the whole product, 2n + 1
-        _fold_tables(WeightSequence(weight=WEIGHT_FAMILIES["n"]), 3000, m, "fft")
+        w = WeightSequence(weight=WEIGHT_FAMILIES["n"])
+        _fold_tables(w, 3000, m, "fft", w.reciprocals(3000))
         assert len(transforms) == 2 * m - 2
         assert {size for _, size in transforms} <= {_smooth_length(6001)}
 
@@ -608,8 +610,8 @@ def test_fft_fold_equals_direct(n, m, gap, s, seed):
     # A table with no feasible tuple (n < q gap) has no support to compare on.
     u = np.random.default_rng(seed).uniform(1.0, 10.0, n + 1)
     weights = WeightSequence(weight=lambda j: u[j] * (1.0 + j) ** s, gap=gap)
-    direct = _fold_tables(weights, n, m, "direct")
-    fft = _fold_tables(weights, n, m, "fft")
+    direct = _fold_tables(weights, n, m, "direct", weights.reciprocals(n))
+    fft = _fold_tables(weights, n, m, "fft", weights.reciprocals(n))
     for d, f in zip(direct, fft):
         if d.max() == 0.0:
             continue
@@ -633,7 +635,7 @@ def test_fold_curves_equal_the_running_sums_of_direct_tables(n, m, gap, s, seed,
     weights = WeightSequence(weight=lambda j: u[j] * (1.0 + j) ** s, gap=gap)
     edges = [0, gap - 1, gap, m * gap - 1, m * gap, n // 2 - 1, n // 2, n // 2 + 1, n] + extra
     hs = sorted({min(max(h, 0), n) for h in edges})
-    want = _fold_tables(weights, n, m, "direct")[:, hs]
+    want = _fold_tables(weights, n, m, "direct", weights.reciprocals(n))[:, hs]
     got = phi_fold_curves(weights, hs, m, method="direct")
     assert np.all(np.abs(got - want) <= 1e-12 * want)
     # FFT round-off is relative to each table's largest entry (the horizon n);
