@@ -12,9 +12,9 @@ positive.  It is a one-dimensional fast multipole scheme (Greengard & Rokhlin
   into a dyadic tree of index blocks.
 - Near field: each leaf is one dense LEAF x 2 LEAF block, its left
   neighbour followed by its own leaf, applied by one batched ``matmul``.  A
-  ghost leaf (y = -inf, v = 0) stands before leaf 0, and a constant mask adds
-  +inf on and above the diagonal of the own leaf, so those entries divide
-  to 0.
+  ghost leaf (v = 0) stands before leaf 0 and padding (v = 0) fills the last
+  leaf; +inf is added on and above the diagonal of the own leaf, over the
+  ghost and over the padding rows, so those entries divide to 0.
 - Far field: every block carries charges, the sum of its v[i] times the
   Lagrange basis at y[i] on ``ORDER`` Chebyshev points spanning its
   y-range.  Charges are formed at the leaves and passed up the tree; the
@@ -58,6 +58,21 @@ at n = 2e4, with v uniform on [0, 1): at most 7.3e-16 relative over the
 power, scale and branching kernels of the tests and y = i^gamma down to
 gamma = 0.02.
 
+Kernel blocks.  Every outer difference a - b that forms a block
+(near-field windows and pushed pairs, the bases' u - t_k, multipole-to-local
+and per-target blocks) is one rank-2 product [a, 1] @ [1; -b]
+(``_difference``).  Each entry
+a * 1 + 1 * (-b) is two exact products and one rounded sum, so it has the
+bits of the subtraction, also at zero differences (u on a node) and at any
+BLAS thread count.  A broadcast subtraction pays numpy's fixed cost on every
+short inner loop (20 nodes, a 128-wide window); the product forms a whole
+leaf's or pair's block in one call.  Its operands are kept finite, since a
+BLAS flag from inf would reach numpy: the ghost and the padding hold finite
+values, masked after the product, and a partial last leaf takes no local
+values.  At n = 1e4 (1e5), power alpha = 2, forming the blocks takes 4.3
+(34) ms of one matvec as products against 7.1 (54) ms as broadcasts; all the
+reciprocals take 2.2 (23) ms.
+
 Every temporary is cut into tiles of at most ``_SLICE`` float64 values
 (512 KiB), so memory stays flat in n and the two or three arrays a step holds
 at once stay in a 2 MiB L2 cache.  A tile groups whole leaves or whole
@@ -66,9 +81,9 @@ Cost: O(n LEAF) near field and O(n ORDER log(n / LEAF)) far field.  For the
 power kernel alpha = 2 at n = 1e4 (1e5), each out[j] takes 2 LEAF = 128
 near-field entries and 72 (101) far-field entries, the multipole-to-local
 and local evaluation shares included (160 (260) without local values), at
-about 0.82 (0.79) us per row in all on a 2-core x86-64 host with 2 MiB of L2
-per core; branching with B = 0.5 takes 126 (152) far-field entries and 1.07
-(0.93) us per row.
+about 0.78 (0.67) us per row in all on a 2-core x86-64 host with 2 MiB of L2
+per core; branching with B = 0.5 takes 126 (152) far-field entries and 0.99
+(0.81) us per row.
 """
 
 from __future__ import annotations
@@ -88,9 +103,9 @@ SEPARATION = 3.0
 # tile sizes interleaved in one process, the range over two sweeps, on a
 # 2-core x86-64 host with 2 MiB of L2 per core:
 #   tile      2^14       2^15       2^16       2^17       2^18
-#   n = 2e3   3.3-4.2    3.4-4.0    3.8-3.9    3.8-4.0    3.9-4.2
-#   n = 1e4   19.3-20.2  17.6-18.6  16.8-18.3  18.6-19.9  21.6-22.5
-#   n = 1e5   242-252    212-213    194-206    211-229    240-251
+#   n = 2e3   2.16-2.24  2.03-2.12  1.92-2.00  2.09-2.18  2.16-2.26
+#   n = 1e4   8.72-9.69  7.77-7.94  7.39-7.59  8.72-9.08  9.75-10.19
+#   n = 1e5   89.0-91.8  75.2-76.0  69.5-74.3  72.7-76.0  102-108
 # At 2^16 a near-field tile is 8 leaves, so n <= 512 still runs as one tile.
 _SLICE = 1 << 16
 # Leaves from which far pairs may go through local values.  Median ms of one
@@ -106,13 +121,26 @@ _BARY = (-1.0) ** np.arange(ORDER) * np.sin(_THETA)  # their barycentric weights
 _MASK = np.where(np.arange(2 * LEAF) >= np.arange(LEAF, 2 * LEAF)[:, None], np.inf, 0.0)
 
 
+def _difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., :, None] - b[..., None, :] for finite a and b, as the product [a, 1] @ [1; -b].
+
+    Each entry a * 1 + 1 * (-b) has two exact products and one rounding, so it
+    has the subtraction's bits.
+    """
+    p = np.ones(a.shape + (2,))
+    p[..., 0] = a
+    q = np.ones(b.shape[:-1] + (2, b.shape[-1]))
+    np.negative(b, out=q[..., 1, :])
+    return np.matmul(p, q)
+
+
 def _basis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(r, s): r[..., k] = 1 / (u - _NODES[k]) and s = r @ _BARY.
 
     The k-th Lagrange basis polynomial at u is _BARY[k] r[..., k] / s, so a sum
     against the basis takes one more product.
     """
-    d = u[..., None] - _NODES
+    d = _difference(u.ravel(), _NODES).reshape(u.shape + (ORDER,))
     if not d.all():
         d[d == 0.0] = 1e-30  # u on a node: its term outweighs the others by 1e27
     np.reciprocal(d, out=d)
@@ -148,19 +176,24 @@ def lower_matvec(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     n = v.size
     nl = -(-n // LEAF)
     pad = nl * LEAF - n
-    # flat copies led by a ghost leaf (y = -inf, v = 0); the padding (x = inf, v = 0) adds no term
+    # flat copies led by a ghost leaf (v = 0) and padded to whole leaves (v = 0);
+    # every value is finite, so it can be a product's operand
     vg = np.concatenate([np.zeros(LEAF), v, np.zeros(pad)])
-    yg = np.concatenate([np.full(LEAF, -np.inf), y, np.repeat(y[-1:], pad)])
-    X = np.concatenate([x, np.full(pad, np.inf)]).reshape(nl, LEAF)
+    yg = np.concatenate([np.repeat(y[:1], LEAF), y, np.repeat(y[-1:], pad)])
+    X = np.concatenate([x, np.repeat(x[-1:], pad)]).reshape(nl, LEAF)
     Y, V = yg[LEAF:].reshape(nl, LEAF), vg[LEAF:].reshape(nl, LEAF)
     out = np.empty((nl, LEAF))
 
-    # near field: leaf b against the window [leaf b - 1, leaf b]; the ghost and
-    # the +inf mask on and above the diagonal divide to 0
+    # near field: leaf b against the window [leaf b - 1, leaf b]; +inf on and
+    # above the diagonal, over the ghost and over the padding rows divides to 0
     Yw, Vw = _windows(yg), _windows(vg)
     for s in _slices(nl, 2 * LEAF * LEAF):
-        d = X[s, :, None] - Yw[s, None, :]
+        d = _difference(X[s], Yw[s])
         d += _MASK
+        if s.start == 0:
+            d[0, :, :LEAF] = np.inf
+        if s.stop == nl:
+            d[-1, LEAF - pad :] = np.inf
         np.reciprocal(d, out=d)
         out[s] = np.matmul(d, Vw[s, :, None])[..., 0]
     if nl < 3:
@@ -190,7 +223,9 @@ def lower_matvec(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     xmin = X.min(axis=1)
     local = nl >= _LOCAL_LEAVES
     if local:
-        hx = np.maximum((X.max(axis=1) - xmin) / 2, 1e-12 * np.abs(xmin) + 1e-300)  # inf on a partial leaf
+        hx = np.maximum((X.max(axis=1) - xmin) / 2, 1e-12 * np.abs(xmin) + 1e-300)
+        if pad:
+            hx[-1] = np.inf  # a partial leaf fails the local test: its far field is summed per target
         cx, L = xmin + hx, np.zeros((nl, ORDER))
     near_b = near_a = np.empty(0, dtype=int)
     for level in range(len(tree) - 1, -1, -1):
@@ -209,14 +244,14 @@ def lower_matvec(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                 m2l = far & (xmin[b] - (c[a] + h[a]) >= (SEPARATION - 1) * hx[b])
                 lb, la = b[m2l], a[m2l]
                 for s in _slices(lb.size, ORDER * ORDER):
-                    k = (hx[lb[s], None] * _NODES)[..., None] - (h[la[s], None] * _NODES)[:, None, :]
+                    k = _difference(hx[lb[s], None] * _NODES, h[la[s], None] * _NODES)
                     k += (cx[lb[s]] - c[la[s]])[:, None, None]
                     np.reciprocal(k, out=k)
                     L[lb[s]] += np.matmul(k, W[la[s], :, None])[..., 0]
                 far &= ~m2l
             fb, fa = b[far], a[far]
             for s in _slices(fb.size, LEAF * ORDER):
-                k = (X[fb[s]] - c[fa[s], None])[..., None] - (h[fa[s], None] * _NODES)[:, None, :]
+                k = _difference(X[fb[s]] - c[fa[s], None], h[fa[s], None] * _NODES)
                 np.reciprocal(k, out=k)
                 f = np.matmul(k, W[fa[s], :, None])[..., 0]
                 if unique:
@@ -228,7 +263,8 @@ def lower_matvec(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     # pairs pushed down to the leaves are summed densely
     for s in _slices(near_b.size, LEAF * LEAF):
-        k = 1.0 / (X[near_b[s], :, None] - Y[near_a[s], None, :])
+        k = _difference(X[near_b[s]], Y[near_a[s]])
+        np.reciprocal(k, out=k)
         np.add.at(out, near_b[s], np.matmul(k, V[near_a[s], :, None])[..., 0])
 
     # each leaf evaluates its local values once, at its own targets

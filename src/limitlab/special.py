@@ -9,6 +9,7 @@ omitted tail.  The moments of the Gamma limit laws are ``stats.LimitLaw``'s.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ __all__ = [
 
 # the most terms zeta_tail sums exactly before it gives up on its tolerance
 _MAX_TERMS = 50_000_000
+# terms zeta_tail hands to fsum at a time, as Python floats (about 0.5 MiB)
+_BLOCK = 1 << 14
 
 
 def lambda_sigma(sigma: float) -> float:
@@ -107,7 +110,8 @@ def zeta_tail(m: int, s: float, n0: int, tol: float = 1e-10) -> TailSum:
 
     Converges for s > 1; ``n0`` >= script_O(m) is required.  The terms
     n0 <= i < N and the estimate of the tail i >= N form one exact sum
-    (``math.fsum``), and the tail is enclosed.  Every factor log_j x of the
+    (``math.fsum``, fed ``_BLOCK`` terms at a time, so memory stays flat in
+    N), and the tail is enclosed.  Every factor log_j x of the
     weight is concave and positive, so log f = -s log(log_m x) -
     sum_{j<m} log(log_j x) is convex: f is log-convex, hence convex.  For a
     convex f each trapezoid lies above its strip and each midpoint value below
@@ -149,7 +153,8 @@ def zeta_tail(m: int, s: float, n0: int, tol: float = 1e-10) -> TailSum:
     if n0 > cutoff:
         cutoff = n0
         est, bound = tail(cutoff)
-    terms = 1.0 / lambda_weight(m, s, np.arange(n0, cutoff))
-    value = math.fsum(np.append(terms, est).tolist())
+    blocks = ((1.0 / lambda_weight(m, s, np.arange(i, min(i + _BLOCK, cutoff)))).tolist()
+              for i in range(n0, cutoff, _BLOCK))
+    value = math.fsum(itertools.chain.from_iterable(itertools.chain(blocks, [[est]])))
     return TailSum(value=value, truncation_bound=bound)
 

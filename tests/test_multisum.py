@@ -311,10 +311,12 @@ class TestFoldEngine:
         code = ("from limitlab.multisum import WeightSequence, phi_fold_curves; "
                 "w = WeightSequence(weight=lambda j: (1.0 + j) ** 2); "
                 "print([v.hex() for v in phi_fold_curves(w, [30_000, 70_000, 100_000], 4).ravel()])")
-        outputs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                                  env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t}).stdout
-                   for t in ("1", "2")}
-        assert len(outputs) == 1
+        # a floating-point warning raised at one thread count only fails the run
+        runs = [subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True,
+                               text=True, check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t})
+                for t in ("1", "2")]
+        assert [r.stderr for r in runs] == ["", ""]
+        assert runs[0].stdout == runs[1].stdout
 
     @pytest.mark.parametrize("weight", [
         WEIGHT_FAMILIES["(1+n)^2"],
@@ -489,16 +491,49 @@ class TestPsiFastVsExact:
         monkeypatch.setattr(cauchy, "_LOCAL_LEAVES", n)
         assert not np.array_equal(lower_matvec(v, x, y), fast)  # the local path ran
 
+    @pytest.mark.parametrize("name", list(CAUCHY_KERNELS))
+    def test_matvec_sets_no_floating_point_flag(self, name):
+        # above the local gate, with a partial last leaf: the padding, the ghost
+        # leaf and the power kernels' x = y must keep inf, nan and 1/0 out of
+        # every product and reciprocal, where numpy reports BLAS's flags too
+        n = LEAF * 40 + 17
+        assert n // LEAF >= cauchy._LOCAL_LEAVES and n % LEAF
+        _, x, y = (a[1:] for a in CAUCHY_KERNELS[name]().cauchy(n))
+        v = np.random.default_rng(n).random(n)
+        with np.errstate(all="raise"):
+            lower_matvec(v, x, y)
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((3000,), (cauchy.ORDER,)), ((7, 64), (7, 20)), ((5, 64), (5, 128))])
+    def test_rank2_difference_has_the_bits_of_the_subtraction(self, shape_a, shape_b):
+        # [a, 1] @ [1; -b] has two exact products and one rounding, as a - b:
+        # mixed signs, magnitudes from 1e-300 to 1e300, equal entries (u on a
+        # node) and differences that cancel to subnormals
+        rng = np.random.default_rng(27)
+        a = rng.choice([-1.0, 1.0], shape_a) * 10.0 ** rng.uniform(-300, 300, shape_a)
+        b = rng.choice([-1.0, 1.0], shape_b) * 10.0 ** rng.uniform(-300, 300, shape_b)
+        a[..., :40] = rng.uniform(-1, 1, a[..., :40].shape)
+        b[..., :8] = cauchy._NODES[:8] if b.ndim == 1 else a[..., 3:11]
+        a[..., 0] = cauchy._NODES[0] if b.ndim == 1 else b[..., 0]
+        a[..., 1] = 3e-300
+        b[..., 9] = 3e-300 * (1 + 2.0**-52)
+        want = a[..., :, None] - b[..., None, :]
+        assert np.any(want == 0.0) and np.any((want != 0.0) & (np.abs(want) < 2.3e-308))
+        got = cauchy._difference(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_matvec_does_not_depend_on_the_blas_thread_count(self):
         code = ("import hashlib, numpy as np; from limitlab.cauchy import lower_matvec; "
                 "from limitlab.kernels import PowerKernel; "
                 "_, x, y = (a[1:] for a in PowerKernel(2.0, 1.0).cauchy(100_000)); "
                 "v = np.random.default_rng(2).random(100_000); "
                 "print(hashlib.sha256(lower_matvec(v, x, y).tobytes()).hexdigest())")
-        outputs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                                  env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t}).stdout
-                   for t in ("1", "2")}
-        assert len(outputs) == 1
+        # a floating-point warning raised at one thread count only fails the run
+        runs = [subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True,
+                               text=True, check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t})
+                for t in ("1", "2")]
+        assert [r.stderr for r in runs] == ["", ""]
+        assert runs[0].stdout == runs[1].stdout
 
     def test_matvec_bytes_do_not_depend_on_the_slice(self, monkeypatch):
         # a tile groups whole leaves or whole pairs, so each entry sums the same

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -139,6 +140,18 @@ class TestZetaTail:
     ])
     def test_pinned_values(self, m, s, n0, tol, value):
         assert zeta_tail(m, s, n0, tol=tol).value == float.fromhex(value)
+
+    def test_memory_stays_one_block(self):
+        # 1/i^1.2 to 1e-12 sums 196,607 exact terms: held at once as Python floats
+        # they peak at 9.0 MiB; fed to fsum 2^14 terms at a time, one block and
+        # its arrays take about 1.1 MiB, so 2 MiB is about twice that
+        tracemalloc.start()
+        try:
+            zeta_tail(0, 1.2, 1, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     @pytest.mark.parametrize("s, n0, exact", [
         (2.0, 1, math.pi**2 / 6.0),
