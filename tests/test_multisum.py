@@ -311,9 +311,10 @@ class TestFoldEngine:
         code = ("from limitlab.multisum import WeightSequence, phi_fold_curves; "
                 "w = WeightSequence(weight=lambda j: (1.0 + j) ** 2); "
                 "print([v.hex() for v in phi_fold_curves(w, [30_000, 70_000, 100_000], 4).ravel()])")
-        # a floating-point warning raised at one thread count only fails the run
-        runs = [subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True,
-                               text=True, check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t})
+        # a floating-point warning at either thread count fails the run, and any other warning shows in stderr
+        runs = [subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                               capture_output=True, text=True, check=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t})
                 for t in ("1", "2")]
         assert [r.stderr for r in runs] == ["", ""]
         assert runs[0].stdout == runs[1].stdout
@@ -528,9 +529,10 @@ class TestPsiFastVsExact:
                 "_, x, y = (a[1:] for a in PowerKernel(2.0, 1.0).cauchy(100_000)); "
                 "v = np.random.default_rng(2).random(100_000); "
                 "print(hashlib.sha256(lower_matvec(v, x, y).tobytes()).hexdigest())")
-        # a floating-point warning raised at one thread count only fails the run
-        runs = [subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True,
-                               text=True, check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t})
+        # a floating-point warning at either thread count fails the run, and any other warning shows in stderr
+        runs = [subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                               capture_output=True, text=True, check=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t})
                 for t in ("1", "2")]
         assert [r.stderr for r in runs] == ["", ""]
         assert runs[0].stdout == runs[1].stdout

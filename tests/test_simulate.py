@@ -510,7 +510,7 @@ def test_first_return_law_does_not_depend_on_the_blas_thread_count():
     # so a longer dot would round f differently per thread count
     code = ("import hashlib; from limitlab.simulate import _SQUARES, _first_return_law; "
             "print(hashlib.sha256(_first_return_law(_SQUARES, 30_000).tobytes()).hexdigest())")
-    # a floating-point warning raised at one thread count only fails the run
+    # a floating-point warning at either thread count fails the run, and any other warning shows in stderr
     runs = [subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True,
                            text=True, check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t})
             for t in ("1", "2")]
