@@ -64,7 +64,7 @@ import numpy as np
 
 from .kernels import BranchingKernel, OffspringSchedule, PowerKernel, ScaleKernel, ScaleSpec
 from .moments import MomentTable
-from .multisum import WeightSequence, _u_weights, psi_curve
+from .multisum import WeightSequence, _running_sum, _shared_weights, _u_weights, psi_curve
 from .simulate import _SQUARES, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
 from .special import lambda_sigma, zeta_tail
 from .stats import LimitLaw, tv_distance_integer
@@ -215,7 +215,7 @@ def _s_power(weights: WeightSequence, k: int) -> Callable[[np.ndarray], np.ndarr
 
     def scale(horizons) -> np.ndarray:
         hs = np.asarray(horizons, dtype=int)
-        return np.cumsum(weights.reciprocals(int(hs.max())))[hs] ** k
+        return _running_sum(weights, int(hs.max()))[hs] ** k
 
     return scale
 
@@ -704,7 +704,8 @@ def run(config: ExperimentConfig) -> dict:
     d = _REGISTRY[config.experiment]
     t0 = time.perf_counter()
     try:
-        rows, checks = d.runner(config)
+        with _shared_weights():  # each weight sequence is evaluated once per run
+            rows, checks = d.runner(config)
     except (ValueError, OverflowError) as e:
         # parameters outside a model's domain, e.g. alpha <= 0 or a horizon past a kernel's range,
         # or sizes past a closed form's floating-point range

@@ -67,12 +67,26 @@ a relative error of at most 2.3e-14 each, interpolated on both sides (see
 ``cauchy``); all terms are positive, so each step adds at most that
 relative error, plus round-off, to every T_q[j].
 
+A run evaluates each weight sequence once.  ``experiments.run`` enters
+``_shared_weights`` around its runner, and each fold call enters it too,
+joining the run's block if one is open.  Inside the block
+``WeightSequence.reciprocals`` evaluates an object once, at the largest n
+asked, and ``_running_sum`` takes its running sum S once; both hand out
+read-only prefixes.  So the fold paths, the claims' S(n) and the first-return
+law of one run read the same two arrays, and a prefix has the bits of its own
+evaluation, since a weight acts entry by entry and a running sum is
+sequential.  The arrays are keyed by object identity and hold their object
+while the block lasts: a perturbed model is another object and never reads
+its claim's arrays.  Nothing is kept once the outermost block ends.
+
 The module computes sums and states no limits: the limit each experiment
 claims for them is built beside it, in ``experiments``.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -99,14 +113,48 @@ _FFT_THRESHOLD = 2048
 _DOTS_PER_CELL = 128
 
 
+class _Shared(threading.local):
+    """Per thread, the arrays of each weight sequence shared in a ``_shared_weights`` block, by id.
+
+    Not a ContextVar: one set in the context makes numpy's error-state lookup
+    walk the context on every ufunc call, 4% of a 20-entry add.
+    """
+
+    arrays: dict | None = None
+
+
+_SHARED = _Shared()
+
+
+@contextmanager
+def _shared_weights():
+    """Within the block, each weight sequence is evaluated once (see ``WeightSequence``).
+
+    A nested block joins the outer one; the arrays die when the outermost ends.
+    """
+    outermost = _SHARED.arrays is None
+    if outermost:
+        _SHARED.arrays = {}
+    try:
+        yield
+    finally:
+        if outermost:
+            _SHARED.arrays = None
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     """A positive distance weight D(n) with its gap and label.
 
-    ``weight`` must accept numpy integer arrays (all the built-in families
-    do); ``gap`` is the minimal allowed spacing n0 between consecutive indices.
-    ``reciprocals`` is the one evaluation of the weight: the fold tables, the
-    samplers and the claims' scales S(n) all read it.
+    ``weight`` must accept numpy integer arrays and act entry by entry (all
+    the built-in families do); ``gap`` is the minimal allowed spacing n0
+    between consecutive indices.  ``reciprocals`` is the one evaluation of the
+    weight: the fold tables, the samplers and the claims' scales S(n) all read
+    it.  Within a ``_shared_weights`` block (one ``experiments.run``, or one
+    fold call) it evaluates each object once, at the largest n asked so far,
+    and hands out read-only prefixes; ``_running_sum`` shares S the same way.
+    The arrays are keyed by object identity, so a perturbed model never reads
+    its claim's arrays; outside a block nothing is kept.
     """
 
     weight: Callable[[np.ndarray], np.ndarray]
@@ -119,14 +167,31 @@ class WeightSequence:
 
     def reciprocals(self, n: int) -> np.ndarray:
         """Array r with r[j] = 1/D(j) for gap <= j <= n, zero below the gap."""
+        shared = _SHARED.arrays
+        held = None if shared is None else shared.get(id(self))
+        if held is not None and held[1].size > n:
+            return held[1][: n + 1]
         r = np.zeros(n + 1)
         if n >= self.gap:
-            idx = np.arange(self.gap, n + 1)
-            d = np.asarray(self.weight(idx), dtype=float)
-            if np.any(~(d > 0)):  # NaN fails too; +inf is a zero probability
+            d = np.asarray(self.weight(np.arange(self.gap, n + 1)), dtype=float)
+            if not (d > 0).all():  # NaN fails too; +inf is a zero probability
                 raise ValueError(f"weights must be positive ({self.label or 'weight'})")
-            r[self.gap:] = 1.0 / d
+            np.divide(1.0, d, out=r[self.gap:])
+        if shared is not None:
+            r.flags.writeable = False
+            shared[id(self)] = [self, r, None]  # holding self keeps its id from being reused
         return r
+
+
+@_shared_weights()
+def _running_sum(weights: WeightSequence, n: int) -> np.ndarray:
+    """Read-only S[x] = sum_{j <= x} 1/D(j) for 0 <= x <= n, shared as ``reciprocals`` is."""
+    weights.reciprocals(n)
+    held = _SHARED.arrays[id(weights)]
+    if held[2] is None:
+        held[2] = np.cumsum(held[1])
+        held[2].flags.writeable = False
+    return held[2][: n + 1]
 
 
 def _smooth_length(n: int) -> int:
@@ -144,20 +209,19 @@ def _smooth_length(n: int) -> int:
 
 
 def _fold_tables(weights: WeightSequence, n: int, m: int, method: str, r: np.ndarray) -> np.ndarray:
-    """Tables T[q-1, x] = Phi(x, q) for 0 <= x <= n, 1 <= q <= m; method "direct" or "fft".
+    """Tables T[q-2, x] = Phi(x, q) for 0 <= x <= n, 2 <= q <= m; method "direct" or "fft".
 
     Each row is the running sum of the density d_q = r * d_{q-1}, d_1 = r, with
     ``r`` = ``weights.reciprocals(n)`` or a head of it; a shorter ``r`` is read
-    as zero beyond its end.  Each fold convolves only the supports: d_q is zero
-    past s_q = min(n, s_r + s_{q-1}), and the FFT length is the 5-smooth length
-    >= max(n, s_r + s_{q-1}) + 1.  d_q is also zero below q * gap; the FFT's
-    round-off there is set to zero, else the dots of the top order would pick
-    it up where no tuple fits.
+    as zero beyond its end.  Order 1, the running sum of r itself, is not a
+    fold and is not built here.  Each fold convolves only the supports: d_q is
+    zero past s_q = min(n, s_r + s_{q-1}), and the FFT length is the 5-smooth
+    length >= max(n, s_r + s_{q-1}) + 1.  d_q is also zero below q * gap; the
+    FFT's round-off there is set to zero, else the dots of the top order would
+    pick it up where no tuple fits.
     """
     s_r = r.size - 1
-    tables = np.empty((m, n + 1))
-    np.cumsum(r, out=tables[0, : s_r + 1])
-    tables[0, s_r + 1:] = tables[0, s_r]
+    tables = np.empty((m - 1, n + 1))
     r_hats = {}  # spectra of r by FFT length
     dens, s = r, s_r  # d_{q-1} and the last index where it may be nonzero
     for q in range(2, m + 1):
@@ -177,27 +241,32 @@ def _fold_tables(weights: WeightSequence, n: int, m: int, method: str, r: np.nda
             dens = np.zeros(n + 1)
             dens[: head.size] = head
         s = min(n, end)
-        np.cumsum(dens, out=tables[q - 1])
+        np.cumsum(dens, out=tables[q - 2])
     return tables
 
 
+@_shared_weights()
 def _fold_curves(weights: WeightSequence, horizons, m: int, method: str) -> np.ndarray:
     """F[q-1, i] = Phi(horizons[i], q) for q = 1..m, from one table per path.
 
     With method "auto" the horizons <= ``_FFT_THRESHOLD`` take the direct path
     and the others the FFT path; "direct" or "fft" forces one path for all.
-    Each path builds its table only to order m - 1 (order 1 when m = 1), from
-    r[0..n // 2] when m >= 3, and reads order 1 from the running sum of r.
-    Every order q >= 2 comes from the first-index identity
-    Phi(h, q) = sum_{i <= h} Phi(i, q - 1) r(h - i), one contiguous dot product
-    per horizon against a reversed copy of r; for q >= 3 the table is the cut
-    one and the entries of r above n // 2 count q times (see the module
-    docstring).  The same formula serves every order whatever m is, and the
-    cut depends on n only, so a lower order is bit-identical to its own run.
-    The dots cost sum_h (h + 1) multiply-adds per order.  When that exceeds
-    ``_DOTS_PER_CELL`` (n + 1), the path instead folds its table to
-    order m and reads every order from its rows; the choice depends on the
-    horizons only, never on m, so lower orders still match their own runs.
+    Both paths read prefixes of one evaluation of r and of its running sum S,
+    shared for the call or the run (``_shared_weights``), and order 1 is S.
+    The FFT path runs first and S is taken after its folds, so S does not
+    sit in memory under their long temporaries.
+    Each path builds a table only when m >= 3: orders 2..m - 1, from
+    r[0..n // 2], with no row for order 1.  Every order q >= 2 comes from the
+    first-index identity Phi(h, q) = sum_{i <= h} Phi(i, q - 1) r(h - i), one
+    contiguous dot product per horizon against a reversed copy of r, read from
+    S for q = 2; for q >= 3 the table is the cut one and the entries of r
+    above n // 2 count q times (see the module docstring).  The same formula
+    serves every order whatever m is, and the cut depends on n only, so a
+    lower order is bit-identical to its own run.  The dots cost
+    sum_h (h + 1) multiply-adds per order.  When that exceeds
+    ``_DOTS_PER_CELL`` (n + 1), the path instead folds the full r to order m
+    and reads orders 2..m from its rows; the choice depends on the horizons
+    only, never on m, so lower orders still match their own runs.
     """
     if method not in ("auto", "direct", "fft"):
         raise ValueError(f"unknown method {method!r}")
@@ -205,26 +274,28 @@ def _fold_curves(weights: WeightSequence, horizons, m: int, method: str) -> np.n
         raise ValueError("fold count m must be >= 1")
     hs = _horizons(horizons)
     direct = hs <= _FFT_THRESHOLD if method == "auto" else np.full(hs.shape, method == "direct")
+    r_top = weights.reciprocals(int(hs.max()))  # one evaluation for both paths
     curves = np.empty((m, hs.size))
-    for sel, path in ((direct, "direct"), (~direct, "fft")):
+    for sel, path in ((~direct, "fft"), (direct, "direct")):  # the long folds end before S is taken
         if not sel.any():
             continue
         h_sel = hs[sel]
         n = int(h_sel.max())
-        r = weights.reciprocals(n)
+        r = r_top[: n + 1]
         if (h_sel + 1).sum() > _DOTS_PER_CELL * (n + 1):  # many horizons: one more fold is cheaper
-            curves[:, sel] = _fold_tables(weights, n, m, path, r)[:, h_sel]
+            curves[1:, sel] = _fold_tables(weights, n, m, path, r)[:, h_sel]
+            curves[0, sel] = _running_sum(weights, n)[h_sel]
             continue
         tau = n // 2  # two gaps above tau sum past n, so a tuple has at most one
-        cut = m > 2  # orders >= 3 need only the tables of r cut to r[0..tau]
-        tables = _fold_tables(weights, n, max(m - 1, 1), path, r[: tau + 1] if cut else r)
-        run = np.cumsum(r) if cut else tables[0]
+        if m > 2:  # orders >= 3 need only the tables of r cut to r[0..tau]
+            tables = _fold_tables(weights, n, m - 1, path, r[: tau + 1])
+        run = _running_sum(weights, n)
         curves[0, sel] = run[h_sel]
         r_rev = r[::-1].copy()  # r_rev[n - h + i] = r[h - i]: both operands contiguous
         for q in range(2, m + 1):
             row, w = run, r_rev
             if q > 2:  # the one gap above tau may sit in any of the q places
-                row, w = tables[q - 2], r_rev.copy()
+                row, w = tables[q - 3], r_rev.copy()
                 w[: n - tau] *= q
             # einsum, not np.dot: a threaded BLAS dot rounds differently per thread count
             curves[q - 1, sel] = [np.einsum("i,i->", row[: h + 1], w[n - h:]) for h in h_sel]

@@ -86,11 +86,11 @@ def lambda_weight(m: int, s: float, i):
     v = np.asarray(i, dtype=float)
     if np.any(v < script_O(m)):
         raise ValueError(f"lambda_weight needs i >= {script_O(m)} at depth m={m}, got i={v.min():g}")
-    prod = np.ones_like(v)
+    prod = None
     for _ in range(m):
-        prod = prod * v
+        prod = v if prod is None else prod * v
         v = np.log(v)
-    return v**s * prod
+    return v**s if prod is None else v**s * prod
 
 
 @dataclass(frozen=True)

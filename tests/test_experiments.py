@@ -123,10 +123,41 @@ def test_runner_builds_one_table_at_its_top_order(monkeypatch, experiment, build
     real_zeta = experiments.zeta_tail
     monkeypatch.setattr(experiments, "zeta_tail", lambda *a, **kw: zeta_calls.append(a) or real_zeta(*a, **kw))
     experiments.run(experiments.parse_config(f"experiment = {experiment}\nhorizons = 100, 500, 1000\n"))
-    # a fold table stops one order below k_max: the top order comes from one dot per horizon
-    built = k_max - 1 if builder == "_fold_tables" else k_max
-    assert orders == {"_fold_tables": [], "_psi_tables": [], builder: [built]}
+    # a fold table stops one order below k_max, since the top order comes from one dot per
+    # horizon, and order 1 is the running sum of r: at k_max = 2 no fold table is built
+    built = ([k_max - 1] if k_max > 2 else []) if builder == "_fold_tables" else [k_max]
+    assert orders == {"_fold_tables": [], "_psi_tables": [], builder: built}
     assert len(zeta_calls) == (1 if experiment == "rzr-i" else 0)
+
+
+# every registry model that is a distance weight, by the experiment that declares it
+REGISTRY_WEIGHTS = {name: d.runner.model(d.params) for name, d in experiments._REGISTRY.items()
+                    if isinstance(d.runner.model(d.params), WeightSequence)}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_WEIGHTS))
+def test_registry_weights_are_prefixes_of_their_longest_evaluation(name):
+    # a run evaluates each weight once, at its largest horizon, and reads every
+    # smaller one as a prefix of that array and of its running sum
+    w = REGISTRY_WEIGHTS[name]
+    r = w.reciprocals(100_000)
+    s = np.cumsum(r)
+    for k in (1, 100, 2048, 10_000):
+        head = w.reciprocals(k)
+        assert head.tobytes() == r[: k + 1].tobytes()
+        assert np.cumsum(head).tobytes() == s[: k + 1].tobytes()
+
+
+def test_a_run_evaluates_its_weights_once(monkeypatch):
+    # the claims of orders 1 and 2 and both fold paths share one evaluation,
+    # and the next run evaluates afresh
+    calls = []
+    real = experiments._LINEAR_WEIGHTS.weight
+    monkeypatch.setitem(vars(experiments._LINEAR_WEIGHTS), "weight", lambda i: calls.append(i.size) or real(i))
+    cfg = experiments.parse_config("experiment = thbb-exp\n")
+    reports = [experiments.run(cfg) for _ in range(2)]
+    assert calls == [100_000, 100_000]
+    assert reports[0]["rows"] == reports[1]["rows"] and multisum._SHARED.arrays is None
 
 
 class Scaled(RhoKernel):
