@@ -2,11 +2,8 @@
 cross-checks for sums of Markov-dependent Bernoulli indicators."""
 
 from .kernels import (
-    BranchingKernel,
     OffspringSchedule,
-    PowerKernel,
     RhoKernel,
-    ScaleKernel,
     ScaleSpec,
     kernel_branching,
     kernel_power,

@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import BranchingKernel, OffspringSchedule, PowerKernel, ScaleKernel, ScaleSpec
+from .kernels import OffspringSchedule, RhoKernel, ScaleSpec, kernel_branching, kernel_power, kernel_scale
 from .moments import MomentTable
 from .multisum import WeightSequence, _running_sum, _shared_weights, _u_weights, psi_curve
 from .simulate import _SQUARES, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
@@ -409,8 +409,8 @@ def _rzr(policy) -> ExactSpec:
                      lambda p: (range(1, p["k_max"] + 1), p["k"]))
 
 
-def _power(p) -> PowerKernel:
-    return PowerKernel(p["alpha"], p["beta"])
+def _power(p) -> RhoKernel:
+    return kernel_power(p["alpha"], p["beta"])
 
 
 def _power_claim(p):
@@ -422,7 +422,7 @@ def _power_claim(p):
 
 
 def _levelwalk(scale_spec) -> MonteCarloSpec:
-    """The level walk of ``scale_spec(params)`` against its ``ScaleKernel``.
+    """The level walk of ``scale_spec(params)`` against its ``kernel_scale``.
 
     The claim: g_j ~ gamma c / j, so the mean grows like gamma (a/b) log n.
     """
@@ -430,7 +430,7 @@ def _levelwalk(scale_spec) -> MonteCarloSpec:
         spec = scale_spec(p)
         gamma = "" if spec.gamma == 1.0 else np.format_float_positional(spec.gamma, trim="-") + " "
         return AsymptoticPrediction(f"{gamma}(a/b) log n", spec.gamma * spec.offset_ratio, _log_power(1, 1))
-    return MonteCarloSpec(lambda p: ScaleKernel(scale_spec(p)), lambda p: partial(sim_levelwalk, scale_spec(p)),
+    return MonteCarloSpec(lambda p: kernel_scale(scale_spec(p)), lambda p: partial(sim_levelwalk, scale_spec(p)),
                           claim, _levelwalk_policy)
 
 
@@ -461,7 +461,7 @@ def _gw_policy(hs, moments, counts, law):
 
 def _bpve(schedule) -> MonteCarloSpec:
     """The zero generations of the immigration model with offspring ``schedule(params)``; no claim yet."""
-    return MonteCarloSpec(lambda p: BranchingKernel(schedule(p)), lambda p: partial(sim_bpve, schedule(p)))
+    return MonteCarloSpec(lambda p: kernel_branching(schedule(p)), lambda p: partial(sim_bpve, schedule(p)))
 
 
 _REGISTRY: dict[str, ExperimentDef] = {}
@@ -655,12 +655,16 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"key {key!r} must be an integer, got {raw!r}") from e
 
     seed = _int("seed", d.seed)
+    if seed < 0:  # numpy's SeedSequence would refuse it only once a Monte Carlo run starts
+        raise ConfigError(f"key 'seed' must be >= 0, got {seed}")
     env_seed = os.environ.get("LIMITLAB_SEED", "").strip()
     if env_seed:
         try:
             seed = int(env_seed)
         except ValueError as e:
             raise ConfigError(f"LIMITLAB_SEED must be an integer, got {env_seed!r}") from e
+        if seed < 0:
+            raise ConfigError(f"LIMITLAB_SEED must be >= 0, got {env_seed!r}")
     try:
         resolve_threads()
     except ValueError as e:
@@ -783,7 +787,7 @@ def emit_plotdata(report_path, out_csv=None) -> Path:
     """Regenerate the flat CSV table from a JSON report.
 
     Raises ConfigError unless ``columns`` is a list of names and ``rows`` a
-    list of rows of that length, each entry a number or null.
+    list of rows of that length, each entry a number (not a boolean) or null.
     """
     path = Path(report_path)
     report = json.loads(path.read_text())
@@ -792,9 +796,9 @@ def emit_plotdata(report_path, out_csv=None) -> Path:
     columns, rows = report["columns"], report["rows"]
     if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
         raise ConfigError(f"{path} is not a limitlab report: 'columns' is not a list of names")
-    if not (isinstance(rows, list) and all(
+    if not (isinstance(rows, list) and all(  # type(), not isinstance(): a JSON true is an int too
             isinstance(r, list) and len(r) == len(columns)
-            and all(v is None or isinstance(v, (int, float)) for v in r) for r in rows)):
+            and all(v is None or type(v) in (int, float) for v in r) for r in rows)):
         raise ConfigError(f"{path} is not a limitlab report: 'rows' is not a list of "
                           f"{len(columns)}-entry lists of numbers")
     target = Path(out_csv) if out_csv else path.with_name("plotdata.csv")

@@ -9,7 +9,10 @@ Cauchy form
 
     rho(i, j) = a_j * (x_j - y_i),    0 <= i < j,    y_0 = 0,
 
-held as three arrays built once per horizon:
+held as three arrays built once per horizon.  ``RhoKernel`` holds a
+kernel's description and the function that builds its arrays; the factories
+``kernel_power``, ``kernel_branching`` and ``kernel_scale`` are the families'
+constructors, each checking its parameters and closing over them:
 
 - power      rho(i, j) = beta j^(1-alpha) (j^alpha - i^alpha):
              a_j = beta j^(1-alpha),  x_j = j^alpha,  y_i = i^alpha.
@@ -24,11 +27,13 @@ held as three arrays built once per horizon:
 
 The engines read these arrays and nothing else: ``multisum.psi_curve``
 pushes whole tables through the matrix 1/(x_j - y_i), and ``cond_column``
-gives one column of 1/rho.  The arrays must be finite, with a > 0, y strictly
-increasing and x_j > y_{j-1}; where a family's data break down (a branching
-schedule with constant p != 1/2 overflows exp(L) or exp(-L) within a few
-thousand generations, and its H stops growing in floating point well before
-that), ``cauchy`` at that generation or beyond raises ValueError naming it.
+gives one column of 1/rho.  ``cauchy`` refuses, naming the kernel, arrays
+that are not three of length n.  The arrays must be finite, with a > 0, y
+strictly increasing and x_j > y_{j-1}; where a family's data break down (a
+branching schedule with constant p != 1/2 overflows exp(L) or exp(-L) within
+a few thousand generations, and its H stops growing in floating point well
+before that), ``cauchy`` at that generation or beyond raises ValueError
+naming it.
 
 The branching and scale families also satisfy rho(j, j) = a_j (x_j - y_j) = 1
 (e^(L_j) (H_j - H_{j-1}) = 1, and (1 - (j/(j+c))^gamma) / g_j = 1), with x
@@ -56,11 +61,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "BranchingKernel",
     "OffspringSchedule",
-    "PowerKernel",
     "RhoKernel",
-    "ScaleKernel",
     "ScaleSpec",
     "kernel_branching",
     "kernel_power",
@@ -69,15 +71,13 @@ __all__ = [
 
 
 class RhoKernel:
-    """A kernel in Cauchy form; subclasses supply ``_cauchy_arrays``."""
+    """A kernel in Cauchy form; ``arrays(n)`` gives (a, x, y) at indices 1..n."""
 
-    description = "generic"
-    _data: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    _first_bad: int | None = None
-
-    def _cauchy_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, x, y) at indices 1..n."""
-        raise NotImplementedError
+    def __init__(self, description: str, arrays: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]):
+        self.description = description
+        self.arrays = arrays
+        self._data: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._first_bad: int | None = None
 
     def cauchy(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays (a, x, y) of length n + 1 with rho(i, j) = a[j] (x[j] - y[i]), 0 <= i < j <= n.
@@ -87,7 +87,11 @@ class RhoKernel:
         """
         if self._data is None or self._data[0].size <= n:
             with np.errstate(over="ignore", invalid="ignore"):
-                a, x, y = self._cauchy_arrays(n)
+                data = self.arrays(n)
+                shapes = [np.shape(v) for v in data]
+                if shapes != [(n,)] * 3:
+                    raise ValueError(f"{self.description}: arrays({n}) gave shapes {shapes}, not three of ({n},)")
+                a, x, y = data
                 y_prev = np.concatenate([[0.0], y[:-1]])
                 ok = (np.isfinite(a) & np.isfinite(x) & np.isfinite(y) & (a > 0)
                       & (y > y_prev) & (x > y_prev))
@@ -110,24 +114,6 @@ class RhoKernel:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.description}>"
-
-
-class PowerKernel(RhoKernel):
-    """rho(i, j) = beta * j^(1-alpha) * (j^alpha - i^alpha); rho(0, j) = beta*j."""
-
-    def __init__(self, alpha: float, beta: float):
-        if not alpha > 0:  # NaN fails too
-            raise ValueError(f"power kernel requires alpha > 0, got {alpha}")
-        if not beta > 0:
-            raise ValueError(f"power kernel requires beta > 0, got {beta}")
-        self.alpha = alpha
-        self.beta = beta
-        self.description = f"power(alpha={alpha}, beta={beta})"
-
-    def _cauchy_arrays(self, n: int):
-        j = np.arange(1, n + 1, dtype=float)
-        x = j**self.alpha
-        return self.beta * j ** (1.0 - self.alpha), x, x
 
 
 @dataclass(frozen=True)
@@ -171,25 +157,6 @@ class OffspringSchedule:
         if not 0.0 <= B < 1.0:
             raise ValueError(f"drift strength B must lie in [0, 1), got {B}")
         return OffspringSchedule.from_decay(lambda t: B / t, label=f"p=1/2-{B}/(4t)")
-
-
-class BranchingKernel(RhoKernel):
-    """rho(i, j) = 1 + sum_{t=i+1}^{j} m_t m_{t+1} ... m_j with m_t = (1-p_t)/p_t.
-
-    Cauchy form from log-space prefixes: a_j = exp(L_j), x_j = H_j and
-    y_i = H_{i-1}, where L_t = sum_{u<=t} log m_u and H_t = sum_{u<=t} exp(-L_u).
-    """
-
-    def __init__(self, schedule: OffspringSchedule):
-        self.schedule = schedule
-        self.description = f"branching({schedule.label})"
-
-    def _cauchy_arrays(self, n: int):
-        p = self.schedule.values(n)
-        L = np.zeros(n + 1)
-        np.cumsum(np.log1p(-p) - np.log(p), out=L[1:])
-        H = np.cumsum(np.exp(-L))
-        return np.exp(L[1:]), H[1:], H[:-1]
 
 
 @dataclass(frozen=True)
@@ -236,7 +203,39 @@ class ScaleSpec:
         return cls(gamma=2.0 * mu / sigma**2 - 1.0, a=a, b=b)
 
 
-class ScaleKernel(RhoKernel):
+def kernel_power(alpha: float, beta: float) -> RhoKernel:
+    """rho(i, j) = beta * j^(1-alpha) * (j^alpha - i^alpha); rho(0, j) = beta*j."""
+    if not alpha > 0:  # NaN fails too
+        raise ValueError(f"power kernel requires alpha > 0, got {alpha}")
+    if not beta > 0:
+        raise ValueError(f"power kernel requires beta > 0, got {beta}")
+
+    def arrays(n: int):
+        j = np.arange(1, n + 1, dtype=float)
+        x = j**alpha
+        return beta * j ** (1.0 - alpha), x, x
+
+    return RhoKernel(f"power(alpha={alpha}, beta={beta})", arrays)
+
+
+def kernel_branching(schedule: OffspringSchedule) -> RhoKernel:
+    """rho(i, j) = 1 + sum_{t=i+1}^{j} m_t m_{t+1} ... m_j with m_t = (1-p_t)/p_t.
+
+    Cauchy form from log-space prefixes: a_j = exp(L_j), x_j = H_j and
+    y_i = H_{i-1}, where L_t = sum_{u<=t} log m_u and H_t = sum_{u<=t} exp(-L_u).
+    """
+
+    def arrays(n: int):
+        p = schedule.values(n)
+        L = np.zeros(n + 1)
+        np.cumsum(np.log1p(-p) - np.log(p), out=L[1:])
+        H = np.cumsum(np.exp(-L))
+        return np.exp(L[1:]), H[1:], H[:-1]
+
+    return RhoKernel(f"branching({schedule.label})", arrays)
+
+
+def kernel_scale(spec: ScaleSpec) -> RhoKernel:
     """Success probabilities of the level walk in units of the spacing b.
 
     With c = a/b and w(x) = x^(-gamma):
@@ -247,26 +246,12 @@ class ScaleKernel(RhoKernel):
 
     g_j = -expm1(-gamma log1p(c/j)) avoids cancellation at large j.
     """
+    g, c = spec.gamma, spec.offset_ratio
 
-    def __init__(self, spec: ScaleSpec):
-        self.spec = spec
-        self.description = f"scale(gamma={spec.gamma}, a={spec.a}, b={spec.b})"
-
-    def _cauchy_arrays(self, n: int):
-        g, c = self.spec.gamma, self.spec.offset_ratio
+    def arrays(n: int):
         j = np.arange(1, n + 1, dtype=float)
         x = (j + c) ** g
         gap = -np.expm1(-g * np.log1p(c / j))
         return 1.0 / (x * gap), x, j**g
 
-
-def kernel_power(alpha: float, beta: float) -> PowerKernel:
-    return PowerKernel(alpha, beta)
-
-
-def kernel_branching(schedule: OffspringSchedule) -> BranchingKernel:
-    return BranchingKernel(schedule)
-
-
-def kernel_scale(spec: ScaleSpec) -> ScaleKernel:
-    return ScaleKernel(spec)
+    return RhoKernel(f"scale(gamma={spec.gamma}, a={spec.a}, b={spec.b})", arrays)

@@ -40,7 +40,7 @@ Models:
   population; and a transient level walk with scale weight w(x) = x^(-gamma),
   counting levels never re-entered after their offset partner is first hit.
   Both counts are Markovian Bernoulli chains whose kernel is in Cauchy form
-  with a_j (x_j - y_j) = 1 (``BranchingKernel``, ``ScaleKernel``), and both
+  with a_j (x_j - y_j) = 1 (``kernel_branching``, ``kernel_scale``), and both
   simulators hand their kernel to ``_sim_chain``, which draws that chain by
   one running-maximum scan, ``_cauchy_chain_worker``, in blocks of at most
   16 generations.  A replicate whose running maximum already reaches x at
@@ -70,7 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import BranchingKernel, OffspringSchedule, RhoKernel, ScaleKernel, ScaleSpec
+from .kernels import OffspringSchedule, RhoKernel, ScaleSpec, kernel_branching, kernel_scale
 from .multisum import WeightSequence, _horizons
 
 __all__ = ["ReplicateBatch", "resolve_threads", "sim_bpve", "sim_gw", "sim_levelwalk"]
@@ -424,11 +424,11 @@ def sim_bpve(schedule: OffspringSchedule, n: int, replicates: int = 10_000, seed
     Starts empty; generation t receives one immigrant, and every individual
     of generation t-1 plus the immigrant reproduces with geometric(p_t)
     offspring.  The zero generations form the chain of
-    ``BranchingKernel(schedule)``, drawn by ``_cauchy_chain_worker``; a
+    ``kernel_branching(schedule)``, drawn by ``_cauchy_chain_worker``; a
     schedule whose kernel breaks down before the last checkpoint raises
     the kernel's ValueError.
     """
-    return _sim_chain(BranchingKernel(schedule), n, replicates, seed, checkpoints, threads)
+    return _sim_chain(kernel_branching(schedule), n, replicates, seed, checkpoints, threads)
 
 
 def sim_levelwalk(spec: ScaleSpec, n: int, replicates: int = 10_000, seed: int = 0,
@@ -440,6 +440,6 @@ def sim_levelwalk(spec: ScaleSpec, n: int, replicates: int = 10_000, seed: int =
     only forces the upward passage, so it changes no level-visit law.
     Success of level k means: after the first visit to k*b + a, the walk
     never visits k*b again.  The successes form the chain of
-    ``ScaleKernel(spec)``, drawn by ``_cauchy_chain_worker``.
+    ``kernel_scale(spec)``, drawn by ``_cauchy_chain_worker``.
     """
-    return _sim_chain(ScaleKernel(spec), n, replicates, seed, checkpoints, threads)
+    return _sim_chain(kernel_scale(spec), n, replicates, seed, checkpoints, threads)

@@ -49,6 +49,10 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize("env, text, needle", [
     ({"LIMITLAB_SEED": "abc"}, "experiment = prpd-summable\n", "LIMITLAB_SEED"),
+    # a negative seed was echoed by an exact run, and refused only inside numpy by a Monte Carlo one
+    ({}, "experiment = prpd-summable\nseed = -3\n", "key 'seed' must be >= 0, got -3"),
+    ({"LIMITLAB_SEED": "-3"}, "experiment = c3-cutsphere\nreplicates = 100\nhorizons = 10, 20\n",
+     "LIMITLAB_SEED must be >= 0, got '-3'"),
     ({"LIMITLAB_THREADS": "abc"}, "experiment = c3-cutsphere\nreplicates = 100\nhorizons = 10, 20\n",
      "LIMITLAB_THREADS"),
     ({}, "experiment = thg\nalpha = -1\n", "alpha"),
@@ -101,13 +105,16 @@ def _raising(exc):
     (["run", "{tmp}/exp.cfg", "--out", "{tmp}/text/out"], "Not a directory"),
     (["plotdata", "{tmp}/text"], "Expecting value"),
     (["plotdata", "{tmp}/list.json"], "not a limitlab report"),
+    # a bool is an int: [1, true] was written into the table as "1,True"
+    (["plotdata", "{tmp}/bool.json"], "lists of numbers"),
 ], ids=["run-directory", "run-binary", "out-at-file", "out-under-file", "plotdata-not-json",
-        "plotdata-not-report"])
+        "plotdata-not-report", "plotdata-boolean"])
 def test_exit_2_on_bad_path(tmp_path, capsys, monkeypatch, argv, needle):
     (tmp_path / "exp.cfg").write_text("experiment = prpd-summable\n")
     (tmp_path / "text").write_text("not json\n")
     (tmp_path / "binary").write_bytes(b"\x89PNG\r\n")
     (tmp_path / "list.json").write_text("[1, 2]\n")
+    (tmp_path / "bool.json").write_text(json.dumps({"columns": ["horizon", "observed"], "rows": [[1, True]]}))
     # a bad --out fails before the experiment runs
     monkeypatch.setattr(cli.experiments, "run", _raising(AssertionError("the experiment ran")))
     code = cli.main([arg.format(tmp=tmp_path) for arg in argv])

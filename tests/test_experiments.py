@@ -160,22 +160,16 @@ def test_a_run_evaluates_its_weights_once(monkeypatch):
     assert reports[0]["rows"] == reports[1]["rows"] and multisum._SHARED.arrays is None
 
 
-class Scaled(RhoKernel):
-    """rho(i, j) of a kernel times 1.1: its a_j times 1.1."""
-
-    def __init__(self, kernel):
-        self.kernel, self.description = kernel, f"1.1 x {kernel.description}"
-
-    def _cauchy_arrays(self, n):
-        a, x, y = self.kernel._cauchy_arrays(n)
-        return 1.1 * a, x, y
-
-
 def perturbed(model):
-    """The model with every weight, or rho, times 1.1."""
+    """The model with every weight, or rho, times 1.1: a Cauchy kernel's a_j times 1.1."""
     if isinstance(model, WeightSequence):
         return replace(model, weight=lambda i: 1.1 * model.weight(i))
-    return Scaled(model)
+
+    def arrays(n):
+        a, x, y = (v[1:] for v in model.cauchy(n))
+        return 1.1 * a, x, y
+
+    return RhoKernel(f"1.1 x {model.description}", arrays)
 
 
 def column(report, i):

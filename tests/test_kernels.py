@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from limitlab.kernels import (
     OffspringSchedule,
+    RhoKernel,
     ScaleSpec,
     kernel_branching,
     kernel_power,
     kernel_scale,
 )
 from limitlab.moments import MomentTable
-from limitlab.multisum import WeightSequence
+from limitlab.multisum import WeightSequence, psi_curve
 from limitlab.simulate import _sim_chain
 
 from oracles import (
@@ -86,7 +87,7 @@ class TestDistanceKernel:
         assert np.all(np.isfinite(MomentTable.build(k, [10, 50], 2).values))
 
 
-class TestPowerKernel:
+class TestKernelPower:
     def test_alpha_one_is_distance(self):
         k = kernel_power(1.0, 1.0)
         for i, j in [(1, 3), (2, 6), (5, 9)]:
@@ -150,7 +151,7 @@ class TestOffspringSchedule:
             s.values(4)
 
 
-class TestBranchingKernel:
+class TestKernelBranching:
     def test_constant_half_closed_form(self):
         k = kernel_branching(constant_schedule(0.5))
         assert success_prob(k, 2, 5) == pytest.approx(0.25, abs=1e-14)
@@ -244,7 +245,7 @@ def test_nan_is_refused_at_construction(build, needle):
         build()
 
 
-class TestScaleKernel:
+class TestKernelScale:
     def test_marginal_example(self):
         k = kernel_scale(ScaleSpec.from_dimension(3, 1.0, 2.0))
         assert success_prob(k, 0, 1) == pytest.approx(1 / 3, rel=1e-13)
@@ -336,6 +337,20 @@ class TestCauchyForm:
         for n in (100, 50, 101):
             k.cauchy(n)
         assert k._data[0].size == 102
+
+    @pytest.mark.parametrize("arrays", [
+        lambda n: (np.ones(4), np.arange(2.0, 6.0), np.arange(1.0, 5.0)),
+        lambda n: (np.ones(n + 1), np.arange(2.0, n + 3), np.arange(1.0, n + 2)),
+        lambda n: (np.ones((n, 1)), np.arange(2.0, n + 2)[:, None], np.arange(1.0, n + 1)[:, None]),
+        lambda n: (np.ones(n), np.arange(2.0, n + 2)),
+    ], ids=["short", "long", "2-d", "two-arrays"])
+    def test_malformed_arrays_are_refused_by_every_engine(self, arrays):
+        # a short result was cut without error: psi_curve then failed to broadcast
+        # (4,) into (10,), and the chain sampler raised IndexError
+        runs = (lambda k: k.cauchy(10), lambda k: psi_curve(k, [10], 2), lambda k: _sim_chain(k, 10, 5, 0, None, 1))
+        for run in runs:
+            with pytest.raises(ValueError, match=r"^unit step: arrays\(10\) gave shapes"):
+                run(RhoKernel("unit step", arrays))
 
 
 class TestBranchingBreakdown:

@@ -11,12 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 from limitlab.cauchy import LEAF, lower_matvec
 from limitlab.kernels import (
     OffspringSchedule,
+    RhoKernel,
     ScaleSpec,
     kernel_branching,
     kernel_power,
     kernel_scale,
 )
-from limitlab.kernels import BranchingKernel, PowerKernel, RhoKernel
 from limitlab.multisum import (
     WeightSequence,
     phi,
@@ -564,8 +564,8 @@ class TestPsiFastVsExact:
 
     def test_matvec_does_not_depend_on_the_blas_thread_count(self):
         code = ("import hashlib, numpy as np; from limitlab.cauchy import lower_matvec; "
-                "from limitlab.kernels import PowerKernel; "
-                "_, x, y = (a[1:] for a in PowerKernel(2.0, 1.0).cauchy(100_000)); "
+                "from limitlab.kernels import kernel_power; "
+                "_, x, y = (a[1:] for a in kernel_power(2.0, 1.0).cauchy(100_000)); "
                 "v = np.random.default_rng(2).random(100_000); "
                 "print(hashlib.sha256(lower_matvec(v, x, y).tobytes()).hexdigest())")
         # a floating-point warning at either thread count fails the run, and any other warning shows in stderr
@@ -634,14 +634,14 @@ def _few_leaf_inputs(n, case):
     return v, x, y
 
 
-class UnitShiftCauchy(RhoKernel):
+def unit_shift_cauchy():
     """rho(i, j) = j + 1 - i, i.e. D(j - i) with D(n) = n + 1, in Cauchy form (1, j + 1, i)."""
 
-    description = "cauchy(n+1)"
-
-    def _cauchy_arrays(self, n):
+    def arrays(n):
         j = np.arange(1, n + 1, dtype=float)
         return np.ones(n), j + 1.0, j
+
+    return RhoKernel("cauchy(n+1)", arrays)
 
 
 # fixed before the cross-check was written: relative, on every compared entry
@@ -656,13 +656,13 @@ class TestFoldVsCauchy:
     def test_unit_shift(self, n, method):
         hs = np.unique(np.geomspace(3, n, 25).astype(int))
         fold = phi_fold_curves(WeightSequence(weight=lambda i: i + 1.0), hs, 3, method=method)
-        cauchy = psi_curve(UnitShiftCauchy(), hs, 3)
+        cauchy = psi_curve(unit_shift_cauchy(), hs, 3)
         assert np.all(np.abs(cauchy - fold) <= CROSS_RTOL * fold)
 
     @pytest.mark.parametrize("cauchy_kernel, weight", [
-        (UnitShiftCauchy, lambda i: i + 1.0),
-        (lambda: BranchingKernel(OffspringSchedule.harmonic_drift(0.0)), lambda i: i + 1.0),
-        (lambda: PowerKernel(1.0, 1.5), lambda i: 1.5 * i),
+        (unit_shift_cauchy, lambda i: i + 1.0),
+        (lambda: kernel_branching(OffspringSchedule.harmonic_drift(0.0)), lambda i: i + 1.0),
+        (lambda: kernel_power(1.0, 1.5), lambda i: 1.5 * i),
     ], ids=["unit-shift", "branching-drift0", "power-1"])
     def test_full_size(self, cauchy_kernel, weight):
         # every horizon to 1e5, where the matvec runs its local expansions;

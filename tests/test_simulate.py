@@ -35,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from limitlab import simulate
 from limitlab.experiments import ConfigError, parse_config, run
-from limitlab.kernels import OffspringSchedule, PowerKernel, RhoKernel, ScaleSpec, kernel_branching, kernel_scale
+from limitlab.kernels import OffspringSchedule, RhoKernel, ScaleSpec, kernel_branching, kernel_power, kernel_scale
 from limitlab.moments import MomentTable
 from limitlab.multisum import WeightSequence
 from limitlab.simulate import (_CHUNK, _SQUARES, _cauchy_chain_worker, _first_return_law, _renewal_worker,
@@ -321,7 +321,7 @@ def test_chain_kernels_meet_the_sampler_preconditions(case):
 def test_chain_sampler_refuses_the_power_kernel():
     # x = y, so a_j (x_j - y_j) = 0: the scan would not draw this kernel's law
     with pytest.raises(ValueError, match="off by 1 at generation 1"):
-        _sim_chain(PowerKernel(2.0, 1.0), 50, 10, 0, None, 1)
+        _sim_chain(kernel_power(2.0, 1.0), 50, 10, 0, None, 1)
 
 
 def test_renewal_sampler_refuses_a_kernel_with_no_chain():
@@ -330,20 +330,16 @@ def test_renewal_sampler_refuses_a_kernel_with_no_chain():
         _sim_chain(WeightSequence(weight=lambda i: i.astype(float), label="n"), 50, 10, 0, None, 1)
 
 
-class _FlatKernel(RhoKernel):
+def _flat_arrays(n):
     """a_j (x_j - y_j) = 1, but x_3 = x_2."""
-
-    description = "flat"
-
-    def _cauchy_arrays(self, n):
-        x, y = np.array([2.0, 3.0, 3.0, 5.0])[:n], np.array([1.0, 2.0, 2.5, 4.0])[:n]
-        return 1.0 / (x - y), x, y
+    x, y = np.array([2.0, 3.0, 3.0, 5.0])[:n], np.array([1.0, 2.0, 2.5, 4.0])[:n]
+    return 1.0 / (x - y), x, y
 
 
 def test_chain_sampler_refuses_an_x_that_does_not_rise():
     with pytest.raises(ValueError, match="generation 3"):
-        _sim_chain(_FlatKernel(), 4, 10, 0, None, 1)
-    assert _sim_chain(_FlatKernel(), 2, 10, 0, None, 1).counts.shape == (10, 1)
+        _sim_chain(RhoKernel("flat", _flat_arrays), 4, 10, 0, None, 1)
+    assert _sim_chain(RhoKernel("flat", _flat_arrays), 2, 10, 0, None, 1).counts.shape == (10, 1)
 
 
 @pytest.mark.parametrize("case", ["bpve-drift", "levelwalk-gamma1.0"])
