@@ -787,7 +787,9 @@ def emit_plotdata(report_path, out_csv=None) -> Path:
     """Regenerate the flat CSV table from a JSON report.
 
     Raises ConfigError unless ``columns`` is a list of names and ``rows`` a
-    list of rows of that length, each entry a number (not a boolean) or null.
+    list of rows of that length, each entry a number (not a boolean, and
+    finite: ``json`` reads NaN, Infinity and an overflowing 1e400 as floats)
+    or null.
     """
     path = Path(report_path)
     report = json.loads(path.read_text())
@@ -798,7 +800,8 @@ def emit_plotdata(report_path, out_csv=None) -> Path:
         raise ConfigError(f"{path} is not a limitlab report: 'columns' is not a list of names")
     if not (isinstance(rows, list) and all(  # type(), not isinstance(): a JSON true is an int too
             isinstance(r, list) and len(r) == len(columns)
-            and all(v is None or type(v) in (int, float) for v in r) for r in rows)):
+            and all(v is None or type(v) is int or type(v) is float and math.isfinite(v) for v in r)
+            for r in rows)):
         raise ConfigError(f"{path} is not a limitlab report: 'rows' is not a list of "
                           f"{len(columns)}-entry lists of numbers")
     target = Path(out_csv) if out_csv else path.with_name("plotdata.csv")

@@ -9,10 +9,11 @@ Cauchy form
 
     rho(i, j) = a_j * (x_j - y_i),    0 <= i < j,    y_0 = 0,
 
-held as three arrays built once per horizon.  ``RhoKernel`` holds a
-kernel's description and the function that builds its arrays; the factories
-``kernel_power``, ``kernel_branching`` and ``kernel_scale`` are the families'
-constructors, each checking its parameters and closing over them:
+held as three arrays.  A kernel is a value: ``RhoKernel`` is a frozen pair of
+a description and the function that builds the arrays, and ``cauchy(n)``
+builds them on each call and hands them to the caller, who owns them.  The
+factories ``kernel_power``, ``kernel_branching`` and ``kernel_scale`` are the
+families' constructors, each checking its parameters and closing over them:
 
 - power      rho(i, j) = beta j^(1-alpha) (j^alpha - i^alpha):
              a_j = beta j^(1-alpha),  x_j = j^alpha,  y_i = i^alpha.
@@ -55,7 +56,7 @@ weights and some acceptance sweeps deliberately use boundary families
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -70,50 +71,40 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class RhoKernel:
     """A kernel in Cauchy form; ``arrays(n)`` gives (a, x, y) at indices 1..n."""
 
-    def __init__(self, description: str, arrays: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]):
-        self.description = description
-        self.arrays = arrays
-        self._data: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._first_bad: int | None = None
+    description: str
+    arrays: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
 
     def cauchy(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays (a, x, y) of length n + 1 with rho(i, j) = a[j] (x[j] - y[i]), 0 <= i < j <= n.
 
         Index 0 holds y_0 = 0; a[0] and x[0] are NaN, since no pair ends at 0.
-        The arrays are cached, and a larger n rebuilds them at exactly n.
+        Each call builds fresh arrays, which the caller owns.
         """
-        if self._data is None or self._data[0].size <= n:
-            with np.errstate(over="ignore", invalid="ignore"):
-                data = self.arrays(n)
-                shapes = [np.shape(v) for v in data]
-                if shapes != [(n,)] * 3:
-                    raise ValueError(f"{self.description}: arrays({n}) gave shapes {shapes}, not three of ({n},)")
-                a, x, y = data
-                y_prev = np.concatenate([[0.0], y[:-1]])
-                ok = (np.isfinite(a) & np.isfinite(x) & np.isfinite(y) & (a > 0)
-                      & (y > y_prev) & (x > y_prev))
-            bad = np.flatnonzero(~ok)
-            self._first_bad = int(bad[0]) + 1 if bad.size else None
-            self._data = (np.concatenate([[np.nan], a]), np.concatenate([[np.nan], x]),
-                          np.concatenate([[0.0], y]))
-        if self._first_bad is not None and n >= self._first_bad:
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = self.arrays(n)
+            shapes = [np.shape(v) for v in data]
+            if shapes != [(n,)] * 3:
+                raise ValueError(f"{self.description}: arrays({n}) gave shapes {shapes}, not three of ({n},)")
+            a, x, y = data
+            y_prev = np.concatenate([[0.0], y[:-1]])
+            ok = (np.isfinite(a) & np.isfinite(x) & np.isfinite(y) & (a > 0)
+                  & (y > y_prev) & (x > y_prev))
+        bad = np.flatnonzero(~ok)
+        if bad.size:
             raise ValueError(
                 f"{self.description}: Cauchy data not finite or not increasing at generation "
-                f"{self._first_bad}; horizons must stay below it"
+                f"{int(bad[0]) + 1}; horizons must stay below it"
             )
-        a, x, y = self._data
-        return a[: n + 1], x[: n + 1], y[: n + 1]
+        return np.concatenate([[np.nan], a]), np.concatenate([[np.nan], x]), np.concatenate([[0.0], y])
 
     def cond_column(self, j: int) -> np.ndarray:
         """1 / rho(i, j) for i = 1..j-1."""
         a, x, y = self.cauchy(j)
         return 1.0 / (a[j] * (x[j] - y[1:j]))
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.description}>"
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,7 @@ claims for them is built beside it, in ``experiments``.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -162,8 +163,8 @@ class WeightSequence:
     label: str = ""
 
     def __post_init__(self):
-        if self.gap < 1:
-            raise ValueError("gap must be a positive integer")
+        if not isinstance(self.gap, numbers.Integral) or self.gap < 1:
+            raise ValueError(f"gap must be a positive integer, got {self.gap!r}")
 
     def reciprocals(self, n: int) -> np.ndarray:
         """Array r with r[j] = 1/D(j) for gap <= j <= n, zero below the gap."""
@@ -319,30 +320,30 @@ def _horizons(horizons) -> np.ndarray:
     return hs
 
 
-def phi(weights: WeightSequence, n: int, m: int, method: str = "auto") -> float:
+def phi(weights: WeightSequence, n: int, m: int) -> float:
     """Exact gap-constrained m-fold sum of products of reciprocal weights."""
     if n < 1 or m < 1:
         raise ValueError("phi requires n >= 1 and m >= 1")
-    return float(_fold_curves(weights, [n], m, method)[m - 1, 0])
+    return float(_fold_curves(weights, [n], m, "auto")[m - 1, 0])
 
 
 def phi_curve(weights: WeightSequence, horizons, m: int, method: str = "auto") -> np.ndarray:
-    """Phi(h, m) for every horizon h; ``_fold_curves`` picks the path for each."""
+    """Phi(h, m) for every horizon h; ``_fold_curves`` picks the path for each, or ``method`` forces one."""
     return _fold_curves(weights, horizons, m, method)[m - 1]
 
 
-def phi_fold_curves(weights: WeightSequence, horizons, m: int, method: str = "auto") -> np.ndarray:
+def phi_fold_curves(weights: WeightSequence, horizons, m: int) -> np.ndarray:
     """Matrix F[q-1, h] = Phi(h, q) for all fold counts q = 1..m at once."""
-    return _fold_curves(weights, horizons, m, method)
+    return _fold_curves(weights, horizons, m, "auto")
 
 
-def u_sum(k: int, m: int, n0: int, s: float, n: int, method: str = "auto") -> float:
+def u_sum(k: int, m: int, n0: int, s: float, n: int) -> float:
     """k-fold gap-n0 sum with iterated-log weights of depth m and exponent s."""
-    return phi(_u_weights(m, n0, s), n, k, method)
+    return phi(_u_weights(m, n0, s), n, k)
 
 
-def u_sum_curve(k: int, m: int, n0: int, s: float, horizons, method: str = "auto") -> np.ndarray:
-    return phi_curve(_u_weights(m, n0, s), horizons, k, method)
+def u_sum_curve(k: int, m: int, n0: int, s: float, horizons) -> np.ndarray:
+    return phi_curve(_u_weights(m, n0, s), horizons, k)
 
 
 def _u_weights(m: int, n0: int, s: float) -> WeightSequence:

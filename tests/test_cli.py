@@ -107,14 +107,22 @@ def _raising(exc):
     (["plotdata", "{tmp}/list.json"], "not a limitlab report"),
     # a bool is an int: [1, true] was written into the table as "1,True"
     (["plotdata", "{tmp}/bool.json"], "lists of numbers"),
+    # json reads NaN, Infinity and an overflowing 1e400 as floats: they were written as nan and inf
+    (["plotdata", "{tmp}/nan.json"], "lists of numbers"),
+    (["plotdata", "{tmp}/inf.json"], "lists of numbers"),
+    (["plotdata", "{tmp}/overflow.json"], "lists of numbers"),
 ], ids=["run-directory", "run-binary", "out-at-file", "out-under-file", "plotdata-not-json",
-        "plotdata-not-report", "plotdata-boolean"])
+        "plotdata-not-report", "plotdata-boolean", "plotdata-nan", "plotdata-infinity", "plotdata-overflow"])
 def test_exit_2_on_bad_path(tmp_path, capsys, monkeypatch, argv, needle):
     (tmp_path / "exp.cfg").write_text("experiment = prpd-summable\n")
     (tmp_path / "text").write_text("not json\n")
     (tmp_path / "binary").write_bytes(b"\x89PNG\r\n")
     (tmp_path / "list.json").write_text("[1, 2]\n")
     (tmp_path / "bool.json").write_text(json.dumps({"columns": ["horizon", "observed"], "rows": [[1, True]]}))
+    head = '{"columns": ["horizon", "observed"], "rows": '
+    (tmp_path / "nan.json").write_text(head + "[[1, NaN], [2, 3.0]]}")
+    (tmp_path / "inf.json").write_text(head + "[[1, 2.0], [2, Infinity]]}")
+    (tmp_path / "overflow.json").write_text(head + "[[1, 1e400]]}")
     # a bad --out fails before the experiment runs
     monkeypatch.setattr(cli.experiments, "run", _raising(AssertionError("the experiment ran")))
     code = cli.main([arg.format(tmp=tmp_path) for arg in argv])

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from limitlab import RhoKernel, WeightSequence, experiments, multisum
+from limitlab import WeightSequence, experiments, multisum
 from limitlab.simulate import ReplicateBatch
 from limitlab.special import zeta_tail
 
@@ -166,10 +166,10 @@ def perturbed(model):
         return replace(model, weight=lambda i: 1.1 * model.weight(i))
 
     def arrays(n):
-        a, x, y = (v[1:] for v in model.cauchy(n))
+        a, x, y = model.arrays(n)
         return 1.1 * a, x, y
 
-    return RhoKernel(f"1.1 x {model.description}", arrays)
+    return replace(model, description=f"1.1 x {model.description}", arrays=arrays)
 
 
 def column(report, i):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -332,11 +333,22 @@ class TestCauchyForm:
         assert a.size == x.size == y.size == 11
         assert y[0] == 0.0 and np.isnan(a[0]) and np.isnan(x[0])
 
-    def test_cache_is_built_at_the_asked_horizon(self):
+    def test_the_arrays_belong_to_the_caller(self):
+        # the arrays were cached views: x[50] = 0 turned psi_curve(k, [100], 2)[1, 0] into NaN
         k = kernel_power(2.0, 1.0)
-        for n in (100, 50, 101):
-            k.cauchy(n)
-        assert k._data[0].size == 102
+        want = psi_curve(k, [100], 2)
+        fresh = k.cauchy(100)
+        for v in k.cauchy(100):
+            v[50] = 0.0
+        assert all(np.array_equal(v, w, equal_nan=True) for v, w in zip(k.cauchy(100), fresh))
+        assert np.array_equal(psi_curve(k, [100], 2), want)
+
+    def test_a_kernel_is_a_frozen_value(self):
+        assert [f.name for f in dataclasses.fields(RhoKernel)] == ["description", "arrays"]
+        k = kernel_power(2.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.description = "other"
+        assert repr(k) == "RhoKernel(description='power(alpha=2.0, beta=1.0)')"
 
     @pytest.mark.parametrize("arrays", [
         lambda n: (np.ones(4), np.arange(2.0, 6.0), np.arange(1.0, 5.0)),

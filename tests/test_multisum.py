@@ -27,7 +27,7 @@ from limitlab.multisum import (
     u_sum_curve,
 )
 from limitlab import cauchy, multisum
-from limitlab.multisum import _fold_tables, _psi_tables, _smooth_length
+from limitlab.multisum import _fold_curves, _fold_tables, _psi_tables, _smooth_length
 
 from oracles import cauchy_lower_dense, constant_schedule, phi_bruteforce, phi_recursion, psi_bruteforce, psi_loop
 from test_kernels import cauchy_kernels
@@ -120,8 +120,8 @@ class TestPhiOracle:
 
     def test_fft_matches_direct(self):
         w = WeightSequence(weight=WEIGHT_FAMILIES["(1+n)^2"])
-        a = phi(w, 3000, 3, method="direct")
-        b = phi(w, 3000, 3, method="fft")
+        a, = phi_curve(w, [3000], 3, method="direct")
+        b, = phi_curve(w, [3000], 3, method="fft")
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_fold_curves_consistent(self):
@@ -137,7 +137,7 @@ class TestPhiOracle:
         with pytest.raises(ValueError):
             phi(w, 3, 0)
         with pytest.raises(ValueError):
-            phi(w, 3, 1, method="magic")
+            phi_curve(w, [3], 1, method="magic")
         with pytest.raises(ValueError):
             WeightSequence(weight=WEIGHT_FAMILIES["n"], gap=0)
 
@@ -183,6 +183,16 @@ class TestWeightSequence:
         with pytest.raises(ValueError, match=r"weights must be positive \(probe\)"):
             w.reciprocals(5)
 
+    @pytest.mark.parametrize("gap", [1.5, 2.0, "2", None])
+    def test_a_gap_that_is_not_an_integer_is_refused(self, gap):
+        # 1.5 was accepted, then failed in reciprocals with "slice indices must be integers"
+        with pytest.raises(ValueError, match=rf"gap must be a positive integer, got {gap!r}"):
+            WeightSequence(weight=WEIGHT_FAMILIES["n"], gap=gap)
+
+    def test_a_numpy_integer_gap_is_accepted(self):
+        w = WeightSequence(weight=WEIGHT_FAMILIES["n"], gap=np.int64(2))
+        assert w.reciprocals(3).tolist() == [0.0, 0.0, 1 / 2, 1 / 3]
+
     def test_an_infinite_weight_is_a_zero_probability(self):
         w = WeightSequence(weight=lambda i: np.where(i == 3, np.inf, i + 1.0), gap=2)
         assert w.reciprocals(5).tolist() == [0.0, 0.0, 1 / 3, 0.0, 1 / 5, 1 / 6]
@@ -223,7 +233,7 @@ class TestFoldEngine:
         # the FFT table at the largest horizon rounds relative to its own largest
         # density entry; horizons <= _FFT_THRESHOLD must not inherit that error scale
         w = WeightSequence(weight=weight)
-        direct = phi_fold_curves(w, SMALL_AND_LARGE, 3, method="direct")
+        direct = _fold_curves(w, SMALL_AND_LARGE, 3, "direct")
         for m in (2, 3):
             got = phi_curve(w, SMALL_AND_LARGE, m)
             assert np.all(np.abs(got - direct[m - 1]) <= 1e-12 * direct[m - 1])
@@ -241,7 +251,7 @@ class TestFoldEngine:
     def test_lower_orders_are_bit_identical_to_their_own_tables(self, method):
         w = WeightSequence(weight=WEIGHT_FAMILIES["2sqrt(n)"], gap=2)
         hs = [3, 50, 700, 3000]
-        top = phi_fold_curves(w, hs, 4, method=method)
+        top = _fold_curves(w, hs, 4, method)
         for k in (1, 2, 3):
             assert np.array_equal(top[k - 1], phi_curve(w, hs, k, method=method))
         assert np.array_equal(top[0], np.cumsum(w.reciprocals(3000))[hs])  # order 1 is S, no table
@@ -259,10 +269,10 @@ class TestFoldEngine:
         for gap in (1, 3, tau, tau + 1):
             w = WeightSequence(weight=lambda j: u[j] * (1.0 + j) ** 1.5, gap=gap)
             want = all_tables(w, n, m)[:, hs]
-            direct = phi_fold_curves(w, hs, m, method="direct")
+            direct = _fold_curves(w, hs, m, "direct")
             assert np.all(np.abs(direct - want) <= 1e-12 * want)
             # FFT round-off is relative to each order's largest entry
-            fft = phi_fold_curves(w, hs, m, method="fft")
+            fft = _fold_curves(w, hs, m, "fft")
             feasible = want[:, -1] > 0
             assert np.all(np.abs(fft - want)[feasible] <= 1e-12 * want[feasible, -1:])
         assert not direct[1:].any() and not fft[1:].any()  # no two gaps above tau fit in n
@@ -325,13 +335,13 @@ class TestFoldEngine:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_fft_fold_curves_of_order_m_make_2m_minus_4_transforms(self, transforms, m):
         # the table stops at order m - 1 and the top order takes one dot per horizon
-        phi_fold_curves(WeightSequence(weight=WEIGHT_FAMILIES["n"]), [100, 3000], m, method="fft")
+        _fold_curves(WeightSequence(weight=WEIGHT_FAMILIES["n"]), [100, 3000], m, "fft")
         assert len(transforms) == max(0, 2 * m - 4)
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_fft_fold_curves_of_order_m_make_2m_minus_3_transforms(self, transforms, m):
         # orders >= 3 convolve at a longer length than order 2, so r is transformed twice
-        phi_fold_curves(WeightSequence(weight=WEIGHT_FAMILIES["n"]), [100, 3000], m, method="fft")
+        _fold_curves(WeightSequence(weight=WEIGHT_FAMILIES["n"]), [100, 3000], m, "fft")
         assert len(transforms) == 2 * m - 3
 
     @pytest.mark.parametrize("n", [3000, 3001, 100_000])
@@ -339,7 +349,7 @@ class TestFoldEngine:
     def test_fft_fold_curves_convolve_at_about_n_and_three_halves_n(self, transforms, n, m):
         # the table is folded from r[0..n // 2]: d_2 fits in n + 1 entries, and
         # r * d_{q-1} in n + n // 2 + 1
-        phi_fold_curves(WeightSequence(weight=WEIGHT_FAMILIES["n"]), [100, n], m, method="fft")
+        _fold_curves(WeightSequence(weight=WEIGHT_FAMILIES["n"]), [100, n], m, "fft")
         sizes = [size for _, size in transforms]
         assert len(sizes) >= 2 and max(sizes[:2]) <= _smooth_length(n + 1)
         assert max(sizes) <= _smooth_length(n + n // 2 + 1)
@@ -655,7 +665,7 @@ class TestFoldVsCauchy:
     @pytest.mark.parametrize("n, method", [(1000, "direct"), (20_000, "fft")])
     def test_unit_shift(self, n, method):
         hs = np.unique(np.geomspace(3, n, 25).astype(int))
-        fold = phi_fold_curves(WeightSequence(weight=lambda i: i + 1.0), hs, 3, method=method)
+        fold = _fold_curves(WeightSequence(weight=lambda i: i + 1.0), hs, 3, method)
         cauchy = psi_curve(unit_shift_cauchy(), hs, 3)
         assert np.all(np.abs(cauchy - fold) <= CROSS_RTOL * fold)
 
@@ -712,13 +722,13 @@ def test_fold_curves_equal_the_running_sums_of_direct_tables(n, m, gap, s, seed,
     edges = [0, gap - 1, gap, m * gap - 1, m * gap, n // 2 - 1, n // 2, n // 2 + 1, n] + extra
     hs = sorted({min(max(h, 0), n) for h in edges})
     want = all_tables(weights, n, m)[:, hs]
-    got = phi_fold_curves(weights, hs, m, method="direct")
+    got = _fold_curves(weights, hs, m, "direct")
     assert np.all(np.abs(got - want) <= 1e-12 * want)
     # FFT round-off is relative to each table's largest entry (the horizon n);
     # for s >= 1 that bound is also entry-wise wherever a tuple is feasible.
     # An order with no feasible tuple (n < q gap) has no support to compare on.
     feasible = want[:, -1] > 0
-    err = np.abs(phi_fold_curves(weights, hs, m, method="fft") - want)[feasible]
+    err = np.abs(_fold_curves(weights, hs, m, "fft") - want)[feasible]
     want = want[feasible]
     assert np.all(err <= 1e-12 * want[:, -1:])
     if s >= 1.0:
