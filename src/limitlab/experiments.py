@@ -789,10 +789,18 @@ def emit_plotdata(report_path, out_csv=None) -> Path:
     Raises ConfigError unless ``columns`` is a list of names and ``rows`` a
     list of rows of that length, each entry a number (not a boolean, and
     finite: ``json`` reads NaN, Infinity and an overflowing 1e400 as floats)
-    or null.
+    or null; also when the text holds an integer longer than
+    ``sys.get_int_max_str_digits()``.  Text that is not JSON raises
+    ``json.JSONDecodeError``, a path error to the caller.
     """
     path = Path(report_path)
-    report = json.loads(path.read_text())
+    text = path.read_text()
+    try:
+        report = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as e:  # not a decode error: an integer past int_max_str_digits
+        raise ConfigError(f"{path} is not a limitlab report: {e}") from e
     if not isinstance(report, dict) or not {"columns", "rows"} <= report.keys():
         raise ConfigError(f"{path} is not a limitlab report: it has no 'columns' and 'rows'")
     columns, rows = report["columns"], report["rows"]

@@ -56,9 +56,16 @@ def marginals(kernel, n: int) -> np.ndarray:
 
 def column(kernel, j: int) -> np.ndarray:
     """success_prob(i, j) for i = 1..j-1."""
+    return columns(kernel, j)(j)
+
+
+def columns(kernel, n: int):
+    """``column`` for every j <= n, from one read of the kernel's data at n: returns j -> column."""
     if isinstance(kernel, WeightSequence):
-        return kernel.reciprocals(j)[j - 1 : 0 : -1]  # gaps j-1, j-2, ..., 1
-    return 1.0 / rho(kernel, np.arange(1, j), j)
+        r = kernel.reciprocals(n)
+        return lambda j: r[j - 1 : 0 : -1]  # gaps j-1, j-2, ..., 1
+    a, x, y = kernel.cauchy(n)
+    return lambda j: 1.0 / (a[j] * (x[j] - y[1:j]))
 
 
 def phi_bruteforce(weight_fn, n: int, m: int, gap: int = 1) -> float:
@@ -125,13 +132,14 @@ def psi_loop(kernel, n: int, m: int) -> np.ndarray:
     """Tables T[q-1, j] = T_q[j] (0 <= j <= n) by the O(n^2 m) column loop.
 
     T_1[j] = success_prob(0, j) and T_q[j] = sum_{i<j} T_{q-1}[i] success_prob(i, j),
-    each column taken from ``column``.
+    each column taken from ``columns``.
     """
     tables = np.zeros((m, n + 1))
     tables[0] = marginals(kernel, n)
+    column_at = columns(kernel, n)
     for q in range(1, m):
         for j in range(q + 1, n + 1):
-            tables[q, j] = float(np.dot(tables[q - 1, 1:j], column(kernel, j)))
+            tables[q, j] = float(np.dot(tables[q - 1, 1:j], column_at(j)))
     return tables
 
 
@@ -160,7 +168,8 @@ def table_schedule(p) -> OffspringSchedule:
 
 def probability_range(kernel, n: int) -> tuple[float, float]:
     """(min, max) of success_prob over all pairs 0 <= i < j <= n."""
-    values = [marginals(kernel, n)[1:]] + [column(kernel, j) for j in range(2, n + 1)]
+    column_at = columns(kernel, n)
+    values = [marginals(kernel, n)[1:]] + [column_at(j) for j in range(2, n + 1)]
     flat = np.concatenate(values)
     return float(flat.min()), float(flat.max())
 

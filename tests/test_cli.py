@@ -111,8 +111,11 @@ def _raising(exc):
     (["plotdata", "{tmp}/nan.json"], "lists of numbers"),
     (["plotdata", "{tmp}/inf.json"], "lists of numbers"),
     (["plotdata", "{tmp}/overflow.json"], "lists of numbers"),
+    # json raises a plain ValueError past int_max_str_digits (4300 by default): it ended in a traceback
+    (["plotdata", "{tmp}/digits.json"], "integer string conversion"),
 ], ids=["run-directory", "run-binary", "out-at-file", "out-under-file", "plotdata-not-json",
-        "plotdata-not-report", "plotdata-boolean", "plotdata-nan", "plotdata-infinity", "plotdata-overflow"])
+        "plotdata-not-report", "plotdata-boolean", "plotdata-nan", "plotdata-infinity", "plotdata-overflow",
+        "plotdata-long-integer"])
 def test_exit_2_on_bad_path(tmp_path, capsys, monkeypatch, argv, needle):
     (tmp_path / "exp.cfg").write_text("experiment = prpd-summable\n")
     (tmp_path / "text").write_text("not json\n")
@@ -123,6 +126,7 @@ def test_exit_2_on_bad_path(tmp_path, capsys, monkeypatch, argv, needle):
     (tmp_path / "nan.json").write_text(head + "[[1, NaN], [2, 3.0]]}")
     (tmp_path / "inf.json").write_text(head + "[[1, 2.0], [2, Infinity]]}")
     (tmp_path / "overflow.json").write_text(head + "[[1, 1e400]]}")
+    (tmp_path / "digits.json").write_text('{"columns": ["h"], "rows": [[' + "1" * 5000 + "]]}")
     # a bad --out fails before the experiment runs
     monkeypatch.setattr(cli.experiments, "run", _raising(AssertionError("the experiment ran")))
     code = cli.main([arg.format(tmp=tmp_path) for arg in argv])

@@ -219,6 +219,7 @@ class TestWeightSequence:
 
 
 SMALL_AND_LARGE = [5, 10, 100, 1000, 20_000]
+INVERSE_SQUARES = WeightSequence(weight=WEIGHT_FAMILIES["(1+n)^2"])
 
 
 class TestFoldEngine:
@@ -388,6 +389,41 @@ class TestFoldEngine:
             want = np.cumsum(dens)[hs]
             got = phi_curve(w, hs, m).astype(np.longdouble)
             assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    # the traced peak of one call at n = 5e4, in float64 arrays of n + 1 entries; the bounds were
+    # fixed beforehand, and the comments give the readings when every order copied r's spectrum,
+    # its density and the reversed r, then with the copies the engine no longer makes
+    @pytest.mark.parametrize("w, horizons, m, bound", [
+        (INVERSE_SQUARES, [100, 5000, 50_000], 2, 3.5),  # 3.02, 3.02
+        (INVERSE_SQUARES, [100, 5000, 50_000], 3, 4.5),  # 6.05, 4.02
+        (INVERSE_SQUARES, [100, 5000, 50_000], 4, 8.0),  # 10.63, 6.08
+        (INVERSE_SQUARES, [100, 5000, 50_000], 5, 9.5),  # 11.63, 8.62
+        # one fold to order 3
+        (INVERSE_SQUARES, np.arange(1, 50_001), 3, 13.5),  # 16.29, 12.29
+        # depth 1, exponent 1/2, gap 2, as in rzr-iii: the weight's temporaries
+        (multisum._u_weights(1, 2, 0.5), [100, 5000, 50_000], 2, 4.5),  # 5.00, 4.00
+    ], ids=["order-2", "order-3", "order-4", "order-5", "every-horizon", "iterated-log"])
+    def test_fold_memory_peak(self, w, horizons, m, bound):
+        phi_fold_curves(w, horizons, m)  # the first call in a process allocates a little once
+        tracemalloc.start()
+        try:
+            phi_fold_curves(w, horizons, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * 50_001
+
+    @pytest.mark.parametrize("horizons", [[100, 1000, 2000], [100, 5000, 20_000], np.arange(1, 20_001)],
+                             ids=["direct", "fft-dots", "fft-rows"])
+    def test_a_fold_call_in_a_run_leaves_the_shared_arrays_as_they_were(self, horizons):
+        # the engine writes in place only into arrays it allocated: r and S are the run's
+        w = WeightSequence(weight=WEIGHT_FAMILIES["2sqrt(n)"], gap=2)
+        with multisum._shared_weights():
+            r, s = w.reciprocals(20_000), multisum._running_sum(w, 20_000)
+            before = r.tobytes(), s.tobytes()
+            phi_fold_curves(w, horizons, 5)
+            assert not r.flags.writeable and not s.flags.writeable
+            assert (r.tobytes(), s.tobytes()) == before
 
 
 class TestUSum:
