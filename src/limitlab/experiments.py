@@ -10,34 +10,41 @@ than tight limiting tolerances; every bound is declared in the registry.
 Every experiment is declared by one of two specs, and calling the spec with
 a config runs it.  An exact experiment is an ``ExactSpec``: a model (weights
 or a kernel), a quantity (Psi tables, which for weights are their multiple
-sums, or count moments, of orders 1..top at every horizon), a claim (order k ->
-``AsymptoticPrediction``) and a policy (the checks of one order).  A Monte
-Carlo experiment is a ``MonteCarloSpec``: a model (the kernel or weights
-whose exact count moments the counts must match), a sampler (a ``sim_*``
-simulator), a claim (the limit the policy compares with, or none) and a
-policy (its own checks, from the exact moments and the counts); its runner
-adds one row per horizon and the z-scores of the first two moments.  Both
-build the claim from the params and never from the model, and both refuse
-horizons where a claim's scale is not finite and positive, before any
-table or draw.  A sweep over a theorem's range is ``dataclasses.replace``
-on a config's params, for any experiment.
+sums, or count moments, of orders 1..top at every horizon), a ``Claim`` and
+a policy (the checks of one order).  A Monte Carlo experiment is a
+``MonteCarloSpec``: a model (the kernel or weights whose exact count moments
+the counts must match), a sampler (a ``sim_*`` simulator), a claim (the
+limit the policy compares with, or none) and a policy (its own checks, from
+the exact moments and the counts); its runner adds one row per horizon and
+the z-scores of the first two moments.  Both build the claim from the params
+and never from the model, and both refuse horizons where a claim's scale is
+not finite and positive, before any table or draw.  A sweep over a
+theorem's range is ``dataclasses.replace`` on a config's params, for any
+experiment.
 
-A claim lives beside the experiment that declares it.  An
-``AsymptoticPrediction`` names a scaling, holds the coefficient and computes
-the scale, and five builders make every claim of the registry: ``_constant``
-(value**k, for the summable sums), ``_s_power`` (the scale S(n)^k of a
-weight's partial sums), ``_law_moments`` (a ``LimitLaw``'s k-th moment on a
-scale of order k), ``_power_claim`` (the power-kernel sum's Gamma(alpha, 1)
-moment over k! alpha^k beta^k) and ``_rzr_claim`` (the four (sigma, m) cases
-of the iterated-log sums).  ``ExactSpec`` refuses an order below 1 before it
-builds any claim.
+A claim lives beside the experiment that declares it.  A ``Claim`` names a
+scaling and gives, for each order k, the coefficient and the scale at the
+horizons; order k tends to their product.  The scales are ``_log_power``
+((log applied depth times to n)^(k power), the constant 1 at power 0) and
+``_sum_power`` (S(n)^k, from a weight's partial sums).  A count experiment
+declares its limit law once, with ``_law``: the coefficients are the law's
+moments, or its moments over k! for the Psi tables, whose order k is
+E binom(C, k).  The laws are Geo(zeta(2) - 1) on 1 (``thbb-geo``,
+``thy-gw``), Exp(1) on S(n) (``thbb-exp``), Gamma(alpha, alpha beta) on
+log n (``tha-gamma``, ``thg``) and Gamma(gamma, b/a) on log n (``c3``,
+``c4``).  The multiple sums' claims hold no law: ``_constant`` (value**k,
+for the summable sums), the S(n)^m scale of ``prpd-rv`` and ``_rzr_claim``
+(the four (sigma, m) cases of the iterated-log sums).  ``ExactSpec``
+refuses an order below 1 before it builds any claim.
 
 Checks are written with five helpers: ``_within`` (an error at most a
 tolerance), ``_band`` (a value inside an interval), ``_zscore`` (a sample
 mean within 4 standard errors of an exact value), ``_shrinking`` (an error
 strictly decreasing across horizons) and ``_nondecreasing`` (a curve that
 never falls).  The last two compare horizons, so a run with one horizon
-omits them.
+omits them.  One check is shared: ``_poisson_contrast``, that the count is
+not Poisson, ends every exact experiment whose claim holds a law and whose
+curves reach order 2, and every Monte Carlo experiment.
 
 Config files are flat key = value text, one key per line, ``#`` comments.
 Reports are JSON (timestamps and wall clock live only here); tables are
@@ -181,48 +188,67 @@ def _positive_scale(name, scale, horizons):
 
 
 @dataclass(frozen=True)
-class AsymptoticPrediction:
-    """The limit of a multiple sum or moment: it tends to ``coefficient * scale(n)``.
+class Claim:
+    """The limit of the curves of orders k = 1, 2, ...: order k tends to ``coefficient(k) * scale(k, n)``.
 
-    ``scaling`` names the scale; ``scale`` maps horizons n >= 1 to its values
-    (a float array).
+    ``scaling`` names the scale; ``scale(k, horizons)`` maps horizons n >= 1 to
+    its values at order k (a float array).  A count experiment's claim holds
+    its limit ``law``, whose moments are the coefficients (``_law``).
     """
 
     scaling: str
-    coefficient: float
-    scale: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    coefficient: Callable[[int], float] = field(repr=False, compare=False)
+    scale: Callable[[int, np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    law: LimitLaw | None = None
 
 
-def _log_power(depth: int, power: float) -> Callable[[np.ndarray], np.ndarray]:
-    """n -> (log applied ``depth`` times to n) ** power; power 0 gives the constant 1."""
+def _log_power(depth: int, power: float) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The scale (k, n) -> (log applied ``depth`` times to n) ** (k * power); power 0 gives the constant 1."""
 
-    def scale(horizons) -> np.ndarray:
+    def scale(k, horizons) -> np.ndarray:
         n = np.asarray(horizons, dtype=float)
         for _ in range(depth):
             n = np.log(n)
-        return n**power
+        return n ** (k * power)
 
     return scale
 
 
-def _constant(value):
-    """Claims: order k tends to the constant value**k."""
-    return lambda k: AsymptoticPrediction("constant", value**k, _log_power(0, 0))
+def _sum_power(weights: WeightSequence) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The scale (k, n) -> S(n)^k, with S(n) = sum_{i<=n} 1/D(i) the running sum of the weights' reciprocals."""
 
-
-def _s_power(weights: WeightSequence, k: int) -> Callable[[np.ndarray], np.ndarray]:
-    """n -> S(n)^k, with S(n) = sum_{i<=n} 1/D(i) the running sum of the weights' reciprocals."""
-
-    def scale(horizons) -> np.ndarray:
+    def scale(k, horizons) -> np.ndarray:
         hs = np.asarray(horizons, dtype=int)
         return _running_sum(weights, int(hs.max()))[hs] ** k
 
     return scale
 
 
-def _law_moments(law: LimitLaw, scaling: str, scale: Callable[[int], Callable]):
-    """Claims: order k tends to ``law.moment(k)`` times ``scale(k)``, the scale named ``scaling``."""
-    return lambda k: AsymptoticPrediction(scaling, law.moment(k), scale(k))
+def _constant(value) -> Claim:
+    """Order k tends to the constant value**k."""
+    return Claim("constant", lambda k: value**k, _log_power(0, 0))
+
+
+def _law(law: LimitLaw, scaling: str, scale, factorial=False) -> Claim:
+    """The count tends to ``law`` on ``scale``: order k tends to ``law.moment(k)`` times the scale,
+    or with ``factorial`` (the Psi tables, E binom(C, k)) to ``law.moment(k) / k!`` times it."""
+    return Claim(scaling, lambda k: law.moment(k) / math.factorial(k) if factorial else law.moment(k), scale, law)
+
+
+def _poisson_contrast(hs, first, second, moments) -> dict:
+    """The count is not Poisson: R = 2 Psi(2) / Psi(1)^2 above 1.1 at the last horizon.
+
+    Psi(m) = E binom(C, m), so R = E C(C - 1) / (E C)^2, which is 1 for every
+    Poisson law at every mean.  The paper's limits have R = 2 (geometric) and
+    (alpha + 1)/alpha (Gamma(alpha, .) on a growing scale), 1.25 at the largest
+    alpha = 4 of a declared sweep; the bound 1.1 was fixed from these limits
+    alone, before the check first ran.  ``first`` and ``second`` are the curves of
+    orders 1 and 2: Psi(1) and Psi(2), or with ``moments`` E C and E C^2,
+    whence Psi(2) = (E C^2 - E C) / 2.
+    """
+    psi2 = (second[-1] - first[-1]) / 2 if moments else second[-1]
+    ratio = 2 * psi2 / first[-1] ** 2
+    return _check(f"not Poisson: 2 Psi(2)/Psi(1)^2 at n={hs[-1]} above 1.1", ratio, "> 1.1", ratio > 1.1)
 
 
 # ---------------------------------------------------------------- runners
@@ -238,21 +264,22 @@ class ExactSpec:
       kernel) or "moments" (``MomentTable`` rows).  A name, not a function:
       the runner looks the engine up at each call, so a wrapper bound to the
       module's name (a profiler's, a test's) sees the call;
-    - ``claim(params)``: maps an order k to the ``AsymptoticPrediction`` of
-      its curve.  It is built once per run and never from the model, so a
-      perturbed model meets the same claim.  An order below 1 is refused
-      before it is built;
+    - ``claim(params)``: the ``Claim`` of the curves.  It is built once per
+      run and never from the model, so a perturbed model meets the same
+      claim.  An order below 1 is refused before it is built;
     - ``policy(k, horizons, observed, predicted)``: the checks of order k,
       from that order's table columns.
 
     ``orders(params)`` gives the orders checked, ascending, and the one the
     table shows.  The table shows the curve against coefficient * scale, or
-    with ``scaled`` the curve / scale against the coefficient.
+    with ``scaled`` the curve / scale against the coefficient.  When the
+    claim holds a law and the curves reach order 2, the Poisson contrast
+    (``_poisson_contrast``) is the last check.
     """
 
     model: Callable[[dict], object]
     quantity: str
-    claim: Callable[[dict], Callable[[int], AsymptoticPrediction]]
+    claim: Callable[[dict], Claim]
     policy: Callable[[int, tuple, np.ndarray, np.ndarray], list]
     orders: Callable[[dict], tuple[range, int]]
     scaled: bool = False
@@ -265,19 +292,21 @@ class ExactSpec:
         if orders.start < 1:
             raise ValueError(f"the order must be >= 1, got {orders.start}")
         model, claim = self.model(cfg.params), self.claim(cfg.params)
-        preds = [claim(k) for k in orders]
         with np.errstate(divide="ignore", invalid="ignore"):  # the refusal of a scale that is not finite speaks alone
-            scales = [_positive_scale(f"{p.scaling} of order {k}", p.scale(hs), hs) for k, p in zip(orders, preds)]
+            preds = [(claim.coefficient(k), _positive_scale(f"{claim.scaling} of order {k}", claim.scale(k, hs), hs))
+                     for k in orders]
         engines = {"psi": psi_curve, "moments": lambda *a: MomentTable.build(*a).values}
         curves = engines[self.quantity](model, hs, orders[-1])
         rows, checks = [], []
-        for k, pred, scale in zip(orders, preds, scales):
-            observed, predicted = curves[k - 1], pred.coefficient * scale
+        for k, (coefficient, scale) in zip(orders, preds):
+            observed, predicted = curves[k - 1], coefficient * scale
             if self.scaled:
-                observed, predicted = observed / scale, np.full(len(hs), pred.coefficient)
+                observed, predicted = observed / scale, np.full(len(hs), coefficient)
             if k == shown:
                 rows = [_row(h, o, p) for h, o, p in zip(hs, observed, predicted)]
             checks += self.policy(k, hs, observed, predicted)
+        if claim.law is not None and orders[-1] >= 2:
+            checks.append(_poisson_contrast(hs, curves[0], curves[1], self.quantity == "moments"))
         return rows, checks
 
 
@@ -292,30 +321,31 @@ class MonteCarloSpec:
       name their ``sim_*`` function inside the lambda, so it is read from
       this module at each run and a wrapper bound to the module's name (a
       profiler's, a test's) sees the draws;
-    - ``claim(params)``: the limit the policy compares with (an
-      ``AsymptoticPrediction`` or a ``LimitLaw``), or None.  It is never
-      built from the model, so a perturbed model meets the same claim;
+    - ``claim(params)``: the ``Claim`` the policy compares with, or None.
+      It is never built from the model, so a perturbed model meets the same
+      claim;
     - ``policy(horizons, moments, counts, claim)``: the experiment's own
       checks, from the exact moments of orders 1..4 (one row per order) and
       the counts (one column per horizon).
 
-    The runner refuses a claim whose scale times coefficient is not finite
-    and positive at the horizons, before any table or draw.  It writes one
-    row per horizon (the sample mean with its standard error, against the
-    exact mean), then the z-scores of the mean and the second moment, each
-    divided by its exact variance E C^(2k) - (E C^k)^2, then the policy's
-    checks.
+    The runner refuses a claim whose mean, coefficient times scale at order
+    1, is not finite and positive at the horizons, before any table or draw.
+    It writes one row per horizon (the sample mean with its standard error,
+    against the exact mean), then the z-scores of the mean and the second
+    moment, each divided by its exact variance E C^(2k) - (E C^k)^2, then
+    the policy's checks, then the Poisson contrast of the exact moments
+    (``_poisson_contrast``).
     """
 
     model: Callable[[dict], object]
     sample: Callable[[dict], Callable]
-    claim: Callable[[dict], object] = lambda p: None
-    policy: Callable[[tuple, np.ndarray, np.ndarray, object], list] = lambda hs, moments, counts, claim: []
+    claim: Callable[[dict], Claim | None] = lambda p: None
+    policy: Callable[[tuple, np.ndarray, np.ndarray, Claim | None], list] = lambda hs, moments, counts, claim: []
 
     def __call__(self, cfg: ExperimentConfig):
         hs, claim = cfg.horizons, self.claim(cfg.params)
-        if isinstance(claim, AsymptoticPrediction):
-            _positive_scale(claim.scaling, claim.coefficient * claim.scale(hs), hs)
+        if claim is not None:
+            _positive_scale(claim.scaling, claim.coefficient(1) * claim.scale(1, hs), hs)
         table = MomentTable.build(self.model(cfg.params), hs, 4)
         batch = self.sample(cfg.params)(max(hs), replicates=cfg.replicates, seed=cfg.seed, checkpoints=hs)
         rows, checks = [], []
@@ -325,7 +355,7 @@ class MonteCarloSpec:
             rows.append(_row(h, c.mean(), m1[ci], c.std(ddof=1) / math.sqrt(c.size)))
             checks += [_zscore(f"mean z-score at n={h}", c, m1[ci], m2[ci] - m1[ci] ** 2),
                        _zscore(f"second-moment z-score at n={h}", c**2, m2[ci], m4[ci] - m2[ci] ** 2)]
-        return rows, checks + self.policy(hs, table.values, batch.counts, claim)
+        return rows, checks + self.policy(hs, table.values, batch.counts, claim) + [_poisson_contrast(hs, m1, m2, True)]
 
 
 def _single(key):
@@ -387,20 +417,20 @@ def _rzr_claim(p):
     if sigma > 1.0:
         return _constant(zeta_tail(m, sigma, p["n0"]).value)
     if sigma == 1.0:
-        return lambda k: AsymptoticPrediction("(log_{m+1} n)^k", 1.0, _log_power(m + 1, k))
+        return Claim("(log_{m+1} n)^k", lambda k: 1.0, _log_power(m + 1, 1))
     if 0.0 <= sigma < 1.0 and m >= 1:
         scaling = "(log_m n)^k" if sigma == 0.0 else "(log_m n)^{k(1-sigma)}"
-        return lambda k: AsymptoticPrediction(scaling, (1.0 - sigma) ** (-k), _log_power(m, k * (1.0 - sigma)))
+        return Claim(scaling, lambda k: (1.0 - sigma) ** (-k), _log_power(m, 1.0 - sigma))
     if 0.0 <= sigma < 1.0 and m == 0:
         c = math.gamma(2.0 - sigma) * math.gamma(1.0 - sigma) / math.gamma(3.0 - 2.0 * sigma)
-        return lambda k: AsymptoticPrediction("n^{k(1-sigma)}", c ** (k - 1) / (1.0 - sigma),
-                                              _log_power(0, k * (1.0 - sigma)))
+        return Claim("n^{k(1-sigma)}", lambda k: c ** (k - 1) / (1.0 - sigma), _log_power(0, 1.0 - sigma))
     raise ValueError(f"no supported limit for sigma={sigma}, m={m}")
 
 
-def _gw_limit(p) -> LimitLaw:
-    """The geometric law with mean pi^2/6 - 1, the limit of the returns to level 1 of kernel (1+n)^2."""
-    return LimitLaw.geometric(zeta_tail(0, 2.0, 2).value)
+def _gw_claim(p) -> Claim:
+    """The geometric law with mean pi^2/6 - 1 on the constant scale 1: the limit of the returns to
+    level 1 of kernel (1+n)^2."""
+    return _law(LimitLaw.geometric(zeta_tail(0, 2.0, 2).value), "constant", _log_power(0, 0))
 
 
 def _rzr(policy) -> ExactSpec:
@@ -413,30 +443,28 @@ def _power(p) -> RhoKernel:
     return kernel_power(p["alpha"], p["beta"])
 
 
-def _power_claim(p):
-    """The k-fold power-kernel sum over (log n)^k tends to Gamma(alpha, 1).moment(k) / (k! alpha^k beta^k)."""
-    alpha, beta = p["alpha"], p["beta"]
-    law = LimitLaw.gamma(alpha, 1.0)
-    return lambda k: AsymptoticPrediction("(log n)^k", law.moment(k) / (math.factorial(k) * alpha**k * beta**k),
-                                          _log_power(1, k))
+def _power_gamma(p, factorial=False) -> Claim:
+    """The count of the power kernel tends to Gamma(alpha, alpha beta) on the scale log n."""
+    return _law(LimitLaw.gamma(p["alpha"], p["alpha"] * p["beta"]), "(log n)^k", _log_power(1, 1), factorial)
 
 
 def _levelwalk(scale_spec) -> MonteCarloSpec:
     """The level walk of ``scale_spec(params)`` against its ``kernel_scale``.
 
-    The claim: g_j ~ gamma c / j, so the mean grows like gamma (a/b) log n.
+    The claim: g_j ~ gamma c / j with c = a/b, so the count tends to
+    Gamma(gamma, b/a) on log n, and its mean grows like gamma (a/b) log n.
     """
     def claim(p):
         spec = scale_spec(p)
         gamma = "" if spec.gamma == 1.0 else np.format_float_positional(spec.gamma, trim="-") + " "
-        return AsymptoticPrediction(f"{gamma}(a/b) log n", spec.gamma * spec.offset_ratio, _log_power(1, 1))
+        return _law(LimitLaw.gamma(spec.gamma, spec.b / spec.a), f"{gamma}(a/b) log n", _log_power(1, 1))
     return MonteCarloSpec(lambda p: kernel_scale(scale_spec(p)), lambda p: partial(sim_levelwalk, scale_spec(p)),
                           claim, _levelwalk_policy)
 
 
 def _levelwalk_policy(hs, moments, counts, claim):
     """The exact mean over the claim inside (0.5, 1.5) at the last horizon, and moving toward 1."""
-    ratio = moments[0] / (claim.coefficient * claim.scale(hs))
+    ratio = moments[0] / (claim.coefficient(1) * claim.scale(1, hs))
     checks = [_band(f"mean/({claim.scaling}) at n={hs[-1]} inside (0.5, 1.5)", ratio[-1], 0.5, 1.5)]
     if len(hs) > 1:
         drift = abs(ratio[-1] - 1.0) - abs(ratio[0] - 1.0)
@@ -450,8 +478,9 @@ def _gbm_spec(params) -> ScaleSpec:
     return ScaleSpec.from_gbm(params["mu"], params["sigma"], params["a"], params["b"])
 
 
-def _gw_policy(hs, moments, counts, law):
-    """The TV distance of the last counts to the law, and few counts still changing after the first horizon."""
+def _gw_policy(hs, moments, counts, claim):
+    """The TV distance of the last counts to the claim's law, and few counts still changing after the first horizon."""
+    law = claim.law
     checks = [_within(f"TV distance to {law} at n={hs[-1]}", tv_distance_integer(counts[:, -1], law), 0.02)]
     if len(hs) > 1:
         checks.append(_within(f"fraction still changing between n={hs[0]} and n={hs[-1]}",
@@ -486,8 +515,7 @@ _register(ExperimentDef(
     "over S(n)^m tends to (pi/4)^(m-1). Checks a 10% final band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000), params={"m": 2},
     runner=ExactSpec(lambda p: _SQRT_WEIGHTS, "psi",
-                     lambda p: lambda k: AsymptoticPrediction("S(n)^m", lambda_sigma(0.5) ** (-(k - 1)),
-                                                              _s_power(_SQRT_WEIGHTS, k)),
+                     lambda p: Claim("S(n)^m", lambda k: lambda_sigma(0.5) ** (-(k - 1)), _sum_power(_SQRT_WEIGHTS)),
                      _ratio(0.10, "ratio"), _single("m"), scaled=True)))
 _register(ExperimentDef(
     "rzr-i",
@@ -526,7 +554,7 @@ _register(ExperimentDef(
     "(log n)^k tends to prod_{j<k}(j+alpha)/(k! alpha^k beta^k). 20% band + trend.",
     seed=0, replicates=None, horizons=(1000, 10000, 30000),
     params={"alpha": 2.0, "beta": 1.0, "k": 2},
-    runner=ExactSpec(_power, "psi", _power_claim, _ratio(0.20, "ratio"), _single("k"))))
+    runner=ExactSpec(_power, "psi", partial(_power_gamma, factorial=True), _ratio(0.20, "ratio"), _single("k"))))
 _register(ExperimentDef(
     "thbb-geo",
     "summable distance kernel: count moments rise to geometric-law moments",
@@ -534,8 +562,7 @@ _register(ExperimentDef(
     "law with mean pi^2/6 - 1 from below. Checks monotonicity, the bound, and a "
     "1e-3 final mean ratio.",
     seed=0, replicates=None, horizons=(100, 1000, 10000), params={"k_max": 3},
-    runner=ExactSpec(lambda p: _SQUARES, "moments",
-                     lambda p: _law_moments(_gw_limit(p), "constant", lambda k: _log_power(0, 0)), _geo_policy,
+    runner=ExactSpec(lambda p: _SQUARES, "moments", _gw_claim, _geo_policy,
                      lambda p: (range(1, p["k_max"] + 1), 1))))
 _register(ExperimentDef(
     "thbb-exp",
@@ -544,7 +571,7 @@ _register(ExperimentDef(
     "k=1 is exact by construction; k=2 gets a 15% band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000), params={"k_max": 2},
     runner=ExactSpec(lambda p: _LINEAR_WEIGHTS, "moments",
-                     lambda p: _law_moments(LimitLaw.gamma(1.0, 1.0), "S(n)^m", partial(_s_power, _LINEAR_WEIGHTS)),
+                     lambda p: _law(LimitLaw.gamma(1.0, 1.0), "S(n)^m", _sum_power(_LINEAR_WEIGHTS)),
                      _exp_policy,
                      lambda p: (range(1, p["k_max"] + 1), p["k_max"]), scaled=True)))
 _register(ExperimentDef(
@@ -555,9 +582,7 @@ _register(ExperimentDef(
     "shrinking error across decades.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000),
     params={"alpha": 2.0, "beta": 1.0, "k_max": 2},
-    runner=ExactSpec(_power, "moments",
-                     lambda p: _law_moments(LimitLaw.gamma(p["alpha"], p["alpha"] * p["beta"]), "(log n)^k",
-                                            partial(_log_power, 1)), _ratio(0.15),
+    runner=ExactSpec(_power, "moments", _power_gamma, _ratio(0.15),
                      lambda p: (range(1, p["k_max"] + 1), p["k_max"]), scaled=True)))
 _register(ExperimentDef(
     "c3-cutsphere",
@@ -584,7 +609,7 @@ _register(ExperimentDef(
     "Checks TV distance <= 0.02 to the geometric law with success 6/pi^2, a 4-se "
     "mean match to the exact kernel mean, and stabilization <= 0.005 after n = 1000.",
     seed=20242, replicates=100000, horizons=(1000, 5000), params={},
-    runner=MonteCarloSpec(lambda p: _SQUARES, lambda p: sim_gw, _gw_limit, _gw_policy)))
+    runner=MonteCarloSpec(lambda p: _SQUARES, lambda p: sim_gw, _gw_claim, _gw_policy)))
 _register(ExperimentDef(
     "thz-bpve-i",
     "immigration branching, vanishing drift: zero counts match the kernel mean",
@@ -790,7 +815,8 @@ def emit_plotdata(report_path, out_csv=None) -> Path:
     list of rows of that length, each entry a number (not a boolean, and
     finite: ``json`` reads NaN, Infinity and an overflowing 1e400 as floats)
     or null; also when the text holds an integer longer than
-    ``sys.get_int_max_str_digits()``.  Text that is not JSON raises
+    ``sys.get_int_max_str_digits()``, or nests too deeply for ``json``'s
+    recursive decoder.  Text that is not JSON raises
     ``json.JSONDecodeError``, a path error to the caller.
     """
     path = Path(report_path)
@@ -799,7 +825,7 @@ def emit_plotdata(report_path, out_csv=None) -> Path:
         report = json.loads(text)
     except json.JSONDecodeError:
         raise
-    except ValueError as e:  # not a decode error: an integer past int_max_str_digits
+    except (ValueError, RecursionError) as e:  # not a decode error: an integer past int_max_str_digits, or nesting
         raise ConfigError(f"{path} is not a limitlab report: {e}") from e
     if not isinstance(report, dict) or not {"columns", "rows"} <= report.keys():
         raise ConfigError(f"{path} is not a limitlab report: it has no 'columns' and 'rows'")

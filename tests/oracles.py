@@ -530,12 +530,24 @@ def geometric_moment_bruteforce(p: float, k: int, tol: float = 1e-14) -> float:
 
 
 def power_coefficient(alpha: float, beta: float, k: int, moment: bool) -> float:
-    """The power-kernel claims' coefficient in its first form, order of operations kept:
-    prod_{j<k}(j + alpha) over (alpha beta)^k for the k-th count moment, and over
-    k! alpha^k beta^k for the k-fold multiple sum."""
+    """The power-kernel claims' coefficient, order of operations kept: prod_{j<k}(j + alpha)
+    over (alpha beta)^k for the k-th count moment, and that over k! for the k-fold multiple sum."""
     num = 1
     for j in range(k):
         num = num * (j + alpha)
     if moment:
         return num / (alpha * beta) ** k
-    return num / (math.factorial(k) * alpha**k * beta**k)
+    return num / (alpha * beta) ** k / math.factorial(k)
+
+
+def independent_psi(p: np.ndarray, horizons, m: int) -> np.ndarray:
+    """Psi_n(1..m) of independent successes with probabilities p[1..n] (p[0] = 0), one row per order.
+
+    Psi_n(k) is the elementary symmetric sum e_k(p_1, ..., p_n), from
+    e_k(n) = e_k(n - 1) + p_n e_{k-1}(n - 1) with e_0 = 1.
+    """
+    rows, prev = [], np.ones(len(p))
+    for _ in range(m):
+        prev = np.cumsum(p * np.concatenate([[0.0], prev[:-1]]))
+        rows.append(prev[list(horizons)])
+    return np.array(rows)

@@ -113,9 +113,10 @@ def _raising(exc):
     (["plotdata", "{tmp}/overflow.json"], "lists of numbers"),
     # json raises a plain ValueError past int_max_str_digits (4300 by default): it ended in a traceback
     (["plotdata", "{tmp}/digits.json"], "integer string conversion"),
+    (["plotdata", "{tmp}/deep.json"], "maximum recursion depth"),
 ], ids=["run-directory", "run-binary", "out-at-file", "out-under-file", "plotdata-not-json",
         "plotdata-not-report", "plotdata-boolean", "plotdata-nan", "plotdata-infinity", "plotdata-overflow",
-        "plotdata-long-integer"])
+        "plotdata-long-integer", "plotdata-deep-nesting"])
 def test_exit_2_on_bad_path(tmp_path, capsys, monkeypatch, argv, needle):
     (tmp_path / "exp.cfg").write_text("experiment = prpd-summable\n")
     (tmp_path / "text").write_text("not json\n")
@@ -127,6 +128,7 @@ def test_exit_2_on_bad_path(tmp_path, capsys, monkeypatch, argv, needle):
     (tmp_path / "inf.json").write_text(head + "[[1, 2.0], [2, Infinity]]}")
     (tmp_path / "overflow.json").write_text(head + "[[1, 1e400]]}")
     (tmp_path / "digits.json").write_text('{"columns": ["h"], "rows": [[' + "1" * 5000 + "]]}")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)  # past json's recursion limit
     # a bad --out fails before the experiment runs
     monkeypatch.setattr(cli.experiments, "run", _raising(AssertionError("the experiment ran")))
     code = cli.main([arg.format(tmp=tmp_path) for arg in argv])

@@ -14,7 +14,7 @@ from limitlab import WeightSequence, experiments, multisum
 from limitlab.simulate import ReplicateBatch
 from limitlab.special import zeta_tail
 
-from oracles import power_coefficient
+from oracles import independent_psi, power_coefficient
 
 EXACT = [exp for exp, d in experiments._REGISTRY.items() if isinstance(d.runner, experiments.ExactSpec)]
 # the branching runs shortened, as in the registry snapshot; every other experiment runs at its defaults
@@ -194,8 +194,10 @@ def test_a_perturbed_model_meets_the_same_claim(monkeypatch, experiment):
     assert column(got, 1) == column(want, 1) and column(got, 4) == column(want, 4)
     assert all(g != w for g, w in zip(column(got, 2), column(want, 2)))
     assert [c for c in got["checks"] if "z-score" in c["name"] and not c["passed"]]
-    # checks read from the counts and the claim alone, as thy-gw's TV distance, keep their bits
-    kept = [c for c in want["checks"] if "z-score" not in c["name"] and "mean" not in c["name"]]
+    # checks read from the counts and the claim alone, as thy-gw's TV distance, keep their bits; the
+    # Poisson contrast reads the model's exact moments
+    kept = [c for c in want["checks"] if "z-score" not in c["name"] and "mean" not in c["name"]
+            and not c["name"].startswith("not Poisson")]
     assert [c for c in got["checks"] if c["name"] in {k["name"] for k in kept}] == kept
 
 
@@ -223,8 +225,47 @@ def test_a_point_inside_the_theorem_passes_every_check(experiment, params):
     assert [c["name"] for c in report["checks"] if not c["passed"]] == []
 
 
+COUNTS = {"thg", "thbb-geo", "thbb-exp", "tha-gamma", "c3-cutsphere", "c4-gbm", "thy-gw", "thz-bpve-i", "thz-bpve-ii"}
+
+
+def test_the_poisson_contrast_ends_every_count_experiment():
+    # exact experiments whose claim holds a law and reaches order 2, and every Monte Carlo experiment
+    for exp in experiments._REGISTRY:
+        names = [c["name"] for c in experiments.run(config(exp))["checks"]]
+        contrast = [i for i, name in enumerate(names) if name.startswith("not Poisson: 2 Psi(2)/Psi(1)^2 at n=")]
+        assert contrast == ([len(names) - 1] if exp in COUNTS else []), exp
+
+
+def test_the_poisson_contrast_reads_the_same_from_moments_and_from_psi():
+    # tha-gamma reads E C and E C^2, thg the Psi tables of the same kernel
+    hs = "horizons = 1000, 10000, 30000\n"
+    got = [experiments.run(experiments.parse_config(f"experiment = {exp}\n{hs}"))["checks"][-1]
+           for exp in ("tha-gamma", "thg")]
+    assert got[0]["name"] == got[1]["name"]
+    assert got[0]["value"] == pytest.approx(got[1]["value"], rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0])
+def test_the_poisson_contrast_fails_on_independent_trials(monkeypatch, lam):
+    # independent successes with p_j = lam / j have R = 1 - sum p^2 / (sum p)^2, below 1: the
+    # binomial's side of Poisson.  Run through thg's spec, with the oracle's Psi tables as its engine
+    hs = (100, 1000, 10000)
+    p = np.concatenate([[0.0], lam / np.arange(1, hs[-1] + 1)])
+    want = 1.0 - np.sum(p**2) / np.sum(p) ** 2
+    psi = independent_psi(p, hs, 2)
+    d = experiments._REGISTRY["thg"]
+    monkeypatch.setitem(experiments._REGISTRY, "thg", replace(d, runner=replace(d.runner, model=lambda params: p)))
+    monkeypatch.setattr(experiments, "psi_curve", independent_psi)
+    report = experiments.run(experiments.parse_config("experiment = thg\nhorizons = 100, 1000, 10000\n"))
+    checks = [report["checks"][-1], experiments._poisson_contrast(hs, psi[0], psi[0] + 2 * psi[1], moments=True)]
+    for check in checks:
+        assert check["name"] == "not Poisson: 2 Psi(2)/Psi(1)^2 at n=10000 above 1.1"
+        assert check["value"] == pytest.approx(want, rel=1e-12) and want < 1
+        assert not check["passed"]
+
+
 def claim(experiment, **params):
-    """The claim of an exact experiment at its default params updated by ``params``: order k -> prediction."""
+    """The ``Claim`` of an experiment at its default params updated by ``params``."""
     d = experiments._REGISTRY[experiment]
     return d.runner.claim({**d.params, **params})
 
@@ -233,69 +274,69 @@ class TestClaims:
     """Each claim read through its experiment's runner, as ``ExactSpec`` builds it."""
 
     def test_summable_constant(self):
-        p = claim("prpd-summable")(3)
+        p = claim("prpd-summable")
         assert p.scaling == "constant"
-        assert p.coefficient == pytest.approx((math.pi**2 / 6 - 1) ** 3, rel=1e-14)
+        assert p.coefficient(3) == pytest.approx((math.pi**2 / 6 - 1) ** 3, rel=1e-14)
 
     def test_regularly_varying(self):
-        p = claim("prpd-rv")(2)
+        p = claim("prpd-rv")
         assert p.scaling == "S(n)^m"
-        assert p.coefficient == pytest.approx(math.pi / 4, rel=1e-12)
+        assert p.coefficient(2) == pytest.approx(math.pi / 4, rel=1e-12)
 
     def test_power(self):
-        p = claim("thg", alpha=1.0)(2)
+        p = claim("thg", alpha=1.0)
         assert p.scaling == "(log n)^k"
-        assert p.coefficient == pytest.approx(1.0, rel=1e-14)
+        assert p.coefficient(2) == pytest.approx(1.0, rel=1e-14)
 
     def test_power_moment_variant(self):
-        p = claim("tha-gamma", alpha=2.0, beta=1.0)(2)
+        p = claim("tha-gamma", alpha=2.0, beta=1.0)
         assert p.scaling == "(log n)^k"
-        assert p.coefficient == pytest.approx(6.0 / 4.0, rel=1e-14)
+        assert p.coefficient(2) == pytest.approx(6.0 / 4.0, rel=1e-14)
 
     @pytest.mark.parametrize("moment", [False, True])
     def test_power_coefficient_keeps_its_bits(self, moment):
         # the Gamma law's moment must divide in the order the coefficient was first written in
         rng = np.random.default_rng(20250423)
         for alpha, beta in rng.uniform(0.05, 6.0, (400, 2)).tolist():
-            claims = claim("tha-gamma" if moment else "thg", alpha=alpha, beta=beta)
+            coefficient = claim("tha-gamma" if moment else "thg", alpha=alpha, beta=beta).coefficient
             for k in range(1, 9):
-                assert claims(k).coefficient == power_coefficient(alpha, beta, k, moment), (alpha, beta, k)
+                assert coefficient(k) == power_coefficient(alpha, beta, k, moment), (alpha, beta, k)
 
     def test_pi_consistency_of_the_two_routes(self):
         # route 1: regularly varying with tau = 1/2 and S(n) ~ 2 sqrt(n),
         # so the coefficient of Phi(n,2)/n is lambda^{-1} * 4
-        via_rv = claim("prpd-rv")(2).coefficient * 4.0
+        via_rv = claim("prpd-rv").coefficient(2) * 4.0
         # route 2: depth-0 weights i^(1/2), scale n^{k(1-sigma)} = n
-        via_rzr = claim("rzr-iv", m=0, sigma=0.5)(2).coefficient
+        via_rzr = claim("rzr-iv", m=0, sigma=0.5).coefficient(2)
         assert via_rv == pytest.approx(math.pi, rel=1e-10)
         assert via_rzr == pytest.approx(math.pi, rel=1e-10)
         assert via_rv == pytest.approx(via_rzr, rel=1e-10)
 
     def test_rzr_cases(self):
-        const = claim("rzr-i", m=0, sigma=2.0, n0=1)(2)
+        const = claim("rzr-i", m=0, sigma=2.0, n0=1)
         assert const.scaling == "constant"
-        assert const.coefficient == pytest.approx((math.pi**2 / 6) ** 2, abs=1e-9)
-        assert const.coefficient == zeta_tail(0, 2.0, 1).value ** 2
-        crit = claim("rzr-ii", m=1, sigma=1.0)(3)
+        assert const.coefficient(2) == pytest.approx((math.pi**2 / 6) ** 2, abs=1e-9)
+        assert const.coefficient(2) == zeta_tail(0, 2.0, 1).value ** 2
+        crit = claim("rzr-ii", m=1, sigma=1.0)
         assert crit.scaling == "(log_{m+1} n)^k"
-        assert crit.coefficient == 1.0
-        deep = claim("rzr-iii", m=1, sigma=0.5)(2)
+        assert crit.coefficient(3) == 1.0
+        deep = claim("rzr-iii", m=1, sigma=0.5)
         assert deep.scaling == "(log_m n)^{k(1-sigma)}"
-        assert deep.coefficient == pytest.approx(4.0, rel=1e-14)
-        zero = claim("rzr-iii", m=2, sigma=0.0)(2)
+        assert deep.coefficient(2) == pytest.approx(4.0, rel=1e-14)
+        zero = claim("rzr-iii", m=2, sigma=0.0)
         assert zero.scaling == "(log_m n)^k"
 
     def test_scale(self):
         hs = [10, 100, 1000]
         n = np.asarray(hs, dtype=float)
-        assert np.array_equal(claim("prpd-summable")(2).scale(hs), np.ones(3))
-        assert np.array_equal(claim("thg", alpha=2.0)(3).scale(hs), np.log(n) ** 3)
+        assert np.array_equal(claim("prpd-summable").scale(2, hs), np.ones(3))
+        assert np.array_equal(claim("thg", alpha=2.0).scale(3, hs), np.log(n) ** 3)
         s = np.cumsum(1.0 / np.sqrt(np.arange(1, 1001)))
-        assert claim("prpd-rv")(2).scale(hs) == pytest.approx(s[n.astype(int) - 1] ** 2, rel=1e-13)
+        assert claim("prpd-rv").scale(2, hs) == pytest.approx(s[n.astype(int) - 1] ** 2, rel=1e-13)
         rzr = {(0, 2.0): np.ones(3), (0, 1.0): np.log(n) ** 2, (1, 1.0): np.log(np.log(n)) ** 2,
                (1, 0.5): np.log(n), (0, 0.5): n}
         for (m, sigma), want in rzr.items():
-            assert claim("rzr-i", m=m, sigma=sigma, n0=3)(2).scale(hs) == pytest.approx(want, rel=1e-14)
+            assert claim("rzr-i", m=m, sigma=sigma, n0=3).scale(2, hs) == pytest.approx(want, rel=1e-14)
 
     def test_unsupported(self):
         with pytest.raises(ValueError, match="no supported limit for sigma=-0.5, m=0"):
