@@ -84,6 +84,31 @@ and local evaluation shares included (160 (260) without local values), at
 about 0.78 (0.67) us per row in all on a 2-core x86-64 host with 2 MiB of L2
 per core; branching with B = 0.5 takes 126 (152) far-field entries and 0.99
 (0.81) us per row.
+
+Plan and apply.  Only the products depend on v.  Every other array a
+product uses is a block, formed from (x, y) alone: the leaf layout, the
+near-field windows, the charge and M2M bases, the tree's centres and
+half-widths, each level's interaction lists split into multipole-to-local,
+per-target and pushed pairs, the multipole-to-local, per-target and
+pushed-pair kernels, the set of leaves with local values (every leaf that
+met a multipole-to-local pair) and their local bases.  ``_Plan.apply(v)``
+forms each through ``_Plan._block``, in the same order at every product.
+``lower_matvec`` is ``_Plan(x, y).apply(v)``: a plan for a single product
+keeps nothing, so each block is formed in its tile and freed, with the peak
+of a product without a plan and 15-30 us more Python per product (4-9% at
+n = 200 and 500, 1-3% from n = 5000 on).  A Psi table of order m applies one
+plan m - 1 times (``multisum``).  Its first product keeps each block that
+fits in what is left of ``_KEEP`` = 2^20 floats (8 MiB, 16 tiles); a later
+product reads the kept blocks and forms the others again.  A kept block is
+the array the first product formed and used, so each product has the bytes
+of a ``lower_matvec`` call at any budget, tile size and BLAS thread count.
+A whole plan is 200-290 floats per entry, the near field's 2 LEAF included,
+so the budget holds it up to n of about 4000, and past that memory stays
+bounded: a whole plan at n = 1e6 would be 2 GB.  Median ms of one product,
+formed / kept, same host, power alpha = 2, branching B = 0.5, scale
+gamma = 3: 0.23 / 0.05 at n = 200, 0.47-0.52 / 0.10-0.12 at n = 500, and
+3.7-6.0 / 1.4-3.2 at n = 5000, where the budget holds all but 2-10 of
+53-59 blocks (the last formed: local bases, then pushed pairs).
 """
 
 from __future__ import annotations
@@ -108,6 +133,8 @@ SEPARATION = 3.0
 #   n = 1e5   89.0-91.8  75.2-76.0  69.5-74.3  72.7-76.0  102-108
 # At 2^16 a near-field tile is 8 leaves, so n <= 512 still runs as one tile.
 _SLICE = 1 << 16
+# Floats a plan for several products may keep: 8 MiB, 16 tiles (see "Plan and apply").
+_KEEP = 16 * _SLICE
 # Leaves from which far pairs may go through local values.  Median ms of one
 # matvec with / without, 25 interleaved pairs, same host, power alpha = 2,
 # branching B = 0.5, scale gamma = 3: 24 leaves 1.59/1.68, 2.25/2.30, 1.97/1.92;
@@ -147,9 +174,9 @@ def _basis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, d @ _BARY
 
 
-def _charges(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """W[..., k] = sum_i v[..., i] times the k-th Lagrange basis polynomial at u[..., i]."""
-    r, s = _basis(u)
+def _charges(basis: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """W[..., k] = sum_i v[..., i] times the k-th Lagrange basis polynomial at u[..., i], with basis = _basis(u)."""
+    r, s = basis
     return np.matmul((v / s)[..., None, :], r)[..., 0, :] * _BARY
 
 
@@ -171,106 +198,213 @@ def _interval(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, np.maximum((hi - lo) / 2, 1e-12 * np.abs(c) + 1e-300)
 
 
+def _floats(block) -> int:
+    """Floats held by a block: an array, or a tuple of blocks and Nones."""
+    if isinstance(block, tuple):
+        return sum(map(_floats, block))
+    return 0 if block is None else block.nbytes // 8
+
+
+def _layout(x: np.ndarray, y: np.ndarray, nl: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """x padded to whole leaves, shape (nl, LEAF), and y led by a ghost leaf and padded.
+
+    The ghost and the padding repeat an end value, so every entry is finite
+    and can be a product's operand.
+    """
+    yg = np.concatenate([np.repeat(y[:1], LEAF), y, np.repeat(y[-1:], pad)])
+    return np.concatenate([x, np.repeat(x[-1:], pad)]).reshape(nl, LEAF), yg
+
+
+def _near(X: np.ndarray, Yw: np.ndarray, first: bool, pad: int) -> np.ndarray:
+    """Near-field reciprocals of a tile of leaves against their windows [leaf b - 1, leaf b].
+
+    +inf on and above the diagonal, over the ghost (``first``: the tile holds
+    leaf 0) and over the ``pad`` padding rows of the tile's last leaf divides to 0.
+    """
+    d = _difference(X, Yw)
+    d += _MASK
+    if first:
+        d[0, :, :LEAF] = np.inf
+    if pad:
+        d[-1, LEAF - pad :] = np.inf
+    return np.reciprocal(d, out=d)
+
+
+def _geometry(X: np.ndarray, Y: np.ndarray, pad: int):
+    """(levels, xmin, hx, cx): (centre, half-width) of every block by level, and the leaves' x-ranges.
+
+    hx and cx, the half-width and centre of each leaf's x-range, are None below
+    ``_LOCAL_LEAVES`` leaves, where no pair goes through local values.
+    """
+    nl = X.shape[0]
+    levels = [_interval(Y[:, 0], Y[:, -1])]
+    while (nl - 1) >> len(levels) >= 2:
+        c, h = levels[-1]
+        half = c.size // 2  # a last block without a sibling is never a source
+        levels.append(_interval(c[0 : 2 * half : 2] - h[0 : 2 * half : 2], c[1 : 2 * half : 2] + h[1 : 2 * half : 2]))
+    xmin = X.min(axis=1)
+    if nl < _LOCAL_LEAVES:
+        return tuple(levels), xmin, None, None
+    hx = np.maximum((X.max(axis=1) - xmin) / 2, 1e-12 * np.abs(xmin) + 1e-300)
+    if pad:
+        hx[-1] = np.inf  # a partial leaf fails the local test: its far field is summed per target
+    return tuple(levels), xmin, hx, xmin + hx
+
+
+def _pairs(level: int, c: np.ndarray, h: np.ndarray, near, xmin: np.ndarray, hx):
+    """The pairs (target leaf, source block) of one level, split by how they are summed.
+
+    Returns one (m2l leaves, m2l blocks, far leaves, far blocks) per list (the
+    even and odd interaction lists, then the pairs pushed down from the level
+    above, ``near``), and the pairs too close in value, which go to the
+    children.  A far pair that is also far from the target leaf's x-range
+    goes through local values; a pushed pair never does.
+    """
+    leaves = np.arange(xmin.size)
+    J = leaves >> level
+    even, odd = J >= 2, (J >= 3) & (J % 2 == 1)
+    near_b, near_a = near
+    pushed = (np.concatenate([near_b, near_b]), np.concatenate([2 * near_a, 2 * near_a + 1]))
+    lists = [(leaves[even], J[even] - 2, True), (leaves[odd], J[odd] - 3, True), (*pushed, False)]
+    split, closer, empty = [], [], leaves[:0]
+    for b, a, unique in lists:
+        far = xmin[b] - c[a] >= SEPARATION * h[a]
+        closer.append((b[~far], a[~far]))
+        lb = la = empty
+        if hx is not None and unique:
+            # centre of the leaf's range minus (c + h) is at least SEPARATION * hx
+            m2l = far & (xmin[b] - (c[a] + h[a]) >= (SEPARATION - 1) * hx[b])
+            lb, la = b[m2l], a[m2l]
+            far &= ~m2l
+        split.append((lb, la, b[far], a[far]))
+    return (*split, tuple(np.concatenate(z) for z in zip(*closer)))
+
+
+def _m2l(hx: np.ndarray, cx: np.ndarray, h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Multipole-to-local blocks 1/(x node - y node) of pairs (leaf x-range (cx, hx), source block (c, h))."""
+    k = _difference(hx[:, None] * _NODES, h[:, None] * _NODES)
+    k += (cx - c)[:, None, None]
+    return np.reciprocal(k, out=k)
+
+
+def _inverse_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1 / (a[..., :, None] - b[..., None, :]), through ``_difference``."""
+    d = _difference(a, b)
+    return np.reciprocal(d, out=d)
+
+
+class _Plan:
+    """The product v -> out of ``lower_matvec`` for one (x, y), keeping the blocks that do not depend on v.
+
+    ``apply`` forms every such block through ``_block``, in the same order
+    at every product.  The first product keeps each block that fits in what
+    is left of the budget, ``_KEEP`` floats when the plan is for more than
+    one product and none for a single one; a later product reads the kept
+    blocks and forms the others again.  A block's bytes do not depend on
+    whether it was kept, so neither do the products'.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, products: int = 1):
+        self.x, self.y = x, y
+        self._room = _KEEP
+        # the i-th block a product forms, or None where it did not fit; a single product keeps no list
+        self._kept = [] if products > 1 else None
+        self._next = 0
+
+    def _block(self, form):
+        """The next block: the kept one, or ``form()``, kept by the first product if it fits."""
+        if self._kept is None:
+            return form()
+        i = self._next
+        self._next += 1
+        if i < len(self._kept):
+            held = self._kept[i]
+            return form() if held is None else held
+        block = form()
+        size = _floats(block)
+        fits = size <= self._room
+        self._room -= size if fits else 0
+        self._kept.append(block if fits else None)
+        return block
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """out[j] = sum_{i<j} v[i] / (x[j] - y[i]); v has the length of x and y."""
+        self._next = 0
+        block = self._block
+        n = v.size
+        nl = -(-n // LEAF)
+        pad = nl * LEAF - n
+        X, yg = block(lambda: _layout(self.x, self.y, nl, pad))
+        Y, Yw = yg[LEAF:].reshape(nl, LEAF), _windows(yg)
+        vg = np.concatenate([np.zeros(LEAF), v, np.zeros(pad)])  # a ghost leaf and padding, v = 0
+        V, Vw = vg[LEAF:].reshape(nl, LEAF), _windows(vg)
+        out = np.empty((nl, LEAF))
+
+        # near field: leaf b against the window [leaf b - 1, leaf b]
+        for s in _slices(nl, 2 * LEAF * LEAF):
+            d = block(lambda: _near(X[s], Yw[s], s.start == 0, pad if s.stop == nl else 0))
+            out[s] = np.matmul(d, Vw[s, :, None])[..., 0]
+        if nl < 3:
+            return out.ravel()[:n]
+        levels, xmin, hx, cx = block(lambda: _geometry(X, Y, pad))
+
+        # upward pass: the charges of every block, level by level
+        c, h = levels[0]
+        W = np.empty((nl, ORDER))
+        for s in _slices(nl, LEAF * ORDER):
+            W[s] = _charges(block(lambda: _basis((Y[s] - c[s, None]) / h[s, None])), V[s])
+        charges = [W]
+        for (c, h), (pc, ph) in zip(levels, levels[1:]):
+            half = pc.size
+            PW = np.zeros((half, ORDER))
+            for child in (0, 1):
+                cc, ch, cw = c[child : 2 * half : 2], h[child : 2 * half : 2], W[child : 2 * half : 2]
+                for s in _slices(half, ORDER * ORDER):
+                    basis = block(lambda: _basis(((cc[s] - pc[s])[:, None] + ch[s, None] * _NODES) / ph[s, None]))
+                    PW[s] += _charges(basis, cw[s])
+            charges.append(PW)
+            W = PW
+
+        # downward pass: far pairs sum their charges at each target, or add them
+        # into the target leaf's local values; pairs too close in value go to the children
+        local = hx is not None
+        if local:
+            L, touched = np.zeros((nl, ORDER)), np.zeros(nl, dtype=bool)  # local values, and the leaves that take them
+        near = (np.empty(0, dtype=int), np.empty(0, dtype=int))
+        for level in range(len(levels) - 1, -1, -1):
+            (c, h), W = levels[level], charges.pop()
+            *lists, near = block(lambda: _pairs(level, c, h, near, xmin, hx))
+            # a regular list names each target leaf at most once; pushed pairs may repeat one
+            for (lb, la, fb, fa), unique in zip(lists, (True, True, False)):
+                if lb.size:
+                    touched[lb] = True
+                    for s in _slices(lb.size, ORDER * ORDER):
+                        k = block(lambda: _m2l(hx[lb[s]], cx[lb[s]], h[la[s]], c[la[s]]))
+                        L[lb[s]] += np.matmul(k, W[la[s], :, None])[..., 0]
+                for s in _slices(fb.size, LEAF * ORDER):
+                    k = block(lambda: _inverse_difference(X[fb[s]] - c[fa[s], None], h[fa[s], None] * _NODES))
+                    f = np.matmul(k, W[fa[s], :, None])[..., 0]
+                    if unique:
+                        out[fb[s]] += f
+                    else:
+                        np.add.at(out, fb[s], f)
+        del W  # the leaf charges: freed before the last tiles keeps the peak down
+
+        # pairs pushed down to the leaves are summed densely
+        near_b, near_a = near
+        for s in _slices(near_b.size, LEAF * LEAF):
+            k = block(lambda: _inverse_difference(X[near_b[s]], Y[near_a[s]]))
+            np.add.at(out, near_b[s], np.matmul(k, V[near_a[s], :, None])[..., 0])
+
+        # each leaf that met a multipole-to-local pair evaluates its local values once, at its own targets
+        if local:
+            lb = block(lambda: np.flatnonzero(touched))
+            for s in _slices(lb.size, LEAF * ORDER):
+                r, q = block(lambda: _basis((X[lb[s]] - cx[lb[s], None]) / hx[lb[s], None]))
+                out[lb[s]] += np.matmul(r, (L[lb[s]] * _BARY)[..., None])[..., 0] / q
+        return out.ravel()[:n]
+
+
 def lower_matvec(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """out[j] = sum_{i<j} v[i] / (x[j] - y[i]) for equal-length 1-D arrays."""
-    n = v.size
-    nl = -(-n // LEAF)
-    pad = nl * LEAF - n
-    # flat copies led by a ghost leaf (v = 0) and padded to whole leaves (v = 0);
-    # every value is finite, so it can be a product's operand
-    vg = np.concatenate([np.zeros(LEAF), v, np.zeros(pad)])
-    yg = np.concatenate([np.repeat(y[:1], LEAF), y, np.repeat(y[-1:], pad)])
-    X = np.concatenate([x, np.repeat(x[-1:], pad)]).reshape(nl, LEAF)
-    Y, V = yg[LEAF:].reshape(nl, LEAF), vg[LEAF:].reshape(nl, LEAF)
-    out = np.empty((nl, LEAF))
-
-    # near field: leaf b against the window [leaf b - 1, leaf b]; +inf on and
-    # above the diagonal, over the ghost and over the padding rows divides to 0
-    Yw, Vw = _windows(yg), _windows(vg)
-    for s in _slices(nl, 2 * LEAF * LEAF):
-        d = _difference(X[s], Yw[s])
-        d += _MASK
-        if s.start == 0:
-            d[0, :, :LEAF] = np.inf
-        if s.stop == nl:
-            d[-1, LEAF - pad :] = np.inf
-        np.reciprocal(d, out=d)
-        out[s] = np.matmul(d, Vw[s, :, None])[..., 0]
-    if nl < 3:
-        return out.ravel()[:n]
-    leaves = np.arange(nl)
-
-    # upward pass: (centre, half-width, charges) of every block, level by level
-    c, h = _interval(Y[:, 0], Y[:, -1])
-    W = np.empty((nl, ORDER))
-    for s in _slices(nl, LEAF * ORDER):
-        W[s] = _charges((Y[s] - c[s, None]) / h[s, None], V[s])
-    tree = [(c, h, W)]
-    while (nl - 1) >> len(tree) >= 2:
-        c, h, W = tree[-1]
-        half = c.size // 2  # a last block without a sibling is never a source
-        pc, ph = _interval(c[0 : 2 * half : 2] - h[0 : 2 * half : 2], c[1 : 2 * half : 2] + h[1 : 2 * half : 2])
-        PW = np.zeros((half, ORDER))
-        for child in (0, 1):
-            cc, ch, cw = c[child : 2 * half : 2], h[child : 2 * half : 2], W[child : 2 * half : 2]
-            for s in _slices(half, ORDER * ORDER):
-                PW[s] += _charges(((cc[s] - pc[s])[:, None] + ch[s, None] * _NODES) / ph[s, None], cw[s])
-        tree.append((pc, ph, PW))
-
-    # downward pass: interaction lists, pairs too close in value go to the children;
-    # a far pair that is also far from the target leaf's x-range adds into the
-    # leaf's local values at ORDER Chebyshev points spanning that range
-    xmin = X.min(axis=1)
-    local = nl >= _LOCAL_LEAVES
-    if local:
-        hx = np.maximum((X.max(axis=1) - xmin) / 2, 1e-12 * np.abs(xmin) + 1e-300)
-        if pad:
-            hx[-1] = np.inf  # a partial leaf fails the local test: its far field is summed per target
-        cx, L = xmin + hx, np.zeros((nl, ORDER))
-    near_b = near_a = np.empty(0, dtype=int)
-    for level in range(len(tree) - 1, -1, -1):
-        c, h, W = tree.pop()
-        J = leaves >> level
-        even, odd = J >= 2, (J >= 3) & (J % 2 == 1)
-        pushed = (np.concatenate([near_b, near_b]), np.concatenate([2 * near_a, 2 * near_a + 1]))
-        # a regular list names each target leaf at most once; pushed pairs may repeat one
-        lists = [(leaves[even], J[even] - 2, True), (leaves[odd], J[odd] - 3, True), (*pushed, False)]
-        near = []
-        for b, a, unique in lists:
-            far = xmin[b] - c[a] >= SEPARATION * h[a]
-            near.append((b[~far], a[~far]))
-            if local and unique:
-                # centre of the leaf's range minus (c + h) is at least SEPARATION * hx
-                m2l = far & (xmin[b] - (c[a] + h[a]) >= (SEPARATION - 1) * hx[b])
-                lb, la = b[m2l], a[m2l]
-                for s in _slices(lb.size, ORDER * ORDER):
-                    k = _difference(hx[lb[s], None] * _NODES, h[la[s], None] * _NODES)
-                    k += (cx[lb[s]] - c[la[s]])[:, None, None]
-                    np.reciprocal(k, out=k)
-                    L[lb[s]] += np.matmul(k, W[la[s], :, None])[..., 0]
-                far &= ~m2l
-            fb, fa = b[far], a[far]
-            for s in _slices(fb.size, LEAF * ORDER):
-                k = _difference(X[fb[s]] - c[fa[s], None], h[fa[s], None] * _NODES)
-                np.reciprocal(k, out=k)
-                f = np.matmul(k, W[fa[s], :, None])[..., 0]
-                if unique:
-                    out[fb[s]] += f
-                else:
-                    np.add.at(out, fb[s], f)
-        near_b, near_a = (np.concatenate(z) for z in zip(*near))
-    del c, h, W  # the leaf charges: freed before the last tiles keeps the peak down
-
-    # pairs pushed down to the leaves are summed densely
-    for s in _slices(near_b.size, LEAF * LEAF):
-        k = _difference(X[near_b[s]], Y[near_a[s]])
-        np.reciprocal(k, out=k)
-        np.add.at(out, near_b[s], np.matmul(k, V[near_a[s], :, None])[..., 0])
-
-    # each leaf evaluates its local values once, at its own targets
-    if local:
-        lb = np.flatnonzero(L.any(axis=1))
-        for s in _slices(lb.size, LEAF * ORDER):
-            r, q = _basis((X[lb[s]] - cx[lb[s], None]) / hx[lb[s], None])
-            out[lb[s]] += np.matmul(r, (L[lb[s]] * _BARY)[..., None])[..., 0] / q
-    return out.ravel()[:n]
+    return _Plan(x, y).apply(v)

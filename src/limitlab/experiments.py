@@ -176,6 +176,14 @@ def _zscore(name, sample, exact, variance):
     return _check(name, z, "|z| <= 4", abs(z) <= 4.0)
 
 
+def _positive_coefficient(claim, k: int):
+    """The claim's coefficient of order k; refuses one that is 0, negative or not finite."""
+    coefficient = claim.coefficient(k)
+    if not (math.isfinite(coefficient) and coefficient > 0):
+        raise ValueError(f"the coefficient of {claim.scaling} of order {k} is {float(coefficient):g}, not finite and positive")
+    return coefficient
+
+
 def _positive_scale(name, scale, horizons):
     """The scale of a claim at the horizons; refuses one that is 0, negative or not finite there."""
     bad = np.flatnonzero(~(np.isfinite(scale) & (scale > 0)))
@@ -266,7 +274,8 @@ class ExactSpec:
       module's name (a profiler's, a test's) sees the call;
     - ``claim(params)``: the ``Claim`` of the curves.  It is built once per
       run and never from the model, so a perturbed model meets the same
-      claim.  An order below 1 is refused before it is built;
+      claim.  An order below 1 is refused before it is built, and a
+      coefficient or scale that is not finite and positive before any table;
     - ``policy(k, horizons, observed, predicted)``: the checks of order k,
       from that order's table columns.
 
@@ -293,7 +302,7 @@ class ExactSpec:
             raise ValueError(f"the order must be >= 1, got {orders.start}")
         model, claim = self.model(cfg.params), self.claim(cfg.params)
         with np.errstate(divide="ignore", invalid="ignore"):  # the refusal of a scale that is not finite speaks alone
-            preds = [(claim.coefficient(k), _positive_scale(f"{claim.scaling} of order {k}", claim.scale(k, hs), hs))
+            preds = [(_positive_coefficient(claim, k), _positive_scale(f"{claim.scaling} of order {k}", claim.scale(k, hs), hs))
                      for k in orders]
         engines = {"psi": psi_curve, "moments": lambda *a: MomentTable.build(*a).values}
         curves = engines[self.quantity](model, hs, orders[-1])
@@ -328,8 +337,9 @@ class MonteCarloSpec:
       checks, from the exact moments of orders 1..4 (one row per order) and
       the counts (one column per horizon).
 
-    The runner refuses a claim whose mean, coefficient times scale at order
-    1, is not finite and positive at the horizons, before any table or draw.
+    The runner refuses a claim whose coefficient of order 1, or whose mean,
+    coefficient times scale at order 1, is not finite and positive at the
+    horizons, before any table or draw.
     It writes one row per horizon (the sample mean with its standard error,
     against the exact mean), then the z-scores of the mean and the second
     moment, each divided by its exact variance E C^(2k) - (E C^k)^2, then
@@ -345,7 +355,7 @@ class MonteCarloSpec:
     def __call__(self, cfg: ExperimentConfig):
         hs, claim = cfg.horizons, self.claim(cfg.params)
         if claim is not None:
-            _positive_scale(claim.scaling, claim.coefficient(1) * claim.scale(1, hs), hs)
+            _positive_scale(claim.scaling, _positive_coefficient(claim, 1) * claim.scale(1, hs), hs)
         table = MomentTable.build(self.model(cfg.params), hs, 4)
         batch = self.sample(cfg.params)(max(hs), replicates=cfg.replicates, seed=cfg.seed, checkpoints=hs)
         rows, checks = [], []

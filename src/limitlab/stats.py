@@ -54,7 +54,10 @@ class LimitLaw:
     def moment(self, k: int):
         """E X^k.  Gamma: prod_{j<k} (j + shape) / rate^k.  Geometric:
         m_k = mean * sum_{j<k} C(k, j) m_j with m_0 = 1, from the
-        self-consistency E X^k = E X * (E (X+1)^k - E X^k)."""
+        self-consistency E X^k = E X * (E (X+1)^k - E X^k).
+
+        Raises ``OverflowError`` where rate^k underflows to 0, since the
+        moment is then past the float range."""
         if k < 0:
             raise ValueError("moment order must be nonnegative")
         if self.kind == "geometric":
@@ -67,7 +70,10 @@ class LimitLaw:
         out = 1
         for j in range(k):
             out = out * (j + shape)
-        return out / rate**k
+        scale = rate**k
+        if scale == 0:
+            raise OverflowError(f"the moment of order {k} of {self} is past the float range: rate^{k} underflows to 0")
+        return out / scale
 
     def _success(self) -> float:
         if self.kind != "geometric":

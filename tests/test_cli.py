@@ -78,6 +78,11 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     # (log log 2)^(1/2) is NaN: the refusal is the only output, and the suite's
     # error::RuntimeWarning filter would turn a numpy warning into an exception
     ({}, "experiment = rzr-iii\nm = 2\nn0 = 16\nhorizons = 2, 20, 100\n", "is nan at n = 2"),
+    # a law's moment past the float range, where rate^k underflows to 0, was a ZeroDivisionError
+    ({}, "experiment = thg\nbeta = 1e-320\n", "rate^2 underflows to 0"),
+    ({}, "experiment = tha-gamma\nalpha = 1e-300\n", "rate^2 underflows to 0"),
+    # a coefficient that is not finite is refused before any table
+    ({}, "experiment = thg\nbeta = 1e-310\nk = 1\n", "coefficient of (log n)^k of order 1 is inf"),
     # an order below 1 is refused before any claim is built
     ({}, "experiment = prpd-summable\nm = 0\n", "order must be >= 1, got 0"),
     ({}, "experiment = thg\nk = -2\n", "order must be >= 1, got -2"),

@@ -558,16 +558,8 @@ class TestPsiFastVsExact:
         assert np.all(np.abs(fast - exact) <= FAST_RTOL * exact)
 
     def test_matvec_local_expansions(self, monkeypatch):
-        # above the gate, a partial last leaf, zeros in v, and x that falls
-        # back within a leaf but spans little more than the leaf's y-range, so
-        # most far pairs pass the x-side test and go through local values
-        n = LEAF * 40 + 17
-        rng = np.random.default_rng(40)
-        y = np.cumsum(rng.random(n) + 0.01)
-        x = np.concatenate([[y[0]], y[:-1] + 10.0 ** rng.uniform(-3, 0, n - 1)])
-        v = rng.random(n)
-        v[:70] = 0.0
-        v[rng.random(n) < 0.3] = 0.0
+        v, x, y = _local_expansion_inputs()
+        n = v.size
         assert np.any(np.diff(x) < 0) and n // LEAF >= cauchy._LOCAL_LEAVES
         with np.errstate(all="raise"):
             fast = lower_matvec(v, x, y)
@@ -652,6 +644,77 @@ class TestPsiFastVsExact:
             tracemalloc.stop()
         assert peak <= 5.5 * 2**20
 
+    @pytest.mark.parametrize("keep", ["nothing", "part", "default"])
+    def test_a_plan_applies_the_bytes_of_lower_matvec(self, keep, monkeypatch):
+        # a Psi table of order m applies one plan m - 1 times: each product has
+        # the bytes of a lower_matvec call of its own, whichever blocks the plan
+        # kept, at every tile size of the slice test.  The plan's first product,
+        # which keeps the blocks, is of v = 0: what it keeps must not depend on v
+        for v, x, y in _plan_inputs():
+            want = [v]
+            for _ in range(3):
+                want.append(lower_matvec(want[-1], x, y))
+            with monkeypatch.context() as m:
+                m.setattr(cauchy, "_KEEP", 1 << 40)
+                whole = cauchy._Plan(x, y, 2)
+                whole.apply(v)
+            floats = sum(map(cauchy._floats, whole._kept))  # every block: above the default budget at gamma = 0.05
+            budget = {"nothing": 0, "part": floats // 2, "default": cauchy._KEEP}[keep]
+            for size in (1 << 10, 1 << 14, cauchy._SLICE, 1 << 18):
+                with monkeypatch.context() as m:
+                    m.setattr(cauchy, "_SLICE", size)
+                    m.setattr(cauchy, "_KEEP", budget)
+                    plan = cauchy._Plan(x, y, 4)
+                    assert not plan.apply(np.zeros_like(v)).any()
+                    got = [v]
+                    for _ in range(3):
+                        got.append(plan.apply(got[-1]))
+                held = sum(cauchy._floats(b) for b in plan._kept if b is not None)
+                again = sum(b is None for b in plan._kept)  # blocks formed again at each product
+                assert {"nothing": held == 0, "part": held > 0 and again > 0,
+                        "default": held > 0 and (again == 0) == (floats <= budget)}[keep]
+                for g, w in zip(got[1:], want[1:]):
+                    assert np.array_equal(g, w)
+
+    def test_a_plan_keeps_at_most_its_budget(self, monkeypatch):
+        # an order-3 table at n = 20000 applies one plan twice, and the plan
+        # would hold 4.9e6 floats; it keeps at most _KEEP of them, on top of the
+        # peak of a plan that keeps nothing, which is the sliced matvec's
+        kernel = kernel_power(2.0, 1.0)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                _psi_tables(kernel, 20_000, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        budget = 8 * cauchy._KEEP
+        with monkeypatch.context() as m:
+            m.setattr(cauchy, "_KEEP", 0)
+            sliced = peak()
+        assert budget / 2 <= peak() - sliced <= budget
+
+    def test_a_plans_second_product_does_not_depend_on_the_blas_thread_count(self):
+        # at n = 5000 the plan keeps all but a few blocks, so the second product
+        # reads kept blocks and forms the others again
+        code = ("import hashlib, numpy as np; from limitlab import cauchy; "
+                "from limitlab.kernels import kernel_power; "
+                "_, x, y = (a[1:] for a in kernel_power(2.0, 1.0).cauchy(5000)); "
+                "v = np.random.default_rng(2).random(5000); "
+                "plan = cauchy._Plan(x, y, 2); plan.apply(v); "
+                "kept = [b is not None for b in plan._kept]; assert 0 < sum(kept) < len(kept); "
+                "print(*(hashlib.sha256(o.tobytes()).hexdigest() for o in (plan.apply(v), cauchy.lower_matvec(v, x, y))))")
+        runs = [subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                               capture_output=True, text=True, check=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t})
+                for t in ("1", "2")]
+        assert [r.stderr for r in runs] == ["", ""]
+        assert runs[0].stdout == runs[1].stdout
+        second, single = runs[0].stdout.split()
+        assert second == single
+
     def test_breakdown_reaches_psi_curve(self):
         kernel = kernel_branching(constant_schedule(0.6))
         with pytest.raises(ValueError, match="generation"):
@@ -662,6 +725,31 @@ def _value_separation_inputs(gamma):
     n = 3000
     i = np.arange(1, n + 1, dtype=float)
     return np.random.default_rng(5).random(n), (i + 0.25) ** gamma, i**gamma
+
+
+def _local_expansion_inputs():
+    # above the gate, a partial last leaf, zeros in v, and x that falls
+    # back within a leaf but spans little more than the leaf's y-range, so
+    # most far pairs pass the x-side test and go through local values
+    n = LEAF * 40 + 17
+    rng = np.random.default_rng(40)
+    y = np.cumsum(rng.random(n) + 0.01)
+    x = np.concatenate([[y[0]], y[:-1] + 10.0 ** rng.uniform(-3, 0, n - 1)])
+    v = rng.random(n)
+    v[:70] = 0.0
+    v[rng.random(n) < 0.3] = 0.0
+    return v, x, y
+
+
+def _plan_inputs():
+    """The three kernel families above the local gate, then the value-separation, few-leaf and local-expansion inputs."""
+    v = np.random.default_rng(6).random(3000)
+    cases = [(v, *(a[1:] for a in CAUCHY_KERNELS[name]().cauchy(3000)[1:]))
+             for name in ("power-2", "scale-2", "branching-drift0.5")]
+    cases.append(_value_separation_inputs(0.05))
+    cases += [_few_leaf_inputs(n, case) for n in (129, 191, 192, 193, 257)
+              for case in ("power", "nonmonotone x", "zeros in v")]
+    return cases + [_local_expansion_inputs()]
 
 
 def _few_leaf_inputs(n, case):

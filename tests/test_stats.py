@@ -49,6 +49,14 @@ def test_gamma_moments_match_rising_factorials_at_50_digits():
                     assert abs(law.moment(k) - want) <= 1e-14 * want, (shape, rate, k)
 
 
+def test_a_gamma_moment_past_the_float_range_is_refused():
+    # rate^k underflows to 0 where the moment is past the float range: it was a ZeroDivisionError
+    law = LimitLaw.gamma(2.0, 1e-200)
+    assert law.moment(1) == 2e200
+    with pytest.raises(OverflowError, match="rate\\^2 underflows to 0"):
+        law.moment(2)
+
+
 def test_exponential_moments_are_factorials():
     law = LimitLaw.gamma(1.0, 1.0)
     for k in range(19):
