@@ -1,9 +1,8 @@
 """Command-line entry point.
 
-Verbs: ``run <config>``, ``list-experiments``, ``describe <id>``,
-``plotdata <report.json>``.  Environment: ``LIMITLAB_THREADS`` sets the
-simulation worker count (default: every usable CPU), ``LIMITLAB_SEED``
-overrides every config seed.
+Verbs: ``run <config>``, ``list-experiments`` and ``describe <id>``.
+Environment: ``LIMITLAB_THREADS`` sets the simulation worker count (default:
+every usable CPU), ``LIMITLAB_SEED`` overrides every config seed.
 Exit status of ``run`` is 0 exactly when all declared tolerances pass, 1
 when one fails, and 2 when the input is rejected: a bad config, environment
 or path, with a one-line message.
@@ -36,7 +35,6 @@ import argparse
 import contextlib
 import ctypes
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -77,10 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_desc = sub.add_parser("describe", help="print what an experiment checks and its defaults")
     p_desc.add_argument("experiment")
-
-    p_plot = sub.add_parser("plotdata", help="regenerate the flat CSV table from a JSON report")
-    p_plot.add_argument("report", help="path to report.json")
-    p_plot.add_argument("--out", help="target CSV path (default: plotdata.csv next to the report)")
     return parser
 
 
@@ -89,9 +83,6 @@ def _bad_path(path, e: Exception) -> int:
     detail = e if isinstance(e, OSError) else f"{path}: {e}"  # an OSError names its own path
     print(f"error: {detail}", file=sys.stderr)
     return 2
-
-
-_UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError)  # missing, a directory, not text, not JSON
 
 
 def main(argv=None) -> int:
@@ -107,17 +98,10 @@ def main(argv=None) -> int:
         if args.command == "describe":
             print(experiments.describe(args.experiment))
             return 0
-        if args.command == "plotdata":
-            try:
-                target = experiments.emit_plotdata(args.report, args.out)
-            except _UNREADABLE as e:
-                return _bad_path(args.report, e)
-            print(f"wrote {target}")
-            return 0
         # run
         try:
             config = experiments.load_config(args.config)
-        except _UNREADABLE as e:
+        except (OSError, UnicodeDecodeError) as e:  # missing, a directory, not text
             return _bad_path(args.config, e)
         out_dir = Path(args.out or config.out_dir or Path("runs") / config.experiment)
         created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first

@@ -47,9 +47,10 @@ not Poisson, ends every exact experiment whose claim holds a law and whose
 curves reach order 2, and every Monte Carlo experiment.
 
 Config files are flat key = value text, one key per line, ``#`` comments.
-Reports are JSON (timestamps and wall clock live only here); tables are
-RFC-4180-style CSV with 17-significant-digit floats so a reload is
-bit-faithful.
+A run writes two files, both from one report: ``report.json`` (the rows,
+the checks, the config, and the timestamp and wall clock, which live only
+here) and ``table.csv`` (the rows alone, RFC-4180-style CSV with
+17-significant-digit floats, so a reload is bit-faithful).
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "describe",
-    "emit_plotdata",
     "list_experiments",
     "load_config",
     "parse_config",
@@ -816,38 +816,3 @@ def write_outputs(report: dict, out_dir) -> tuple[Path, Path]:
     _write_atomically(json_path, text)
     _write_atomically(csv_path, _table_text(report))
     return json_path, csv_path
-
-
-def emit_plotdata(report_path, out_csv=None) -> Path:
-    """Regenerate the flat CSV table from a JSON report.
-
-    Raises ConfigError unless ``columns`` is a list of names and ``rows`` a
-    list of rows of that length, each entry a number (not a boolean, and
-    finite: ``json`` reads NaN, Infinity and an overflowing 1e400 as floats)
-    or null; also when the text holds an integer longer than
-    ``sys.get_int_max_str_digits()``, or nests too deeply for ``json``'s
-    recursive decoder.  Text that is not JSON raises
-    ``json.JSONDecodeError``, a path error to the caller.
-    """
-    path = Path(report_path)
-    text = path.read_text()
-    try:
-        report = json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except (ValueError, RecursionError) as e:  # not a decode error: an integer past int_max_str_digits, or nesting
-        raise ConfigError(f"{path} is not a limitlab report: {e}") from e
-    if not isinstance(report, dict) or not {"columns", "rows"} <= report.keys():
-        raise ConfigError(f"{path} is not a limitlab report: it has no 'columns' and 'rows'")
-    columns, rows = report["columns"], report["rows"]
-    if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
-        raise ConfigError(f"{path} is not a limitlab report: 'columns' is not a list of names")
-    if not (isinstance(rows, list) and all(  # type(), not isinstance(): a JSON true is an int too
-            isinstance(r, list) and len(r) == len(columns)
-            and all(v is None or type(v) is int or type(v) is float and math.isfinite(v) for v in r)
-            for r in rows)):
-        raise ConfigError(f"{path} is not a limitlab report: 'rows' is not a list of "
-                          f"{len(columns)}-entry lists of numbers")
-    target = Path(out_csv) if out_csv else path.with_name("plotdata.csv")
-    _write_atomically(target, _table_text(report))
-    return target

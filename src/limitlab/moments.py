@@ -69,10 +69,9 @@ def count_moment_curve(kernel: RhoKernel | WeightSequence, k: int, horizons) -> 
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Exact count moments on a (horizon, order) grid; values[i][j] = E(count_{n_j})^{k_i}."""
+    """Exact count moments of orders 1..k_max at the horizons n_j given to ``build``:
+    values[k - 1][j] = E(count_{n_j})^k."""
 
-    horizons: tuple[int, ...]
-    orders: tuple[int, ...]
     values: np.ndarray
 
     @classmethod
@@ -80,5 +79,4 @@ class MomentTable:
         hs = tuple(int(h) for h in _horizons(horizons))
         if any(b <= a for a, b in zip(hs, hs[1:])):
             raise ValueError("horizons must be strictly increasing")
-        return cls(horizons=hs, orders=tuple(range(1, k_max + 1)),
-                   values=_moment_rows(kernel, hs, k_max))
+        return cls(_moment_rows(kernel, hs, k_max))

@@ -56,8 +56,9 @@ class LimitLaw:
         m_k = mean * sum_{j<k} C(k, j) m_j with m_0 = 1, from the
         self-consistency E X^k = E X * (E (X+1)^k - E X^k).
 
-        Raises ``OverflowError`` where rate^k underflows to 0, since the
-        moment is then past the float range."""
+        Raises ``OverflowError`` that names the law and the order where rate^k
+        underflows to 0, since the moment is then past the float range, and
+        where rate^k overflows, though the moment itself may be of order 1."""
         if k < 0:
             raise ValueError("moment order must be nonnegative")
         if self.kind == "geometric":
@@ -70,7 +71,10 @@ class LimitLaw:
         out = 1
         for j in range(k):
             out = out * (j + shape)
-        scale = rate**k
+        try:
+            scale = rate**k
+        except OverflowError as e:  # a float power raises where the product would read inf
+            raise OverflowError(f"the moment of order {k} of {self} cannot be computed in floats: rate^{k} overflows") from e
         if scale == 0:
             raise OverflowError(f"the moment of order {k} of {self} is past the float range: rate^{k} underflows to 0")
         return out / scale

@@ -5,14 +5,13 @@ The parser and the heap setting are made once per process, at the first
 
 Exit 0: every declared tolerance passed; 1: a tolerance failed; 2: the input
 (config file or ``LIMITLAB_*`` environment) was rejected, or a path was: a
-config or report that is missing, a directory, not text or not a report (a
-report needs a list of column names and rows of that length), and
-an ``--out`` at or under an existing file.  Exit 2 prints a one-line message
-and no traceback.  A run that stops, rejected or not, leaves no output behind.
+config that is missing, a directory or not text, and an ``--out`` at or under
+an existing file.  Exit 2 prints a one-line message and no traceback.  A run
+that stops, rejected or not, leaves no output behind.  ``run`` writes the
+CSV table itself, so there is no verb that rebuilds it from a report.
 """
 
 import errno
-import json
 import platform
 import re
 import subprocess
@@ -81,6 +80,9 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     # a law's moment past the float range, where rate^k underflows to 0, was a ZeroDivisionError
     ({}, "experiment = thg\nbeta = 1e-320\n", "rate^2 underflows to 0"),
     ({}, "experiment = tha-gamma\nalpha = 1e-300\n", "rate^2 underflows to 0"),
+    # where rate^k overflows, Python's float power raised an error that named neither law nor order
+    ({}, "experiment = thg\nbeta = 1e300\n", "order 2 of Gamma(2, 2e+300) cannot be computed in floats: rate^2 overflows"),
+    ({}, "experiment = tha-gamma\nalpha = 1e300\n", "order 2 of Gamma(1e+300, 1e+300) cannot be computed in floats"),
     # a coefficient that is not finite is refused before any table
     ({}, "experiment = thg\nbeta = 1e-310\nk = 1\n", "coefficient of (log n)^k of order 1 is inf"),
     # an order below 1 is refused before any claim is built
@@ -108,32 +110,11 @@ def _raising(exc):
     (["run", "{tmp}/binary"], "can't decode"),
     (["run", "{tmp}/exp.cfg", "--out", "{tmp}/text"], "File exists"),
     (["run", "{tmp}/exp.cfg", "--out", "{tmp}/text/out"], "Not a directory"),
-    (["plotdata", "{tmp}/text"], "Expecting value"),
-    (["plotdata", "{tmp}/list.json"], "not a limitlab report"),
-    # a bool is an int: [1, true] was written into the table as "1,True"
-    (["plotdata", "{tmp}/bool.json"], "lists of numbers"),
-    # json reads NaN, Infinity and an overflowing 1e400 as floats: they were written as nan and inf
-    (["plotdata", "{tmp}/nan.json"], "lists of numbers"),
-    (["plotdata", "{tmp}/inf.json"], "lists of numbers"),
-    (["plotdata", "{tmp}/overflow.json"], "lists of numbers"),
-    # json raises a plain ValueError past int_max_str_digits (4300 by default): it ended in a traceback
-    (["plotdata", "{tmp}/digits.json"], "integer string conversion"),
-    (["plotdata", "{tmp}/deep.json"], "maximum recursion depth"),
-], ids=["run-directory", "run-binary", "out-at-file", "out-under-file", "plotdata-not-json",
-        "plotdata-not-report", "plotdata-boolean", "plotdata-nan", "plotdata-infinity", "plotdata-overflow",
-        "plotdata-long-integer", "plotdata-deep-nesting"])
+], ids=["run-directory", "run-binary", "out-at-file", "out-under-file"])
 def test_exit_2_on_bad_path(tmp_path, capsys, monkeypatch, argv, needle):
     (tmp_path / "exp.cfg").write_text("experiment = prpd-summable\n")
     (tmp_path / "text").write_text("not json\n")
     (tmp_path / "binary").write_bytes(b"\x89PNG\r\n")
-    (tmp_path / "list.json").write_text("[1, 2]\n")
-    (tmp_path / "bool.json").write_text(json.dumps({"columns": ["horizon", "observed"], "rows": [[1, True]]}))
-    head = '{"columns": ["horizon", "observed"], "rows": '
-    (tmp_path / "nan.json").write_text(head + "[[1, NaN], [2, 3.0]]}")
-    (tmp_path / "inf.json").write_text(head + "[[1, 2.0], [2, Infinity]]}")
-    (tmp_path / "overflow.json").write_text(head + "[[1, 1e400]]}")
-    (tmp_path / "digits.json").write_text('{"columns": ["h"], "rows": [[' + "1" * 5000 + "]]}")
-    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)  # past json's recursion limit
     # a bad --out fails before the experiment runs
     monkeypatch.setattr(cli.experiments, "run", _raising(AssertionError("the experiment ran")))
     code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
@@ -154,32 +135,17 @@ def test_a_failed_output_write_leaves_no_temporary_file(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["report.json", "table.csv"]
 
 
-def test_a_rejected_plotdata_target_leaves_no_temporary_file(tmp_path, capsys):
+def test_plotdata_is_not_a_verb(tmp_path, capsys):
+    # run writes table.csv itself, with the bytes plotdata rebuilt from report.json
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("experiment = prpd-summable\n")
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    (tmp_path / "plot").mkdir()
     capsys.readouterr()
-    assert cli.main(["plotdata", str(tmp_path / "out" / "report.json"), "--out", str(tmp_path / "plot")]) == 2
-    err = capsys.readouterr().err
-    assert "Is a directory" in err and len(err.strip().splitlines()) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "out", "plot"]
-
-
-@pytest.mark.parametrize("report, needle", [
-    ({"columns": ["a"], "rows": 5}, "'rows'"),
-    ({"columns": 5, "rows": []}, "'columns'"),
-    ({"columns": ["a", 2], "rows": []}, "'columns'"),
-    ({"columns": ["a", "b"], "rows": [[1, 2], [3]]}, "2-entry"),
-    ({"columns": ["a"], "rows": [[{"x": 1}]]}, "numbers"),
-], ids=["rows-not-a-list", "columns-not-a-list", "column-not-a-name", "short-row", "entry-not-a-number"])
-def test_plotdata_rejects_a_malformed_report(tmp_path, capsys, report, needle):
-    # rows = 5, columns = 5 and a dict entry ended in a traceback; the others wrote a ragged table
-    (tmp_path / "report.json").write_text(json.dumps(report))
-    assert cli.main(["plotdata", str(tmp_path / "report.json")]) == 2
-    err = capsys.readouterr().err
-    assert needle in err and len(err.strip().splitlines()) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    with pytest.raises(SystemExit) as stop:  # argparse refuses an unknown verb with status 2
+        cli.main(["plotdata", str(tmp_path / "out" / "report.json")])
+    assert stop.value.code == 2
+    assert "invalid choice: 'plotdata'" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json", "table.csv"]
 
 
 @pytest.mark.parametrize("out", ["a/b", "a/../b"])

@@ -57,6 +57,16 @@ def test_a_gamma_moment_past_the_float_range_is_refused():
         law.moment(2)
 
 
+def test_a_gamma_moment_whose_rate_power_overflows_is_refused_by_name():
+    # Python's float power raised "(34, 'Numerical result out of range')", naming neither law nor order
+    law = LimitLaw.gamma(1e300, 1e300)
+    assert law.moment(1) == 1.0  # the moments are about 1: only rate^k and the product leave the float range
+    with pytest.raises(OverflowError, match=r"order 2 of Gamma\(1e\+300, 1e\+300\) cannot be computed in floats: "
+                                            r"rate\^2 overflows"):
+        law.moment(2)
+    assert LimitLaw.gamma(Fraction(10**300), Fraction(10**300)).moment(2) == Fraction(10**300 + 1, 10**300)
+
+
 def test_exponential_moments_are_factorials():
     law = LimitLaw.gamma(1.0, 1.0)
     for k in range(19):
