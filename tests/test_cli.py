@@ -80,18 +80,44 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     # a law's moment past the float range, where rate^k underflows to 0, was a ZeroDivisionError
     ({}, "experiment = thg\nbeta = 1e-320\n", "rate^2 underflows to 0"),
     ({}, "experiment = tha-gamma\nalpha = 1e-300\n", "rate^2 underflows to 0"),
-    # where rate^k overflows, Python's float power raised an error that named neither law nor order
-    ({}, "experiment = thg\nbeta = 1e300\n", "order 2 of Gamma(2, 2e+300) cannot be computed in floats: rate^2 overflows"),
-    ({}, "experiment = tha-gamma\nalpha = 1e300\n", "order 2 of Gamma(1e+300, 1e+300) cannot be computed in floats"),
     # a coefficient that is not finite is refused before any table
     ({}, "experiment = thg\nbeta = 1e-310\nk = 1\n", "coefficient of (log n)^k of order 1 is inf"),
     # an order below 1 is refused before any claim is built
     ({}, "experiment = prpd-summable\nm = 0\n", "order must be >= 1, got 0"),
     ({}, "experiment = thg\nk = -2\n", "order must be >= 1, got -2"),
+    # where rate^k overflows, Python's float power raised an error that named neither law nor order
+    ({}, "experiment = thg\nbeta = 1e300\n", "order 2 of Gamma(2, 2e+300) cannot be computed in floats: rate^2 overflows"),
+    ({}, "experiment = tha-gamma\nalpha = 1e300\n", "order 2 of Gamma(1e+300, 1e+300) cannot be computed in floats"),
 ])
 def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+    code, out = run(tmp_path, capsys, text)
+    assert code == 2
+    assert needle in out.err
+    assert len(out.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("not json\n", "line 1: expected 'key = value', got 'not json'"),
+    ("", "config must declare an experiment"),
+    ("seed = 3\n", "config must declare an experiment"),
+    ("experiment = prpd-summable\nseed =\n", "line 2: empty key or value"),
+    ("experiment = prpd-summable\nseed = 1\nseed = 2\n", "line 3: duplicate key 'seed'"),
+    ("experiment = prpd-summable\nsigma = 2\n", "unknown key 'sigma' for experiment prpd-summable"),
+    ("experiment = prpd-summable\nseed = 1.5\n", "key 'seed' must be an integer, got '1.5'"),
+    # int() refuses a string past sys.get_int_max_str_digits() (4300 by default) with a ValueError
+    ("experiment = prpd-summable\nseed = " + "1" * 5000 + "\n", "key 'seed' must be an integer"),
+    ("experiment = prpd-summable\nhorizons = 10, 1e3\n", "horizons must be integers, got '10, 1e3'"),
+    ("experiment = rzr-i\nsigma = two\n", "bad value for 'sigma': 'two'"),
+    # float() reads nan, and 1e400 as inf: a report could not echo either
+    ("experiment = rzr-i\nsigma = nan\n", "'sigma' must be finite, got 'nan'"),
+    ("experiment = rzr-i\nsigma = 1e400\n", "'sigma' must be finite, got '1e400'"),
+], ids=["not-a-config", "empty", "no-experiment", "empty-value", "duplicate-key", "unknown-key",
+        "seed-not-an-integer", "long-integer", "horizons-not-integers", "param-not-a-number", "nan", "overflow"])
+def test_exit_2_on_a_malformed_config(tmp_path, capsys, text, needle):
+    # the config is the one file limitlab reads: each refusal is one line, and nothing is written
     code, out = run(tmp_path, capsys, text)
     assert code == 2
     assert needle in out.err
