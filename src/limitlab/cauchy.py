@@ -59,19 +59,27 @@ power, scale and branching kernels of the tests and y = i^gamma down to
 gamma = 0.02.
 
 Kernel blocks.  Every outer difference a - b that forms a block
-(near-field windows and pushed pairs, the bases' u - t_k, multipole-to-local
-and per-target blocks) is one rank-2 product [a, 1] @ [1; -b]
-(``_difference``).  Each entry
+(near-field windows and pushed pairs, the bases' u - t_k and per-target
+blocks) is one rank-2 product [a, 1] @ [1; -b] (``_difference``).  Each entry
 a * 1 + 1 * (-b) is two exact products and one rounded sum, so it has the
 bits of the subtraction, also at zero differences (u on a node) and at any
-BLAS thread count.  A broadcast subtraction pays numpy's fixed cost on every
-short inner loop (20 nodes, a 128-wide window); the product forms a whole
-leaf's or pair's block in one call.  Its operands are kept finite, since a
-BLAS flag from inf would reach numpy: the ghost and the padding hold finite
-values, masked after the product, and a partial last leaf takes no local
-values.  At n = 1e4 (1e5), power alpha = 2, forming the blocks takes 4.3
-(34) ms of one matvec as products against 7.1 (54) ms as broadcasts; all the
-reciprocals take 2.2 (23) ms.
+BLAS thread count.  A multipole-to-local block, (hx t_l - h t_m) + (cx - c),
+is one rank-3 product [hx t_l, 1, 1] @ [1; -h t_m; cx - c] (``_m2l``): its
+three products are exact and BLAS adds the k terms in order, so each entry
+has the bits of the subtraction followed by ``+= cx - c``, with no second
+pass.  ``test_rank3_difference_has_the_bits_of_the_subtraction_then_the_shift``
+pins that order at 1 and 2 BLAS threads, on inputs where the three groupings
+of the sum differ.  A per-target block stays rank-2: its shift x[j] - c lies
+on the (pairs, LEAF) operand, not on the block.  A broadcast subtraction pays
+numpy's fixed cost on every short inner loop (20 nodes, a 128-wide window);
+the product forms a whole leaf's or pair's block in one call.  Its operands
+are kept finite, since a BLAS flag from inf would reach numpy: the ghost and
+the padding hold finite values, masked after the product, and a partial last
+leaf takes no local values.  Median ms of one formed product, power
+alpha = 2, by ``tests/matvec_split.py`` on the 2-core host of the figures
+below: at n = 1e4 (1e5) forming takes 5.7 (51) of 6.9 (64) ms, and the
+multipole-to-local blocks 1.0 (14.4) of it, against 1.2 (18.6) as a rank-2
+product and a second pass.
 
 Every temporary is cut into tiles of at most ``_SLICE`` float64 values
 (512 KiB), so memory stays flat in n and the two or three arrays a step holds
@@ -148,16 +156,25 @@ _BARY = (-1.0) ** np.arange(ORDER) * np.sin(_THETA)  # their barycentric weights
 _MASK = np.where(np.arange(2 * LEAF) >= np.arange(LEAF, 2 * LEAF)[:, None], np.inf, 0.0)
 
 
-def _difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[..., :, None] - b[..., None, :] for finite a and b, as the product [a, 1] @ [1; -b].
+def _difference(a: np.ndarray, b: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """a[..., :, None] - b[..., None, :] (+ shift[..., None, None]) for finite operands, as one product.
 
-    Each entry a * 1 + 1 * (-b) has two exact products and one rounding, so it
-    has the subtraction's bits.
+    Without a shift the product is [a, 1] @ [1; -b]: each entry a * 1 + 1 * (-b)
+    has two exact products and one rounding, so it has the subtraction's bits.
+    A shift, one value per block, is a third term, [a, 1, 1] @ [1; -b; shift]:
+    three exact products added in order, (a - b) + shift, with the two
+    roundings of a subtraction followed by ``+=``.
     """
-    p = np.ones(a.shape + (2,))
+    k = 2 if shift is None else 3
+    p = np.empty(a.shape + (k,))
     p[..., 0] = a
-    q = np.ones(b.shape[:-1] + (2, b.shape[-1]))
+    for j in range(1, k):  # a column at a time: p[..., 1:] would fill 2 floats per inner loop
+        p[..., j] = 1.0
+    q = np.empty(b.shape[:-1] + (k, b.shape[-1]))
+    q[..., 0, :] = 1.0
     np.negative(b, out=q[..., 1, :])
+    if shift is not None:
+        q[..., 2, :] = shift[..., None]
     return np.matmul(p, q)
 
 
@@ -281,15 +298,18 @@ def _pairs(level: int, c: np.ndarray, h: np.ndarray, near, xmin: np.ndarray, hx)
 
 
 def _m2l(hx: np.ndarray, cx: np.ndarray, h: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Multipole-to-local blocks 1/(x node - y node) of pairs (leaf x-range (cx, hx), source block (c, h))."""
-    k = _difference(hx[:, None] * _NODES, h[:, None] * _NODES)
-    k += (cx - c)[:, None, None]
-    return np.reciprocal(k, out=k)
+    """Multipole-to-local blocks 1/(x node - y node) of pairs (leaf x-range (cx, hx), source block (c, h)).
+
+    Each pair's block is one rank-3 product [hx t_l, 1, 1] @ [1; -h t_m; cx - c],
+    inverted in place: no second pass adds the centres' offset, and each entry
+    has the bits of (hx t_l - h t_m) + (cx - c) (see "Kernel blocks").
+    """
+    return _inverse_difference(hx[:, None] * _NODES, h[:, None] * _NODES, cx - c)
 
 
-def _inverse_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1 / (a[..., :, None] - b[..., None, :]), through ``_difference``."""
-    d = _difference(a, b)
+def _inverse_difference(a: np.ndarray, b: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """1 / (a[..., :, None] - b[..., None, :] (+ shift[..., None, None])), through ``_difference``."""
+    d = _difference(a, b, shift)
     return np.reciprocal(d, out=d)
 
 

@@ -73,7 +73,7 @@ import numpy as np
 from .kernels import OffspringSchedule, RhoKernel, ScaleSpec, kernel_branching, kernel_power, kernel_scale
 from .moments import MomentTable
 from .multisum import WeightSequence, _running_sum, _shared_weights, _u_weights, psi_curve
-from .simulate import _SQUARES, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
+from .simulate import _SQUARES, _shown, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
 from .special import lambda_sigma, zeta_tail
 from .stats import LimitLaw, tv_distance_integer
 
@@ -664,20 +664,20 @@ def parse_config(text: str) -> ExperimentConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {_shown(raw.strip())}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if not key or not val:
             raise ConfigError(f"line {lineno}: empty key or value")
         if key in data:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"line {lineno}: duplicate key {_shown(key)}")
         data[key] = val
     if "experiment" not in data:
         raise ConfigError("config must declare an experiment")
     exp = data.pop("experiment")
     if exp not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
-        raise ConfigError(f"unknown experiment {exp!r} (known: {known})")
+        raise ConfigError(f"unknown experiment {_shown(exp)} (known: {known})")
     d = _REGISTRY[exp]
 
     def _int(key, default):
@@ -687,19 +687,19 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             return int(raw)
         except ValueError as e:
-            raise ConfigError(f"key {key!r} must be an integer, got {raw!r}") from e
+            raise ConfigError(f"key {key!r} must be an integer, got {_shown(raw)}") from e
 
     seed = _int("seed", d.seed)
     if seed < 0:  # numpy's SeedSequence would refuse it only once a Monte Carlo run starts
-        raise ConfigError(f"key 'seed' must be >= 0, got {seed}")
+        raise ConfigError(f"key 'seed' must be >= 0, got {_shown(seed)}")
     env_seed = os.environ.get("LIMITLAB_SEED", "").strip()
     if env_seed:
         try:
             seed = int(env_seed)
         except ValueError as e:
-            raise ConfigError(f"LIMITLAB_SEED must be an integer, got {env_seed!r}") from e
+            raise ConfigError(f"LIMITLAB_SEED must be an integer, got {_shown(env_seed)}") from e
         if seed < 0:
-            raise ConfigError(f"LIMITLAB_SEED must be >= 0, got {env_seed!r}")
+            raise ConfigError(f"LIMITLAB_SEED must be >= 0, got {_shown(env_seed)}")
     try:
         resolve_threads()
     except ValueError as e:
@@ -718,19 +718,23 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             horizons = tuple(int(tok) for tok in raw_h.replace(",", " ").split())
         except ValueError as e:
-            raise ConfigError(f"horizons must be integers, got {raw_h!r}") from e
+            raise ConfigError(f"horizons must be integers, got {_shown(raw_h)}") from e
     if not horizons or horizons[0] < 1 or any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ConfigError(f"horizons must be strictly increasing integers >= 1, got {list(horizons)}")
+        raise ConfigError(f"horizons must be strictly increasing integers >= 1, got {_shown(list(horizons))}")
     params = dict(d.params)
     for key, val in data.items():
         if key not in params:
-            raise ConfigError(f"unknown key {key!r} for experiment {exp}")
+            raise ConfigError(f"unknown key {_shown(key)} for experiment {exp}")
         try:
             params[key] = type(params[key])(val) if not isinstance(params[key], float) else float(val)
         except ValueError as e:
-            raise ConfigError(f"bad value for {key!r}: {val!r}") from e
-        if not math.isfinite(params[key]):  # a report could not echo it: JSON has no inf or nan
-            raise ConfigError(f"{key!r} must be finite, got {val!r}")
+            raise ConfigError(f"bad value for {key!r}: {_shown(val)}") from e
+        try:
+            finite = math.isfinite(params[key])
+        except OverflowError:  # an integer past the float range: the runners read it as a float
+            finite = False
+        if not finite:  # a report could not echo it: JSON has no inf or nan
+            raise ConfigError(f"{key!r} must be finite, got {_shown(val)}")
     return ExperimentConfig(experiment=exp, seed=seed, replicates=replicates,
                             horizons=horizons, params=params, out_dir=out_dir)
 

@@ -98,6 +98,12 @@ _SEGMENT = 8192
 _SQUARES = WeightSequence(weight=lambda i: (1.0 + i) ** 2, label="(1+n)^2")
 
 
+def _shown(value) -> str:
+    """repr(value) for a one-line refusal; past 40 characters, the repr of its first 40 and its length."""
+    text = value if isinstance(value, str) else str(value)
+    return repr(value) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def resolve_threads(threads: int | None = None) -> int:
     """Explicit argument wins, then LIMITLAB_THREADS, then every usable CPU.
 
@@ -108,7 +114,7 @@ def resolve_threads(threads: int | None = None) -> int:
     """
     if threads is not None:
         if not isinstance(threads, numbers.Integral) or threads < 1:
-            raise ValueError(f"threads must be a positive integer, got {threads!r}")
+            raise ValueError(f"threads must be a positive integer, got {_shown(threads)}")
         return int(threads)
     env = os.environ.get("LIMITLAB_THREADS", "").strip()
     if not env:
@@ -120,7 +126,7 @@ def resolve_threads(threads: int | None = None) -> int:
     except ValueError:
         count = 0
     if count < 1:
-        raise ValueError(f"LIMITLAB_THREADS must be a positive integer, got {env!r}")
+        raise ValueError(f"LIMITLAB_THREADS must be a positive integer, got {_shown(env)}")
     return count
 
 

@@ -6,7 +6,8 @@ The parser and the heap setting are made once per process, at the first
 Exit 0: every declared tolerance passed; 1: a tolerance failed; 2: the input
 (config file or ``LIMITLAB_*`` environment) was rejected, or a path was: a
 config that is missing, a directory or not text, and an ``--out`` at or under
-an existing file.  Exit 2 prints a one-line message and no traceback.  A run
+an existing file.  Exit 2 prints a one-line message and no traceback; a long
+rejected value shows as its first 40 characters and its length.  A run
 that stops, rejected or not, leaves no output behind.  ``run`` writes the
 CSV table itself, so there is no verb that rebuilds it from a report.
 """
@@ -88,6 +89,14 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     # where rate^k overflows, Python's float power raised an error that named neither law nor order
     ({}, "experiment = thg\nbeta = 1e300\n", "order 2 of Gamma(2, 2e+300) cannot be computed in floats: rate^2 overflows"),
     ({}, "experiment = tha-gamma\nalpha = 1e300\n", "order 2 of Gamma(1e+300, 1e+300) cannot be computed in floats"),
+    # a long rejected value is shown by its first 40 characters and its length
+    ({"LIMITLAB_SEED": "x" * 5000}, "experiment = prpd-summable\n",
+     "LIMITLAB_SEED must be an integer, got '" + "x" * 40 + "'... (5000 characters)"),
+    ({"LIMITLAB_SEED": "-" + "1" * 4000}, "experiment = prpd-summable\n",
+     "LIMITLAB_SEED must be >= 0, got '-" + "1" * 39 + "'... (4001 characters)"),
+    ({"LIMITLAB_THREADS": "x" * 5000}, "experiment = c3-cutsphere\nreplicates = 100\nhorizons = 10, 20\n",
+     "LIMITLAB_THREADS must be a positive integer, got '" + "x" * 40 + "'... (5000 characters)"),
+    ({}, "experiment = " + "x" * 5000 + "\n", "unknown experiment '" + "x" * 40 + "'... (5000 characters) (known: "),
 ])
 def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     for key, value in env.items():
@@ -96,6 +105,7 @@ def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     assert code == 2
     assert needle in out.err
     assert len(out.err.strip().splitlines()) == 1
+    assert len(out.err) <= 320  # the list of known experiments is 200 characters
     assert not (tmp_path / "out").exists()
 
 
@@ -114,14 +124,30 @@ def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     # float() reads nan, and 1e400 as inf: a report could not echo either
     ("experiment = rzr-i\nsigma = nan\n", "'sigma' must be finite, got 'nan'"),
     ("experiment = rzr-i\nsigma = 1e400\n", "'sigma' must be finite, got '1e400'"),
+    # a long rejected value is shown by its first 40 characters and its length
+    ("x" * 5000 + "\n", "line 1: expected 'key = value', got '" + "x" * 40 + "'... (5000 characters)"),
+    ("experiment = prpd-summable\n" + "k" * 5000 + " = 1\n",
+     "unknown key '" + "k" * 40 + "'... (5000 characters) for experiment prpd-summable"),
+    ("experiment = prpd-summable\nseed = -" + "1" * 4000 + "\n",
+     "key 'seed' must be >= 0, got '-" + "1" * 39 + "'... (4001 characters)"),
+    ("experiment = prpd-summable\nhorizons = 1, x" + "1" * 5000 + "\n",
+     "horizons must be integers, got '1, x" + "1" * 36 + "'... (5004 characters)"),
+    ("experiment = prpd-summable\nhorizons = " + ", ".join(str(2000 - i) for i in range(1000)) + "\n",
+     "horizons must be strictly increasing integers >= 1, got '[2000, 1999, 1998, 1997, 1996, 1995, 199'..."),
+    ("experiment = rzr-i\nsigma = x" + "1" * 5000 + "\n", "bad value for 'sigma': 'x" + "1" * 39 + "'... (5001 characters)"),
+    # an integer past the float range ended in an OverflowError traceback with exit 1
+    ("experiment = rzr-i\nm = " + "1" * 4000 + "\n", "'m' must be finite, got '" + "1" * 40 + "'... (4000 characters)"),
 ], ids=["not-a-config", "empty", "no-experiment", "empty-value", "duplicate-key", "unknown-key",
-        "seed-not-an-integer", "long-integer", "horizons-not-integers", "param-not-a-number", "nan", "overflow"])
+        "seed-not-an-integer", "long-integer", "horizons-not-integers", "param-not-a-number", "nan", "overflow",
+        "long-line", "long-key", "long-negative-seed", "long-horizons", "long-decreasing-horizons", "long-param",
+        "integer-past-the-float-range"])
 def test_exit_2_on_a_malformed_config(tmp_path, capsys, text, needle):
     # the config is the one file limitlab reads: each refusal is one line, and nothing is written
     code, out = run(tmp_path, capsys, text)
     assert code == 2
     assert needle in out.err
     assert len(out.err.strip().splitlines()) == 1
+    assert len(out.err) <= 160
     assert not (tmp_path / "out").exists()
 
 

@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -599,6 +601,80 @@ class TestPsiFastVsExact:
         got = cauchy._difference(a, b)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_rank3_difference_has_the_bits_of_the_subtraction_then_the_shift(self):
+        # [a, 1, 1] @ [1; -b; shift] has three exact products, and BLAS must add
+        # them in order, (a - b) + shift, for a multipole-to-local block to have
+        # the bits of 1 / ((hx t_l - h t_m) + (cx - c)).  The inputs make the
+        # three groupings of the sum differ: cancellation to 0 and to
+        # subnormals, and magnitudes from 1e-300 to 1e300 that stay finite
+        code = textwrap.dedent("""
+            import json, numpy as np
+            from limitlab import cauchy
+            rng = np.random.default_rng(35)
+            checks = {}
+
+            def bits(x):
+                return x.view(np.int64)
+
+            def groupings(a, b, shift):
+                a, b, shift = a[..., :, None], -b[..., None, :], shift[..., None, None]
+                return (a + b) + shift, a + (b + shift), (a + shift) + b
+
+            for name, shape_a, shape_b in [("pairs", (400, 20), (400, 20)), ("wide", (12, 64), (12, 128))]:
+                scale = 10.0 ** rng.uniform(-300, 300, shape_a[:1])
+                scale[:8] = 2.0 ** rng.uniform(-1070, -1020, 8)  # subnormal blocks
+                a = scale[:, None] * rng.uniform(-1, 1, shape_a) * 2.0 ** rng.integers(-30, 30, shape_a)
+                b = scale[:, None] * rng.uniform(-1, 1, shape_b) * 2.0 ** rng.integers(-30, 30, shape_b)
+                shift = scale * rng.uniform(-2, 2, shape_a[:1])
+                a[8, 0], b[8, 0], shift[8] = 1.0, 2.0**-54, -1.0  # cancels to 0 first, to -2^-54 last
+                a[9, 0], b[9, 0], shift[9] = 2.0**-1000, 2.0**-1000 - 2.0**-1052, 2.0**-1060  # a subnormal
+                first, middle, last = groupings(a, b, shift)
+                checks[name] = [
+                    np.isfinite(first).all(),
+                    (bits(first) != bits(middle)).any(), (bits(first) != bits(last)).any(),
+                    (bits(middle) != bits(last)).any(),
+                    ((first == 0.0) & (last != 0.0)).any(),
+                    ((first != 0.0) & (np.abs(first) < 2.3e-308) & (bits(first) != bits(last))).any(),
+                    np.array_equal(bits(cauchy._difference(a, b, shift)), bits(first)),
+                ]
+
+            P = 2000
+            c = 10.0 ** rng.uniform(0, 6, P)
+            h = c * 10.0 ** rng.uniform(-6, -1, P)
+            hx = h * 10.0 ** rng.uniform(-1, 1, P)
+            cx = c + (h + hx) * rng.uniform(3, 10, P)
+            first, _, last = groupings(hx[:, None] * cauchy._NODES, h[:, None] * cauchy._NODES, cx - c)
+            checks["m2l"] = [(bits(first) != bits(last)).any(),
+                             np.array_equal(bits(cauchy._m2l(hx, cx, h, c)), bits(1.0 / first))]
+            print(json.dumps({k: [bool(x) for x in v] for k, v in checks.items()}))
+        """)
+        runs = [subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                               capture_output=True, text=True, check=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t})
+                for t in ("1", "2")]
+        assert [r.stderr for r in runs] == ["", ""]
+        want = {"pairs": [True] * 7, "wide": [True] * 7, "m2l": [True, True]}
+        assert [json.loads(r.stdout) for r in runs] == [want, want]
+
+    def test_matvec_split_reports_every_block_kind(self):
+        # tests/matvec_split.py times one formed product per block kind by wrapping
+        # the helpers; at n = 3000 (47 leaves) far pairs go through local values
+        script = os.path.join(os.path.dirname(__file__), "matvec_split.py")
+        run = subprocess.run([sys.executable, script, "3000", "1"], capture_output=True, text=True, check=True)
+        lines = run.stdout.splitlines()
+        cut = lines.index("far pairs")
+        rows, pairs = ({line[:20].strip(): line[20:].split() for line in part} for part in (lines[2:cut], lines[cut + 1:]))
+        assert run.stderr == ""
+        kinds = ("layout and geometry", "near windows", "leaf bases", "M2M bases", "local bases", "pair lists",
+                 "multipole-to-local", "per-target", "pushed", "other")
+        for family in range(3):
+            ms = {kind: float(rows[kind][family]) for kind in (*kinds, "forming", "products", "total")}
+            assert all(ms[kind] > 0 for kind in ("near windows", "leaf bases", "M2M bases", "local bases",
+                                                  "pair lists", "multipole-to-local", "products"))
+            assert sum(ms[kind] for kind in kinds) == pytest.approx(ms["forming"], abs=0.01)
+            assert ms["forming"] + ms["products"] == pytest.approx(ms["total"], abs=0.01)
+            assert int(pairs["multipole-to-local"][family]) > 0
 
     def test_matvec_does_not_depend_on_the_blas_thread_count(self):
         code = ("import hashlib, numpy as np; from limitlab.cauchy import lower_matvec; "
