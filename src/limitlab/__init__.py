@@ -26,7 +26,6 @@ from .simulate import ReplicateBatch, sim_bpve, sim_gw, sim_levelwalk
 from .special import (
     TailSum,
     iterated_log,
-    lambda_sigma,
     lambda_weight,
     script_O,
     zeta_tail,

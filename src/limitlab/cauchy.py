@@ -123,7 +123,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LEAF", "ORDER", "SEPARATION", "lower_matvec"]
+__all__ = ["LEAF", "lower_matvec"]
 
 # Leaf size: the dense near field costs 2 LEAF per entry, the far field
 # ORDER per entry and level; 64 balances the two at ORDER = 20.

@@ -34,8 +34,11 @@ E binom(C, k).  The laws are Geo(zeta(2) - 1) on 1 (``thbb-geo``,
 log n (``tha-gamma``, ``thg``) and Gamma(gamma, b/a) on log n (``c3``,
 ``c4``).  The multiple sums' claims hold no law: ``_constant`` (value**k,
 for the summable sums), the S(n)^m scale of ``prpd-rv`` and ``_rzr_claim``
-(the four (sigma, m) cases of the iterated-log sums).  ``ExactSpec``
-refuses an order below 1 before it builds any claim.
+(the four (sigma, m) cases of the iterated-log sums).  ``prpd-rv`` and the
+sub-unit case of ``_rzr_claim`` sum the same kind of weights, and both read
+their constants from ``_dirichlet``.  ``ExactSpec`` refuses an order below 1,
+or a top order above the moment tables' ``_SAFE_ORDER``, before it builds any
+claim.
 
 Checks are written with five helpers: ``_within`` (an error at most a
 tolerance), ``_band`` (a value inside an interval), ``_zscore`` (a sample
@@ -71,10 +74,10 @@ from typing import Callable
 import numpy as np
 
 from .kernels import OffspringSchedule, RhoKernel, ScaleSpec, kernel_branching, kernel_power, kernel_scale
-from .moments import MomentTable
+from .moments import _SAFE_ORDER, MomentTable
 from .multisum import WeightSequence, _running_sum, _shared_weights, _u_weights, psi_curve
-from .simulate import _SQUARES, _shown, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
-from .special import lambda_sigma, zeta_tail
+from .simulate import _SQUARES, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
+from .special import _shown, zeta_tail
 from .stats import LimitLaw, tv_distance_integer
 
 __all__ = [
@@ -274,8 +277,9 @@ class ExactSpec:
       module's name (a profiler's, a test's) sees the call;
     - ``claim(params)``: the ``Claim`` of the curves.  It is built once per
       run and never from the model, so a perturbed model meets the same
-      claim.  An order below 1 is refused before it is built, and a
-      coefficient or scale that is not finite and positive before any table;
+      claim.  An order below 1 or a top order above ``_SAFE_ORDER`` (20) is
+      refused before it is built, and a coefficient or scale that is not
+      finite and positive before any table;
     - ``policy(k, horizons, observed, predicted)``: the checks of order k,
       from that order's table columns.
 
@@ -297,9 +301,11 @@ class ExactSpec:
         hs = cfg.horizons
         orders, shown = self.orders(cfg.params)
         if shown not in orders:
-            raise ValueError(f"shown order k must lie in [1, k_max = {orders.stop - 1}], got {shown}")
+            raise ValueError(f"shown order k must lie in [1, k_max = {_shown(orders.stop - 1)}], got {_shown(shown)}")
         if orders.start < 1:
-            raise ValueError(f"the order must be >= 1, got {orders.start}")
+            raise ValueError(f"the order must be >= 1, got {_shown(orders.start)}")
+        if orders[-1] > _SAFE_ORDER:
+            raise ValueError(f"the top order k={_shown(orders[-1])} is above {_SAFE_ORDER}, the highest an exact experiment checks")
         model, claim = self.model(cfg.params), self.claim(cfg.params)
         with np.errstate(divide="ignore", invalid="ignore"):  # the refusal of a scale that is not finite speaks alone
             preds = [(_positive_coefficient(claim, k), _positive_scale(f"{claim.scaling} of order {k}", claim.scale(k, hs), hs))
@@ -414,6 +420,20 @@ _SQRT_WEIGHTS = WeightSequence(weight=lambda i: np.sqrt(i.astype(float)), label=
 _LINEAR_WEIGHTS = WeightSequence(weight=lambda i: i + 1.0, label="n+1")
 
 
+def _dirichlet(sigma: float, k: int) -> float:
+    """P_k = prod_{j=2}^{k} Gamma(t) Gamma(1 + (j-1) t) / Gamma(1 + j t) with t = 1 - sigma; P_1 = 1.
+
+    For weights d^sigma with 0 <= sigma < 1 at gap 1, the k-fold sum tends
+    to the Dirichlet integral Gamma(t)^k / Gamma(1 + k t) = P_k / t times
+    n^(k t), and, since S(n) ~ n^t / t, to t^(k-1) P_k times S(n)^k.  The
+    product telescopes to that ratio.  It is not telescoped, so that P_2 is
+    Gamma(2 - sigma) Gamma(1 - sigma) / Gamma(3 - 2 sigma) from the three
+    Gamma calls whose bits the registry's order-2 rows pin.
+    """
+    return math.prod(math.gamma(j - (j - 1) * sigma) * math.gamma(1.0 - sigma) / math.gamma(j + 1 - j * sigma)
+                     for j in range(2, k + 1))
+
+
 def _rzr_claim(p):
     """The iterated-log sums of depth m and exponent sigma: the four (sigma, m) cases.
 
@@ -421,7 +441,7 @@ def _rzr_claim(p):
     (log_{m+1} n)^k.  0 <= sigma < 1 and m >= 1: partial sums grow like
     (log_m n)^(1-sigma)/(1-sigma), so the scale carries the 1-sigma exponent
     (it reduces to (log_m n)^k only at sigma = 0).  0 <= sigma < 1 and m = 0:
-    n^(k(1-sigma)) with the Gamma-product constant c^(k-1)/(1-sigma).
+    n^(k(1-sigma)) with the Dirichlet constant ``_dirichlet(sigma, k)``/(1-sigma).
     """
     m, sigma = p["m"], p["sigma"]
     if sigma > 1.0:
@@ -432,8 +452,7 @@ def _rzr_claim(p):
         scaling = "(log_m n)^k" if sigma == 0.0 else "(log_m n)^{k(1-sigma)}"
         return Claim(scaling, lambda k: (1.0 - sigma) ** (-k), _log_power(m, 1.0 - sigma))
     if 0.0 <= sigma < 1.0 and m == 0:
-        c = math.gamma(2.0 - sigma) * math.gamma(1.0 - sigma) / math.gamma(3.0 - 2.0 * sigma)
-        return Claim("n^{k(1-sigma)}", lambda k: c ** (k - 1) / (1.0 - sigma), _log_power(0, 1.0 - sigma))
+        return Claim("n^{k(1-sigma)}", lambda k: _dirichlet(sigma, k) / (1.0 - sigma), _log_power(0, 1.0 - sigma))
     raise ValueError(f"no supported limit for sigma={sigma}, m={m}")
 
 
@@ -520,12 +539,13 @@ _register(ExperimentDef(
                      _ratio(0.01, "ratio", monotone=True), _single("m"))))
 _register(ExperimentDef(
     "prpd-rv",
-    "m-fold sum with sqrt weights scales like S(n)^m with Gamma-ratio constant",
+    "m-fold sum with sqrt weights scales like S(n)^m with a Dirichlet constant",
     "Weights sqrt(n) (partial sums regularly varying, index 1/2); the m-fold sum "
-    "over S(n)^m tends to (pi/4)^(m-1). Checks a 10% final band with shrinking error.",
+    "over S(n)^m tends to Gamma(1/2)^m / (2^m Gamma(1 + m/2)): pi/4, pi/6 and "
+    "pi^2/32 at m = 2, 3, 4. Checks a 10% final band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000), params={"m": 2},
     runner=ExactSpec(lambda p: _SQRT_WEIGHTS, "psi",
-                     lambda p: Claim("S(n)^m", lambda k: lambda_sigma(0.5) ** (-(k - 1)), _sum_power(_SQRT_WEIGHTS)),
+                     lambda p: Claim("S(n)^m", lambda k: 0.5 ** (k - 1) * _dirichlet(0.5, k), _sum_power(_SQRT_WEIGHTS)),
                      _ratio(0.10, "ratio"), _single("m"), scaled=True)))
 _register(ExperimentDef(
     "rzr-i",
@@ -552,9 +572,10 @@ _register(ExperimentDef(
     params={"m": 1, "sigma": 0.5, "n0": 2, "k": 2, "k_max": 2}, runner=_rzr(_rzr_iii_policy)))
 _register(ExperimentDef(
     "rzr-iv",
-    "sub-unit exponent, depth 0: sums grow like n^(k(1-sigma)) with Beta constant",
-    "Weights i^0.5: the k-fold sum over n^(k/2) tends to pi for k = 2 "
-    "(Gamma-product constant). Checks a 5% final band with shrinking error.",
+    "sub-unit exponent, depth 0: sums grow like n^(k(1-sigma)) with a Dirichlet constant",
+    "Weights i^0.5: the k-fold sum over n^(k/2) tends to the Dirichlet constant "
+    "Gamma(1/2)^k / Gamma(1 + k/2): pi, 4 pi/3 and pi^2/2 at k = 2, 3, 4. "
+    "Checks a 5% final band with shrinking error.",
     seed=0, replicates=None, horizons=(1000, 10000, 100000),
     params={"m": 0, "sigma": 0.5, "n0": 1, "k": 2, "k_max": 2}, runner=_rzr(_ratio(0.05))))
 _register(ExperimentDef(

@@ -114,7 +114,7 @@ from typing import Callable
 import numpy as np
 
 from .cauchy import LEAF, _Plan
-from .special import lambda_weight, script_O
+from .special import _shown, lambda_weight, script_O
 
 __all__ = [
     "WeightSequence",
@@ -388,7 +388,7 @@ def u_sum_curve(k: int, m: int, n0: int, s: float, horizons) -> np.ndarray:
 def _u_weights(m: int, n0: int, s: float) -> WeightSequence:
     threshold = script_O(m)
     if n0 < threshold:
-        raise ValueError(f"gap n0 must be >= script_O({m}) = {threshold}, got {n0}")
+        raise ValueError(f"gap n0 must be >= script_O({m}) = {threshold}, got {_shown(n0)}")
     return WeightSequence(weight=lambda i: lambda_weight(m, s, i), gap=n0,
                           label=f"lambda(m={m}, s={s})")
 

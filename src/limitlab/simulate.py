@@ -72,6 +72,7 @@ import numpy as np
 
 from .kernels import OffspringSchedule, RhoKernel, ScaleSpec, kernel_branching, kernel_scale
 from .multisum import WeightSequence, _horizons
+from .special import _shown
 
 __all__ = ["ReplicateBatch", "resolve_threads", "sim_bpve", "sim_gw", "sim_levelwalk"]
 
@@ -96,12 +97,6 @@ _BLOCK = 64
 _SEGMENT = 8192
 # D(k) = (1+k)^2: the distance kernel of critical geometric branching's visits to 1 (see sim_gw)
 _SQUARES = WeightSequence(weight=lambda i: (1.0 + i) ** 2, label="(1+n)^2")
-
-
-def _shown(value) -> str:
-    """repr(value) for a one-line refusal; past 40 characters, the repr of its first 40 and its length."""
-    text = value if isinstance(value, str) else str(value)
-    return repr(value) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def resolve_threads(threads: int | None = None) -> int:

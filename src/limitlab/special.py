@@ -1,10 +1,12 @@
 """Special functions and named constants with certified-accuracy tail sums.
 
-Everything here is elementary but load-bearing: the Gamma-ratio constant
-``lambda_sigma``, iterated logarithms with their admissibility threshold,
-the weight ``(log_m i)^s * prod_{j<m} log_j i`` built from them, and
-truncated series of reciprocal weights carrying a certified bound on the
-omitted tail.  The moments of the Gamma limit laws are ``stats.LimitLaw``'s.
+Everything here is elementary but load-bearing: iterated logarithms with
+their admissibility threshold, the weight ``(log_m i)^s * prod_{j<m} log_j i``
+built from them, and truncated series of reciprocal weights carrying a
+certified bound on the omitted tail.  The moments of the Gamma limit laws are
+``stats.LimitLaw``'s.  ``_shown`` is the one-line form in which every refusal
+of the package echoes a rejected value; it lives here because this module
+imports nothing from the package, so every other module can read it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 __all__ = [
     "TailSum",
     "iterated_log",
-    "lambda_sigma",
     "lambda_weight",
     "script_O",
     "zeta_tail",
@@ -30,17 +31,10 @@ _MAX_TERMS = 50_000_000
 _BLOCK = 1 << 14
 
 
-def lambda_sigma(sigma: float) -> float:
-    """The rate constant Gamma(1+2s) / (s * Gamma(s) * Gamma(1+s)) on [0, 1].
-
-    The value at 0 is 1 by convention (the formula has a removable
-    singularity there: the ratio tends to 1 as s -> 0+).
-    """
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError(f"lambda_sigma requires sigma in [0, 1], got {sigma}")
-    if sigma == 0.0:
-        return 1.0
-    return math.gamma(1.0 + 2.0 * sigma) / (sigma * math.gamma(sigma) * math.gamma(1.0 + sigma))
+def _shown(value) -> str:
+    """repr(value) for a one-line refusal; past 40 characters, the repr of its first 40 and its length."""
+    text = value if isinstance(value, str) else str(value)
+    return repr(value) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def iterated_log(m: int, x: float) -> float:
@@ -73,7 +67,7 @@ def script_O(m: int) -> int:
         try:
             t = math.exp(t)
         except OverflowError:  # m >= 5: e^^4 = 3.8e6 and exp of that overflows
-            raise OverflowError(f"script_O(m={m}) overflows the float range; depth m must be <= 4") from None
+            raise OverflowError(f"script_O(m={_shown(m)}) overflows the float range; depth m must be <= 4") from None
     return int(math.floor(t)) + 1
 
 

@@ -97,6 +97,17 @@ def test_exit_1_when_a_tolerance_fails(tmp_path, capsys):
     ({"LIMITLAB_THREADS": "x" * 5000}, "experiment = c3-cutsphere\nreplicates = 100\nhorizons = 10, 20\n",
      "LIMITLAB_THREADS must be a positive integer, got '" + "x" * 40 + "'... (5000 characters)"),
     ({}, "experiment = " + "x" * 5000 + "\n", "unknown experiment '" + "x" * 40 + "'... (5000 characters) (known: "),
+    # a top order above 20 is refused before any model or claim is built: a claim's coefficient of
+    # order k may loop k times (LimitLaw.moment) or overflow a float power
+    *(({}, f"experiment = {text}\n", "the top order k=100000000000000000000 is above 20")
+      for text in ("thg\nk = 10" + "0" * 19, "rzr-i\nk = 1\nk_max = 10" + "0" * 19, "thbb-geo\nk_max = 10" + "0" * 19)),
+    # an integer below 1e308 passes the parser and reaches the runners' refusals
+    ({}, "experiment = rzr-i\nk = " + "1" * 300 + "\n",
+     "shown order k must lie in [1, k_max = 3], got '" + "1" * 40 + "'... (300 characters)"),
+    ({}, "experiment = rzr-i\nm = " + "1" * 300 + "\n", "script_O(m='" + "1" * 40 + "'... (300 characters))"),
+    ({}, "experiment = rzr-i\nn0 = -" + "1" * 300 + "\n",
+     "gap n0 must be >= script_O(0) = 1, got '-" + "1" * 39 + "'... (301 characters)"),
+    ({}, "experiment = thg\nk = -" + "1" * 300 + "\n", "the order must be >= 1, got '-" + "1" * 39 + "'... (301 characters)"),
 ])
 def test_exit_2_on_bad_input(tmp_path, capsys, monkeypatch, env, text, needle):
     for key, value in env.items():

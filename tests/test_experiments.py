@@ -7,6 +7,7 @@ import json
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -213,6 +214,8 @@ def test_every_experiment_without_replicates_is_exact():
     ("rzr-i", {"sigma": 3.0}),
     ("rzr-iii", {"sigma": 0.25}),
     ("rzr-iv", {"sigma": 0.25}),
+    *[("prpd-rv", {"m": m}) for m in (3, 4)],
+    *[("rzr-iv", {"k": k, "k_max": k}) for k in (3, 4)],
     *[("thz-bpve-ii", {"B": b}) for b in (0.0, 0.25, 0.75, 0.9)],
     *[("c3-cutsphere", {"d": d}) for d in (4.0, 5.0)],
 ], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x:g}" for k, x in v.items()))
@@ -300,6 +303,41 @@ class TestClaims:
             coefficient = claim("tha-gamma" if moment else "thg", alpha=alpha, beta=beta).coefficient
             for k in range(1, 9):
                 assert coefficient(k) == power_coefficient(alpha, beta, k, moment), (alpha, beta, k)
+
+    @pytest.mark.parametrize("experiment, params", [*[(exp, {}) for exp in EXACT],
+                                                    *[("rzr-iv", {"sigma": s}) for s in (0.0, 0.25, 0.75)]],
+                             ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x:g}" for k, x in v.items()) or "defaults")
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_every_exact_coefficient_is_the_theorems(self, experiment, params, k):
+        # the theorem's constant of order k, in mpmath: a Dirichlet Gamma ratio, a Hurwitz zeta to
+        # the power k, Gamma moments, geometric moments from the polylog, k! or (1 - sigma)^-k
+        p = {**experiments._REGISTRY[experiment].params, **params}
+        with mpmath.workdps(30):
+            t = 1 - mpmath.mpf(p.get("sigma", 0.5))  # prpd-rv sums the weights sqrt(d): sigma = 1/2
+            rising = mpmath.rf(p.get("alpha", 1), k) / (mpmath.mpf(p.get("alpha", 1)) * p.get("beta", 1)) ** k
+            mean = mpmath.zeta(2, 2)
+            want = float({
+                "prpd-summable": lambda: mean**k,
+                "prpd-rv": lambda: (t * mpmath.gamma(t)) ** k / mpmath.gamma(1 + k * t),
+                "rzr-i": lambda: mpmath.zeta(p["sigma"], p["n0"]) ** k,  # depth m = 0
+                "rzr-ii": lambda: 1,
+                "rzr-iii": lambda: t**-k,
+                "rzr-iv": lambda: mpmath.gamma(t) ** k / mpmath.gamma(1 + k * t),
+                "thg": lambda: rising / mpmath.factorial(k),
+                "tha-gamma": lambda: rising,
+                "thbb-geo": lambda: mpmath.polylog(-k, mean / (mean + 1)) / (mean + 1),
+                "thbb-exp": lambda: mpmath.factorial(k),
+            }[experiment]())
+        # a constant that zeta_tail sums is certified to its truncation bound, which its k-th power
+        # carries k times over, relative to the value
+        tail = {"prpd-summable": (0, 2.0, 2), "thbb-geo": (0, 2.0, 2), "rzr-i": (0, 2.0, 1)}.get(experiment)
+        tol = 1e-12 if tail is None else k * zeta_tail(*tail).truncation_bound / zeta_tail(*tail).value
+        assert claim(experiment, **params).coefficient(k) == pytest.approx(want, rel=tol)
+
+    def test_the_order_2_constant_on_the_partial_sum_scale_tends_to_1_as_t_tends_to_0(self):
+        # t P_2 = t Gamma(t) Gamma(1 + t) / Gamma(1 + 2 t), with t = 1 - sigma, is the order-2 constant
+        # on S(n)^2 (prpd-rv's pi/4 at t = 1/2); it tends to 1 as t -> 0, where Gamma(t) grows like 1/t
+        assert abs(1.0 / (1e-3 * experiments._dirichlet(1.0 - 1e-3, 2)) - 1.0) < 1e-2
 
     def test_pi_consistency_of_the_two_routes(self):
         # route 1: regularly varying with tau = 1/2 and S(n) ~ 2 sqrt(n),

@@ -9,7 +9,6 @@ import pytest
 from limitlab import special
 from limitlab.special import (
     iterated_log,
-    lambda_sigma,
     lambda_weight,
     script_O,
     zeta_tail,
@@ -18,7 +17,7 @@ from limitlab.stats import LimitLaw
 
 
 class TestGammaFn:
-    """``math.gamma``, which ``lambda_sigma`` and ``experiments._rzr_claim`` call for their Gamma ratios,
+    """``math.gamma``, which ``experiments._dirichlet`` calls for its Gamma ratios,
     to the accuracy those constants need."""
 
     def test_integer_values(self):
@@ -37,23 +36,6 @@ class TestGammaFn:
         # a Gamma shape from outside enters through LimitLaw.gamma, which keeps x > 0
         with pytest.raises(ValueError):
             LimitLaw.gamma(x, 1.0)
-
-
-class TestLambdaSigma:
-    def test_endpoints(self):
-        assert lambda_sigma(0.0) == 1.0
-        assert lambda_sigma(1.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_half(self):
-        assert lambda_sigma(0.5) == pytest.approx(4.0 / math.pi, rel=1e-12)
-
-    def test_continuity_at_zero(self):
-        assert abs(lambda_sigma(1e-3) - 1.0) < 1e-2
-
-    @pytest.mark.parametrize("s", [-0.1, 1.1])
-    def test_domain(self, s):
-        with pytest.raises(ValueError):
-            lambda_sigma(s)
 
 
 class TestIteratedLog:
