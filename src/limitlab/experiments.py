@@ -141,9 +141,14 @@ def _band(name, value, lo, hi):
 
 
 def _shrinking(name, errs):
-    """The error strictly decreases from each horizon to the next: [check], or [] for one horizon."""
+    """The error strictly decreases from each horizon to the next: [check], or [] for one horizon.
+
+    An error of 0 at the first horizon cannot decrease; it must stay within
+    1e-12 at every horizon instead, as an order-1 sum on its own scale does."""
     if len(errs) < 2:
         return []
+    if errs[0] == 0:
+        return [_check(name, np.max(errs), "<= 1e-12 at every horizon (exact at the first)", np.max(errs) <= 1e-12)]
     return [_check(name, errs[-1] - errs[0], "strictly decreasing", np.all(np.diff(errs) < 0))]
 
 

@@ -12,15 +12,15 @@ chunks and only calls on arrays this long pay for handing the GIL between
 threads.  With 8192-row chunks each numpy call of a worker lasted a few
 microseconds, and a ``c3-cutsphere`` run (1e4 replicates, n = 500) took
 59 ms at 2 threads against 38 ms at 1 on a 2-core host; at 65536 rows it
-is one chunk, runs without a thread pool and takes 9-11 ms (12-21 ms with
-the masked, one-generation-at-a-time bookkeeping it replaced), and 2e5
-replicates take 124-139 ms at 2 threads against 154-207 ms at 1 (medians
-of 21 and 7 calls, three runs each).  The chunk workers select rows by
-integer indices, never by boolean masks: at 16,384 rows with 15% selected,
-gathering and scattering two arrays through a mask took 190-210 us, and
-through ``np.flatnonzero`` and its indices 31-35 us.  Each simulator
-returns a ``ReplicateBatch``, which holds only the counts at the
-checkpoints; the caller keeps the model, its parameters and the seed.
+is one chunk, runs without a thread pool and takes 7.3-11.5 ms, and 2e5
+replicates take 95-111 ms at 2 threads against 118-167 ms at 1 (medians
+of 21 and 7 calls, three runs each, on a shared 2-core host).  The chunk
+workers select rows by integer indices, never by boolean masks: at 16,384
+rows with 15% selected, gathering and scattering two arrays through a mask
+took 190-210 us, and through ``np.flatnonzero`` and its indices 31-35 us.
+Each simulator returns a ``ReplicateBatch``, which holds only the counts
+at the checkpoints; the caller keeps the model, its parameters and the
+seed.
 
 Models:
 
@@ -50,8 +50,9 @@ Models:
   size fewer than a third of the scan's uniforms are drawn.  The scan
   retires a replicate once its running maximum reaches x_n at the last
   checkpoint n: x increases and the maximum never falls, so that replicate
-  has no later success.  The two models are one problem: by
-  the Kesten-Kozlov-Spitzer correspondence, the zeros of a
+  has no later success and draws nothing more.  Retired rows leave the
+  scan's arrays only once they are a quarter of them.  The two models are
+  one problem: by the Kesten-Kozlov-Spitzer correspondence, the zeros of a
   geometric-offspring branching process with immigration are the cut levels
   of a nearest-neighbour walk.  The generation chain of the
   branching process (``bpve_generations``), the literal step-by-step walk
@@ -86,6 +87,8 @@ _RETIRE_EVERY = 16
 # Most floats in one tile of _cauchy_chain_worker's near rows (512 KiB, the budget
 # of cauchy._SLICE); one generation of more rows than this is a tile of its own.
 _TILE = 1 << 16
+# Share of retired rows at which _cauchy_chain_worker drops them from its arrays.
+_LEAVE = 0.25
 # Entries per block of _first_return_law.  At n = 2000 (medians of 15, two
 # cores) blocks of 32, 64 and 128 took 1.19-1.26, 1.00-1.06 and 1.09-1.13 ms;
 # at n = 5000, 128 beat 64 by 12%, and at 3e4 neither won on all three kernels.
@@ -255,24 +258,34 @@ def _renewal_worker(weights: WeightSequence, cps: tuple[int, ...]):
     n; a draw past the truncated mass means no further success.  Each round
     of draws ends a replicate with probability at least 1 - F(n), about 0.61
     for D(k) = (1+k)^2, where a chunk takes a few dozen vectorised rounds
-    whatever n is.
+    whatever n is.  A draw at or past F(n) ends its row with no search, so
+    only the draws that can land go through ``np.searchsorted``.  Visits are
+    counted in one flat array at row * len(cps) + bin, and the checkpoints
+    are summed by adding each column into the next.
     """
-    n = cps[-1]
+    n, ncps = cps[-1], len(cps)
     cdf = np.cumsum(_first_return_law(weights, n)[1:])
+    mass = cdf[-1]  # F(n)
     bins = np.searchsorted(np.asarray(cps), np.arange(n + 1))  # first checkpoint >= t
 
     def worker(rng: np.random.Generator, rows: int):
-        visits = np.zeros((rows, len(cps)), dtype=np.int64)
-        idx = np.arange(rows)
+        visits = np.zeros(rows * ncps, dtype=np.int64)  # [row * ncps + c]: the row's visits in (cps[c - 1], cps[c]]
+        base = np.arange(0, rows * ncps, ncps)  # row * ncps of each live row
         t = np.zeros(rows, dtype=np.int64)
         while True:
-            # a gap past the truncated law (searchsorted index n) puts t past n: no success
-            t += np.searchsorted(cdf, rng.random(idx.size), side="right") + 1
+            u = rng.random(base.size)
+            # a draw at or past F(n) is a gap past n: no success, and nothing to search
+            land = np.flatnonzero(u < mass)
+            t = t[land] + np.searchsorted(cdf, u[land], side="right") + 1
             live = np.flatnonzero(t <= n)
-            idx, t = idx[live], t[live]
-            if not idx.size:
-                return np.cumsum(visits, axis=1)
-            visits[idx, bins[t]] += 1
+            base, t = base[land[live]], t[live]
+            if not base.size:
+                break
+            visits[base + bins[t]] += 1
+        visits = visits.reshape(rows, ncps)
+        for c in range(1, ncps):
+            visits[:, c] += visits[:, c - 1]
+        return visits
 
     return worker
 
@@ -297,21 +310,33 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
     P(max_{t0<s<=t1} theta_s <= v) = prod_s (v - y_s) / (v - y_{s-1})
     = (v - y_{t1}) / (v - y_{t0}), which is the law of
     y_{t0} + (y_{t1} - y_{t0}) / U, so a far row sets
-    M = max(M, y_{t0} + (y_{t1} - y_{t0}) / U) with one uniform.  The near
-    rows (M < x_{t1}) cross the block a tile of generations at a time, at
-    most _TILE floats per tile: one draw fills a (generations, rows) array
+    M = max(M, y_{t0} + (y_{t1} - y_{t0}) / U) with one uniform.  The
+    block's far draws are scattered into a zeroed vector of all rows, and
+    one ``np.maximum`` takes that vector into M with no gather: it is exact,
+    because M >= 0 and a maximum rounds nothing.  The near rows
+    (M < x_{t1}) cross the block a tile of generations at a time, at most
+    _TILE floats per tile: one draw fills a (generations, rows) array
     generation by generation, so the stream is the one a scan of one
     generation per call draws; one subtract, divide and add turn it into
     theta; one ``np.maximum`` per generation carries the running maximum
-    down the tile, and one comparison with x, summed over the tile, counts
-    the successes.  Rows are selected by integer indices, taken once per
-    block.  Counts are written at block ends, which include the checkpoints.
+    down the tile, and one comparison with x, written into a reused bool
+    buffer and summed over the tile as bytes, counts the successes (a tile
+    spans at most 16 generations, so the byte sum cannot wrap).  Rows are
+    selected by integer indices, taken once per block.  Counts are written
+    at block ends, which include the checkpoints.
 
     A row whose running maximum has reached x_n is retired: x increases and
     the maximum never falls, so it stays >= x_n >= x_t and the row has no
     later success.  At every _RETIRE_EVERY-th generation such rows write
-    their count into the checkpoints still ahead and leave the scan; a row
-    is live at t with probability (x_n - y_t) / x_n.  Raises ValueError,
+    their count into the checkpoints still ahead and are retired: their M
+    becomes NaN, which compares false with every x, so no later block counts
+    them far or near and they draw nothing.  A row is live at t with
+    probability (x_n - y_t) / x_n.  The retired rows leave ``idx``, ``seen``
+    and M only once they are a share _LEAVE of them, since compacting the
+    arrays at every retire point cost more than carrying the retired rows
+    (at the ``c3-cutsphere`` size a quarter beat every retire point in 37
+    of 40 interleaved calls, and never compacting in 35 of 40).  When
+    every row has retired the scan ends.  Raises ValueError,
     naming the first bad generation, when x is not strictly increasing or
     a_j (x_j - y_j) misses 1 by more than 1e-8 relative: the scan would draw
     another law.
@@ -334,25 +359,29 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
 
     def worker(rng: np.random.Generator, rows: int):
         counts = np.zeros((rows, len(cps)), dtype=np.int64)
-        idx = np.arange(rows)  # the live rows
+        idx = np.arange(rows)  # the rows still in the arrays
         seen = np.zeros(rows, dtype=np.int64)
-        top = np.zeros(rows)  # max of theta so far; every theta_t >= y_t > 0
+        top = np.zeros(rows)  # max of theta so far, NaN once retired; every theta_t >= y_t > 0
         buf = np.empty(max(_TILE, rows))  # the far draw, then each tile of theta
-        ci, t0 = 0, 0
+        hits = np.empty(buf.size, dtype=bool)  # each tile's theta < x
+        spread = np.zeros(rows)  # the far draw at the far rows, 0 at the others
+        retired, ci, t0 = 0, 0, 0
         for t1 in ends:
-            is_far = top >= x[t1]
-            far = np.flatnonzero(is_far)
+            far = np.flatnonzero(top >= x[t1])  # NaN compares false: a retired row is neither far nor near
             if far.size:  # one draw of the block's largest theta
                 block = buf[: far.size]
                 rng.random(out=block)
                 np.subtract(1.0, block, out=block)
                 np.divide(y[t1] - y[t0], block, out=block)
                 block += y[t0]
-                top[far] = np.maximum(top[far], block)
-            if far.size < top.size:  # the near rows cross the block a tile of generations at a time
-                near = np.flatnonzero(~is_far) if far.size else slice(None)
+                cand = spread[: top.size]
+                cand[far] = block
+                np.maximum(top, cand, out=top)  # exact, and top >= 0 keeps the other rows
+                cand.fill(0.0)
+            width = top.size - far.size - retired
+            if width:  # the near rows cross the block a tile of generations at a time
+                near = np.flatnonzero(top < x[t1]) if width < top.size else slice(None)
                 near_top, near_seen = top[near], seen[near]  # views when every row is near
-                width = near_top.size
                 gens = max(1, _TILE // width)  # generations per tile
                 for s0 in range(t0, t1, gens):
                     s1 = min(s0 + gens, t1)
@@ -364,23 +393,28 @@ def _cauchy_chain_worker(kernel: RhoKernel, cps: tuple[int, ...]):
                     np.maximum(near_top, th[0], out=th[0])
                     for r in range(1, s1 - s0):  # th[r] becomes the running max
                         np.maximum(th[r - 1], th[r], out=th[r])
-                    near_seen += (th < x[s0 + 1 : s1 + 1, None]).sum(axis=0, dtype=np.int64)
+                    hit = hits[: th.size].reshape(th.shape)
+                    np.less(th, x[s0 + 1 : s1 + 1, None], out=hit)
+                    near_seen += hit.view(np.uint8).sum(axis=0, dtype=np.uint8)  # a tile is <= 16 generations
                     near_top[:] = th[-1]
-                if far.size:
+                if width < top.size:
                     top[near], seen[near] = near_top, near_seen
             t0 = t1
             if t1 == cps[ci]:
                 counts[idx, ci] = seen
                 ci += 1
             if t1 % _RETIRE_EVERY == 0 and t1 < n:
-                is_done = top >= x_last
-                done = np.flatnonzero(is_done)
+                done = np.flatnonzero(top >= x_last)
                 if done.size:
                     counts[idx[done], ci:] = seen[done, None]
-                    live = np.flatnonzero(~is_done)
-                    idx, seen, top = idx[live], seen[live], top[live]
-                    if not idx.size:
+                    top[done] = np.nan
+                    retired += done.size
+                    if retired == top.size:
                         break
+                    if retired >= _LEAVE * top.size:
+                        live = np.flatnonzero(top < x_last)
+                        idx, seen, top = idx[live], seen[live], top[live]
+                        retired = 0
         return counts
 
     return worker

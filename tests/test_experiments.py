@@ -214,7 +214,7 @@ def test_every_experiment_without_replicates_is_exact():
     ("rzr-i", {"sigma": 3.0}),
     ("rzr-iii", {"sigma": 0.25}),
     ("rzr-iv", {"sigma": 0.25}),
-    *[("prpd-rv", {"m": m}) for m in (3, 4)],
+    *[("prpd-rv", {"m": m}) for m in (1, 3, 4)],
     *[("rzr-iv", {"k": k, "k_max": k}) for k in (3, 4)],
     *[("thz-bpve-ii", {"B": b}) for b in (0.0, 0.25, 0.75, 0.9)],
     *[("c3-cutsphere", {"d": d}) for d in (4.0, 5.0)],

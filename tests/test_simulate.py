@@ -12,7 +12,7 @@ block, and by the uniforms it draws, counted, not timed.  Both chunk
 workers keep the bytes of their masked, one-generation-at-a-time forms
 (``oracles.masked_cauchy_chain_worker``, ``oracles.masked_renewal_worker``)
 and draw as many uniforms, and the scan's counts do not depend on its
-tile of generations.  On D(k) = 1 + k,
+tile of generations or on when retired rows leave its arrays.  On D(k) = 1 + k,
 which is both a distance and a branching kernel, the two samplers are
 checked against each other by two samples.  The renewal
 sampler is checked twice more for ``sim_gw``: its first-return law against
@@ -294,6 +294,19 @@ def test_counts_do_not_depend_on_the_tile(case, tile, monkeypatch):
     monkeypatch.setattr(simulate, "_TILE", tile)
     got = _cauchy_chain_worker(kernel, cps)(np.random.default_rng(38), rows)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("leave", [0.0, math.inf], ids=["at-every-retire-point", "never"])
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_counts_do_not_depend_on_when_retired_rows_leave(case, leave, monkeypatch):
+    # a retired row draws nothing, so dropping it from the arrays moves no uniform
+    kernel, cps, rows = CHAIN_CASES[case][1](), (7, 250, 333), 20_000
+    default, moved = _CountingRng(39), _CountingRng(39)
+    want = _cauchy_chain_worker(kernel, cps)(default, rows)
+    monkeypatch.setattr(simulate, "_LEAVE", leave)
+    got = _cauchy_chain_worker(kernel, cps)(moved, rows)
+    assert got.tobytes() == want.tobytes()
+    assert moved.drawn == default.drawn
 
 
 @pytest.mark.parametrize("schedule", [SCHEDULE, DECAY], ids=["bpve-drift", "bpve-decay"])
