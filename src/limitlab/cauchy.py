@@ -114,9 +114,9 @@ A whole plan is 200-290 floats per entry, the near field's 2 LEAF included,
 so the budget holds it up to n of about 4000, and past that memory stays
 bounded: a whole plan at n = 1e6 would be 2 GB.  Median ms of one product,
 formed / kept, same host, power alpha = 2, branching B = 0.5, scale
-gamma = 3: 0.23 / 0.05 at n = 200, 0.47-0.52 / 0.10-0.12 at n = 500, and
-3.7-6.0 / 1.4-3.2 at n = 5000, where the budget holds all but 2-10 of
-53-59 blocks (the last formed: local bases, then pushed pairs).
+d = 3 (gamma = 1): 0.23 / 0.05 at n = 200, 0.47-0.52 / 0.10-0.12 at
+n = 500, and 3.7-6.0 / 1.4-3.2 at n = 5000, where the budget holds all
+but 2-10 of 53-59 blocks (the last formed: local bases, then pushed pairs).
 """
 
 from __future__ import annotations
@@ -145,8 +145,9 @@ _SLICE = 1 << 16
 _KEEP = 16 * _SLICE
 # Leaves from which far pairs may go through local values.  Median ms of one
 # matvec with / without, 25 interleaved pairs, same host, power alpha = 2,
-# branching B = 0.5, scale gamma = 3: 24 leaves 1.59/1.68, 2.25/2.30, 1.97/1.92;
-# 32 leaves 2.29/2.40, 2.89/2.93, 2.32/2.35; 48 leaves 3.01/3.44, 3.69/3.88, 2.95/3.21.
+# branching B = 0.5, scale d = 3 (gamma = 1): 24 leaves 1.59/1.68, 2.25/2.30,
+# 1.97/1.92; 32 leaves 2.29/2.40, 2.89/2.93, 2.32/2.35; 48 leaves 3.01/3.44,
+# 3.69/3.88, 2.95/3.21.
 _LOCAL_LEAVES = 32
 
 _THETA = (2 * np.arange(ORDER) + 1) * np.pi / (2 * ORDER)

@@ -10,11 +10,15 @@ execute the chunks (``LIMITLAB_THREADS``, by default every CPU the process
 may run on).  A chunk holds up to 65536 rows, because threads split whole
 chunks and only calls on arrays this long pay for handing the GIL between
 threads.  With 8192-row chunks each numpy call of a worker lasted a few
-microseconds, and a ``c3-cutsphere`` run (1e4 replicates, n = 500) took
-59 ms at 2 threads against 38 ms at 1 on a 2-core host; at 65536 rows it
-is one chunk, runs without a thread pool and takes 7.3-11.5 ms, and 2e5
-replicates take 95-111 ms at 2 threads against 118-167 ms at 1 (medians
-of 21 and 7 calls, three runs each, on a shared 2-core host).  The chunk
+microseconds, and the chain scan of the ``c3-cutsphere`` kernel (1e4
+replicates, n = 500) took 59 ms at 2 threads against 38 ms at 1 on a
+2-core host; at 65536 rows it is one chunk, runs without a thread pool and
+took 7.3-11.5 ms, and 2e5 replicates took 95-111 ms at 2 threads against
+118-167 ms at 1 (medians of 21 and 7 calls, three runs each, on a shared
+2-core host).  ``c3-cutsphere`` itself now draws renewal gaps (see
+``sim_levelwalk``): 2.4 ms at 1e4 replicates, and 36-38 ms at 1 thread
+against 40 ms at 2 for 2e5 (medians of 25 and 7 calls, three runs), since
+its rounds of draws shrink to a few rows each.  The chunk
 workers select rows by integer indices, never by boolean masks: at 16,384
 rows with 15% selected, gathering and scattering two arrays through a mask
 took 190-210 us, and through ``np.flatnonzero`` and its indices 31-35 us.
@@ -40,21 +44,24 @@ Models:
   population; and a transient level walk with scale weight w(x) = x^(-gamma),
   counting levels never re-entered after their offset partner is first hit.
   Both counts are Markovian Bernoulli chains whose kernel is in Cauchy form
-  with a_j (x_j - y_j) = 1 (``kernel_branching``, ``kernel_scale``), and both
-  simulators hand their kernel to ``_sim_chain``, which draws that chain by
-  one running-maximum scan, ``_cauchy_chain_worker``, in blocks of at most
-  16 generations.  A replicate whose running maximum already reaches x at
-  the block's end cannot succeed inside the block, and crosses it with one
-  uniform that draws the block's largest step exactly; the others cross it
-  a tile of generations at a time.  At the ``c3-cutsphere``
-  size fewer than a third of the scan's uniforms are drawn.  The scan
-  retires a replicate once its running maximum reaches x_n at the last
-  checkpoint n: x increases and the maximum never falls, so that replicate
-  has no later success and draws nothing more.  Retired rows leave the
-  scan's arrays only once they are a quarter of them.  The two models are
-  one problem: by the Kesten-Kozlov-Spitzer correspondence, the zeros of a
-  geometric-offspring branching process with immigration are the cut levels
-  of a nearest-neighbour walk.  The generation chain of the
+  with a_j (x_j - y_j) = 1 (``kernel_branching``, ``kernel_scale``).  At
+  gamma = 1 the level walk's kernel is the distance kernel D(k) = 1 + k/c
+  with c = a/b, so ``sim_levelwalk`` hands that ``WeightSequence`` to
+  ``_sim_chain`` and draws renewal gaps, as ``sim_gw`` does.  Otherwise both
+  simulators hand their Cauchy kernel to ``_sim_chain``, which draws that
+  chain by one running-maximum scan, ``_cauchy_chain_worker``, in blocks of
+  at most 16 generations.  A replicate whose running maximum already
+  reaches x at the block's end cannot succeed inside the block, and crosses
+  it with one uniform that draws the block's largest step exactly; the
+  others cross it a tile of generations at a time.  On the ``c3-cutsphere``
+  kernel at its size fewer than a third of the scan's uniforms are drawn.
+  The scan retires a replicate once its running maximum reaches x_n at the
+  last checkpoint n: x increases and the maximum never falls, so that
+  replicate has no later success and draws nothing more.  Retired rows
+  leave the scan's arrays only once they are a quarter of them.  The two
+  models are one problem: by the Kesten-Kozlov-Spitzer correspondence, the
+  zeros of a geometric-offspring branching process with immigration are the
+  cut levels of a nearest-neighbour walk.  The generation chain of the
   branching process (``bpve_generations``), the literal step-by-step walk
   (``levelwalk_steps``) and the scan without blocks, one uniform per row
   and generation (``cauchy_chain_scan``), are kept in the test suite
@@ -476,5 +483,22 @@ def sim_levelwalk(spec: ScaleSpec, n: int, replicates: int = 10_000, seed: int =
     Success of level k means: after the first visit to k*b + a, the walk
     never visits k*b again.  The successes form the chain of
     ``kernel_scale(spec)``, drawn by ``_cauchy_chain_worker``.
+
+    At gamma = 1 (``c3`` and ``c4`` at their defaults) that kernel depends on
+    j - i alone: with c = a/b, a_j = 1/c, x_j = j + c and y_i = i, so
+    1/rho(i, j) = c/(j - i + c), the distance kernel D(k) = 1 + k/c.  Its
+    u(k) = c/(k + c) is log-convex, so the cut levels renew with a
+    first-return law, and ``_renewal_worker`` draws whole gaps between them
+    instead of scanning every level.  At 1e4 replicates, one thread, the
+    draw takes 2.4 ms against 7.2-7.6 ms for the scan to n = 500 and 4.8 ms
+    against 26 ms to 2000.  The O(n^2) first-return law sets the crossover:
+    the gaps still win at n = 2e4 (57 ms against 167 ms), tie at 5e4 (295 ms
+    against 288 ms) and lose at 1e5 (1.19 s against 0.57 s).  Medians of 3
+    to 25 calls on a shared 2-core host; the exact side (``experiments``)
+    keeps reading ``kernel_scale``.
     """
-    return _sim_chain(kernel_scale(spec), n, replicates, seed, checkpoints, threads)
+    kernel = kernel_scale(spec)
+    if spec.gamma == 1.0:  # 1/rho(i, j) = c/(j - i + c): a distance kernel, drawn by its renewal gaps
+        c = spec.offset_ratio
+        kernel = WeightSequence(weight=lambda k: 1.0 + k / c, label=kernel.description)
+    return _sim_chain(kernel, n, replicates, seed, checkpoints, threads)

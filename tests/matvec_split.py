@@ -1,6 +1,6 @@
 """Split one formed Cauchy product into the time each kind of block takes to form.
 
-For the power (alpha = 2), branching (B = 0.5) and scale (gamma = 3) kernels
+For the power (alpha = 2), branching (B = 0.5) and scale (d = 3, gamma = 1) kernels
 of the benchmark's pairwise sweep at one n, calls ``cauchy.lower_matvec``
 ``repeats`` times and prints the median ms that one product spends forming
 each kind of block, the time left for the products against v, and how many

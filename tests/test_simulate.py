@@ -3,9 +3,10 @@ thread count, and moments within four standard errors of the exact kernel
 moments.  The step-by-step level-walk oracle is held to the same standard.
 Both samplers behind ``_sim_chain`` are checked against the exact law of the
 count (``oracles.count_pmf``): the Cauchy-chain scan of ``sim_bpve`` and
-``sim_levelwalk`` on five kernels, and the renewal sampler of ``sim_gw`` on
-three distance kernels, (1+n)^2 among them; so are the two literal chains
-the scan replaces.  The block skip of that scan is checked against the
+``sim_levelwalk`` on four kernels, and the renewal sampler on three distance
+kernels, (1+n)^2 of ``sim_gw`` among them, and on the gamma = 1 level walk,
+which ``sim_levelwalk`` draws by its renewal gaps; so are the two literal
+chains the scan replaces.  The block skip of that scan is checked against the
 generation-by-generation scan (``oracles.cauchy_chain_scan``) by two
 samples, at checkpoints that end no 16-generation block and below one
 block, and by the uniforms it draws, counted, not timed.  Both chunk
@@ -13,8 +14,9 @@ workers keep the bytes of their masked, one-generation-at-a-time forms
 (``oracles.masked_cauchy_chain_worker``, ``oracles.masked_renewal_worker``)
 and draw as many uniforms, and the scan's counts do not depend on its
 tile of generations or on when retired rows leave its arrays.  On D(k) = 1 + k,
-which is both a distance and a branching kernel, the two samplers are
-checked against each other by two samples.  The renewal
+which is both a distance and a branching kernel, and on the gamma = 1 scale
+kernel, the distance kernel D(k) = 1 + k/c at three offset ratios c, the two
+samplers are checked against each other by two samples.  The renewal
 sampler is checked twice more for ``sim_gw``: its first-return law against
 exact rational arithmetic on the offspring generating function, and its
 counts against the generation-by-generation chain.  The block solve of that
@@ -129,7 +131,7 @@ def test_steps_oracle_matches_the_exact_mean(x0, gamma):
 
 
 DECAY = OffspringSchedule.from_decay(lambda t: t**-2.0)
-# Cauchy-chain simulator and the kernel whose chain it draws
+# simulator of a Cauchy kernel, and that kernel; at gamma = 1 sim_levelwalk draws its renewal gaps
 CHAIN_CASES = {
     "bpve-drift": (lambda **kw: sim_bpve(SCHEDULE, **kw), lambda: kernel_branching(SCHEDULE)),
     "bpve-decay": (lambda **kw: sim_bpve(DECAY, **kw), lambda: kernel_branching(DECAY)),
@@ -233,6 +235,31 @@ def test_renewal_and_cauchy_chain_samplers_agree_on_one_kernel():
     chain = _cauchy_chain_worker(kernel_branching(OffspringSchedule.harmonic_drift(0.0)), cps)(
         np.random.default_rng(37), reps)
     assert_one_law(renewal, chain)
+
+
+@pytest.mark.parametrize("c", [0.01, 0.5, 0.99])
+def test_levelwalk_at_gamma_1_draws_the_law_of_the_chain_scan(c, monkeypatch):
+    # At gamma = 1, 1/rho(i, j) = c/(j - i + c), and sim_levelwalk draws renewal gaps of D(k) = 1 + k/c
+    spec, cps, reps = ScaleSpec(1.0, c, 1.0), (7, 100, 500), 100_000
+    routed = []
+    monkeypatch.setattr(simulate, "_sim_chain",
+                        lambda kernel, *args: routed.append(kernel) or _sim_chain(kernel, *args))
+    renewal = sim_levelwalk(spec, cps[-1], replicates=reps, seed=42, checkpoints=cps).counts
+    chain = _cauchy_chain_worker(kernel_scale(spec), cps)(np.random.default_rng(43), reps)
+    assert_one_law(renewal, chain)
+    (weights,) = routed
+    assert isinstance(weights, WeightSequence)
+    # 1/D(k) against c/(k + c) in rationals from the float c, then against the Cauchy form
+    # 1/(a_j (x_j - y_i)), whose x_j = j + c rounds at ulp(j): relative to x_j - y_i that is
+    # up to x_j / (x_j - y_i) times one rounding (9.1e-15 at c = 0.01, i = 161, j = 162)
+    r = weights.reciprocals(200)
+    exact = np.array([float(Fraction(c) / (k + Fraction(c))) for k in range(1, 201)])
+    assert np.all(np.abs(r[1:] - exact) <= 1e-15 * exact)
+    a, x, y = kernel_scale(spec).cauchy(200)
+    j, i = np.tril_indices(201, -1)
+    form = 1.0 / (a[j] * (x[j] - y[i]))
+    assert np.all(np.abs(r[j - i] - form) <= 1e-15 * form * x[j] / (x[j] - y[i]))
+    _first_return_law(weights, 20_000)  # raises if f goes negative or sums past 1
 
 
 class _CountingRng:
