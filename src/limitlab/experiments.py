@@ -73,10 +73,10 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import OffspringSchedule, RhoKernel, ScaleSpec, kernel_branching, kernel_power, kernel_scale
+from .kernels import OffspringSchedule, RhoKernel, ScaleSpec, kernel_branching, kernel_power
 from .moments import _SAFE_ORDER, MomentTable
 from .multisum import WeightSequence, _running_sum, _shared_weights, _u_weights, psi_curve
-from .simulate import _SQUARES, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
+from .simulate import _SQUARES, _levelwalk_kernel, resolve_threads, sim_bpve, sim_gw, sim_levelwalk
 from .special import _shown, zeta_tail
 from .stats import LimitLaw, tv_distance_integer
 
@@ -483,7 +483,7 @@ def _power_gamma(p, factorial=False) -> Claim:
 
 
 def _levelwalk(scale_spec) -> MonteCarloSpec:
-    """The level walk of ``scale_spec(params)`` against its ``kernel_scale``.
+    """The level walk of ``scale_spec(params)`` against the exact moments of its ``_levelwalk_kernel``.
 
     The claim: g_j ~ gamma c / j with c = a/b, so the count tends to
     Gamma(gamma, b/a) on log n, and its mean grows like gamma (a/b) log n.
@@ -492,7 +492,7 @@ def _levelwalk(scale_spec) -> MonteCarloSpec:
         spec = scale_spec(p)
         gamma = "" if spec.gamma == 1.0 else np.format_float_positional(spec.gamma, trim="-") + " "
         return _law(LimitLaw.gamma(spec.gamma, spec.b / spec.a), f"{gamma}(a/b) log n", _log_power(1, 1))
-    return MonteCarloSpec(lambda p: kernel_scale(scale_spec(p)), lambda p: partial(sim_levelwalk, scale_spec(p)),
+    return MonteCarloSpec(lambda p: _levelwalk_kernel(scale_spec(p)), lambda p: partial(sim_levelwalk, scale_spec(p)),
                           claim, _levelwalk_policy)
 
 

@@ -27,8 +27,9 @@ families' constructors, each checking its parameters and closing over them:
              where g_j = (w(j) - w(j+c)) / w(j) is formed via expm1/log1p.
              At gamma = 1, a_j = 1/c, x_j = j + c and y_i = i, so
              rho(i, j) = 1 + (j - i)/c depends on j - i alone: the same
-             chain as the distance kernel D(k) = 1 + k/c, which
-             ``simulate.sim_levelwalk`` draws by its renewal gaps.
+             chain as the distance kernel D(k) = 1 + k/c.  There
+             ``simulate._levelwalk_kernel`` hands the level walk's sampler
+             and its exact moments that ``WeightSequence`` instead.
 
 The engines read these arrays and nothing else: ``multisum.psi_curve``
 pushes whole tables through the matrix 1/(x_j - y_i), and ``cond_column``

@@ -46,8 +46,9 @@ Models:
   Both counts are Markovian Bernoulli chains whose kernel is in Cauchy form
   with a_j (x_j - y_j) = 1 (``kernel_branching``, ``kernel_scale``).  At
   gamma = 1 the level walk's kernel is the distance kernel D(k) = 1 + k/c
-  with c = a/b, so ``sim_levelwalk`` hands that ``WeightSequence`` to
-  ``_sim_chain`` and draws renewal gaps, as ``sim_gw`` does.  Otherwise both
+  with c = a/b: ``_levelwalk_kernel`` returns that ``WeightSequence``, and
+  both ``sim_levelwalk``, which draws renewal gaps as ``sim_gw`` does, and
+  the exact moments of ``experiments`` read it.  Otherwise both
   simulators hand their Cauchy kernel to ``_sim_chain``, which draws that
   chain by one running-maximum scan, ``_cauchy_chain_worker``, in blocks of
   at most 16 generations.  A replicate whose running maximum already
@@ -486,19 +487,29 @@ def sim_levelwalk(spec: ScaleSpec, n: int, replicates: int = 10_000, seed: int =
 
     At gamma = 1 (``c3`` and ``c4`` at their defaults) that kernel depends on
     j - i alone: with c = a/b, a_j = 1/c, x_j = j + c and y_i = i, so
-    1/rho(i, j) = c/(j - i + c), the distance kernel D(k) = 1 + k/c.  Its
-    u(k) = c/(k + c) is log-convex, so the cut levels renew with a
-    first-return law, and ``_renewal_worker`` draws whole gaps between them
-    instead of scanning every level.  At 1e4 replicates, one thread, the
-    draw takes 2.4 ms against 7.2-7.6 ms for the scan to n = 500 and 4.8 ms
-    against 26 ms to 2000.  The O(n^2) first-return law sets the crossover:
-    the gaps still win at n = 2e4 (57 ms against 167 ms), tie at 5e4 (295 ms
-    against 288 ms) and lose at 1e5 (1.19 s against 0.57 s).  Medians of 3
-    to 25 calls on a shared 2-core host; the exact side (``experiments``)
-    keeps reading ``kernel_scale``.
+    1/rho(i, j) = c/(j - i + c), the distance kernel D(k) = 1 + k/c, which
+    ``_levelwalk_kernel`` returns.  Its u(k) = c/(k + c) is log-convex, so the
+    cut levels renew with a first-return law, and ``_renewal_worker`` draws
+    whole gaps between them instead of scanning every level.  At 1e4
+    replicates, one thread, the draw takes 2.4 ms against 7.2-7.6 ms for the
+    scan to n = 500 and 4.8 ms against 26 ms to 2000.  The O(n^2)
+    first-return law sets the crossover: the gaps still win at n = 2e4
+    (57 ms against 167 ms), tie at 5e4 (295 ms against 288 ms) and lose at
+    1e5 (1.19 s against 0.57 s).  Medians of 3 to 25 calls on a shared
+    2-core host.  With several chunks the gaps run slower at 2 threads than
+    at 1, since their rounds shrink to a few rows each and every numpy call
+    is too short to pay for handing the GIL between threads: ``c3``'s spec
+    at 2e5 replicates (4 chunks) to n = 500 took 36-38 ms at 1 thread and
+    40 ms at 2 (medians of 7, three runs).  Only 65537 replicates or more
+    make several chunks; no registry default does.
     """
+    return _sim_chain(_levelwalk_kernel(spec), n, replicates, seed, checkpoints, threads)
+
+
+def _levelwalk_kernel(spec: ScaleSpec) -> RhoKernel | WeightSequence:
+    """The level walk's kernel: at gamma = 1 the distance kernel D(k) = 1 + k/c, else ``kernel_scale(spec)``."""
     kernel = kernel_scale(spec)
-    if spec.gamma == 1.0:  # 1/rho(i, j) = c/(j - i + c): a distance kernel, drawn by its renewal gaps
+    if spec.gamma == 1.0:  # 1/rho(i, j) = c/(j - i + c): a distance kernel
         c = spec.offset_ratio
-        kernel = WeightSequence(weight=lambda k: 1.0 + k / c, label=kernel.description)
-    return _sim_chain(kernel, n, replicates, seed, checkpoints, threads)
+        return WeightSequence(weight=lambda k: 1.0 + k / c, label=kernel.description)
+    return kernel

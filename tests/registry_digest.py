@@ -9,6 +9,11 @@ is only read):
     python tests/registry_digest.py [repository root]
 
 ``LIMITLAB_SEED`` is ignored, so each config runs at its declared seed.
+``data/registry_digests.txt`` holds the lines of the committed tree, and CI
+diffs its runs at 1 and 2 threads against them.  A change that moves bytes on
+purpose rewrites that file, so its diff names the configs that moved:
+
+    python tests/registry_digest.py > tests/data/registry_digests.txt
 """
 
 from __future__ import annotations

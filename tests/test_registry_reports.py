@@ -22,7 +22,8 @@ from limitlab import experiments
 DATA = Path(__file__).resolve().parent / "data" / "registry_reports.json"
 
 # every experiment at its defaults (the branching runs shortened), then
-# single-horizon runs, which reach the runners' one-checkpoint branches
+# single-horizon runs, which reach the runners' one-checkpoint branches, and
+# c3 at d = 4, the one level walk off gamma = 1 (its chain scan and Cauchy tables)
 CONFIGS = {
     **{exp: f"experiment = {exp}\n" for exp, _ in experiments.list_experiments()},
     "thz-bpve-i": "experiment = thz-bpve-i\nreplicates = 4096\nhorizons = 100, 200\n",
@@ -30,6 +31,7 @@ CONFIGS = {
     "rzr-iii@1000": "experiment = rzr-iii\nhorizons = 1000\n",
     "thbb-geo@1000": "experiment = thbb-geo\nhorizons = 1000\n",
     "c3-cutsphere@250": "experiment = c3-cutsphere\nhorizons = 250\n",
+    "c3-cutsphere@d4": "experiment = c3-cutsphere\nd = 4\nreplicates = 2000\n",
     "thy-gw@1000": "experiment = thy-gw\nreplicates = 20000\nhorizons = 1000\n",
 }
 

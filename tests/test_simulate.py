@@ -16,7 +16,10 @@ and draw as many uniforms, and the scan's counts do not depend on its
 tile of generations or on when retired rows leave its arrays.  On D(k) = 1 + k,
 which is both a distance and a branching kernel, and on the gamma = 1 scale
 kernel, the distance kernel D(k) = 1 + k/c at three offset ratios c, the two
-samplers are checked against each other by two samples.  The renewal
+samplers are checked against each other by two samples.  That distance
+kernel, which the level walk's exact side also reads, gives the exact
+moments of ``kernel_scale`` within 1e-13 relative at horizons up to 2e4,
+and its Psi the multiple sums of ``oracles.phi_recursion``.  The renewal
 sampler is checked twice more for ``sim_gw``: its first-return law against
 exact rational arithmetic on the offspring generating function, and its
 counts against the generation-by-generation chain.  The block solve of that
@@ -35,17 +38,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitlab import simulate
+from limitlab import experiments, simulate
 from limitlab.experiments import ConfigError, parse_config, run
 from limitlab.kernels import OffspringSchedule, RhoKernel, ScaleSpec, kernel_branching, kernel_power, kernel_scale
 from limitlab.moments import MomentTable
-from limitlab.multisum import WeightSequence
-from limitlab.simulate import (_CHUNK, _SQUARES, _cauchy_chain_worker, _first_return_law, _renewal_worker,
-                               _run_chunked, _sim_chain, resolve_threads, sim_bpve, sim_gw, sim_levelwalk)
+from limitlab.multisum import WeightSequence, psi_curve
+from limitlab.simulate import (_CHUNK, _SQUARES, _cauchy_chain_worker, _first_return_law, _levelwalk_kernel,
+                               _renewal_worker, _run_chunked, _sim_chain, resolve_threads, sim_bpve, sim_gw,
+                               sim_levelwalk)
 
 from oracles import (bpve_generations, cauchy_chain_scan, constant_schedule, count_pmf, first_return_recursion,
                      gw_generations, levelwalk_steps, marginals, masked_cauchy_chain_worker, masked_renewal_worker,
-                     tv_to_pmf)
+                     phi_recursion, tv_to_pmf)
 
 SPEC = ScaleSpec.from_dimension(3.0, 1.0, 2.0)
 SCHEDULE = OffspringSchedule.harmonic_drift(0.5)
@@ -260,6 +264,42 @@ def test_levelwalk_at_gamma_1_draws_the_law_of_the_chain_scan(c, monkeypatch):
     form = 1.0 / (a[j] * (x[j] - y[i]))
     assert np.all(np.abs(r[j - i] - form) <= 1e-15 * form * x[j] / (x[j] - y[i]))
     _first_return_law(weights, 20_000)  # raises if f goes negative or sums past 1
+
+
+def same_moments(model, want, hs):
+    """Orders 1..4 of ``model`` at the horizons hs within 1e-13 relative of the table ``want``."""
+    got = MomentTable.build(model, hs, 4).values
+    return bool(np.all(np.abs(got - want) <= 1e-13 * want))
+
+
+@pytest.mark.parametrize("hs", [(100, 250, 500), (1000, 5000, 20_000)])
+@pytest.mark.parametrize("c", [0.01, 0.5, 0.99])
+def test_levelwalk_at_gamma_1_has_the_moments_of_kernel_scale(c, hs):
+    # The exact side reads D(k) = 1 + k/c by the fold; kernel_scale derives the same moments through
+    # the Cauchy tables, whose matvec budget is 2.3e-14 relative per term over at most 4 products.
+    # D built with 1.1 c is the control.
+    spec = ScaleSpec(1.0, c, 1.0)
+    want = MomentTable.build(kernel_scale(spec), hs, 4).values
+    assert same_moments(_levelwalk_kernel(spec), want, hs)
+    assert not same_moments(WeightSequence(weight=lambda k: 1.0 + k / (1.1 * c)), want, hs)
+
+
+def test_levelwalk_model_is_a_distance_kernel_at_gamma_1_only():
+    c3 = experiments._REGISTRY["c3-cutsphere"]
+    assert isinstance(c3.runner.model(c3.params), WeightSequence)
+    assert isinstance(c3.runner.model({**c3.params, "d": 4.0}), RhoKernel)
+
+
+def test_levelwalk_psi_at_gamma_1_is_the_multiple_sum_of_its_distance_kernel():
+    # At c = 0.01 kernel_scale's 1/rho is up to 9.1e-15 off near the diagonal, and 1 + k/c 1.2e-16.
+    # The bound, 2e-14 relative (180 roundings), is the worst case over three orders of positive
+    # terms: the oracle rounds 1 + k/c (2), its quotient and its fsum (5 per order); the direct fold
+    # rounds the reciprocal (3), each product (1) and sums of at most 30 terms (29), 33 per order,
+    # plus a running sum of 30 (143 in all).
+    c, hs = 0.01, range(1, 31)
+    got = psi_curve(_levelwalk_kernel(ScaleSpec(1.0, c, 1.0)), hs, 3)
+    want = np.array([[phi_recursion(lambda k: 1.0 + k / c, h, m) for h in hs] for m in (1, 2, 3)])
+    assert np.all(np.abs(got - want) <= 2e-14 * want)
 
 
 class _CountingRng:
